@@ -32,7 +32,8 @@ from . import fitting, kalman_fit, riccati
 from .conic_ls import LossSpec, RegularizerSpec, project_psd
 from .kalman_fit import AdmmConfig
 from .linsys import (CostMatrices, LinearDynamics, closed_loop_cost,
-                     generate_demos, rollout_cost_estimate, spectral_radius)
+                     generate_demos, load_system, rollout_cost_estimate,
+                     spectral_radius)
 
 EXPERIMENTS = ("small_random", "aircraft", "outliers", "custom")
 METHODS = ("pf", "kalman", "expert", "optimal")
@@ -90,8 +91,7 @@ def default_config(experiment: str, **overrides) -> ExperimentConfig:
     base = {"experiment": experiment}
     if experiment == "outliers":
         base.update(outlier_prob=0.1, loss=LossSpec("huber", huber_m=0.5))
-    cfg = ExperimentConfig(**base)
-    return replace(cfg, **overrides) if overrides else cfg
+    return ExperimentConfig(**base, **overrides)
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
@@ -166,17 +166,6 @@ def build_aircraft() -> tuple[LinearDynamics, CostMatrices, np.ndarray]:
     return dyn, CostMatrices(Q=np.eye(4), R=np.eye(2)), 25.0 * np.eye(2)
 
 
-def load_custom_system(path) -> tuple[LinearDynamics, CostMatrices, np.ndarray]:
-    with open(path) as f:
-        d = json.load(f)
-    dyn = LinearDynamics.from_dict(d)
-    Q = np.array(d.get("Q", np.eye(dyn.n).tolist()), dtype=float)
-    R = np.array(d.get("R", np.eye(dyn.m).tolist()), dtype=float)
-    sigma = d.get("Sigma")
-    sigma = np.eye(dyn.m) if sigma is None else np.array(sigma, dtype=float)
-    return dyn, CostMatrices(Q=Q, R=R), sigma
-
-
 def _resolve_sigma(config: ExperimentConfig, default: np.ndarray, m: int):
     if config.sigma is None:
         return default
@@ -192,7 +181,8 @@ def _build_system(config: ExperimentConfig, seed: int):
     elif config.experiment == "aircraft":
         dyn, cost, sigma = build_aircraft()
     else:
-        dyn, cost, sigma = load_custom_system(config.dynamics_path)
+        dyn, Q, R, sigma = load_system(config.dynamics_path)
+        cost = CostMatrices(Q=Q, R=R)
     return dyn, cost, _resolve_sigma(config, sigma, dyn.m)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import bench, fitting, kalman_fit, riccati
 from .conic_ls import LossSpec, RegularizerSpec
 from .kalman_fit import AdmmConfig
-from .linsys import DemoSet, LinearDynamics
+from .linsys import DemoSet, load_system
 
 
 class _ConfigError(Exception):
@@ -38,17 +38,6 @@ def _load_json(path):
             return json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise _ConfigError(f"cannot read {path}: {e}") from e
-
-
-def _load_system(path):
-    d = _load_json(path)
-    try:
-        dyn = LinearDynamics.from_dict(d)
-        Q = np.array(d.get("Q", np.eye(dyn.n).tolist()), dtype=float)
-        R = np.array(d.get("R", np.eye(dyn.m).tolist()), dtype=float)
-    except (KeyError, ValueError) as e:
-        raise _ConfigError(f"bad system file {path}: {e}") from e
-    return dyn, Q, R
 
 
 def _load_demos(path):
@@ -74,7 +63,7 @@ def _emit(payload: dict, out_path) -> None:
 
 
 def _cmd_lqr(args) -> int:
-    dyn, Q, R = _load_system(args.system)
+    dyn, Q, R, _ = load_system(args.system)
     sol = riccati.solve_lqr(dyn, (Q, R))
     _emit({"K": sol.K.tolist(), "P": sol.P.tolist()}, args.out)
     return 0
@@ -89,7 +78,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_fit_kalman(args) -> int:
-    dyn, _, _ = _load_system(args.system)
+    dyn = load_system(args.system)[0]
     demos = _load_demos(args.demos)
     config = AdmmConfig(rho=args.rho, n_iter=args.iters, eps=args.eps,
                         n_random_inits=args.inits, seed=args.seed)
@@ -106,7 +95,7 @@ def _cmd_fit_kalman(args) -> int:
 
 
 def _cmd_check_kalman(args) -> int:
-    dyn, _, _ = _load_system(args.system)
+    dyn = load_system(args.system)[0]
     d = _load_json(args.gain)
     if "K" not in d:
         raise _ConfigError(f"gain file {args.gain} must contain a 'K' matrix")
@@ -207,7 +196,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _ConfigError as e:
+    except (_ConfigError, OSError) as e:
         print(f"lqfit: {e}", file=sys.stderr)
         return 1
     except (riccati.ConvergenceError, RuntimeError, FloatingPointError,

@@ -1,24 +1,33 @@
 """Convex subsolvers shared by policy fitting and the constrained fitter.
 
 Contains the PSD-cone projection, the Huber penalty, the ridge/Huber
-least-squares step in the gain K, and a cone-constrained least-squares
-solver in the triple (P, Q, R).  The (P, Q, R) problem is
+least-squares step in the gain K, the Kalman-constraint operator
+:class:`KalmanOperator`, and a cone-constrained least-squares solver in the
+triple (P, Q, R).  At a fixed gain K the operator is the bilinear map of
+the LQR-optimality constraint,
 
-    minimize ||Q + A^T P F - P + Y1/rho||_F^2 + ||R K + B^T P F + Y2/rho||_F^2
-    subject to P >= 0,  Q >= 0,  R >= I,          (F = A + B K)
+    L(P, Q, R) = (Q + A^T P F - P,  R K + B^T P F),       F = A + B K,
+
+and the (P, Q, R) problem is
+
+    minimize ||L(P, Q, R) + (Y1, Y2)/rho||_F^2
+    subject to P >= 0,  Q >= 0,  R >= I,
 
 a linear least squares over a product of semidefinite cones.  It is solved
 by operator splitting (ADMM on the variable/copy pair) in an orthonormal
-svec parameterization, with penalty self-rescaling and an exact
-"polish" solve on the active face of the cones.
+svec parameterization, with penalty self-rescaling, an exact "polish"
+solve on the active face of the cones and an accelerated projected-gradient
+refine.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .linsys import (STABILITY_MARGIN, DemoSet, LinearDynamics, _sym,
                      solve_lyapunov_stein, spectral_radius)
@@ -68,10 +77,12 @@ def project_psd(S: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """Frobenius-nearest symmetric matrix with all eigenvalues >= floor.
 
     The input is symmetrized first; floor=0 is the PSD projection, floor=1
-    projects onto {R : R >= I}.
+    projects onto {R : R >= I}.  A stack of matrices (leading axes) is
+    projected matrix by matrix.
     """
     w, V = np.linalg.eigh(_sym(np.asarray(S, dtype=float)))
-    return _sym(V @ (np.maximum(w, floor)[:, None] * V.T))
+    Vt = V.swapaxes(-1, -2)
+    return _sym(V @ (np.maximum(w, floor)[..., None] * Vt))
 
 
 def huber_value(a: float, M: float):
@@ -118,23 +129,26 @@ def _weighted_normal_solve(X, U, coeff, lam, pen_H, pen_rhs, n, m):
 
 
 def solve_k_step(demos: DemoSet, loss: LossSpec, reg: RegularizerSpec,
-                 rho: float, P, Q, R, Y1, Y2,
-                 dyn: LinearDynamics) -> np.ndarray:
+                 rho: float, P=None, Q=None, R=None, Y1=None, Y2=None,
+                 dyn: LinearDynamics | None = None) -> np.ndarray:
     """Minimize L(K) + r(K) + (rho/2)||[A'PB K - (P-Q-A'PA-Y1/rho);
     (R+B'PB) K - (-B'PA-Y2/rho)]||_F^2 over K.
 
     Exact linear solve for the quadratic loss; IRLS around the same solve
     for the Huber loss.  rho = 0 drops the penalty entirely (plain policy
-    fitting).  Raises SingularFitError when lam = 0, rho = 0 and the
-    demonstration states are rank deficient.
+    fitting) and needs neither the system nor (P, Q, R, Y1, Y2).  Raises
+    SingularFitError when lam = 0, rho = 0 and the demonstration states
+    are rank deficient.
     """
     X, U = demos.states, demos.inputs
     # canonical demo order: makes the fit bit-identical under permutation
     order = np.lexsort(np.hstack([X, U]).T[::-1])
     X, U = X[order], U[order]
-    n, m = dyn.n, dyn.m
+    n, m = X.shape[1], U.shape[1]
     lam = reg.weight
     if rho > 0:
+        if dyn is None:
+            raise ValueError("rho > 0 needs the system")
         pen_H, pen_rhs = _penalty_terms(rho, dyn, P, Q, R, Y1, Y2)
     else:
         pen_H, pen_rhs = np.zeros((m, m)), np.zeros((m, n))
@@ -153,21 +167,6 @@ def solve_k_step(demos: DemoSet, loss: LossSpec, reg: RegularizerSpec,
             return K_new
         K = K_new
     return K
-
-
-def pqr_objective(dyn: LinearDynamics, K, P, Q, R, Y1=None, Y2=None,
-                  rho: float = 1.0) -> float:
-    """Objective of the (P, Q, R) subproblem at the given point."""
-    A, B = dyn.A, dyn.B
-    K = np.asarray(K, dtype=float)
-    F = A + B @ K
-    M1 = Q + A.T @ P @ F - P
-    M2 = R @ K + B.T @ P @ F
-    if Y1 is not None:
-        M1 = M1 + Y1 / rho
-    if Y2 is not None:
-        M2 = M2 + Y2 / rho
-    return float(np.sum(M1 * M1) + np.sum(M2 * M2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +190,11 @@ class PqrStepResult:
 
 
 class _SvecOps:
-    """Orthonormal svec <-> symmetric matrix maps for a fixed size."""
+    """Orthonormal svec <-> symmetric matrix maps for a fixed size.
+
+    Both maps act on the last axes, so they take stacks.  ``basis`` holds
+    the matrices whose svec are the unit vectors, in svec order.
+    """
 
     def __init__(self, n: int):
         iu = np.triu_indices(n)
@@ -199,78 +202,146 @@ class _SvecOps:
         self.iu = iu
         self.scale = np.where(iu[0] == iu[1], 1.0, _SQRT2)
         self.dim = len(self.scale)
+        E = np.zeros((self.dim, n, n))
+        k = np.arange(self.dim)
+        E[k, iu[0], iu[1]] = 1.0 / self.scale
+        E[k, iu[1], iu[0]] = 1.0 / self.scale
+        for arr in (self.scale, E):
+            arr.flags.writeable = False
+        self.basis = E
 
     def svec(self, M):
-        return M[self.iu] * self.scale
+        return M[..., self.iu[0], self.iu[1]] * self.scale
 
     def smat(self, t):
-        M = np.zeros((self.n, self.n))
+        M = np.zeros(t.shape[:-1] + (self.n, self.n))
         vals = t / self.scale
-        M[self.iu] = vals
-        M.T[self.iu] = vals
+        M[..., self.iu[0], self.iu[1]] = vals
+        M[..., self.iu[1], self.iu[0]] = vals
         return M
 
-    def basis(self):
-        E = np.zeros((self.dim, self.n, self.n))
-        k = np.arange(self.dim)
-        E[k, self.iu[0], self.iu[1]] = 1.0 / self.scale
-        E[k, self.iu[1], self.iu[0]] = 1.0 / self.scale
-        return E
+
+@functools.lru_cache(maxsize=None)
+def _svec_ops(n: int) -> _SvecOps:
+    return _SvecOps(n)
+
+
+class KalmanOperator:
+    """The Kalman-constraint map at a fixed gain K, and its adjoint.
+
+    ``apply(P, Q, R) = (Q + A^T P F - P, R K + B^T P F)`` with F = A + B K;
+    the constraint of an LQR-optimal K is ``apply(P, Q, R) = 0`` over
+    P >= 0, Q >= 0, R >= I.  ``apply`` broadcasts over stacks of matrices.
+    ``matrix()`` is the same map in coordinates: it sends the concatenated
+    orthonormal svec of (P, Q, R) to the row-major ravel of (M1, M2).
+    """
+
+    def __init__(self, A, B, K):
+        self.A, self.B = A, B
+        self.K = np.asarray(K, dtype=float)
+        self.F = A + B @ self.K
+        self.n, self.m = A.shape[0], B.shape[1]
+
+    def apply(self, P, Q, R):
+        A, B, F = self.A, self.B, self.F
+        return Q + A.T @ P @ F - P, R @ self.K + B.T @ P @ F
+
+    def adjoint(self, M1, M2):
+        """The symmetric (P, Q, R) directions with
+        <apply(P, Q, R), (M1, M2)> = <(P, Q, R), adjoint(M1, M2)>."""
+        A, B, F = self.A, self.B, self.F
+        return (_sym(A @ M1 @ F.T - M1 + B @ M2 @ F.T), _sym(M1),
+                _sym(M2 @ self.K.T))
+
+    def objective(self, P, Q, R, T1=0.0, T2=0.0) -> float:
+        """||apply(P, Q, R) + (T1, T2)||_F^2."""
+        M1, M2 = self.apply(P, Q, R)
+        M1 = M1 + T1
+        M2 = M2 + T2
+        return float(np.sum(M1 * M1) + np.sum(M2 * M2))
+
+    def matrix(self) -> np.ndarray:
+        """(n*n + m*n) x (2 dim_n + dim_m): column j is apply of the j-th
+        svec unit vector."""
+        n, m = self.n, self.m
+        En, Em = _svec_ops(n).basis, _svec_ops(m).basis
+        dn, dm = len(En), len(Em)
+        p = 2 * dn + dm
+        P, Q, R = np.zeros((p, n, n)), np.zeros((p, n, n)), np.zeros((p, m, m))
+        P[:dn], Q[dn:2 * dn], R[2 * dn:] = En, En, Em
+        M1, M2 = self.apply(P, Q, R)
+        return np.concatenate([M1.reshape(p, n * n), M2.reshape(p, m * n)],
+                              axis=1).T
+
+
+def _face_svec(w, V, floor, act_tol):
+    """svec basis (columns) of the face of {X >= floor I} active at the
+    matrix with eigenpairs (w, V): the matrices V_a S V_a^T, where V_a
+    spans the eigenvalues above floor by more than the tolerance."""
+    V = V[:, (w - floor) > act_tol * (1.0 + w.max(initial=0.0))]
+    return _svec_ops(len(V)).svec(V @ _svec_ops(V.shape[1]).basis @ V.T).T
+
+
+def _lower(a, b):
+    """The (objective, P, Q, R) tuple with the lower objective; a on ties."""
+    return b if b[0] < a[0] else a
 
 
 class _SplitSolver:
     """Operator-splitting solver for the (P, Q, R) cone least squares."""
 
-    def __init__(self, A, B, K):
-        n, m = A.shape[0], B.shape[1]
-        self.A, self.B, self.K = A, B, K
-        self.F = A + B @ K
-        self.sn, self.sm = _SvecOps(n), _SvecOps(m)
-        dn, dm = self.sn.dim, self.sm.dim
-        self.n, self.m, self.dn, self.dm = n, m, dn, dm
-        En, Em = self.sn.basis(), self.sm.basis()
-        colP1 = (np.einsum("ab,kbc,cd->kad", A.T, En, self.F) - En).reshape(dn, n * n)
-        colP2 = np.einsum("ab,kbc,cd->kad", B.T, En, self.F).reshape(dn, m * n)
-        colR = np.einsum("kab,bc->kac", Em, K).reshape(dm, m * n)
-        p = 2 * dn + dm
-        Mat = np.zeros((n * n + m * n, p))
-        Mat[:n * n, :dn] = colP1.T
-        Mat[n * n:, :dn] = colP2.T
-        Mat[:n * n, dn:2 * dn] = En.reshape(dn, n * n).T
-        Mat[n * n:, 2 * dn:] = colR.T
-        self.Mat = Mat
-        self.p = p
-        self.G = 2.0 * (Mat.T @ Mat)
+    def __init__(self, op: KalmanOperator):
+        self.op = op
+        self.sn, self.sm = _svec_ops(op.n), _svec_ops(op.m)
+        self.dn = self.sn.dim
+        self.Mat = op.matrix()
+        self.p = self.Mat.shape[1]
+        self.G = 2.0 * (self.Mat.T @ self.Mat)
 
-    def objective(self, P, Q, R, T1, T2):
-        A, B, F, K = self.A, self.B, self.F, self.K
-        M1 = Q + A.T @ P @ F - P + T1
-        M2 = R @ K + B.T @ P @ F + T2
-        return float(np.sum(M1 * M1) + np.sum(M2 * M2))
+    def svec(self, P, Q, R):
+        return np.concatenate([self.sn.svec(P), self.sn.svec(Q),
+                               self.sm.svec(R)])
+
+    def value_form_start(self):
+        """Candidate start from the Lyapunov value identity under (Q, R) = (I, I).
+
+        If K is LQR-optimal for (I, I) this is an exact zero-residual
+        certificate; otherwise it is a cone-feasible point at the right
+        scale.  Only available when the closed loop is stable.
+        """
+        op = self.op
+        if spectral_radius(op.F) >= STABILITY_MARGIN:
+            return None
+        n, m = op.n, op.m
+        P0 = solve_lyapunov_stein(op.F, np.eye(n) + op.K.T @ op.K)
+        M1, M2 = op.apply(P0, np.zeros((n, n)), np.zeros((m, m)))
+        Q0 = project_psd(-M1)
+        # nearest symmetric R >= I with R K ~= -M2, via one least squares
+        # over the R columns of the operator + clamp
+        theta, *_ = np.linalg.lstsq(self.Mat[n * n:, 2 * self.dn:],
+                                    -M2.ravel(), rcond=None)
+        R0 = project_psd(self.sm.smat(theta), 1.0)
+        return P0, Q0, R0
 
     def refine(self, T1, T2, P, Q, R, iters):
         """Accelerated projected-gradient polish (FISTA with restart)."""
-        A, B, K, F = self.A, self.B, self.K, self.F
+        op = self.op
+        best = (op.objective(P, Q, R, T1, T2), P, Q, R)
         L = float(np.linalg.eigvalsh(self.G).max())
         if L <= 0.0:
-            return self.objective(P, Q, R, T1, T2), P, Q, R
-        t = 1.0 / (1.05 * L)
+            return best
+        # gradient of the objective is 2 adjoint(residual)
+        step = 2.0 / (1.05 * L)
         Yp, Yq, Yr = P, Q, R
         tk = 1.0
         f_prev = math.inf
-        best = (self.objective(P, Q, R, T1, T2), P, Q, R)
         for _ in range(iters):
-            M1 = Yq + A.T @ Yp @ F - Yp + T1
-            M2 = Yr @ K + B.T @ Yp @ F + T2
-            gP = 2.0 * _sym(A @ M1 @ F.T - M1 + B @ M2 @ F.T)
-            gQ = 2.0 * _sym(M1)
-            gR = 2.0 * _sym(M2 @ K.T)
-            Pn = project_psd(Yp - t * gP, 0.0)
-            Qn = project_psd(Yq - t * gQ, 0.0)
-            Rn = project_psd(Yr - t * gR, 1.0)
-            f = self.objective(Pn, Qn, Rn, T1, T2)
-            if f < best[0]:
-                best = (f, Pn, Qn, Rn)
+            M1, M2 = op.apply(Yp, Yq, Yr)
+            gP, gQ, gR = op.adjoint(M1 + T1, M2 + T2)
+            Pn, Qn = project_psd(np.stack([Yp - step * gP, Yq - step * gQ]))
+            Rn = project_psd(Yr - step * gR, 1.0)
+            f = op.objective(Pn, Qn, Rn, T1, T2)
+            best = _lower(best, (f, Pn, Qn, Rn))
             if f > f_prev:
                 Yp, Yq, Yr, tk = Pn, Qn, Rn, 1.0
             else:
@@ -284,17 +355,17 @@ class _SplitSolver:
         return best
 
     def run(self, T1, T2, P0, Q0, R0, u0=None, max_iter=4000, eps=1e-11,
-            polish=True, refine=True, target=0.0):
-        sn, sm, dn = self.sn, self.sm, self.dn
+            refine=True, target=0.0):
+        op, sn, sm, dn = self.op, self.sn, self.sm, self.dn
         stop_at = max(target, 1e-24)
         c = np.concatenate([T1.ravel(), T2.ravel()])
         q = 2.0 * (self.Mat.T @ c)
         sigma = max(np.trace(self.G) / self.p, 1e-12)
-        z = np.concatenate([sn.svec(P0), sn.svec(Q0), sm.svec(R0)])
+        z = self.svec(P0, Q0, R0)
         u = np.zeros(self.p) if u0 is None else np.array(u0, dtype=float)
         alpha = 1.6
         P, Q, R = P0, Q0, R0
-        best = (self.objective(P0, Q0, R0, T1, T2), P0, Q0, R0)
+        best = (op.objective(P0, Q0, R0, T1, T2), P0, Q0, R0)
         if best[0] <= stop_at:
             return best, 0, True, 0.0, 0.0, u
         Minv = np.linalg.inv(self.G + sigma * np.eye(self.p))
@@ -306,15 +377,9 @@ class _SplitSolver:
             x = Minv @ (sigma * (z - u) - q)
             xr = alpha * x + (1.0 - alpha) * z
             v = xr + u
-            PQ = np.stack([sn.smat(v[:dn]), sn.smat(v[dn:2 * dn])])
-            w, V = np.linalg.eigh(PQ)
-            w = np.maximum(w, 0.0)
-            PQ = V @ (w[..., None] * np.swapaxes(V, -1, -2))
-            PQ = 0.5 * (PQ + np.swapaxes(PQ, -1, -2))
-            wr, Vr = np.linalg.eigh(sm.smat(v[2 * dn:]))
-            R = _sym(Vr @ (np.maximum(wr, 1.0)[:, None] * Vr.T))
-            P, Q = PQ[0], PQ[1]
-            znew = np.concatenate([sn.svec(P), sn.svec(Q), sm.svec(R)])
+            P, Q = project_psd(sn.smat(v[:2 * dn].reshape(2, dn)))
+            R = project_psd(sm.smat(v[2 * dn:]), 1.0)
+            znew = self.svec(P, Q, R)
             u += xr - znew
             nz = np.linalg.norm(znew)
             rp = np.linalg.norm(x - znew)
@@ -330,133 +395,56 @@ class _SplitSolver:
                     sigma *= ratio
                     u /= ratio
                     Minv = np.linalg.inv(self.G + sigma * np.eye(self.p))
-            if polish and (it + 1) % 200 == 0:
-                f_cur = self.objective(P, Q, R, T1, T2)
-                if f_cur < best[0]:
-                    best = (f_cur, P, Q, R)
-                pol = self._polish(T1, T2, *best[1:])
-                if pol is not None and pol[0] < best[0]:
-                    best = pol
+            if (it + 1) % 200 == 0:
+                best = _lower(best, (op.objective(P, Q, R, T1, T2), P, Q, R))
+                best = self._polish(T1, T2, best)
                 if best[0] <= stop_at:
                     break
-        f_cur = self.objective(P, Q, R, T1, T2)
-        if f_cur < best[0]:
-            best = (f_cur, P, Q, R)
-        if polish:
-            pol = self._polish(T1, T2, *best[1:])
-            if pol is not None and pol[0] < best[0]:
-                best = pol
+        best = _lower(best, (op.objective(P, Q, R, T1, T2), P, Q, R))
+        best = self._polish(T1, T2, best)
         if refine and not converged and best[0] > stop_at:
-            ref = self.refine(T1, T2, *best[1:], iters=max_iter)
-            if ref[0] < best[0]:
-                best = ref
-            if polish:
-                pol = self._polish(T1, T2, *best[1:])
-                if pol is not None and pol[0] < best[0]:
-                    best = pol
+            best = _lower(best, self.refine(T1, T2, *best[1:], iters=max_iter))
+            best = self._polish(T1, T2, best)
         return best, it_done, converged, rp, rd, u
 
-    def _face_basis(self, V):
-        r = V.shape[1]
-        out = []
-        for i in range(r):
-            out.append(np.outer(V[:, i], V[:, i]))
-            for j in range(i + 1, r):
-                out.append((np.outer(V[:, i], V[:, j])
-                            + np.outer(V[:, j], V[:, i])) / _SQRT2)
-        return out
-
-    def _polish(self, T1, T2, P, Q, R, thresholds=(1e-5, 1e-9)):
+    def _polish(self, T1, T2, best, thresholds=(1e-5, 1e-9)):
         """Exact least squares on the active face of the cones.
 
-        The face is read off the eigenstructure of the current iterate;
-        the nearest correction within the face is applied and accepted only
-        if cone-feasible.  Returns (objective, P, Q, R) or None.
+        The face is read off the eigenstructure of best's (P, Q, R); the
+        nearest correction within the face is applied and accepted only if
+        cone-feasible and lower.  Returns the lower (objective, P, Q, R).
         """
-        n, m = self.n, self.m
-        A, B, K, F = self.A, self.B, self.K, self.F
-        wp, Vp = np.linalg.eigh(_sym(P))
-        wq, Vq = np.linalg.eigh(_sym(Q))
-        wr, Vr = np.linalg.eigh(_sym(R))
+        _, P, Q, R = best
+        sn, sm, dn = self.sn, self.sm, self.dn
+        eye = np.eye(self.op.m)
+        c = np.concatenate([T1.ravel(), (self.op.K + T2).ravel()])
+        z0 = self.svec(P, Q, R - eye)
+        eigs = [(*np.linalg.eigh(_sym(M)), floor)
+                for M, floor in ((P, 0.0), (Q, 0.0), (R, 1.0))]
         for act_tol in thresholds:
-            VP = Vp[:, wp > act_tol * (1.0 + wp.max(initial=0.0))]
-            VQ = Vq[:, wq > act_tol * (1.0 + wq.max(initial=0.0))]
-            VR = Vr[:, (wr - 1.0) > act_tol * (1.0 + wr.max(initial=0.0))]
-            basP, basQ, basR = (self._face_basis(V) for V in (VP, VQ, VR))
-            cols = []
-            for E in basP:
-                cols.append(np.concatenate([(A.T @ E @ F - E).ravel(),
-                                            (B.T @ E @ F).ravel()]))
-            for E in basQ:
-                cols.append(np.concatenate([E.ravel(), np.zeros(m * n)]))
-            for E in basR:
-                cols.append(np.concatenate([np.zeros(n * n), (E @ K).ravel()]))
-            theta0 = ([float(np.sum(E * P)) for E in basP]
-                      + [float(np.sum(E * Q)) for E in basQ]
-                      + [float(np.sum(E * (R - np.eye(m)))) for E in basR])
-            c = np.concatenate([T1.ravel(), (K + T2).ravel()])
-            if not cols:
-                Pn = np.zeros((n, n))
-                Qn = np.zeros((n, n))
-                Rn = np.eye(m)
-            else:
-                Mt = np.stack(cols, axis=1)
-                r0 = Mt @ np.array(theta0) + c
-                dth, *_ = np.linalg.lstsq(Mt, -r0, rcond=None)
-                theta = np.array(theta0) + dth
-                off = 0
-                Pn = np.zeros((n, n))
-                for E in basP:
-                    Pn += theta[off] * E
-                    off += 1
-                Qn = np.zeros((n, n))
-                for E in basQ:
-                    Qn += theta[off] * E
-                    off += 1
-                Rn = np.eye(m)
-                for E in basR:
-                    Rn += theta[off] * E
-                    off += 1
-            ok = True
-            out = []
-            for Mmat, floor in ((Pn, 0.0), (Qn, 0.0), (Rn, 1.0)):
-                w, V = np.linalg.eigh(_sym(Mmat))
-                if w.min() < floor - 1e-9 * (1.0 + np.abs(w).max()):
-                    ok = False
-                    break
-                out.append(_sym(V @ (np.maximum(w, floor)[:, None] * V.T)))
-            if ok:
-                Pn, Qn, Rn = out
-                return self.objective(Pn, Qn, Rn, T1, T2), Pn, Qn, Rn
-        return None
-
-
-def _value_form_init(dyn: LinearDynamics, K: np.ndarray):
-    """Candidate start from the Lyapunov value identity under (Q, R) = (I, I).
-
-    If K is LQR-optimal for (I, I) this is an exact zero-residual
-    certificate; otherwise it is a cone-feasible point at the right scale.
-    Only available when the closed loop is stable.
-    """
-    F = dyn.closed_loop(K)
-    if spectral_radius(F) >= STABILITY_MARGIN:
-        return None
-    K = np.asarray(K, dtype=float)
-    P0 = solve_lyapunov_stein(F, np.eye(dyn.n) + K.T @ K)
-    Q0 = project_psd(P0 - dyn.A.T @ P0 @ F)
-    C = -dyn.B.T @ P0 @ F
-    # nearest symmetric R >= I with R K ~= C, via one least squares + clamp
-    sm = _SvecOps(dyn.m)
-    cols = np.stack([(E @ K).ravel() for E in sm.basis()], axis=1)
-    theta, *_ = np.linalg.lstsq(cols, C.ravel(), rcond=None)
-    R0 = project_psd(sm.smat(theta), 1.0)
-    return P0, Q0, R0
+            U = block_diag(*(_face_svec(w, V, floor, act_tol)
+                             for w, V, floor in eigs))
+            Mt = self.Mat @ U
+            theta0 = U.T @ z0
+            dth, *_ = np.linalg.lstsq(Mt, -(Mt @ theta0 + c), rcond=None)
+            x = U @ (theta0 + dth)
+            PQn = sn.smat(x[:2 * dn].reshape(2, dn))
+            Rn = eye + sm.smat(x[2 * dn:])
+            if all(w.min() >= floor - 1e-9 * (1.0 + np.abs(w).max())
+                   for w, floor in ((np.linalg.eigvalsh(PQn[0]), 0.0),
+                                    (np.linalg.eigvalsh(PQn[1]), 0.0),
+                                    (np.linalg.eigvalsh(Rn), 1.0))):
+                Pn, Qn = project_psd(PQn)
+                Rn = project_psd(Rn, 1.0)
+                return _lower(best, (self.op.objective(Pn, Qn, Rn, T1, T2),
+                                     Pn, Qn, Rn))
+        return best
 
 
 def solve_pqr_step(dyn: LinearDynamics, K, Y1, Y2, rho: float,
                    tol: float = 1e-11, max_iter: int = 4000,
-                   init=None, dual0=None, polish: bool = True,
-                   refine: bool = True, target: float = 0.0) -> PqrStepResult:
+                   init=None, dual0=None, refine: bool = True,
+                   target: float = 0.0) -> PqrStepResult:
     """Cone-constrained least squares in (P, Q, R) for a fixed gain K.
 
     ``init`` is an optional (P0, Q0, R0) warm start and ``dual0`` the
@@ -477,7 +465,7 @@ def solve_pqr_step(dyn: LinearDynamics, K, Y1, Y2, rho: float,
         raise ValueError(f"gain must be {m}x{n}, got shape {K.shape}")
     T1 = np.asarray(Y1, dtype=float) / rho
     T2 = np.asarray(Y2, dtype=float) / rho
-    engine = _SplitSolver(dyn.A, dyn.B, K)
+    engine = _SplitSolver(KalmanOperator(dyn.A, dyn.B, K))
     starts = []
     if init is not None:
         P0, Q0, R0 = (np.asarray(Mmat, dtype=float) for Mmat in init)
@@ -485,7 +473,7 @@ def solve_pqr_step(dyn: LinearDynamics, K, Y1, Y2, rho: float,
     else:
         # the Lyapunov start is exact for gains optimal under unit weights,
         # so try it first and skip the cold solve when it lands at zero
-        extra = _value_form_init(dyn, K)
+        extra = engine.value_form_start()
         if extra is not None:
             starts.append(extra)
         starts.append((np.zeros((n, n)), np.zeros((n, n)), np.eye(m)))
@@ -493,7 +481,7 @@ def solve_pqr_step(dyn: LinearDynamics, K, Y1, Y2, rho: float,
     for P0, Q0, R0 in starts:
         out, iters, conv, rp, rd, u = engine.run(
             T1, T2, P0, Q0, R0, u0=dual0, max_iter=max_iter, eps=tol,
-            polish=polish, refine=refine, target=target)
+            refine=refine, target=target)
         cand = PqrStepResult(P=out[1], Q=out[2], R=out[3], objective=out[0],
                              iterations=iters, converged=conv,
                              primal_residual=rp, dual_residual=rd, dual=u)

@@ -43,15 +43,8 @@ def policy_fit(demos: DemoSet,
     data the quadratic fit falls back to the minimum-norm least-squares
     solution; for Huber loss that case raises SingularFitError.
     """
-    n = demos.states.shape[1]
-    m = demos.inputs.shape[1]
-    trivial_dyn = _fitting_dims(n, m)
-    zeros_n = np.zeros((n, n))
     try:
-        K = conic_ls.solve_k_step(demos, loss, reg, rho=0.0,
-                                  P=zeros_n, Q=zeros_n, R=np.eye(m),
-                                  Y1=zeros_n, Y2=np.zeros((m, n)),
-                                  dyn=trivial_dyn)
+        K = conic_ls.solve_k_step(demos, loss, reg, rho=0.0)
     except SingularFitError:
         if loss.kind != "quadratic":
             raise
@@ -61,10 +54,3 @@ def policy_fit(demos: DemoSet,
     return FitReport(K=K, objective=fit_objective(demos, K, loss, reg),
                      loss=loss, reg=reg)
 
-
-def _fitting_dims(n: int, m: int):
-    """A zero system of the right shape; rho = 0 ignores its matrices."""
-    from .linsys import LinearDynamics
-
-    return LinearDynamics(A=np.zeros((n, n)), B=np.zeros((n, m)),
-                          W=np.zeros((n, n)))

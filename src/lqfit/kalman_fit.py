@@ -129,7 +129,8 @@ def random_state(dyn: LinearDynamics, rng: np.random.Generator) -> AdmmState:
 
 def admm_iterate(state: AdmmState, demos: DemoSet, loss: LossSpec,
                  reg: RegularizerSpec, dyn: LinearDynamics, rho: float,
-                 pqr_iters: int = 60, pqr_tol: float = 1e-11) -> AdmmState:
+                 pqr_iters: int = AdmmConfig.pqr_iters,
+                 pqr_tol: float = AdmmConfig.pqr_tol) -> AdmmState:
     """One sweep: K step, (P, Q, R) step, then dual update Y <- Y + rho M.
 
     The constraint matrix M in the dual update is evaluated at the freshly
@@ -146,7 +147,8 @@ def admm_iterate(state: AdmmState, demos: DemoSet, loss: LossSpec,
     except (conic_ls.SingularFitError, np.linalg.LinAlgError) as e:
         raise RuntimeError(
             f"subsolver failed at iteration {state.iter + 1}: {e}") from e
-    M1, M2 = riccati.kalman_residual_matrices(dyn, K, step.P, step.Q, step.R)
+    M1, M2 = conic_ls.KalmanOperator(dyn.A, dyn.B, K).apply(
+        step.P, step.Q, step.R)
     return AdmmState(K=K, P=step.P, Q=step.Q, R=step.R,
                      Y1=state.Y1 + rho * M1, Y2=state.Y2 + rho * M2,
                      iter=state.iter + 1, pqr_dual=step.dual)
@@ -201,7 +203,8 @@ def fit_kalman(demos: DemoSet, loss: LossSpec, reg: RegularizerSpec,
     P = conic_ls.project_psd(final.P, 0.0)
     Q = conic_ls.project_psd(final.Q, 0.0)
     R = conic_ls.project_psd(final.R, 1.0)
-    residual = float(np.sqrt(conic_ls.pqr_objective(dyn, final.K, P, Q, R)))
+    op = conic_ls.KalmanOperator(dyn.A, dyn.B, final.K)
+    residual = float(np.sqrt(op.objective(P, Q, R)))
     certificate = riccati.KalmanCertificate(P=P, Q=Q, R=R, residual=residual)
     try:
         K_certified = riccati.solve_lqr(dyn, (certificate.Q, certificate.R)).K

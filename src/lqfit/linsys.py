@@ -17,6 +17,7 @@ average cost, represented by ``math.inf``.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -37,7 +38,7 @@ def _as_matrix(M, name: str) -> np.ndarray:
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def _check_symmetric(M: np.ndarray, name: str, atol_scale: float = 1e-8) -> None:
@@ -130,6 +131,30 @@ class LinearDynamics:
         if W is None:
             W = np.zeros_like(A)
         return cls(A=A, B=np.array(d["B"], dtype=float), W=np.array(W, dtype=float))
+
+
+def load_system(path):
+    """Read a system file: a JSON object with A, B and optional W, Q, R, Sigma.
+
+    Returns (dynamics, Q, R, Sigma).  W defaults to zero, Q and R to
+    identities and Sigma, the expert's input-noise covariance, to the
+    identity.  Raises OSError when the file cannot be read and ValueError
+    when its content is not such an object.
+    """
+    with open(path) as f:
+        text = f.read()
+    try:
+        d = json.loads(text)
+        if not isinstance(d, dict):
+            raise ValueError("the top-level JSON value must be an object")
+        dyn = LinearDynamics.from_dict(d)
+        Q = np.array(d.get("Q", np.eye(dyn.n)), dtype=float)
+        R = np.array(d.get("R", np.eye(dyn.m)), dtype=float)
+        sigma = d.get("Sigma")
+        sigma = np.eye(dyn.m) if sigma is None else np.array(sigma, dtype=float)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"bad system file {path}: {e}") from e
+    return dyn, Q, R, sigma
 
 
 @dataclass(frozen=True, eq=False)

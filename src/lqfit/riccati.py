@@ -14,7 +14,8 @@ weights exactly when the semidefinite feasibility system
     P >= 0,  Q >= 0,  R >= I
 
 has a solution; a cone-feasible (P, Q, R) with small stacked residual
-serves as the optimality certificate.  Infeasibility is reported as
+serves as the optimality certificate.  The left-hand sides are the map
+:class:`lqfit.conic_ls.KalmanOperator`.  Infeasibility is reported as
 failure to reach the residual tolerance, not proved via a dual
 certificate.
 
@@ -166,20 +167,10 @@ def solve_lqr(dyn: LinearDynamics, cost, tol: float = 1e-12,
     return LqrSolution(K=K, P=P)
 
 
-def kalman_residual_matrices(dyn: LinearDynamics, K, P, Q, R):
-    """The two blocks of the stacked optimality-constraint matrix M."""
-    A, B = dyn.A, dyn.B
-    K = np.asarray(K, dtype=float)
-    F = A + B @ K
-    M1 = Q + A.T @ P @ F - P
-    M2 = R @ K + B.T @ P @ F
-    return M1, M2
-
-
 def kalman_residual(dyn: LinearDynamics, K, cert: KalmanCertificate) -> float:
     """||M||_F of the stacked constraints at (K, cert.P, cert.Q, cert.R)."""
-    M1, M2 = kalman_residual_matrices(dyn, K, cert.P, cert.Q, cert.R)
-    return float(np.sqrt(np.sum(M1 * M1) + np.sum(M2 * M2)))
+    op = conic_ls.KalmanOperator(dyn.A, dyn.B, K)
+    return math.sqrt(op.objective(cert.P, cert.Q, cert.R))
 
 
 def check_kalman_feasible(dyn: LinearDynamics, K, tol: float | None = None,

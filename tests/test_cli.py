@@ -121,6 +121,29 @@ def test_experiment_override_flags(tmp_path):
     assert out.exists()
 
 
+def test_custom_experiment_command(tmp_path, system_file):
+    spath, _, _ = system_file
+    cfg = {"experiment": "custom", "dynamics_path": str(spath),
+           "N_values": [2], "seeds": [0],
+           "admm": {"n_iter": 5, "n_random_inits": 0},
+           "expert_eval_horizon": 2000}
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps(cfg))
+    out = tmp_path / "custom.csv"
+    assert main(["experiment", "--config", str(cpath),
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1 + 4
+    assert all(line.startswith("custom,2,0,") for line in lines[1:])
+
+
+def test_non_object_system_file_is_config_error(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[[1.0]]")
+    assert main(["lqr", "--system", str(path)]) == 1
+    assert "bad system file" in capsys.readouterr().err
+
+
 def test_missing_file_is_config_error(tmp_path):
     assert main(["lqr", "--system", str(tmp_path / "nope.json")]) == 1
 

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lqfit.conic_ls import (LossSpec, RegularizerSpec, SingularFitError,
-                            huber_value, pqr_objective, project_psd,
+from lqfit.conic_ls import (KalmanOperator, LossSpec, RegularizerSpec,
+                            SingularFitError, huber_value, project_psd,
                             solve_k_step, solve_pqr_step)
 from lqfit.linsys import DemoSet, LinearDynamics
 from lqfit.riccati import solve_lqr
@@ -53,6 +53,15 @@ class TestProjectPsd:
         M = np.array([[1.0, 1.0], [0.0, 1.0]])
         out = project_psd(M)
         assert np.allclose(out, out.T)
+
+    def test_stack_equals_each_matrix(self):
+        rng = np.random.default_rng(2)
+        S = rng.standard_normal((5, 4, 4))
+        for floor in (0.0, 1.0):
+            stacked = project_psd(S, floor)
+            for k in range(len(S)):
+                assert np.allclose(stacked[k], project_psd(S[k], floor),
+                                   rtol=1e-14, atol=1e-14)
 
 
 class TestHuber:
@@ -163,6 +172,53 @@ class TestKStep:
         assert (np.linalg.norm(Kh - K0) < np.linalg.norm(Kq - K0))
 
 
+def _sym_rand(rng, k):
+    X = rng.standard_normal((k, k))
+    return X + X.T
+
+
+def _svec(M):
+    iu = np.triu_indices(len(M))
+    return M[iu] * np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+
+
+class TestKalmanOperator:
+    def _random(self, rng):
+        A, B = random_controllable(rng, n_max=4, m_max=3)
+        n, m = A.shape[0], B.shape[1]
+        op = KalmanOperator(A, B, rng.standard_normal((m, n)))
+        return op, (_sym_rand(rng, n), _sym_rand(rng, n), _sym_rand(rng, m))
+
+    def test_adjoint_identity(self):
+        rng = np.random.default_rng(20)
+        for _ in range(50):
+            op, X = self._random(rng)
+            Y = (rng.standard_normal((op.n, op.n)),
+                 rng.standard_normal((op.m, op.n)))
+            lhs = sum(np.sum(a * b) for a, b in zip(op.apply(*X), Y))
+            rhs = sum(np.sum(a * b) for a, b in zip(X, op.adjoint(*Y)))
+            scale = np.prod([np.linalg.norm(M) for M in Y + X])
+            assert abs(lhs - rhs) <= 1e-12 * (1.0 + scale)
+
+    def test_matrix_matches_apply(self):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            op, (P, Q, R) = self._random(rng)
+            x = np.concatenate([_svec(P), _svec(Q), _svec(R)])
+            M1, M2 = op.apply(P, Q, R)
+            assert np.allclose(op.matrix() @ x,
+                               np.concatenate([M1.ravel(), M2.ravel()]),
+                               rtol=1e-12, atol=1e-12)
+
+    def test_objective_is_squared_norm_of_apply(self):
+        rng = np.random.default_rng(22)
+        op, (P, Q, R) = self._random(rng)
+        M1, M2 = op.apply(P, Q, R)
+        assert op.objective(P, Q, R, -M1, -M2) == 0.0
+        assert op.objective(P, Q, R) == pytest.approx(
+            np.sum(M1 ** 2) + np.sum(M2 ** 2), rel=1e-14)
+
+
 class TestPqrStep:
     def test_zero_objective_at_lqr_solution(self):
         rng = np.random.default_rng(8)
@@ -207,7 +263,8 @@ class TestPqrStep:
         Y1 = rng.standard_normal((n, n)) * 0.1
         Y2 = rng.standard_normal((m, n)) * 0.1
         step = solve_pqr_step(dyn, K, Y1, Y2, rho=2.0)
-        f = pqr_objective(dyn, K, step.P, step.Q, step.R, Y1, Y2, rho=2.0)
+        f = KalmanOperator(A, B, K).objective(step.P, step.Q, step.R,
+                                              Y1 / 2.0, Y2 / 2.0)
         assert f == pytest.approx(step.objective, rel=1e-9, abs=1e-12)
 
     def test_matches_projected_gradient_oracle(self):

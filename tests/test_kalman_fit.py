@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lqfit.conic_ls import LossSpec, RegularizerSpec, pqr_objective
+from lqfit.conic_ls import KalmanOperator, LossSpec, RegularizerSpec
 from lqfit.fitting import fit_objective, policy_fit
 from lqfit.kalman_fit import (AdmmConfig, AdmmState, admm_iterate, fit_kalman,
                               random_state, zero_state)
@@ -160,8 +160,7 @@ class TestFitKalman:
         demos = generate_demos(dyn, Kstar, sigma, 4, 0.0, 41)
         report = fit_kalman(demos, QUAD, RIDGE, dyn,
                             AdmmConfig(n_iter=20, n_random_inits=0))
-        recomputed = np.sqrt(pqr_objective(
-            dyn, report.K, report.certificate.P, report.certificate.Q,
-            report.certificate.R))
+        recomputed = np.sqrt(KalmanOperator(dyn.A, dyn.B, report.K).objective(
+            report.certificate.P, report.certificate.Q, report.certificate.R))
         assert recomputed == pytest.approx(report.certificate.residual,
                                            rel=1e-6, abs=1e-9)

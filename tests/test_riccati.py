@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lqfit.conic_ls import KalmanOperator
 from lqfit.linsys import LinearDynamics, spectral_radius
 from lqfit.riccati import (ConvergenceError, KalmanCertificate, are_residual,
-                           check_kalman_feasible, kalman_residual,
-                           kalman_residual_matrices, solve_lqr)
+                           check_kalman_feasible, kalman_residual, solve_lqr)
 
 from _oracles import random_controllable
 
@@ -113,9 +113,8 @@ class TestKalmanResidual:
         dyn = _dyn(np.array([[0.0]]), np.array([[1.0]]))
         K = np.array([[1.0]])
         for P, R in ((0.0, 1.0), (0.5, 1.0), (2.0, 3.0)):
-            M1, M2 = kalman_residual_matrices(dyn, K, np.array([[P]]),
-                                              np.array([[0.0]]),
-                                              np.array([[R]]))
+            M1, M2 = KalmanOperator(dyn.A, dyn.B, K).apply(
+                np.array([[P]]), np.array([[0.0]]), np.array([[R]]))
             assert abs(M2[0, 0]) == pytest.approx(R + P)
             resid = math.hypot(M1[0, 0], M2[0, 0])
             assert resid >= R + P >= 1.0
@@ -135,7 +134,7 @@ class TestKalmanResidual:
         R = np.array([[2.0]])
 
         def resid(p, q, r):
-            M1, M2 = kalman_residual_matrices(dyn, K, p, q, r)
+            M1, M2 = KalmanOperator(dyn.A, dyn.B, K).apply(p, q, r)
             return math.sqrt(np.sum(M1 * M1) + np.sum(M2 * M2))
 
         assert resid(alpha * P, alpha * Q, alpha * R) == pytest.approx(
