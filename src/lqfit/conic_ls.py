@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .linsys import (STABILITY_MARGIN, DemoSet, LinearDynamics, _sym,
                      solve_lyapunov_stein, spectral_radius)
@@ -79,13 +80,9 @@ def project_psd(S: np.ndarray, floor: float = 0.0) -> np.ndarray:
     projects onto {R : R >= I}.  A stack of matrices (leading axes) is
     projected matrix by matrix.
     """
-    return _clamp_eigs(_sym(np.asarray(S, dtype=float)), floor)
-
-
-def _clamp_eigs(S, floor):
-    """project_psd for input that is already exactly symmetric."""
-    w, V = np.linalg.eigh(S)
-    return _sym(V @ (np.maximum(w, floor)[..., None] * V.swapaxes(-1, -2)))
+    w, V = np.linalg.eigh(_sym(np.asarray(S, dtype=float)))
+    Vt = V.swapaxes(-1, -2)
+    return _sym(V @ (np.maximum(w, floor)[..., None] * Vt))
 
 
 def huber_value(a: float, M: float):
@@ -205,27 +202,23 @@ class _SvecOps:
         self.iu = iu
         self.scale = np.where(iu[0] == iu[1], 1.0, _SQRT2)
         self.dim = len(self.scale)
-        k = np.arange(self.dim)
-        # pos[i, j]: the svec entry that holds matrix entry (i, j);
-        # flat[k]: the entry of the raveled matrix that svec entry k reads
-        pos = np.empty((n, n), dtype=np.intp)
-        pos[iu] = k
-        pos[iu[1], iu[0]] = k
-        flat = iu[0] * n + iu[1]
         E = np.zeros((self.dim, n, n))
+        k = np.arange(self.dim)
         E[k, iu[0], iu[1]] = 1.0 / self.scale
         E[k, iu[1], iu[0]] = 1.0 / self.scale
-        for arr in (self.scale, pos, flat, E):
+        for arr in (self.scale, E):
             arr.flags.writeable = False
-        self.pos, self.flat = pos, flat
         self.basis = E
 
     def svec(self, M):
         return M[..., self.iu[0], self.iu[1]] * self.scale
 
     def smat(self, t):
-        """The exactly symmetric matrices with svec t."""
-        return (t / self.scale)[..., self.pos]
+        M = np.zeros(t.shape[:-1] + (self.n, self.n))
+        vals = t / self.scale
+        M[..., self.iu[0], self.iu[1]] = vals
+        M[..., self.iu[1], self.iu[0]] = vals
+        return M
 
 
 @functools.lru_cache(maxsize=None)
@@ -281,26 +274,12 @@ class KalmanOperator:
                               axis=1).T
 
 
-def _face_svec(V):
-    """svec basis (columns) of the matrices V S V^T, S symmetric: the face
-    of a semidefinite cone whose free eigenvectors span V."""
+def _face_svec(w, V, floor, act_tol):
+    """svec basis (columns) of the face of {X >= floor I} active at the
+    matrix with eigenpairs (w, V): the matrices V_a S V_a^T, where V_a
+    spans the eigenvalues above floor by more than the tolerance."""
+    V = V[:, (w - floor) > act_tol * (1.0 + w.max(initial=0.0))]
     return _svec_ops(len(V)).svec(V @ _svec_ops(V.shape[1]).basis @ V.T).T
-
-
-def _block_diag(blocks):
-    """The block-diagonal matrix of 2-D blocks."""
-    out = np.zeros((sum(b.shape[0] for b in blocks),
-                    sum(b.shape[1] for b in blocks)))
-    r = c = 0
-    for b in blocks:
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
-        r, c = r + b.shape[0], c + b.shape[1]
-    return out
-
-
-def _norm(x):
-    """np.linalg.norm of a real vector, without its argument handling."""
-    return np.sqrt(x.dot(x))
 
 
 def _lower(a, b):
@@ -318,12 +297,6 @@ class _SplitSolver:
         self.Mat = op.matrix()
         self.p = self.Mat.shape[1]
         self.G = 2.0 * (self.Mat.T @ self.Mat)
-        # the svec maps of the whole (P, Q, R) vector as single gathers
-        sn, sm, nn, dn = self.sn, self.sm, op.n * op.n, self.dn
-        self.scale = np.concatenate([sn.scale, sn.scale, sm.scale])
-        self.pos_pq = np.stack([sn.pos, sn.pos + dn])
-        self.pos_r = sm.pos + 2 * dn
-        self.flat = np.concatenate([sn.flat, sn.flat + nn, sm.flat + 2 * nn])
 
     def svec(self, P, Q, R):
         return np.concatenate([self.sn.svec(P), self.sn.svec(Q),
@@ -383,8 +356,7 @@ class _SplitSolver:
 
     def run(self, T1, T2, P0, Q0, R0, u0=None, max_iter=4000, eps=1e-11,
             refine=True, target=0.0):
-        op, scale, pos_pq, pos_r, flat = (self.op, self.scale, self.pos_pq,
-                                          self.pos_r, self.flat)
+        op, sn, sm, dn = self.op, self.sn, self.sm, self.dn
         stop_at = max(target, 1e-24)
         c = np.concatenate([T1.ravel(), T2.ravel()])
         q = 2.0 * (self.Mat.T @ c)
@@ -404,15 +376,14 @@ class _SplitSolver:
             it_done = it + 1
             x = Minv @ (sigma * (z - u) - q)
             xr = alpha * x + (1.0 - alpha) * z
-            vs = (xr + u) / scale
-            PQ = _clamp_eigs(vs[pos_pq], 0.0)
-            R = _clamp_eigs(vs[pos_r], 1.0)
-            P, Q = PQ
-            znew = np.concatenate([PQ.ravel(), R.ravel()])[flat] * scale
+            v = xr + u
+            P, Q = project_psd(sn.smat(v[:2 * dn].reshape(2, dn)))
+            R = project_psd(sm.smat(v[2 * dn:]), 1.0)
+            znew = self.svec(P, Q, R)
             u += xr - znew
-            nz = _norm(znew)
-            rp = _norm(x - znew)
-            rd = sigma * _norm(znew - z)
+            nz = np.linalg.norm(znew)
+            rp = np.linalg.norm(x - znew)
+            rd = sigma * np.linalg.norm(znew - z)
             z = znew
             if rp <= eps * (1.0 + nz) and rd <= eps * (1.0 + nz):
                 converged = True
@@ -448,19 +419,11 @@ class _SplitSolver:
         eye = np.eye(self.op.m)
         c = np.concatenate([T1.ravel(), (self.op.K + T2).ravel()])
         z0 = self.svec(P, Q, R - eye)
-        wPQ, VPQ = np.linalg.eigh(_sym(np.stack([P, Q])))
-        wR, VR = np.linalg.eigh(_sym(R))
-        eigs = ((wPQ[0], VPQ[0], 0.0), (wPQ[1], VPQ[1], 0.0), (wR, VR, 1.0))
-        tried = None
+        eigs = [(*np.linalg.eigh(_sym(M)), floor)
+                for M, floor in ((P, 0.0), (Q, 0.0), (R, 1.0))]
         for act_tol in thresholds:
-            # free eigenvectors: eigenvalues above the floor by more than tol
-            free = [(w - floor) > act_tol * (1.0 + w.max(initial=0.0))
-                    for w, _, floor in eigs]
-            if tried is not None and all(map(np.array_equal, free, tried)):
-                continue  # the same face gives the same rejected correction
-            tried = free
-            U = _block_diag([_face_svec(V[:, k])
-                             for (_, V, _), k in zip(eigs, free)])
+            U = block_diag(*(_face_svec(w, V, floor, act_tol)
+                             for w, V, floor in eigs))
             Mt = self.Mat @ U
             theta0 = U.T @ z0
             dth, *_ = np.linalg.lstsq(Mt, -(Mt @ theta0 + c), rcond=None)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from lqfit.conic_ls import (KalmanOperator, LossSpec, RegularizerSpec,
                             SingularFitError, huber_value, project_psd,
-                            _SplitSolver, solve_k_step, solve_pqr_step)
+                            solve_k_step, solve_pqr_step)
 from lqfit.linsys import DemoSet, LinearDynamics
 from lqfit.riccati import solve_lqr
 
@@ -217,28 +217,6 @@ class TestKalmanOperator:
         assert op.objective(P, Q, R, -M1, -M2) == 0.0
         assert op.objective(P, Q, R) == pytest.approx(
             np.sum(M1 ** 2) + np.sum(M2 ** 2), rel=1e-14)
-
-
-class TestSvecGathers:
-    def test_whole_vector_maps_match_blockwise_svec(self):
-        # the splitting loop maps (P, Q, R) <-> one svec vector by single
-        # gathers; they must agree exactly with the per-block maps
-        rng = np.random.default_rng(23)
-        for n, m in ((1, 1), (3, 2), (4, 3)):
-            op = KalmanOperator(rng.standard_normal((n, n)),
-                                rng.standard_normal((n, m)), np.zeros((m, n)))
-            solver = _SplitSolver(op)
-            P, Q, R = _sym_rand(rng, n), _sym_rand(rng, n), _sym_rand(rng, m)
-            z = np.concatenate([_svec(P), _svec(Q), _svec(R)])
-            assert np.array_equal(solver.svec(P, Q, R), z)
-            raveled = np.concatenate([P.ravel(), Q.ravel(), R.ravel()])
-            assert np.array_equal(raveled[solver.flat] * solver.scale, z)
-            zs = z / solver.scale
-            PQ, Rm = zs[solver.pos_pq], zs[solver.pos_r]
-            assert np.array_equal(PQ, PQ.swapaxes(-1, -2))
-            assert np.array_equal(Rm, Rm.T)
-            assert np.allclose(PQ, np.stack([P, Q]), rtol=1e-15, atol=0.0)
-            assert np.allclose(Rm, R, rtol=1e-15, atol=0.0)
 
 
 class TestPqrStep:
