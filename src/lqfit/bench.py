@@ -91,7 +91,8 @@ def default_config(experiment: str, **overrides) -> ExperimentConfig:
     base = {"experiment": experiment}
     if experiment == "outliers":
         base.update(outlier_prob=0.1, loss=LossSpec("huber", huber_m=0.5))
-    return ExperimentConfig(**base, **overrides)
+    base.update(overrides)
+    return ExperimentConfig(**base)
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:

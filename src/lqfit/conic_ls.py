@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .linsys import (STABILITY_MARGIN, DemoSet, LinearDynamics, _sym,
                      solve_lyapunov_stein, spectral_radius)
@@ -263,23 +262,33 @@ class KalmanOperator:
     def matrix(self) -> np.ndarray:
         """(n*n + m*n) x (2 dim_n + dim_m): column j is apply of the j-th
         svec unit vector."""
-        n, m = self.n, self.m
+        n, m, A, B, F = self.n, self.m, self.A, self.B, self.F
         En, Em = _svec_ops(n).basis, _svec_ops(m).basis
         dn, dm = len(En), len(Em)
-        p = 2 * dn + dm
-        P, Q, R = np.zeros((p, n, n)), np.zeros((p, n, n)), np.zeros((p, m, m))
-        P[:dn], Q[dn:2 * dn], R[2 * dn:] = En, En, Em
-        M1, M2 = self.apply(P, Q, R)
-        return np.concatenate([M1.reshape(p, n * n), M2.reshape(p, m * n)],
-                              axis=1).T
+        Mat = np.zeros((n * n + m * n, 2 * dn + dm))
+        Mat[:n * n, :dn] = (np.einsum("ab,kbc,cd->kad", A.T, En, F)
+                            - En).reshape(dn, n * n).T
+        Mat[n * n:, :dn] = np.einsum("ab,kbc,cd->kad", B.T, En,
+                                     F).reshape(dn, m * n).T
+        Mat[:n * n, dn:2 * dn] = En.reshape(dn, n * n).T
+        Mat[n * n:, 2 * dn:] = (Em @ self.K).reshape(dm, m * n).T
+        return Mat
 
 
-def _face_svec(w, V, floor, act_tol):
-    """svec basis (columns) of the face of {X >= floor I} active at the
-    matrix with eigenpairs (w, V): the matrices V_a S V_a^T, where V_a
-    spans the eigenvalues above floor by more than the tolerance."""
-    V = V[:, (w - floor) > act_tol * (1.0 + w.max(initial=0.0))]
-    return _svec_ops(len(V)).svec(V @ _svec_ops(V.shape[1]).basis @ V.T).T
+def _face_basis(w, V, floor, act_tol):
+    """Orthonormal basis (a stack) of the face of {X >= floor I} active at
+    the matrix with eigenpairs (w, V): the matrices (v_i v_j^T + v_j v_i^T)
+    / (2 or sqrt 2), i <= j, over the eigenvectors whose eigenvalues exceed
+    floor by more than the tolerance."""
+    V = V[:, (w - floor) > act_tol * (1.0 + w.max(initial=0.0))].T
+    i, j = np.triu_indices(len(V))
+    O = V[i, :, None] * V[j, None, :]
+    return (O + O.swapaxes(1, 2)) / np.where(i == j, 2.0, _SQRT2)[:, None, None]
+
+
+def _combine(start, theta, E):
+    """start + sum_k theta_k E_k, added in order."""
+    return functools.reduce(np.add, theta[:, None, None] * E, start)
 
 
 def _lower(a, b):
@@ -415,28 +424,37 @@ class _SplitSolver:
         cone-feasible and lower.  Returns the lower (objective, P, Q, R).
         """
         _, P, Q, R = best
-        sn, sm, dn = self.sn, self.sm, self.dn
-        eye = np.eye(self.op.m)
-        c = np.concatenate([T1.ravel(), (self.op.K + T2).ravel()])
-        z0 = self.svec(P, Q, R - eye)
-        eigs = [(*np.linalg.eigh(_sym(M)), floor)
-                for M, floor in ((P, 0.0), (Q, 0.0), (R, 1.0))]
+        op = self.op
+        n, m = op.n, op.m
+        c = np.concatenate([T1.ravel(), (op.K + T2).ravel()])
+        eigs = [np.linalg.eigh(_sym(M)) for M in (P, Q, R)]
         for act_tol in thresholds:
-            U = block_diag(*(_face_svec(w, V, floor, act_tol)
-                             for w, V, floor in eigs))
-            Mt = self.Mat @ U
-            theta0 = U.T @ z0
-            dth, *_ = np.linalg.lstsq(Mt, -(Mt @ theta0 + c), rcond=None)
-            x = U @ (theta0 + dth)
-            PQn = sn.smat(x[:2 * dn].reshape(2, dn))
-            Rn = eye + sm.smat(x[2 * dn:])
+            EP, EQ, ER = (_face_basis(w, V, floor, act_tol)
+                          for (w, V), floor in zip(eigs, (0.0, 0.0, 1.0)))
+            # the face columns: apply of each basis matrix in its own block
+            kp, kq = len(EP), len(EQ)
+            k = kp + kq + len(ER)
+            Ps, Qs = np.zeros((k, n, n)), np.zeros((k, n, n))
+            Rs = np.zeros((k, m, m))
+            Ps[:kp], Qs[kp:kp + kq], Rs[kp + kq:] = EP, EQ, ER
+            M1, M2 = op.apply(Ps, Qs, Rs)
+            Mt = np.concatenate([M1.reshape(k, n * n), M2.reshape(k, m * n)],
+                                axis=1).T.copy()
+            theta = np.array([np.sum(E * X) for Es, X in
+                              ((EP, P), (EQ, Q), (ER, R - np.eye(m)))
+                              for E in Es])
+            dth, *_ = np.linalg.lstsq(Mt, -(Mt @ theta + c), rcond=None)
+            theta = theta + dth
+            Pn = _combine(np.zeros((n, n)), theta[:kp], EP)
+            Qn = _combine(np.zeros((n, n)), theta[kp:kp + kq], EQ)
+            Rn = _combine(np.eye(m), theta[kp + kq:], ER)
             if all(w.min() >= floor - 1e-9 * (1.0 + np.abs(w).max())
-                   for w, floor in ((np.linalg.eigvalsh(PQn[0]), 0.0),
-                                    (np.linalg.eigvalsh(PQn[1]), 0.0),
-                                    (np.linalg.eigvalsh(Rn), 1.0))):
-                Pn, Qn = project_psd(PQn)
+                   for w, floor in ((np.linalg.eigvalsh(_sym(Pn)), 0.0),
+                                    (np.linalg.eigvalsh(_sym(Qn)), 0.0),
+                                    (np.linalg.eigvalsh(_sym(Rn)), 1.0))):
+                Pn, Qn = project_psd(np.stack([Pn, Qn]))
                 Rn = project_psd(Rn, 1.0)
-                return _lower(best, (self.op.objective(Pn, Qn, Rn, T1, T2),
+                return _lower(best, (op.objective(Pn, Qn, Rn, T1, T2),
                                      Pn, Qn, Rn))
         return best
 

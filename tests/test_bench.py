@@ -7,6 +7,7 @@ import pytest
 from lqfit.bench import (CSV_HEADER, ExperimentConfig, build_aircraft,
                          build_small_random, config_from_dict, default_config,
                          run_experiment)
+from lqfit.conic_ls import LossSpec
 from lqfit.kalman_fit import AdmmConfig
 from lqfit.linsys import spectral_radius
 
@@ -57,6 +58,15 @@ class TestConfig:
         assert cfg.outlier_prob == 0.1
         assert cfg.loss.kind == "huber"
         assert cfg.loss.huber_m == 0.5
+
+    def test_outliers_preset_overrides(self):
+        cfg = config_from_dict({"experiment": "outliers", "outlier_prob": 0.2,
+                                "loss": {"kind": "quadratic"}})
+        assert cfg.outlier_prob == 0.2
+        assert cfg.loss.kind == "quadratic"
+        cfg = default_config("outliers", loss=LossSpec("huber", huber_m=0.3))
+        assert cfg.outlier_prob == 0.1
+        assert cfg.loss.huber_m == 0.3
 
     def test_from_dict_roundtrip(self):
         cfg = config_from_dict({
