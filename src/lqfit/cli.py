@@ -40,11 +40,30 @@ def _load_json(path):
         raise _ConfigError(f"cannot read {path}: {e}") from e
 
 
+def _load_object(path, what):
+    """The JSON object in ``path``; any other top-level value is an error."""
+    d = _load_json(path)
+    if not isinstance(d, dict):
+        raise _ConfigError(f"bad {what} file {path}: "
+                           "the top-level JSON value must be an object")
+    return d
+
+
 def _load_demos(path):
     try:
-        return DemoSet.from_dict(_load_json(path))
-    except (KeyError, ValueError) as e:
+        return DemoSet.from_dict(_load_object(path, "demos"))
+    except (KeyError, TypeError, ValueError) as e:
         raise _ConfigError(f"bad demos file {path}: {e}") from e
+
+
+def _load_gain(path):
+    d = _load_object(path, "gain")
+    if "K" not in d:
+        raise _ConfigError(f"bad gain file {path}: no 'K' matrix")
+    try:
+        return np.array(d["K"], dtype=float)
+    except (TypeError, ValueError) as e:
+        raise _ConfigError(f"bad gain file {path}: {e}") from e
 
 
 def _loss_from_args(args) -> LossSpec:
@@ -96,10 +115,7 @@ def _cmd_fit_kalman(args) -> int:
 
 def _cmd_check_kalman(args) -> int:
     dyn = load_system(args.system)[0]
-    d = _load_json(args.gain)
-    if "K" not in d:
-        raise _ConfigError(f"gain file {args.gain} must contain a 'K' matrix")
-    K = np.array(d["K"], dtype=float)
+    K = _load_gain(args.gain)
     result = riccati.check_kalman_feasible(dyn, K, tol=args.tol)
     payload = {"feasible": result.feasible, "tol": result.tol}
     payload.update(result.certificate.to_dict())

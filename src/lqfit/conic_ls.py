@@ -22,6 +22,7 @@ refine.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -175,6 +176,8 @@ class PqrStepResult:
     ``objective`` is the subproblem value at (P, Q, R); when ``converged``
     is False the primal/dual residuals estimate the remaining
     suboptimality.  ``dual`` is opaque warm-start state for the next call.
+    For a stack of gains every field but ``iterations`` has a leading
+    member axis (see :func:`solve_pqr_step`).
     """
 
     P: np.ndarray
@@ -201,23 +204,22 @@ class _SvecOps:
         self.iu = iu
         self.scale = np.where(iu[0] == iu[1], 1.0, _SQRT2)
         self.dim = len(self.scale)
-        E = np.zeros((self.dim, n, n))
+        # svec position of every entry of the matrix, row-major
         k = np.arange(self.dim)
-        E[k, iu[0], iu[1]] = 1.0 / self.scale
-        E[k, iu[1], iu[0]] = 1.0 / self.scale
-        for arr in (self.scale, E):
+        pos = np.zeros((n, n), dtype=np.intp)
+        pos[iu] = k
+        pos[iu[1], iu[0]] = k
+        self.pos = pos.ravel()
+        self.basis = self.smat(np.eye(self.dim))
+        for arr in (self.scale, self.pos, self.basis):
             arr.flags.writeable = False
-        self.basis = E
 
     def svec(self, M):
         return M[..., self.iu[0], self.iu[1]] * self.scale
 
     def smat(self, t):
-        M = np.zeros(t.shape[:-1] + (self.n, self.n))
-        vals = t / self.scale
-        M[..., self.iu[0], self.iu[1]] = vals
-        M[..., self.iu[1], self.iu[0]] = vals
-        return M
+        return np.take(t / self.scale, self.pos, axis=-1).reshape(
+            t.shape[:-1] + (self.n, self.n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -296,8 +298,15 @@ def _lower(a, b):
     return b if b[0] < a[0] else a
 
 
+def _row_norms(V):
+    """Euclidean norms along the last axis, bit-equal to np.linalg.norm of
+    each row: both take one BLAS dot product per row."""
+    return np.sqrt((V[..., None, :] @ V[..., :, None])[..., 0, 0])
+
+
 class _SplitSolver:
-    """Operator-splitting solver for the (P, Q, R) cone least squares."""
+    """Operator-splitting solver for the (P, Q, R) cone least squares at one
+    gain; :meth:`run` advances a batch of them together."""
 
     def __init__(self, op: KalmanOperator):
         self.op = op
@@ -307,9 +316,10 @@ class _SplitSolver:
         self.p = self.Mat.shape[1]
         self.G = 2.0 * (self.Mat.T @ self.Mat)
 
-    def svec(self, P, Q, R):
-        return np.concatenate([self.sn.svec(P), self.sn.svec(Q),
-                               self.sm.svec(R)])
+    def svec(self, PQ, R):
+        """Rows of svec coordinates of a stack of (P, Q) pairs and of R."""
+        return np.concatenate([self.sn.svec(PQ).reshape(len(R), -1),
+                               self.sm.svec(R)], axis=1)
 
     def value_form_start(self):
         """Candidate start from the Lyapunov value identity under (Q, R) = (I, I).
@@ -363,58 +373,111 @@ class _SplitSolver:
             P, Q, R, f_prev = Pn, Qn, Rn, f
         return best
 
-    def run(self, T1, T2, P0, Q0, R0, u0=None, max_iter=4000, eps=1e-11,
-            refine=True, target=0.0):
-        op, sn, sm, dn = self.op, self.sn, self.sm, self.dn
-        stop_at = max(target, 1e-24)
-        c = np.concatenate([T1.ravel(), T2.ravel()])
-        q = 2.0 * (self.Mat.T @ c)
-        sigma = max(np.trace(self.G) / self.p, 1e-12)
-        z = self.svec(P0, Q0, R0)
-        u = np.zeros(self.p) if u0 is None else np.array(u0, dtype=float)
-        alpha = 1.6
-        P, Q, R = P0, Q0, R0
-        best = (op.objective(P0, Q0, R0, T1, T2), P0, Q0, R0)
-        if best[0] <= stop_at:
-            return best, 0, True, 0.0, 0.0, u
-        Minv = np.linalg.inv(self.G + sigma * np.eye(self.p))
-        rp = rd = math.inf
-        it_done = 0
-        converged = False
-        for it in range(max_iter):
-            it_done = it + 1
-            x = Minv @ (sigma * (z - u) - q)
-            xr = alpha * x + (1.0 - alpha) * z
-            v = xr + u
-            P, Q = project_psd(sn.smat(v[:2 * dn].reshape(2, dn)))
-            R = project_psd(sm.smat(v[2 * dn:]), 1.0)
-            znew = self.svec(P, Q, R)
-            u += xr - znew
-            nz = np.linalg.norm(znew)
-            rp = np.linalg.norm(x - znew)
-            rd = sigma * np.linalg.norm(znew - z)
-            z = znew
-            if rp <= eps * (1.0 + nz) and rd <= eps * (1.0 + nz):
-                converged = True
-                break
-            # penalty self-rescaling when primal/dual residuals drift apart
-            if (it + 1) % 50 == 0 and rp > 0 and rd > 0:
-                ratio = math.sqrt(rp / rd)
-                if ratio > 5.0 or ratio < 0.2:
-                    sigma *= ratio
-                    u /= ratio
-                    Minv = np.linalg.inv(self.G + sigma * np.eye(self.p))
-            if (it + 1) % 200 == 0:
-                best = _lower(best, (op.objective(P, Q, R, T1, T2), P, Q, R))
-                best = self._polish(T1, T2, best)
-                if best[0] <= stop_at:
-                    break
-        best = _lower(best, (op.objective(P, Q, R, T1, T2), P, Q, R))
+    def finish(self, T1, T2, best, last, converged, refine, iters, stop_at):
+        """The lower of best and the last iterate, polished, then refined
+        and polished again when the loop neither converged nor reached
+        its target."""
+        op = self.op
+        best = _lower(best, (op.objective(*last, T1, T2), *last))
         best = self._polish(T1, T2, best)
         if refine and not converged and best[0] > stop_at:
-            best = _lower(best, self.refine(T1, T2, *best[1:], iters=max_iter))
+            best = _lower(best, self.refine(T1, T2, *best[1:], iters=iters))
             best = self._polish(T1, T2, best)
-        return best, it_done, converged, rp, rd, u
+        return best
+
+    @staticmethod
+    def run(engines, T1, T2, P0, Q0, R0, u0=None, max_iter=4000, eps=1e-11,
+            refine=True, target=0.0):
+        """The splitting loop for a batch of problems, advanced in lockstep.
+
+        Member i is the problem of ``engines[i]`` (all of one size) with
+        offsets (T1[i], T2[i]), started from (P0[i], Q0[i], R0[i]) and the
+        dual u0[i].  The stacked steps (the x solve, the cone projections,
+        the norms) work matrix by matrix and row by row, and each member
+        keeps its own penalty, best point and stopping test; a member that
+        stops leaves the batch.  So every member's result is bit for bit
+        the result of running it alone.  Returns one (best, iterations,
+        converged, primal residual, dual residual, dual) per member.
+        """
+        head = engines[0]
+        sn, sm, dn, p = head.sn, head.sm, head.dn, head.p
+        stop_at = max(target, 1e-24)
+        alpha = 1.6
+        eye = np.eye(p)
+        results = [None] * len(engines)
+        best = [(e.op.objective(P0[i], Q0[i], R0[i], T1[i], T2[i]),
+                 P0[i], Q0[i], R0[i]) for i, e in enumerate(engines)]
+        u = (np.zeros((len(engines), p)) if u0 is None
+             else np.array(u0, dtype=float))
+        for i, b in enumerate(best):
+            if b[0] <= stop_at:
+                results[i] = (b, 0, True, 0.0, 0.0, u[i].copy())
+        act = [i for i, r in enumerate(results) if r is None]
+        if not act:
+            return results
+        # the running iterates: (P, Q) stacked per member, R, their svec z
+        PQ, R, u = np.stack([P0[act], Q0[act]], axis=1), R0[act], u[act]
+        z = head.svec(PQ, R)
+        G = np.stack([engines[i].G for i in act])
+        q = np.stack([2.0 * (engines[i].Mat.T @ np.concatenate(
+            [T1[i].ravel(), T2[i].ravel()])) for i in act])
+        sigma = np.array([max(np.trace(engines[i].G) / p, 1e-12)
+                          for i in act])
+        Minv = np.linalg.inv(G + sigma[:, None, None] * eye)
+        rp = rd = np.full(len(act), math.inf)
+
+        def leave(j, i, it_done, converged):
+            results[i] = (engines[i].finish(
+                T1[i], T2[i], best[i], (PQ[j, 0], PQ[j, 1], R[j]), converged,
+                refine, max_iter, stop_at),
+                it_done, converged, rp[j], rd[j], u[j].copy())
+
+        it = 0
+        while act and it < max_iter:
+            it += 1
+            x = (Minv @ (sigma[:, None] * (z - u) - q)[:, :, None])[:, :, 0]
+            xr = alpha * x + (1.0 - alpha) * z
+            v = xr + u
+            PQ = project_psd(sn.smat(v[:, :2 * dn].reshape(-1, 2, dn)))
+            R = project_psd(sm.smat(v[:, 2 * dn:]), 1.0)
+            znew = head.svec(PQ, R)
+            u += xr - znew
+            nz, rp, rd = _row_norms(np.array([znew, x - znew, znew - z]))
+            rd = sigma * rd
+            z = znew
+            converged = [r <= eps * (1.0 + n) and d <= eps * (1.0 + n)
+                         for n, r, d in zip(nz.tolist(), rp.tolist(),
+                                            rd.tolist())]
+            if it % 50 and not any(converged):
+                continue
+            keep = []
+            for j, i in enumerate(act):
+                if converged[j]:
+                    leave(j, i, it, True)
+                    continue
+                # penalty self-rescaling when primal/dual residuals drift apart
+                if it % 50 == 0 and rp[j] > 0 and rd[j] > 0:
+                    ratio = math.sqrt(rp[j] / rd[j])
+                    if ratio > 5.0 or ratio < 0.2:
+                        sigma[j] *= ratio
+                        u[j] /= ratio
+                        Minv[j] = np.linalg.inv(G[j] + sigma[j] * eye)
+                if it % 200 == 0:
+                    e, last = engines[i], (PQ[j, 0], PQ[j, 1], R[j])
+                    best[i] = _lower(best[i], (e.op.objective(
+                        *last, T1[i], T2[i]), *last))
+                    best[i] = e._polish(T1[i], T2[i], best[i])
+                    if best[i][0] <= stop_at:
+                        leave(j, i, it, False)
+                        continue
+                keep.append(j)
+            if len(keep) < len(act):
+                act = [act[j] for j in keep]
+                PQ, R, z, u, q, G, sigma, Minv, rp, rd = (
+                    a[keep] for a in (PQ, R, z, u, q, G, sigma, Minv, rp, rd))
+        for j, i in enumerate(act):
+            leave(j, i, it, False)
+        return results
 
     def _polish(self, T1, T2, best, thresholds=(1e-5, 1e-9)):
         """Exact least squares on the active face of the cones.
@@ -474,37 +537,64 @@ def solve_pqr_step(dyn: LinearDynamics, K, Y1, Y2, rho: float,
     their tolerance here).  Hitting ``max_iter`` is not an error: the best
     iterate is returned with ``converged=False`` and the residuals as a
     suboptimality estimate.
+
+    K may also be a stack of gains, shape (S, m, n), with Y1, Y2, the
+    matrices of ``init`` and ``dual0`` stacked alike.  The splitting loop
+    then runs once for the whole stack, and every field of the result
+    gains a leading axis except ``iterations``, which is the lockstep
+    count: the most iterations any member's result took.  Each member's
+    result is bit for bit that of its own call.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
     K = np.asarray(K, dtype=float)
     n, m = dyn.n, dyn.m
-    if K.shape != (m, n):
-        raise ValueError(f"gain must be {m}x{n}, got shape {K.shape}")
-    T1 = np.asarray(Y1, dtype=float) / rho
-    T2 = np.asarray(Y2, dtype=float) / rho
-    engine = _SplitSolver(KalmanOperator(dyn.A, dyn.B, K))
-    starts = []
+    if K.shape[-2:] != (m, n) or K.ndim not in (2, 3):
+        raise ValueError(f"gain must be {m}x{n} or a stack of {m}x{n}, "
+                         f"got shape {K.shape}")
+    single = K.ndim == 2
+
+    def stacked(M):
+        M = np.asarray(M, dtype=float)
+        return M[None] if single else M
+
+    Ks = stacked(K)
+    T1 = stacked(Y1) / rho
+    T2 = stacked(Y2) / rho
+    u0 = None if dual0 is None else stacked(dual0)
+    engines = [_SplitSolver(KalmanOperator(dyn.A, dyn.B, k)) for k in Ks]
     if init is not None:
-        P0, Q0, R0 = (np.asarray(Mmat, dtype=float) for Mmat in init)
-        starts.append((P0, Q0, R0))
+        P0, Q0, R0 = (stacked(Mmat) for Mmat in init)
+        starts = [[(P0[i], Q0[i], R0[i])] for i in range(len(Ks))]
     else:
         # the Lyapunov start is exact for gains optimal under unit weights,
         # so try it first and skip the cold solve when it lands at zero
-        extra = engine.value_form_start()
-        if extra is not None:
-            starts.append(extra)
-        starts.append((np.zeros((n, n)), np.zeros((n, n)), np.eye(m)))
-    best = None
-    for P0, Q0, R0 in starts:
-        out, iters, conv, rp, rd, u = engine.run(
-            T1, T2, P0, Q0, R0, u0=dual0, max_iter=max_iter, eps=tol,
-            refine=refine, target=target)
-        cand = PqrStepResult(P=out[1], Q=out[2], R=out[3], objective=out[0],
-                             iterations=iters, converged=conv,
-                             primal_residual=rp, dual_residual=rd, dual=u)
-        if best is None or cand.objective < best.objective:
-            best = cand
-        if best.objective <= max(target, 1e-24):
+        cold = (np.zeros((n, n)), np.zeros((n, n)), np.eye(m))
+        starts = [[s for s in (e.value_form_start(), cold) if s is not None]
+                  for e in engines]
+    stop_at = max(target, 1e-24)
+    best = [None] * len(Ks)
+    for r in range(max(map(len, starts))):
+        todo = [i for i, b in enumerate(best) if r < len(starts[i])
+                and (b is None or b.objective > stop_at)]
+        if not todo:
             break
-    return best
+        P0, Q0, R0 = (np.stack([starts[i][r][k] for i in todo])
+                      for k in range(3))
+        outs = _SplitSolver.run(
+            [engines[i] for i in todo], T1[todo], T2[todo], P0, Q0, R0,
+            u0=None if u0 is None else u0[todo], max_iter=max_iter, eps=tol,
+            refine=refine, target=target)
+        for i, (out, iters, conv, rp, rd, u) in zip(todo, outs):
+            cand = PqrStepResult(P=out[1], Q=out[2], R=out[3],
+                                 objective=out[0], iterations=iters,
+                                 converged=conv, primal_residual=rp,
+                                 dual_residual=rd, dual=u)
+            if best[i] is None or cand.objective < best[i].objective:
+                best[i] = cand
+    if single:
+        return best[0]
+    stacked_fields = {f.name: np.array([getattr(b, f.name) for b in best])
+                      for f in dataclasses.fields(PqrStepResult)}
+    stacked_fields["iterations"] = max(b.iterations for b in best)
+    return PqrStepResult(**stacked_fields)

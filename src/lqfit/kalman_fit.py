@@ -16,6 +16,13 @@ and non-convergence is reported, not raised.  Runs start from a zero
 initialization plus a configurable number of random initializations, and
 the gain with the lowest fitted objective wins.
 
+The starts advance in lockstep: each sweep runs the K step start by start
+and then one (P, Q, R) step for all starts still running, so the
+per-call overhead of the small cone solves is paid once per sweep instead
+of once per start.  A start that stops or diverges leaves the batch.  The
+results are unchanged: every start's iterates are bit for bit those of
+running it alone.
+
 Besides the raw final iterate K, each report carries ``K_certified``: the
 gain re-synthesized by solving the Riccati equation with the recovered
 (Q, R), which satisfies the optimality constraints exactly and inherits
@@ -127,6 +134,26 @@ def random_state(dyn: LinearDynamics, rng: np.random.Generator) -> AdmmState:
                      Y1=np.zeros((n, n)), Y2=np.zeros((m, n)))
 
 
+def _stack(states) -> AdmmState:
+    """One state holding the iterates of ``states`` (all at the same
+    iteration) along a leading start axis."""
+    arrays = {f: np.stack([getattr(s, f) for s in states])
+              for f in ("K", "P", "Q", "R", "Y1", "Y2")}
+    dual = (None if states[0].pqr_dual is None
+            else np.stack([s.pqr_dual for s in states]))
+    return AdmmState(**arrays, iter=states[0].iter, pqr_dual=dual)
+
+
+def _take(state: AdmmState, index) -> AdmmState:
+    """The start(s) ``index`` of a stacked state: one start for an int, a
+    smaller stack for a list."""
+    return AdmmState(K=state.K[index], P=state.P[index], Q=state.Q[index],
+                     R=state.R[index], Y1=state.Y1[index], Y2=state.Y2[index],
+                     iter=state.iter,
+                     pqr_dual=None if state.pqr_dual is None
+                     else state.pqr_dual[index])
+
+
 def admm_iterate(state: AdmmState, demos: DemoSet, loss: LossSpec,
                  reg: RegularizerSpec, dyn: LinearDynamics, rho: float,
                  pqr_iters: int = AdmmConfig.pqr_iters,
@@ -135,41 +162,69 @@ def admm_iterate(state: AdmmState, demos: DemoSet, loss: LossSpec,
 
     The constraint matrix M in the dual update is evaluated at the freshly
     updated iterates.  Subsolver failures are re-raised with the iteration
-    number attached.
+    number attached.  ``state`` may also be a stack of starts (a leading
+    axis on every matrix, see ``fit_kalman``): the K step and the dual
+    update then run start by start, and the (P, Q, R) step runs once for
+    the whole stack.  Each start's new iterate is bit for bit the one a
+    sweep of that start alone gives.
     """
+    lead = state.K.ndim == 3
+    batch = state if lead else _stack([state])
     try:
-        K = conic_ls.solve_k_step(demos, loss, reg, rho, state.P, state.Q,
-                                  state.R, state.Y1, state.Y2, dyn)
-        step = conic_ls.solve_pqr_step(dyn, K, state.Y1, state.Y2, rho,
+        K = np.stack([conic_ls.solve_k_step(demos, loss, reg, rho, P, Q, R,
+                                            Y1, Y2, dyn)
+                      for P, Q, R, Y1, Y2 in zip(batch.P, batch.Q, batch.R,
+                                                 batch.Y1, batch.Y2)])
+        step = conic_ls.solve_pqr_step(dyn, K, batch.Y1, batch.Y2, rho,
                                        tol=pqr_tol, max_iter=pqr_iters,
-                                       init=(state.P, state.Q, state.R),
-                                       dual0=state.pqr_dual, refine=False)
+                                       init=(batch.P, batch.Q, batch.R),
+                                       dual0=batch.pqr_dual, refine=False)
     except (conic_ls.SingularFitError, np.linalg.LinAlgError) as e:
         raise RuntimeError(
             f"subsolver failed at iteration {state.iter + 1}: {e}") from e
-    M1, M2 = conic_ls.KalmanOperator(dyn.A, dyn.B, K).apply(
-        step.P, step.Q, step.R)
-    return AdmmState(K=K, P=step.P, Q=step.Q, R=step.R,
-                     Y1=state.Y1 + rho * M1, Y2=state.Y2 + rho * M2,
-                     iter=state.iter + 1, pqr_dual=step.dual)
+    Y1, Y2 = [], []
+    for k, P, Q, R, y1, y2 in zip(K, step.P, step.Q, step.R, batch.Y1,
+                                  batch.Y2):
+        M1, M2 = conic_ls.KalmanOperator(dyn.A, dyn.B, k).apply(P, Q, R)
+        Y1.append(y1 + rho * M1)
+        Y2.append(y2 + rho * M2)
+    new = AdmmState(K=K, P=step.P, Q=step.Q, R=step.R, Y1=np.stack(Y1),
+                    Y2=np.stack(Y2), iter=state.iter + 1, pqr_dual=step.dual)
+    return new if lead else _take(new, 0)
 
 
-def _run(state: AdmmState, demos, loss, reg, dyn, config):
-    """Iterate to the cap or until ||K_{k+1} - K_k||_F < eps."""
-    converged = False
+def _run_lockstep(starts, demos, loss, reg, dyn, config):
+    """Advance all starts together, one stacked ``admm_iterate`` per sweep.
+
+    A start stops at the cap or once ||K_{k+1} - K_k||_F < eps, and leaves
+    the batch; so does a start whose iterate turns non-finite.  Returns,
+    per start, (final state, converged) or the FloatingPointError raised
+    for it.
+    """
+    outcome = [None] * len(starts)
+    active = list(range(len(starts)))
+    batch = _stack(starts)
     for _ in range(config.n_iter):
-        new = admm_iterate(state, demos, loss, reg, dyn, config.rho,
+        new = admm_iterate(batch, demos, loss, reg, dyn, config.rho,
                            pqr_iters=config.pqr_iters, pqr_tol=config.pqr_tol)
-        if not (np.all(np.isfinite(new.K)) and np.all(np.isfinite(new.P))
-                and np.all(np.isfinite(new.Q)) and np.all(np.isfinite(new.R))):
-            raise FloatingPointError(
-                f"non-finite iterate at iteration {new.iter}")
-        delta = np.linalg.norm(new.K - state.K, "fro")
-        state = new
-        if delta < config.eps:
-            converged = True
+        keep = []
+        for j, idx in enumerate(active):
+            s = _take(new, j)
+            if not (np.all(np.isfinite(s.K)) and np.all(np.isfinite(s.P))
+                    and np.all(np.isfinite(s.Q)) and np.all(np.isfinite(s.R))):
+                outcome[idx] = FloatingPointError(
+                    f"non-finite iterate at iteration {s.iter}")
+            elif np.linalg.norm(s.K - batch.K[j], "fro") < config.eps:
+                outcome[idx] = (s, True)
+            else:
+                keep.append(j)
+        active = [active[j] for j in keep]
+        if not active:
             break
-    return state, converged
+        batch = new if len(keep) == len(new.K) else _take(new, keep)
+    for j, idx in enumerate(active):
+        outcome[idx] = (_take(batch, j), False)
+    return outcome
 
 
 def fit_kalman(demos: DemoSet, loss: LossSpec, reg: RegularizerSpec,
@@ -177,24 +232,26 @@ def fit_kalman(demos: DemoSet, loss: LossSpec, reg: RegularizerSpec,
                ) -> KalmanFitReport:
     """Multi-start constrained policy fit; the lowest-objective run wins.
 
-    Restart k > 0 draws its initialization from a stream derived from
-    (config.seed, k), so reports are bit-reproducible for a fixed config.
+    All starts advance together, one stacked ``admm_iterate`` per sweep,
+    and each start stops on its own test; the report is the same as if
+    the starts ran one after another.  Restart k > 0 draws its
+    initialization from a stream derived from (config.seed, k), so
+    reports are bit-reproducible for a fixed config.
     Ties in the objective break toward the lowest init index.  Raises
     RuntimeError only if every run produced non-finite iterates.
     """
+    starts = [zero_state(dyn)]
+    for idx in range(1, 1 + config.n_random_inits):
+        rng = np.random.default_rng(np.random.SeedSequence((config.seed, idx)))
+        starts.append(random_state(dyn, rng))
     results = []
     failures = []
-    for idx in range(1 + config.n_random_inits):
-        if idx == 0:
-            start = zero_state(dyn)
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence((config.seed, idx)))
-            start = random_state(dyn, rng)
-        try:
-            final, converged = _run(start, demos, loss, reg, dyn, config)
-        except FloatingPointError as e:
-            failures.append(f"init {idx}: {e}")
+    for idx, out in enumerate(_run_lockstep(starts, demos, loss, reg, dyn,
+                                            config)):
+        if isinstance(out, FloatingPointError):
+            failures.append(f"init {idx}: {out}")
             continue
+        final, converged = out
         objective = fitting.fit_objective(demos, final.K, loss, reg)
         results.append((objective, idx, final, converged))
     if not results:

@@ -167,6 +167,27 @@ def test_solver_failure_exit_code(tmp_path):
     assert main(["lqr", "--system", str(path)]) == 2
 
 
+def test_non_object_demos_file_is_config_error(tmp_path, system_file,
+                                               capsys):
+    spath, _, _ = system_file
+    path = tmp_path / "list.json"
+    path.write_text("[[1.0]]")
+    assert main(["fit", "--demos", str(path)]) == 1
+    assert "bad demos file" in capsys.readouterr().err
+    assert main(["fit-kalman", "--system", str(spath),
+                 "--demos", str(path)]) == 1
+    assert "bad demos file" in capsys.readouterr().err
+
+
+def test_non_object_gain_file_is_config_error(tmp_path, system_file, capsys):
+    spath, _, _ = system_file
+    gain = tmp_path / "gain.json"
+    gain.write_text("5")
+    assert main(["check-kalman", "--system", str(spath),
+                 "--gain", str(gain)]) == 1
+    assert "bad gain file" in capsys.readouterr().err
+
+
 def test_gain_file_requires_k(tmp_path, system_file):
     spath, _, _ = system_file
     gain = tmp_path / "gain.json"

@@ -296,6 +296,63 @@ class TestPqrStep:
                               dual0=cold.dual)
         assert warm.objective <= cold.objective + 1e-10
 
+    @staticmethod
+    def _assert_members_match(stacked, singles):
+        assert stacked.iterations == max(s.iterations for s in singles)
+        assert isinstance(stacked.iterations, int)
+        for i, single in enumerate(singles):
+            for name in ("P", "Q", "R", "dual"):
+                assert np.array_equal(getattr(stacked, name)[i],
+                                      getattr(single, name)), (i, name)
+            assert stacked.objective[i] == single.objective
+            assert stacked.converged[i] == single.converged
+            assert stacked.primal_residual[i] == single.primal_residual
+            assert stacked.dual_residual[i] == single.dual_residual
+
+    def test_stack_equals_calls_one_by_one(self):
+        rng = np.random.default_rng(14)
+        A, B = random_controllable(rng, n_max=4, m_max=2, rho_scale=0.9)
+        n, m = A.shape[0], B.shape[1]
+        p = n * (n + 1) + m * (m + 1) // 2
+        dyn = _dyn(A, B)
+        sol = solve_lqr(dyn, (np.eye(n), np.eye(m)))
+        draws = [(0.4 * rng.standard_normal((m, n)),
+                  0.2 * rng.standard_normal((n, n)),
+                  0.2 * rng.standard_normal((m, n))) for _ in range(4)]
+        # member 0 starts on its certificate; of the others some converge
+        # at different iterations and some run to the cap
+        K = np.stack([sol.K] + [d[0] for d in draws])
+        Y1 = np.stack([np.zeros((n, n))] + [d[1] for d in draws])
+        Y2 = np.stack([np.zeros((m, n))] + [d[2] for d in draws])
+        init = (np.stack([sol.P] + [np.eye(n)] * 4),
+                np.stack([np.eye(n)] * 5), np.stack([np.eye(m)] * 5))
+        dual0 = np.zeros((5, p))
+        kw = dict(rho=1.0, tol=1e-6, max_iter=150, refine=False)
+        stacked = solve_pqr_step(dyn, K, Y1, Y2, init=init, dual0=dual0, **kw)
+        singles = [solve_pqr_step(dyn, K[i], Y1[i], Y2[i],
+                                  init=[M[i] for M in init], dual0=dual0[i],
+                                  **kw) for i in range(5)]
+        iterations = [s.iterations for s in singles]
+        assert iterations[0] == 0 and max(iterations) == 150
+        assert len(set(iterations[1:])) == 4
+        self._assert_members_match(stacked, singles)
+
+    def test_cold_stack_equals_calls_one_by_one(self):
+        rng = np.random.default_rng(14)
+        A, B = random_controllable(rng, n_max=3, m_max=2, rho_scale=0.8)
+        n, m = A.shape[0], B.shape[1]
+        dyn = _dyn(A, B)
+        # the first gain is certified by its Lyapunov start; the second
+        # tries that start, then the cold one, past a polish at 200
+        K = np.stack([solve_lqr(dyn, (np.eye(n), np.eye(m))).K,
+                      0.3 * rng.standard_normal((m, n))])
+        Y1, Y2 = np.zeros((2, n, n)), np.zeros((2, m, n))
+        stacked = solve_pqr_step(dyn, K, Y1, Y2, rho=1.0, max_iter=250)
+        singles = [solve_pqr_step(dyn, K[i], Y1[i], Y2[i], rho=1.0,
+                                  max_iter=250) for i in range(2)]
+        assert singles[0].iterations == 0 < singles[1].iterations
+        self._assert_members_match(stacked, singles)
+
     def test_rejects_nonpositive_rho(self):
         dyn = _dyn(np.zeros((1, 1)), np.ones((1, 1)))
         with pytest.raises(ValueError):

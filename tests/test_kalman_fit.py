@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lqfit.conic_ls import KalmanOperator, LossSpec, RegularizerSpec
+from lqfit.conic_ls import (KalmanOperator, LossSpec, RegularizerSpec,
+                            project_psd)
 from lqfit.fitting import fit_objective, policy_fit
 from lqfit.kalman_fit import (AdmmConfig, AdmmState, admm_iterate, fit_kalman,
                               random_state, zero_state)
@@ -134,6 +135,41 @@ class TestFitKalman:
             objectives.append(fit_objective(demos, state.K, QUAD, RIDGE))
         assert report.objective == pytest.approx(min(objectives), abs=1e-12)
         assert report.init_index == int(np.argmin(objectives))
+
+    def test_lockstep_equals_starts_run_alone(self, small_system):
+        dyn, cost, sigma, Kstar = small_system
+        demos = generate_demos(dyn, Kstar, sigma, 4, 0.0, 29)
+        # the zero start meets eps at sweep 15, the random ones hit the cap
+        cfg = AdmmConfig(n_iter=25, eps=1.3e-3, n_random_inits=3, seed=13)
+        report = fit_kalman(demos, QUAD, RIDGE, dyn, cfg)
+        runs = []
+        for idx in range(1 + cfg.n_random_inits):
+            if idx == 0:
+                state = zero_state(dyn)
+            else:
+                rng = np.random.default_rng(
+                    np.random.SeedSequence((cfg.seed, idx)))
+                state = random_state(dyn, rng)
+            for _ in range(cfg.n_iter):
+                new = admm_iterate(state, demos, QUAD, RIDGE, dyn, cfg.rho,
+                                   pqr_iters=cfg.pqr_iters,
+                                   pqr_tol=cfg.pqr_tol)
+                delta = np.linalg.norm(new.K - state.K, "fro")
+                state = new
+                if delta < cfg.eps:
+                    break
+            runs.append((fit_objective(demos, state.K, QUAD, RIDGE), idx,
+                         state))
+        stops = [state.iter for _, _, state in runs]
+        assert min(stops) < cfg.n_iter == max(stops)
+        objective, idx, final = min(runs, key=lambda r: (r[0], r[1]))
+        assert report.init_index == idx
+        assert report.iterations == final.iter
+        assert report.objective == objective
+        assert np.array_equal(report.K, final.K)
+        for name, floor in (("P", 0.0), ("Q", 0.0), ("R", 1.0)):
+            assert np.array_equal(getattr(report.certificate, name),
+                                  project_psd(getattr(final, name), floor))
 
     def test_objective_dominates_plain_fit(self, small_system):
         dyn, cost, sigma, Kstar = small_system
