@@ -2,7 +2,8 @@
 
 Kept deliberately separate from the library code paths: the projected
 gradient solver here shares no code with the operator-splitting solver it
-cross-checks, and works directly in matrix space.
+cross-checks. It assembles the constraint map from its matrix formula and
+projects with its own eigendecompositions.
 """
 
 import numpy as np
@@ -10,28 +11,6 @@ import numpy as np
 
 def _sym(M):
     return 0.5 * (M + M.T)
-
-
-def _proj(M, floor):
-    w, V = np.linalg.eigh(_sym(M))
-    return _sym(V @ (np.maximum(w, floor)[:, None] * V.T))
-
-
-def pqr_objective(A, B, K, P, Q, R, T1, T2):
-    F = A + B @ K
-    M1 = Q + A.T @ P @ F - P + T1
-    M2 = R @ K + B.T @ P @ F + T2
-    return float(np.sum(M1 * M1) + np.sum(M2 * M2))
-
-
-def _gradients(A, B, K, P, Q, R, T1, T2):
-    F = A + B @ K
-    M1 = Q + A.T @ P @ F - P + T1
-    M2 = R @ K + B.T @ P @ F + T2
-    gP = 2.0 * _sym(A @ M1 @ F.T - M1 + B @ M2 @ F.T)
-    gQ = 2.0 * _sym(M1)
-    gR = 2.0 * _sym(M2 @ K.T)
-    return gP, gQ, gR
 
 
 def _lipschitz(A, B, K, n, m, iters=200, seed=0):
@@ -55,43 +34,62 @@ def _lipschitz(A, B, K, n, m, iters=200, seed=0):
     return lam
 
 
+def _residual_map(A, B, K, k):
+    """The linear part of (P, Q, D) -> (M1, M2), with D = R - I, as a matrix.
+
+    Rows are the row-major entries of M1 = Q + A'PF - P and M2 = RK + B'PF;
+    columns are the row-major entries of a (3, k, k) stack holding P, Q and
+    D in its top-left corners. Each column is the formula applied to a unit
+    matrix; columns of padding entries stay zero.
+    """
+    n, m = A.shape[0], B.shape[1]
+    F = A + B @ K
+    J = np.zeros((n * n + m * n, 3 * k * k))
+    for b, size in enumerate((n, n, m)):
+        for i in range(size):
+            for j in range(size):
+                P, Q, R = np.zeros((n, n)), np.zeros((n, n)), np.zeros((m, m))
+                (P, Q, R)[b][i, j] = 1.0
+                M1 = Q + A.T @ P @ F - P
+                M2 = R @ K + B.T @ P @ F
+                J[:, (b * k + i) * k + j] = np.concatenate([M1.ravel(),
+                                                            M2.ravel()])
+    return J
+
+
 def pqr_projected_gradient(A, B, K, Y1, Y2, rho, max_iter=100_000,
                            rel_tol=1e-10):
     """Plain projected gradient on the joint (P, Q, R) problem.
 
-    Fixed step 1/L with L from power iteration; blockwise cone projections
-    P >= 0, Q >= 0, R >= I.  Returns (P, Q, R, objective, iterations).
+    Fixed step 1/L with L from power iteration; cone projections P >= 0,
+    Q >= 0, R >= I, the last as R = I + D with D >= 0, so one stacked
+    eigendecomposition projects all three. Returns (P, Q, R, objective,
+    iterations).
     """
     n, m = A.shape[0], B.shape[1]
-    F = A + B @ K
-    T1, T2 = Y1 / rho, Y2 / rho
-    L = 1.05 * _lipschitz(A, B, K, n, m)
-    t = 1.0 / L
-    P = np.zeros((n, n))
-    Q = np.zeros((n, n))
-    R = np.eye(m)
-    f = pqr_objective(A, B, K, P, Q, R, T1, T2)
+    k = max(n, m)
+    J = _residual_map(A, B, K, k)
+    G = 2.0 * J.T
+    # the residual at P = Q = 0, R = I
+    c = np.concatenate([(Y1 / rho).ravel(), (K + Y2 / rho).ravel()])
+    t = 1.0 / (1.05 * _lipschitz(A, B, K, n, m))
+    S = np.zeros((3, k, k))
+    r = c
+    f = float(r @ r)
     it = 0
     for it in range(max_iter):
-        M1 = Q + A.T @ P @ F - P + T1
-        M2 = R @ K + B.T @ P @ F + T2
-        gP = 2.0 * _sym(A @ M1 @ F.T - M1 + B @ M2 @ F.T)
-        gQ = 2.0 * _sym(M1)
-        gR = 2.0 * _sym(M2 @ K.T)
-        PQ = np.stack([P - t * gP, Q - t * gQ])
-        PQ = 0.5 * (PQ + np.swapaxes(PQ, -1, -2))
-        w, V = np.linalg.eigh(PQ)
-        w = np.maximum(w, 0.0)
-        PQ = V @ (w[..., None] * np.swapaxes(V, -1, -2))
-        PQ = 0.5 * (PQ + np.swapaxes(PQ, -1, -2))
-        P, Q = PQ[0], PQ[1]
-        R = _proj(R - t * gR, 1.0)
-        fn = pqr_objective(A, B, K, P, Q, R, T1, T2)
+        S = S - t * (G @ r).reshape(3, k, k)
+        S = 0.5 * (S + S.transpose(0, 2, 1))
+        w, V = np.linalg.eigh(S)
+        S = (V * np.maximum(w, 0.0)[:, None, :]) @ V.transpose(0, 2, 1)
+        S = 0.5 * (S + S.transpose(0, 2, 1))
+        r = J @ S.ravel() + c
+        fn = float(r @ r)
         if it > 50 and f - fn < rel_tol * (1.0 + f):
             f = fn
             break
         f = fn
-    return P, Q, R, f, it + 1
+    return S[0, :n, :n], S[1, :n, :n], S[2, :m, :m] + np.eye(m), f, it + 1
 
 
 def random_controllable(rng, n_max=6, m_max=3, rho_scale=None):
