@@ -26,7 +26,7 @@ print("plain fit:        cost =",
       " rho =", round(spectral_radius(dyn.closed_loop(pf.K)), 3))
 
 report = fit_kalman(demos, LossSpec("quadratic"),
-                    RegularizerSpec("ridge", 0.01), dyn, AdmmConfig(seed=0))
+                    RegularizerSpec("ridge", 0.01), dyn, AdmmConfig())
 for name, K in (("constrained fit", report.K),
                 ("certified gain", report.K_certified)):
     J = closed_loop_cost(dyn, cost, K)

@@ -27,9 +27,9 @@ def show(name, K):
 show("plain fit, quadratic loss", policy_fit(demos, LossSpec(), ridge).K)
 show("plain fit, huber loss", policy_fit(demos, huber, ridge).K)
 
-rep_q = fit_kalman(demos, LossSpec(), ridge, dyn, AdmmConfig(seed=1))
+rep_q = fit_kalman(demos, LossSpec(), ridge, dyn, AdmmConfig())
 show("constrained fit, quadratic loss", rep_q.K_certified)
-rep_h = fit_kalman(demos, huber, ridge, dyn, AdmmConfig(seed=1))
+rep_h = fit_kalman(demos, huber, ridge, dyn, AdmmConfig())
 show("constrained fit, huber loss", rep_h.K_certified)
 
 show("optimal gain", Kstar)

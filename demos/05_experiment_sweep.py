@@ -19,7 +19,7 @@ config = ExperimentConfig(
     experiment="small_random",
     N_values=(1, 2, 5, 10),
     seeds=(0, 1, 2),
-    admm=AdmmConfig(n_iter=60, n_random_inits=2, seed=0),
+    admm=AdmmConfig(n_iter=60),
     expert_eval_horizon=50_000,
 )
 

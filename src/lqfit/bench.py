@@ -20,20 +20,19 @@ re-run with the same config is byte-identical.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fitting, kalman_fit, riccati
 from .conic_ls import LossSpec, RegularizerSpec, project_psd
 from .kalman_fit import AdmmConfig
-from .linsys import (CostMatrices, LinearDynamics, closed_loop_cost,
-                     generate_demos, load_system, rollout_cost_estimate,
-                     spectral_radius)
+from .linsys import (STABILITY_MARGIN, CostMatrices, LinearDynamics,
+                     closed_loop_cost, generate_demos, load_system,
+                     rollout_cost_estimate, spectral_radius)
 
 EXPERIMENTS = ("small_random", "aircraft", "outliers", "custom")
 METHODS = ("pf", "kalman", "expert", "optimal")
@@ -115,15 +114,6 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     return default_config(experiment, **kwargs)
 
 
-def config_to_dict(config: ExperimentConfig) -> dict:
-    d = dataclasses.asdict(config)
-    d["N_values"] = list(config.N_values)
-    d["seeds"] = list(config.seeds)
-    if isinstance(config.sigma, np.ndarray):
-        d["sigma"] = config.sigma.tolist()
-    return d
-
-
 def build_small_random(seed) -> tuple[LinearDynamics, CostMatrices, np.ndarray]:
     """Random 4-state/2-input system with A rescaled to spectral radius one."""
     rng = np.random.default_rng(seed)
@@ -202,22 +192,21 @@ def run_cell(config: ExperimentConfig, dyn, cost, sigma, Kstar, seed: int,
         sr = spectral_radius(dyn.closed_loop(pf.K))
         pf_row = ResultRow(name, N, seed, "pf",
                            closed_loop_cost(dyn, cost, pf.K),
-                           finite=sr < 1.0 - 1e-9, spectral_radius=sr)
+                           finite=sr < STABILITY_MARGIN, spectral_radius=sr)
     except Exception as e:  # recorded, not fatal
         print(f"warning: pf failed at seed={seed} N={N}: {e}", file=sys.stderr)
         pf_row = ResultRow(name, N, seed, "pf", math.inf, False, math.inf)
     try:
-        admm_seed = int(_derived_seed(config.admm.seed, seed, N).generate_state(1)[0])
-        report = kalman_fit.fit_kalman(
-            demos, config.loss, config.reg, dyn,
-            replace(config.admm, seed=admm_seed))
+        report = kalman_fit.fit_kalman(demos, config.loss, config.reg, dyn,
+                                       config.admm)
         K_eval = report.K
         if config.certify and report.K_certified is not None:
             K_eval = report.K_certified
         sr = spectral_radius(dyn.closed_loop(K_eval))
         kalman_row = ResultRow(name, N, seed, "kalman",
                                closed_loop_cost(dyn, cost, K_eval),
-                               finite=sr < 1.0 - 1e-9, spectral_radius=sr,
+                               finite=sr < STABILITY_MARGIN,
+                               spectral_radius=sr,
                                kalman_residual=report.certificate.residual)
     except Exception as e:
         print(f"warning: kalman fit failed at seed={seed} N={N}: {e}",
@@ -253,7 +242,7 @@ def run_experiment(config: ExperimentConfig, output_path=None):
             rows.append(ResultRow(name, N, seed, "expert", expert_cost,
                                   True, sr_star))
             rows.append(ResultRow(name, N, seed, "optimal", optimal_cost,
-                                  finite=sr_star < 1.0 - 1e-9,
+                                  finite=sr_star < STABILITY_MARGIN,
                                   spectral_radius=sr_star))
     summary = summarize(config.experiment, rows)
     if output_path is not None:

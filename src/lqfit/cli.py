@@ -99,8 +99,7 @@ def _cmd_fit(args) -> int:
 def _cmd_fit_kalman(args) -> int:
     dyn = load_system(args.system)[0]
     demos = _load_demos(args.demos)
-    config = AdmmConfig(rho=args.rho, n_iter=args.iters, eps=args.eps,
-                        n_random_inits=args.inits, seed=args.seed)
+    config = AdmmConfig(rho=args.rho, n_iter=args.iters, eps=args.eps)
     report = kalman_fit.fit_kalman(demos, _loss_from_args(args),
                                    RegularizerSpec("ridge", args.lam),
                                    dyn, config)
@@ -130,8 +129,6 @@ def _cmd_experiment(args) -> int:
     except (TypeError, ValueError) as e:
         raise _ConfigError(f"bad experiment config: {e}") from e
     admm = config.admm
-    if args.seed is not None:
-        admm = replace(admm, seed=args.seed)
     if args.rho is not None:
         admm = replace(admm, rho=args.rho)
     if args.iters is not None:
@@ -178,11 +175,10 @@ def build_parser() -> _Parser:
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--iters", type=int, default=200)
     p.add_argument("--eps", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--inits", type=int, default=5,
-                   help="number of random restarts")
-    p.add_argument("--certify", action="store_true",
-                   help="report the Riccati-resynthesized gain")
+    p.add_argument("--certify", action=argparse.BooleanOptionalAction,
+                   default=True,
+                   help="report the Riccati-resynthesized gain as K_reported "
+                   "(default; --no-certify reports the raw ADMM iterate)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_fit_kalman)
 
@@ -197,7 +193,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("experiment", help="run a benchmark sweep")
     p.add_argument("--config", help="JSON config (defaults to small_random)")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--iters", type=int, default=None)
     p.add_argument("--eps", type=float, default=None)

@@ -34,6 +34,11 @@ from .linsys import (STABILITY_MARGIN, DemoSet, LinearDynamics, _sym,
 
 _SQRT2 = math.sqrt(2.0)
 
+# Relative eigenvalue gaps above the cone floor that count as off the
+# boundary in the face polish, tried in order: the larger gap (a smaller
+# face) first.
+_POLISH_ACT_TOLS = (1e-5, 1e-9)
+
 
 class SingularFitError(RuntimeError):
     """Normal equations are singular (lambda = 0, rho = 0, rank-deficient data)."""
@@ -479,7 +484,7 @@ class _SplitSolver:
             leave(j, i, it, False)
         return results
 
-    def _polish(self, T1, T2, best, thresholds=(1e-5, 1e-9)):
+    def _polish(self, T1, T2, best):
         """Exact least squares on the active face of the cones.
 
         The face is read off the eigenstructure of best's (P, Q, R); the
@@ -491,7 +496,7 @@ class _SplitSolver:
         n, m = op.n, op.m
         c = np.concatenate([T1.ravel(), (op.K + T2).ravel()])
         eigs = [np.linalg.eigh(_sym(M)) for M in (P, Q, R)]
-        for act_tol in thresholds:
+        for act_tol in _POLISH_ACT_TOLS:
             EP, EQ, ER = (_face_basis(w, V, floor, act_tol)
                           for (w, V), floor in zip(eigs, (0.0, 0.0, 1.0)))
             # the face columns: apply of each basis matrix in its own block

@@ -12,9 +12,12 @@ problem is attacked with the alternating direction method of multipliers
 on the augmented Lagrangian: a K step (regularized policy fit), a
 (P, Q, R) step (cone-constrained least squares), and a dual update on the
 stacked constraint residual.  This is a heuristic: it need not converge,
-and non-convergence is reported, not raised.  Runs start from a zero
-initialization plus a configurable number of random initializations, and
-the gain with the lowest fitted objective wins.
+and non-convergence is reported, not raised.  Two runs are made, from
+the zero initialization (P = Q = 0) and from the identity initialization
+(P = Q = R = I), and the gain with the lowest fitted objective wins.  The
+K step never reads the previous K, so restarts that differ only in K
+would repeat the identity start's iterates from the first sweep on: the
+initial P, Q and R are all that set a run apart.
 
 The starts advance in lockstep: each sweep runs the K step start by start
 and then one (P, Q, R) step for all starts still running, so the
@@ -46,16 +49,13 @@ class AdmmConfig:
 
     ``rho`` is the penalty weight, ``n_iter`` the iteration cap, ``eps``
     the Frobenius threshold on successive gains for early termination,
-    ``n_random_inits`` the number of random restarts on top of the zero
-    start, and ``seed`` the master seed for those restarts.  ``pqr_iters``
-    bounds the inner cone-least-squares solver per iteration.
+    ``pqr_iters`` and ``pqr_tol`` bound the inner cone-least-squares
+    solver per iteration.  The starts are fixed; see ``fit_kalman``.
     """
 
     rho: float = 1.0
     n_iter: int = 200
     eps: float = 1e-6
-    n_random_inits: int = 5
-    seed: int = 0
     pqr_iters: int = 40
     pqr_tol: float = 1e-11
 
@@ -66,8 +66,6 @@ class AdmmConfig:
             raise ValueError("n_iter must be at least 1")
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
-        if self.n_random_inits < 0:
-            raise ValueError("n_random_inits must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,12 +124,11 @@ def zero_state(dyn: LinearDynamics) -> AdmmState:
                      Y1=np.zeros((n, n)), Y2=np.zeros((m, n)))
 
 
-def random_state(dyn: LinearDynamics, rng: np.random.Generator) -> AdmmState:
-    """A random restart: K standard normal, P = Q = I, R = I, Y = 0."""
+def identity_state(dyn: LinearDynamics) -> AdmmState:
+    """The identity initialization: K = 0, P = Q = R = I, Y = 0."""
     n, m = dyn.n, dyn.m
-    return AdmmState(K=rng.standard_normal((m, n)), P=np.eye(n),
-                     Q=np.eye(n), R=np.eye(m),
-                     Y1=np.zeros((n, n)), Y2=np.zeros((m, n)))
+    return AdmmState(K=np.zeros((m, n)), P=np.eye(n), Q=np.eye(n),
+                     R=np.eye(m), Y1=np.zeros((n, n)), Y2=np.zeros((m, n)))
 
 
 def _stack(states) -> AdmmState:
@@ -230,20 +227,18 @@ def _run_lockstep(starts, demos, loss, reg, dyn, config):
 def fit_kalman(demos: DemoSet, loss: LossSpec, reg: RegularizerSpec,
                dyn: LinearDynamics, config: AdmmConfig = AdmmConfig()
                ) -> KalmanFitReport:
-    """Multi-start constrained policy fit; the lowest-objective run wins.
+    """Two-start constrained policy fit; the lowest-objective run wins.
 
-    All starts advance together, one stacked ``admm_iterate`` per sweep,
-    and each start stops on its own test; the report is the same as if
-    the starts ran one after another.  Restart k > 0 draws its
-    initialization from a stream derived from (config.seed, k), so
-    reports are bit-reproducible for a fixed config.
-    Ties in the objective break toward the lowest init index.  Raises
-    RuntimeError only if every run produced non-finite iterates.
+    Start 0 is ``zero_state`` and start 1 is ``identity_state``.  Both
+    advance together, one stacked ``admm_iterate`` per sweep, and each
+    stops on its own test; the report is the same as if the starts ran
+    one after another, and bit-reproducible for a fixed config.  More
+    starts in K alone would add nothing: the K step does not read the
+    incoming K, so such a start holds the identity start's iterate after
+    one sweep.  Ties in the objective break toward the lower init index.
+    Raises RuntimeError only if both runs produced non-finite iterates.
     """
-    starts = [zero_state(dyn)]
-    for idx in range(1, 1 + config.n_random_inits):
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, idx)))
-        starts.append(random_state(dyn, rng))
+    starts = [zero_state(dyn), identity_state(dyn)]
     results = []
     failures = []
     for idx, out in enumerate(_run_lockstep(starts, demos, loss, reg, dyn,

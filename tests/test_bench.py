@@ -73,7 +73,7 @@ class TestConfig:
             "experiment": "small_random",
             "N_values": [1, 2],
             "seeds": [0, 1],
-            "admm": {"n_iter": 10, "seed": 3},
+            "admm": {"n_iter": 10},
             "loss": {"kind": "huber", "huber_m": 0.4},
         })
         assert cfg.N_values == (1, 2)
@@ -101,7 +101,7 @@ def tiny_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("bench") / "results.csv"
     cfg = ExperimentConfig(
         experiment="small_random", N_values=(1, 4), seeds=(0, 1),
-        admm=AdmmConfig(n_iter=25, n_random_inits=1, seed=0),
+        admm=AdmmConfig(n_iter=25),
         expert_eval_horizon=20_000)
     rows, summary = run_experiment(cfg, out)
     return cfg, rows, summary, out
@@ -179,7 +179,7 @@ def test_convergence_toward_optimal_at_scale():
         Kstar = solve_lqr(dyn, cost).K
         demos = generate_demos(dyn, Kstar, sigma, 200, 0.0,
                                np.random.SeedSequence((seed, 200, 1)))
-        rep = fit_kalman(demos, quad, ridge, dyn, AdmmConfig(seed=seed))
+        rep = fit_kalman(demos, quad, ridge, dyn, AdmmConfig())
         k_costs.append(closed_loop_cost(dyn, cost, rep.K_certified))
         J_pf = closed_loop_cost(dyn, cost, policy_fit(demos, quad, ridge).K)
         if math.isfinite(J_pf):
@@ -201,7 +201,7 @@ def test_custom_experiment(tmp_path):
     path.write_text(json.dumps(payload))
     cfg = ExperimentConfig(
         experiment="custom", dynamics_path=str(path), N_values=(4,),
-        seeds=(0,), admm=AdmmConfig(n_iter=10, n_random_inits=0),
+        seeds=(0,), admm=AdmmConfig(n_iter=10),
         expert_eval_horizon=5_000)
     rows, summary = run_experiment(cfg)
     assert len(rows) == 4

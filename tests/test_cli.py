@@ -61,13 +61,16 @@ def test_fit_kalman_command(tmp_path, system_file, demos_file):
     spath, dyn, _ = system_file
     dpath, demos, K = demos_file
     out = tmp_path / "kfit.json"
-    rc = main(["fit-kalman", "--system", str(spath), "--demos", str(dpath),
-               "--iters", "15", "--inits", "1", "--seed", "4",
-               "--certify", "--out", str(out)])
-    assert rc == 0
+    args = ["fit-kalman", "--system", str(spath), "--demos", str(dpath),
+            "--iters", "15", "--out", str(out)]
+    assert main(args) == 0
     payload = json.loads(out.read_text())
+    assert payload["K_certified"] is not None
     assert payload["K_reported"] == payload["K_certified"]
     assert "residual" in payload and "converged" in payload
+    assert main(args + ["--no-certify"]) == 0
+    raw = json.loads(out.read_text())
+    assert raw["K_reported"] == raw["K"] == payload["K"]
 
 
 def test_check_kalman_feasible_and_not(tmp_path, system_file, capsys):
@@ -92,7 +95,7 @@ def test_check_kalman_feasible_and_not(tmp_path, system_file, capsys):
 
 def test_experiment_command(tmp_path):
     cfg = {"experiment": "small_random", "N_values": [2], "seeds": [0],
-           "admm": {"n_iter": 10, "n_random_inits": 0},
+           "admm": {"n_iter": 10},
            "expert_eval_horizon": 5000}
     cpath = tmp_path / "config.json"
     cpath.write_text(json.dumps(cfg))
@@ -111,7 +114,7 @@ def test_experiment_command(tmp_path):
 
 def test_experiment_override_flags(tmp_path):
     cfg = {"experiment": "small_random", "N_values": [2], "seeds": [0],
-           "admm": {"n_iter": 5, "n_random_inits": 0},
+           "admm": {"n_iter": 5},
            "expert_eval_horizon": 2000}
     cpath = tmp_path / "config.json"
     cpath.write_text(json.dumps(cfg))
@@ -121,11 +124,33 @@ def test_experiment_override_flags(tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize("admm", [{"n_random_inits": 3}, {"seed": 1}])
+def test_removed_admm_fields_rejected(tmp_path, capsys, admm):
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps({"N_values": [2], "seeds": [0],
+                                 "admm": admm}))
+    assert main(["experiment", "--config", str(cpath),
+                 "--out", str(tmp_path / "rows.csv")]) == 1
+    assert "bad experiment config" in capsys.readouterr().err
+    assert not (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit-kalman", "--system", "s.json", "--demos", "d.json", "--inits", "2"],
+    ["fit-kalman", "--system", "s.json", "--demos", "d.json", "--seed", "1"],
+    ["experiment", "--out", "rows.csv", "--seed", "1"],
+])
+def test_removed_flags_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+
+
 def test_custom_experiment_command(tmp_path, system_file):
     spath, _, _ = system_file
     cfg = {"experiment": "custom", "dynamics_path": str(spath),
            "N_values": [2], "seeds": [0],
-           "admm": {"n_iter": 5, "n_random_inits": 0},
+           "admm": {"n_iter": 5},
            "expert_eval_horizon": 2000}
     cpath = tmp_path / "config.json"
     cpath.write_text(json.dumps(cfg))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from lqfit.conic_ls import (KalmanOperator, LossSpec, RegularizerSpec,
                             project_psd)
 from lqfit.fitting import fit_objective, policy_fit
 from lqfit.kalman_fit import (AdmmConfig, AdmmState, admm_iterate, fit_kalman,
-                              random_state, zero_state)
+                              identity_state, zero_state)
 from lqfit.linsys import DemoSet, LinearDynamics, generate_demos, spectral_radius
 from lqfit.riccati import KalmanCertificate, kalman_residual, solve_lqr
 
@@ -62,6 +64,24 @@ class TestAdmmIterate:
         assert np.linalg.eigvalsh(new.R).min() >= 1.0 - 1e-8
         assert new.Y1.shape == (4, 4) and new.Y2.shape == (2, 4)
 
+    def test_k_step_ignores_incoming_gain(self, small_system):
+        # fit_kalman has no restarts in K because of this; a proximal K
+        # term would break it, and then the starts need revisiting
+        dyn, cost, sigma, Kstar = small_system
+        demos = generate_demos(dyn, Kstar, sigma, 3, 0.0, 19)
+        K0 = np.random.default_rng(3).standard_normal((2, 2, 4))
+        starts = (zero_state(dyn), identity_state(dyn))
+        pairs = [(s, replace(s, K=k)) for s, k in zip(starts, K0)]
+        pairs.append(tuple(
+            AdmmState(**{f: np.stack([getattr(s, f) for s in states])
+                         for f in ("K", "P", "Q", "R", "Y1", "Y2")})
+            for states in zip(*pairs)))
+        for a, b in pairs:
+            new_a = admm_iterate(a, demos, QUAD, RIDGE, dyn, rho=1.0)
+            new_b = admm_iterate(b, demos, QUAD, RIDGE, dyn, rho=1.0)
+            for f in ("K", "P", "Q", "R", "Y1", "Y2", "pqr_dual"):
+                assert np.array_equal(getattr(new_a, f), getattr(new_b, f)), f
+
 
 class TestFitKalman:
     def test_zero_data_zero_solution(self):
@@ -71,7 +91,7 @@ class TestFitKalman:
         demos = DemoSet(states=np.zeros((3, A.shape[0])),
                         inputs=np.zeros((3, B.shape[1])))
         report = fit_kalman(demos, QUAD, RIDGE, dyn,
-                            AdmmConfig(n_iter=30, n_random_inits=2))
+                            AdmmConfig(n_iter=30))
         assert report.certificate.residual <= 1e-6
         assert report.objective <= 1e-12
         assert report.init_index == 0
@@ -82,7 +102,7 @@ class TestFitKalman:
         dyn, cost, sigma, Kstar = small_system
         demos = generate_demos(dyn, Kstar, np.zeros((2, 2)), 50, 0.0, 5)
         report = fit_kalman(demos, QUAD, RIDGE, dyn,
-                            AdmmConfig(n_iter=120, n_random_inits=1))
+                            AdmmConfig(n_iter=120))
         assert np.linalg.norm(report.K - Kstar) <= 1e-2
         assert report.certificate.residual <= 1e-3
         assert spectral_radius(dyn.closed_loop(report.K_certified)) < 1.0
@@ -91,7 +111,7 @@ class TestFitKalman:
         dyn, cost, sigma, Kstar = small_system
         demos = generate_demos(dyn, Kstar, sigma, 5, 0.0, 11)
         report = fit_kalman(demos, QUAD, RIDGE, dyn,
-                            AdmmConfig(n_iter=40, n_random_inits=1))
+                            AdmmConfig(n_iter=40))
         resolved = solve_lqr(dyn, (report.certificate.Q, report.certificate.R))
         cert = KalmanCertificate(P=resolved.P, Q=report.certificate.Q,
                                  R=report.certificate.R, residual=0.0)
@@ -101,7 +121,7 @@ class TestFitKalman:
     def test_deterministic(self, small_system):
         dyn, cost, sigma, Kstar = small_system
         demos = generate_demos(dyn, Kstar, sigma, 4, 0.0, 23)
-        cfg = AdmmConfig(n_iter=15, n_random_inits=2, seed=7)
+        cfg = AdmmConfig(n_iter=15)
         r1 = fit_kalman(demos, QUAD, RIDGE, dyn, cfg)
         r2 = fit_kalman(demos, QUAD, RIDGE, dyn, cfg)
         assert np.array_equal(r1.K, r2.K)
@@ -113,17 +133,11 @@ class TestFitKalman:
     def test_multistart_selects_minimum(self, small_system):
         dyn, cost, sigma, Kstar = small_system
         demos = generate_demos(dyn, Kstar, sigma, 4, 0.0, 29)
-        cfg = AdmmConfig(n_iter=15, n_random_inits=3, seed=13)
+        cfg = AdmmConfig(n_iter=15)
         report = fit_kalman(demos, QUAD, RIDGE, dyn, cfg)
         # replay each start manually and collect final objectives
         objectives = []
-        for idx in range(1 + cfg.n_random_inits):
-            if idx == 0:
-                state = zero_state(dyn)
-            else:
-                rng = np.random.default_rng(
-                    np.random.SeedSequence((cfg.seed, idx)))
-                state = random_state(dyn, rng)
+        for idx, state in enumerate((zero_state(dyn), identity_state(dyn))):
             for _ in range(cfg.n_iter):
                 new = admm_iterate(state, demos, QUAD, RIDGE, dyn, cfg.rho,
                                    pqr_iters=cfg.pqr_iters,
@@ -139,17 +153,11 @@ class TestFitKalman:
     def test_lockstep_equals_starts_run_alone(self, small_system):
         dyn, cost, sigma, Kstar = small_system
         demos = generate_demos(dyn, Kstar, sigma, 4, 0.0, 29)
-        # the zero start meets eps at sweep 15, the random ones hit the cap
-        cfg = AdmmConfig(n_iter=25, eps=1.3e-3, n_random_inits=3, seed=13)
+        # the zero start meets eps at sweep 15, the identity one hits the cap
+        cfg = AdmmConfig(n_iter=25, eps=1.3e-3)
         report = fit_kalman(demos, QUAD, RIDGE, dyn, cfg)
         runs = []
-        for idx in range(1 + cfg.n_random_inits):
-            if idx == 0:
-                state = zero_state(dyn)
-            else:
-                rng = np.random.default_rng(
-                    np.random.SeedSequence((cfg.seed, idx)))
-                state = random_state(dyn, rng)
+        for idx, state in enumerate((zero_state(dyn), identity_state(dyn))):
             for _ in range(cfg.n_iter):
                 new = admm_iterate(state, demos, QUAD, RIDGE, dyn, cfg.rho,
                                    pqr_iters=cfg.pqr_iters,
@@ -176,7 +184,7 @@ class TestFitKalman:
         demos = generate_demos(dyn, Kstar, sigma, 6, 0.0, 31)
         pf = policy_fit(demos, QUAD, RIDGE)
         report = fit_kalman(demos, QUAD, RIDGE, dyn,
-                            AdmmConfig(n_iter=40, n_random_inits=1))
+                            AdmmConfig(n_iter=40))
         assert pf.objective <= report.objective + 1e-8
 
     def test_report_serializes(self, small_system):
@@ -185,7 +193,7 @@ class TestFitKalman:
         dyn, cost, sigma, Kstar = small_system
         demos = generate_demos(dyn, Kstar, sigma, 3, 0.0, 37)
         report = fit_kalman(demos, QUAD, RIDGE, dyn,
-                            AdmmConfig(n_iter=10, n_random_inits=0))
+                            AdmmConfig(n_iter=10))
         payload = json.loads(json.dumps(report.to_dict()))
         for key in ("K", "K_certified", "P", "Q", "R", "residual",
                     "objective", "iterations", "converged", "init_index"):
@@ -195,7 +203,7 @@ class TestFitKalman:
         dyn, cost, sigma, Kstar = small_system
         demos = generate_demos(dyn, Kstar, sigma, 4, 0.0, 41)
         report = fit_kalman(demos, QUAD, RIDGE, dyn,
-                            AdmmConfig(n_iter=20, n_random_inits=0))
+                            AdmmConfig(n_iter=20))
         recomputed = np.sqrt(KalmanOperator(dyn.A, dyn.B, report.K).objective(
             report.certificate.P, report.certificate.Q, report.certificate.R))
         assert recomputed == pytest.approx(report.certificate.residual,
