@@ -18,17 +18,18 @@ from .kalman_fit import (AdmmConfig, AdmmState, KalmanFitReport, admm_iterate,
 from .linsys import (CostMatrices, DemoSet, LinearDynamics, closed_loop_cost,
                      generate_demos, rollout_cost_estimate, spectral_radius,
                      stationary_covariance)
-from .riccati import (ConvergenceError, FeasibilityResult, KalmanCertificate,
-                      LqrSolution, check_kalman_feasible, kalman_residual,
-                      solve_lqr)
+from .riccati import (ConvergenceError, FarkasWitness, FeasibilityResult,
+                      KalmanCertificate, LqrSolution, UnstableModeWitness,
+                      check_kalman_feasible, kalman_residual, solve_lqr)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdmmConfig", "AdmmState", "ConvergenceError", "CostMatrices", "DemoSet",
-    "ExperimentConfig", "FeasibilityResult", "FitReport", "KalmanCertificate",
-    "KalmanFitReport", "LinearDynamics", "LossSpec", "LqrSolution",
-    "PqrStepResult", "RegularizerSpec", "ResultRow", "SingularFitError",
+    "ExperimentConfig", "FarkasWitness", "FeasibilityResult", "FitReport",
+    "KalmanCertificate", "KalmanFitReport", "LinearDynamics", "LossSpec",
+    "LqrSolution", "PqrStepResult", "RegularizerSpec", "ResultRow",
+    "SingularFitError", "UnstableModeWitness",
     "admm_iterate", "build_aircraft", "build_small_random",
     "check_kalman_feasible", "closed_loop_cost", "default_config",
     "fit_kalman", "fit_objective", "generate_demos", "huber_value",

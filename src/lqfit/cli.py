@@ -2,10 +2,10 @@
 
 Subcommands: ``lqr`` (synthesize an optimal gain), ``fit`` (plain policy
 fitting), ``fit-kalman`` (constrained fitting via ADMM), ``check-kalman``
-(optimality certificate for a given gain), ``experiment`` (benchmark
-sweep).  Matrices travel as JSON row-major nested arrays; exit codes are
-0 on success, 1 on configuration errors, 2 on solver failures outside the
-experiment runner.
+(is a given gain optimal? a verdict with its certificate or witness),
+``experiment`` (benchmark sweep).  Matrices travel as JSON row-major
+nested arrays; exit codes are 0 on success, 1 on configuration errors, 2
+on solver failures outside the experiment runner.
 """
 
 from __future__ import annotations
@@ -116,9 +116,7 @@ def _cmd_check_kalman(args) -> int:
     dyn = load_system(args.system)[0]
     K = _load_gain(args.gain)
     result = riccati.check_kalman_feasible(dyn, K, tol=args.tol)
-    payload = {"feasible": result.feasible, "tol": result.tol}
-    payload.update(result.certificate.to_dict())
-    _emit(payload, args.out)
+    _emit(result.to_dict(), args.out)
     return 0
 
 

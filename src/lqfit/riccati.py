@@ -15,9 +15,20 @@ weights exactly when the semidefinite feasibility system
 
 has a solution; a cone-feasible (P, Q, R) with small stacked residual
 serves as the optimality certificate.  The left-hand sides are the map
-:class:`lqfit.conic_ls.KalmanOperator`.  Infeasibility is reported as
-failure to reach the residual tolerance, not proved via a dual
-certificate.
+:class:`lqfit.conic_ls.KalmanOperator`.
+
+:func:`check_kalman_feasible` backs its answer with an object that can be
+checked either way.  A closed-loop eigenpair F v = lambda v (F = A + B K)
+with |lambda| >= 1 and K v != 0 proves infeasibility.  When F is stable,
+every solution has P = Lyap(F, Q + K^T R K), so the question reduces to
+whether the null space of one linear map in (Q, R) meets
+{Q >= 0, R >= I} (Kalman 1964, "When is a linear control system
+optimal?"; Boyd et al. 1994, *LMIs in System and Control Theory*,
+section 10.6).  Alternating projections in that reduced space end in a
+certificate or in a Farkas witness, each verified up to a stated
+roundoff slack.  The cases left over fall back to the cone least squares
+in (P, Q, R); when that misses the tolerance the answer is "undecided",
+not a proof of infeasibility.
 
 The Riccati solver is a structure-preserving doubling iteration
 (quadratically convergent, no external solver); plain fixed-point value
@@ -27,13 +38,26 @@ iteration is available as a fallback.  The optimal gain depends on
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import conic_ls
-from .linsys import LinearDynamics, _min_eig, _sym, cost_pair
+from .linsys import (STABILITY_MARGIN, LinearDynamics, _min_eig, _sym,
+                     cost_pair, solve_lyapunov_stein)
+
+logger = logging.getLogger("lqfit")
+
+# Roundoff slack of the witness tests, relative to the witness's scale.
+_WITNESS_SLACK = 1e-9
+# Least tr Wr of a Farkas witness, relative to its scale.
+_WITNESS_TRACE = 1e-6
+# The reduced check tries a Farkas witness every _WITNESS_EVERY Dykstra
+# iterations and the face polish every _POLISH_EVERY.
+_WITNESS_EVERY = 10
+_POLISH_EVERY = 100
 
 
 class ConvergenceError(RuntimeError):
@@ -81,13 +105,77 @@ class KalmanCertificate:
 
 
 @dataclass(frozen=True, eq=False)
-class FeasibilityResult:
-    """Outcome of the Kalman feasibility check for a gain."""
+class UnstableModeWitness:
+    """Closed-loop eigenpair F v = lambda v with |lambda| >= 1 and K v != 0.
 
-    feasible: bool
+    Any certificate gives P = Q + K^T R K + F^T P F, so
+    (1 - |lambda|^2) v*Pv = v*(Q + K^T R K)v >= |K v|^2 > 0 with P >= 0,
+    which |lambda| >= 1 rules out.  ``vector`` has unit norm.
+    """
+
+    eigenvalue: complex
+    vector: np.ndarray
+
+    def to_dict(self) -> dict:
+        return {"kind": "unstable_mode",
+                "eigenvalue": [self.eigenvalue.real, self.eigenvalue.imag],
+                "vector_real": self.vector.real.tolist(),
+                "vector_imag": self.vector.imag.tolist()}
+
+
+@dataclass(frozen=True, eq=False)
+class FarkasWitness:
+    """Multiplier Y (m x n) whose image under the adjoint of the reduced
+    map lies in the dual cone of {Q >= 0, R >= I}.
+
+    With X = F X F^T + sym(B Y F^T), the blocks are Wq = X and
+    Wr = sym(Y K^T) + K X K^T, and every (Q, R) satisfies
+    <Y, R K + B^T P(Q, R) F> = <Wq, Q> + <Wr, R>.  A certificate makes the
+    left side zero, while Wq >= 0, Wr >= 0 with tr Wr > 0 make the right
+    side at least tr Wr > 0 on Q >= 0, R >= I.  The check accepts
+    eigenvalues of Wq and Wr down to -eps * ||(Wq, Wr)|| (eps =
+    _WITNESS_SLACK, roundoff) and needs tr Wr >= _WITNESS_TRACE *
+    ||(Wq, Wr)||; with that slack the witness rules out every certificate
+    with tr Q + tr R < m + tr Wr / (eps ||(Wq, Wr)||).
+    """
+
+    Y: np.ndarray
+    Wq: np.ndarray
+    Wr: np.ndarray
+
+    def to_dict(self) -> dict:
+        return {"kind": "farkas", "Y": self.Y.tolist(), "Wq": self.Wq.tolist(),
+                "Wr": self.Wr.tolist()}
+
+
+@dataclass(frozen=True, eq=False)
+class FeasibilityResult:
+    """Outcome of the Kalman feasibility check for a gain.
+
+    ``verdict`` is "feasible" (``certificate`` within ``tol``),
+    "infeasible" (``witness`` proves it) or "undecided" (the fallback
+    missed ``tol``; no proof either way).  ``fallback`` marks answers from
+    the cone least-squares fallback.
+    """
+
     certificate: KalmanCertificate
     tol: float
     iterations: int
+    verdict: str
+    witness: UnstableModeWitness | FarkasWitness | None = None
+    fallback: bool = False
+
+    @property
+    def feasible(self) -> bool:
+        return self.verdict == "feasible"
+
+    def to_dict(self) -> dict:
+        return {"feasible": self.feasible, "verdict": self.verdict,
+                "fallback": self.fallback, "tol": self.tol,
+                "iterations": self.iterations,
+                "witness": None if self.witness is None
+                else self.witness.to_dict(),
+                **self.certificate.to_dict()}
 
 
 def are_residual(dyn: LinearDynamics, cost, P: np.ndarray) -> float:
@@ -173,20 +261,198 @@ def kalman_residual(dyn: LinearDynamics, K, cert: KalmanCertificate) -> float:
     return math.sqrt(op.objective(cert.P, cert.Q, cert.R))
 
 
+def _unstable_mode_witness(K, lam, V):
+    """Route 1: the eigenpair with |lambda| >= 1 and the largest |K v|, or
+    None when every such mode lies in ker K (up to roundoff)."""
+    gains = np.where(np.abs(lam) >= 1.0, np.linalg.norm(K @ V, axis=0), 0.0)
+    i = int(np.argmax(gains))
+    if gains[i] <= _WITNESS_SLACK * (1.0 + np.linalg.norm(K, 2)):
+        return None
+    # eig returns unit eigenvectors
+    return UnstableModeWitness(eigenvalue=complex(lam[i]), vector=V[:, i])
+
+
+def _reduced_map(F, B, K):
+    """(Q, R) -> R K + B^T P(Q, R) F with P(Q, R) = Lyap(F, Q + K^T R K), as
+    an (m n) x (dim_n + dim_m) matrix from orthonormal svec coordinates of
+    (Q, R) to the row-major ravel of the m x n result."""
+    sn, sm = conic_ls._svec_ops(F.shape[0]), conic_ls._svec_ops(K.shape[0])
+    PE = np.stack([solve_lyapunov_stein(F, E) for E in sn.basis])
+    # P is linear in Q + K'RK, so the R columns reuse the Q solves
+    PR = np.tensordot(sn.svec(K.T @ sm.basis @ K), PE, axes=1)
+    cols = np.concatenate([B.T @ PE @ F, sm.basis @ K + B.T @ PR @ F])
+    return cols.reshape(len(cols), -1).T
+
+
+class _ReducedCheck:
+    """Route 2: Dykstra's alternating projections between the null space of
+    the reduced map and {Q >= 0, R >= I}, with the tests that end them."""
+
+    def __init__(self, dyn, K, F, tol):
+        self.B, self.K, self.F, self.tol = dyn.B, K, F, tol
+        self.op = conic_ls.KalmanOperator(dyn.A, dyn.B, K)
+        self.sn = conic_ls._svec_ops(dyn.n)
+        self.sm = conic_ls._svec_ops(dyn.m)
+        self.Mat = _reduced_map(F, dyn.B, K)
+        U, s, Vt = np.linalg.svd(self.Mat)
+        rank = int(np.sum(s > max(self.Mat.shape) * np.finfo(float).eps
+                          * s.max(initial=0.0)))
+        self.Z = Vt[rank:].T
+        # pseudo-inverse of Mat^T on its range: the multiplier of a gap
+        self.pinvT = (U[:, :rank] / s[:rank]) @ Vt[:rank]
+
+    def split(self, t):
+        dn = self.sn.dim
+        return self.sn.smat(t[:dn]), self.sm.smat(t[dn:])
+
+    def certify(self, Q, R):
+        """A certificate from a null-space point with Q >= 0 and R > 0
+        (up to roundoff): scaled into R >= I, projected onto the cones,
+        with P = Lyap(F, Q + K'RK); None if its residual misses tol."""
+        wq, wr = np.linalg.eigvalsh(Q), np.linalg.eigvalsh(R)
+        slack = _WITNESS_SLACK * (abs(wq).max() + abs(wr).max())
+        if wr.min() <= slack or wq.min() < -slack:
+            return None
+        Q = conic_ls.project_psd(Q / wr.min())
+        R = conic_ls.project_psd(R / wr.min(), 1.0)
+        P = solve_lyapunov_stein(self.F, Q + self.K.T @ R @ self.K)
+        residual = math.sqrt(self.op.objective(P, Q, R))
+        if residual > self.tol:
+            return None
+        return KalmanCertificate(P=P, Q=Q, R=R, residual=residual)
+
+    def face_polish(self, Q, R):
+        """Certify the least-squares point of the null space within the
+        face of the PSD cone that Q lies on."""
+        w, V = np.linalg.eigh(Q)
+        for act_tol in conic_ls._POLISH_ACT_TOLS:
+            EQ = conic_ls._face_basis(w, V, 0.0, act_tol)
+            k = len(EQ)
+            Mf = np.hstack([self.Mat[:, :self.sn.dim] @ self.sn.svec(EQ).T,
+                            self.Mat[:, self.sn.dim:]])
+            t = np.concatenate([np.sum(EQ * Q, axis=(1, 2)),
+                                self.sm.svec(R)])
+            dt, *_ = np.linalg.lstsq(Mf, -(Mf @ t), rcond=None)
+            t = t + dt
+            cert = self.certify(conic_ls._combine(np.zeros_like(Q), t[:k], EQ),
+                                self.sm.smat(t[k:]))
+            if cert is not None:
+                return cert
+        return None
+
+    def farkas(self, gap):
+        """An infeasibility witness from the gap between the iterates: its
+        multiplier Y, pulled back through the adjoint of the map, if that
+        lands blockwise PSD with tr Wr > 0."""
+        m, n = self.K.shape
+        Y = (self.pinvT @ gap).reshape(m, n)
+        Wq = solve_lyapunov_stein(self.F.T, _sym(self.B @ Y @ self.F.T))
+        Wr = _sym(Y @ self.K.T) + self.K @ Wq @ self.K.T
+        scale = math.hypot(np.linalg.norm(Wq), np.linalg.norm(Wr))
+        if not (_min_eig(Wq) >= -_WITNESS_SLACK * scale
+                and _min_eig(Wr) >= -_WITNESS_SLACK * scale
+                and np.trace(Wr) >= _WITNESS_TRACE * scale):
+            return None
+        return FarkasWitness(Y=Y, Wq=Wq, Wr=Wr)
+
+    def run(self, max_iter):
+        """(certificate, witness, iterations): one of the first two is set,
+        or neither when the loop reaches max_iter."""
+        sn, sm = self.sn, self.sm
+        x = np.concatenate([sn.svec(np.eye(sn.n)), sm.svec(np.eye(sm.n))])
+        corr = np.zeros_like(x)
+        debug = logger.isEnabledFor(logging.DEBUG)
+        for it in range(1, max_iter + 1):
+            y = self.Z @ (self.Z.T @ x)
+            cert = self.certify(*self.split(y))
+            if cert is not None:
+                return cert, None, it
+            v = y + corr
+            Q, R = self.split(v)
+            Q, R = conic_ls.project_psd(Q), conic_ls.project_psd(R, 1.0)
+            x = np.concatenate([sn.svec(Q), sm.svec(R)])
+            corr = v - x
+            if it % _POLISH_EVERY == 0:
+                cert = self.face_polish(Q, R)
+                if cert is not None:
+                    return cert, None, it
+            if it % _WITNESS_EVERY == 0:
+                if debug:
+                    logger.debug("reduced check iteration %d: gap %.3e", it,
+                                 np.linalg.norm(x - y))
+                witness = self.farkas(x - y)
+                if witness is not None:
+                    return None, witness, it
+        return None, None, max_iter
+
+
+def _infeasible(dyn, K, tol, iterations, witness):
+    """An infeasible answer; its cone point (0, 0, I) leaves residual
+    ||K||_F, the least of any cone point when A = 0."""
+    cold = KalmanCertificate(P=np.zeros((dyn.n, dyn.n)),
+                             Q=np.zeros((dyn.n, dyn.n)), R=np.eye(dyn.m),
+                             residual=float(np.linalg.norm(K)))
+    return FeasibilityResult(certificate=cold, tol=tol, iterations=iterations,
+                             verdict="infeasible", witness=witness)
+
+
 def check_kalman_feasible(dyn: LinearDynamics, K, tol: float | None = None,
                           max_iter: int = 20_000) -> FeasibilityResult:
     """Decide whether K is LQR-optimal for some cone-feasible (P, Q, R).
 
-    Runs the cone-constrained least squares of :func:`conic_ls.solve_pqr_step`
-    with zero dual offset, driving the constraint residual toward zero.  If
-    the best residual is within ``tol`` (default 1e-6 * (1 + ||K||_F)) the
-    gain is certified feasible; otherwise the best iterate is returned
-    flagged infeasible at that tolerance.  Infeasibility is a report, not
-    an exception.
+    Three routes, tried in order (F = A + B K):
+
+    1. An eigenpair F v = lambda v with |lambda| >= 1 and K v != 0 proves
+       K infeasible; it is returned as an :class:`UnstableModeWitness`.
+    2. When rho(F) < STABILITY_MARGIN, every solution has
+       P = Lyap(F, Q + K^T R K), on which the first constraint block is
+       -K^T M(Q, R) with M(Q, R) = R K + B^T P(Q, R) F.  So K is optimal
+       exactly when the null space of the linear map M meets
+       {Q >= 0, R >= I}.  Dykstra's alternating projections between the
+       two, from (I, I), end in one of two checkable answers.  A null-space
+       iterate with Q >= 0 and R > 0, scaled into R >= I (or the same from
+       a least-squares point on the active face of Q, every 100
+       iterations), gives a certificate whose P is recomputed from the
+       Lyapunov equation and whose residual is at most ``tol``.  Or the gap
+       between the iterates, mapped to a multiplier Y, gives a
+       :class:`FarkasWitness` (tested every 10 iterations).
+    3. Otherwise (an unstable mode in ker K, e.g. K = 0, or route 2 still
+       undecided after ``max_iter`` iterations) the cone least squares of
+       :func:`conic_ls.solve_pqr_step` runs as a fallback: ``feasible`` if
+       its residual is within tol, else ``undecided``.  Each fallback is
+       logged on the ``lqfit`` logger with its reason.
+
+    ``tol`` defaults to 1e-6 * (1 + ||K||_F).  Infeasible answers carry
+    the cone point (0, 0, I) with its residual ||K||_F as ``certificate``.
+    ``iterations`` counts Dykstra iterations: 0 on route 1 and on a
+    fallback for an unstable closed loop, ``max_iter`` on a fallback after
+    route 2.  The witness tests allow for roundoff: an unstable
+    mode needs |K v| > _WITNESS_SLACK * (1 + ||K||_2) for unit v, and a
+    Farkas witness's blocks may have eigenvalues down to -_WITNESS_SLACK
+    times its norm (see :class:`FarkasWitness` for what that still rules
+    out).
     """
     K = np.asarray(K, dtype=float)
     if tol is None:
         tol = 1e-6 * (1.0 + np.linalg.norm(K, "fro"))
+    tol = float(tol)
+    F = dyn.closed_loop(K)
+    lam, V = np.linalg.eig(F)
+    witness = _unstable_mode_witness(K, lam, V)
+    if witness is not None:
+        return _infeasible(dyn, K, tol, 0, witness)
+    if np.abs(lam).max() < STABILITY_MARGIN:
+        cert, witness, iterations = _ReducedCheck(dyn, K, F, tol).run(max_iter)
+        if witness is not None:
+            return _infeasible(dyn, K, tol, iterations, witness)
+        if cert is not None:
+            return FeasibilityResult(certificate=cert, tol=tol,
+                                     iterations=iterations, verdict="feasible")
+        reason = f"reduced check undecided after {max_iter} iterations"
+    else:
+        iterations = 0
+        reason = ("closed loop not stable, every mode with |lambda| >= 1 "
+                  "in ker K")
     zero1 = np.zeros((dyn.n, dyn.n))
     zero2 = np.zeros((dyn.m, dyn.n))
     step = conic_ls.solve_pqr_step(dyn, K, zero1, zero2, rho=1.0,
@@ -194,5 +460,9 @@ def check_kalman_feasible(dyn: LinearDynamics, K, tol: float | None = None,
                                    target=(0.5 * tol) ** 2)
     residual = float(np.sqrt(max(step.objective, 0.0)))
     cert = KalmanCertificate(P=step.P, Q=step.Q, R=step.R, residual=residual)
-    return FeasibilityResult(feasible=bool(residual <= tol), certificate=cert,
-                             tol=float(tol), iterations=step.iterations)
+    verdict = "feasible" if residual <= tol else "undecided"
+    logger.info("feasibility check fallback (%s): %s, residual %.3e after %d "
+                "splitting iterations", reason, verdict, residual,
+                step.iterations)
+    return FeasibilityResult(certificate=cert, tol=tol, iterations=iterations,
+                             verdict=verdict, fallback=True)

@@ -1,13 +1,18 @@
+import logging
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_discrete_are, solve_discrete_lyapunov
 
+from lqfit.bench import build_aircraft, build_small_random
 from lqfit.conic_ls import KalmanOperator
 from lqfit.linsys import LinearDynamics, spectral_radius
-from lqfit.riccati import (ConvergenceError, KalmanCertificate, are_residual,
+from lqfit.riccati import (ConvergenceError, FarkasWitness, KalmanCertificate,
+                           UnstableModeWitness, are_residual,
                            check_kalman_feasible, kalman_residual, solve_lqr)
 
 from _oracles import random_controllable
@@ -174,6 +179,7 @@ class TestFeasibility:
         dyn = _dyn(np.array([[0.0]]), np.array([[1.0]]))
         res = check_kalman_feasible(dyn, np.array([[1.0]]), tol=1e-6)
         assert not res.feasible
+        assert res.verdict == "infeasible"
         # residual is bounded below by 1 for this gain
         assert res.certificate.residual >= 0.99
 
@@ -186,3 +192,98 @@ class TestFeasibility:
         recomputed = kalman_residual(dyn, K, res.certificate)
         assert recomputed == pytest.approx(res.certificate.residual,
                                            abs=1e-10)
+
+
+def _dare_gain(dyn, Q, R):
+    P = solve_discrete_are(dyn.A, dyn.B, Q, R)
+    return -np.linalg.solve(R + dyn.B.T @ P @ dyn.B, dyn.B.T @ P @ dyn.A)
+
+
+class TestFeasibilityRoutes:
+    @pytest.mark.parametrize("Q, R", [(np.diag([1.0, 1.0, 10.0, 10.0]),
+                                       np.eye(2)),
+                                      (np.eye(4), 2.0 * np.eye(2))])
+    def test_badly_scaled_747_gains_certified(self, Q, R):
+        dyn = build_aircraft()[0]
+        K = _dare_gain(dyn, Q, R)
+        t0 = time.perf_counter()
+        res = check_kalman_feasible(dyn, K)
+        elapsed = time.perf_counter() - t0
+        assert res.verdict == "feasible" and res.feasible
+        assert not res.fallback and res.witness is None
+        assert kalman_residual(dyn, K, res.certificate) <= res.tol
+        assert elapsed < 1.0
+
+    def test_zero_dynamics_stable_gain_has_farkas_witness(self):
+        rng = np.random.default_rng(11)
+        B = rng.standard_normal((4, 2))
+        K = rng.standard_normal((2, 4))
+        K *= 0.5 / spectral_radius(B @ K)
+        res = check_kalman_feasible(_dyn(np.zeros((4, 4)), B), K)
+        assert res.verdict == "infeasible" and not res.fallback
+        assert res.iterations > 0
+        w = res.witness
+        assert isinstance(w, FarkasWitness)
+        # re-derive the witness blocks from the multiplier alone:
+        # X = F X F' + sym(B Y F'), Wr = sym(Y K') + K X K'
+        F = B @ K
+        S = B @ w.Y @ F.T
+        X = solve_discrete_lyapunov(F, 0.5 * (S + S.T))
+        YK = w.Y @ K.T
+        Wr = 0.5 * (YK + YK.T) + K @ X @ K.T
+        scale = math.hypot(np.linalg.norm(X), np.linalg.norm(Wr))
+        assert np.allclose(X, w.Wq, atol=1e-10 * scale)
+        assert np.linalg.eigvalsh(X).min() >= -1e-9 * scale
+        assert np.linalg.eigvalsh(Wr).min() >= -1e-9 * scale
+        assert np.trace(Wr) >= 1e-6 * scale
+        # <Y, RK + B'P(Q, R)F> = <X, Q> + <Wr, R> for any (Q, R): so no
+        # Q >= 0, R >= I zeroes the constraint
+        for _ in range(3):
+            G = rng.standard_normal((4, 4))
+            H = rng.standard_normal((2, 2))
+            Q, R = G @ G.T, np.eye(2) + H @ H.T
+            P = solve_discrete_lyapunov(F.T, Q + K.T @ R @ K)
+            lhs = np.sum(w.Y * (R @ K + B.T @ P @ F))
+            rhs = np.sum(X * Q) + np.sum(Wr * R)
+            assert lhs == pytest.approx(rhs, rel=1e-9)
+            assert rhs >= np.trace(Wr) * (1 - 1e-9)
+
+    def test_unstable_gain_has_eigenpair_witness(self):
+        rng = np.random.default_rng(12)
+        A = rng.standard_normal((4, 4))
+        B = rng.standard_normal((4, 2))
+        K = 3.0 * rng.standard_normal((2, 4))
+        res = check_kalman_feasible(_dyn(A, B), K)
+        assert res.verdict == "infeasible" and res.iterations == 0
+        w = res.witness
+        assert isinstance(w, UnstableModeWitness)
+        F = A + B @ K
+        v, lam = w.vector, w.eigenvalue
+        assert np.linalg.norm(v) == pytest.approx(1.0)
+        assert np.linalg.norm(F @ v - lam * v) <= 1e-10 * np.linalg.norm(F)
+        assert abs(lam) >= 1.0
+        # (1 - |lam|^2) v*Pv = v*(Q + K'RK)v >= |Kv|^2 > 0 is then impossible
+        assert np.linalg.norm(K @ v) > 1e-6
+        # the reported cone point leaves residual ||K||_F
+        assert kalman_residual(_dyn(A, B), K, res.certificate) == \
+            pytest.approx(np.linalg.norm(K))
+
+    def test_rank_one_weight_gain_stays_certified(self, caplog):
+        rng = np.random.default_rng(5)
+        dyn = build_small_random(int(rng.integers(2**31)))[0]
+        g = rng.standard_normal((4, 1))
+        K = _dare_gain(dyn, g @ g.T, np.eye(2))
+        with caplog.at_level(logging.INFO, logger="lqfit"):
+            res = check_kalman_feasible(dyn, K)
+        assert res.feasible
+        assert kalman_residual(dyn, K, res.certificate) <= res.tol
+        if res.fallback:
+            assert "undecided" in caplog.text
+
+    def test_fallback_for_unstable_modes_in_ker_k_is_logged(self, caplog):
+        A = np.diag([2.0, 0.5])
+        B = np.array([[0.0], [1.0]])
+        with caplog.at_level(logging.INFO, logger="lqfit"):
+            res = check_kalman_feasible(_dyn(A, B), np.zeros((1, 2)))
+        assert res.feasible and res.fallback and res.iterations == 0
+        assert "ker K" in caplog.text
