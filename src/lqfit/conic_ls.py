@@ -288,9 +288,20 @@ def _face_basis(w, V, floor, act_tol):
     / (2 or sqrt 2), i <= j, over the eigenvectors whose eigenvalues exceed
     floor by more than the tolerance."""
     V = V[:, (w - floor) > act_tol * (1.0 + w.max(initial=0.0))].T
-    i, j = np.triu_indices(len(V))
+    i, j, divisor = _face_index(len(V))
     O = V[i, :, None] * V[j, None, :]
-    return (O + O.swapaxes(1, 2)) / np.where(i == j, 2.0, _SQRT2)[:, None, None]
+    return (O + O.swapaxes(1, 2)) / divisor
+
+
+@functools.lru_cache(maxsize=None)
+def _face_index(k: int):
+    """The pairs i <= j of a k-dimensional face and the divisor of each
+    basis matrix, 2 on the diagonal and sqrt 2 off it; read-only."""
+    i, j = np.triu_indices(k)
+    divisor = np.where(i == j, 2.0, _SQRT2)[:, None, None]
+    for arr in (i, j, divisor):
+        arr.flags.writeable = False
+    return i, j, divisor
 
 
 def _combine(start, theta, E):

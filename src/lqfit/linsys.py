@@ -10,6 +10,10 @@ the system container, the infinite-horizon average quadratic cost of a gain
 estimator used as a cross-check, and a generator of noisy "expert"
 demonstrations, optionally corrupted by sign-flip outliers.
 
+Only the Monte-Carlo estimator, :func:`rollout_cost_estimate`, uses scipy
+(``scipy.signal.lfilter``), and it imports it when called: scipy.signal
+takes about 1 s to import, so everything else in lqfit runs on numpy alone.
+
 Conventions: gains are plain (m, n) numpy arrays acting as u = K x; the
 closed-loop matrix is A + B K.  An unstable closed loop has infinite
 average cost, represented by ``math.inf``.
@@ -22,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 # Closed loops with spectral radius above this are treated as unstable:
 # the Lyapunov iteration is meaningless that close to marginal stability.
@@ -285,11 +288,12 @@ def closed_loop_cost(dyn: LinearDynamics, cost, K: np.ndarray) -> float:
 
 
 def _simulate_closed_loop(F: np.ndarray, x0: np.ndarray,
-                          disturbances: np.ndarray) -> np.ndarray:
+                          disturbances: np.ndarray, lfilter) -> np.ndarray:
     """States x_0..x_{T-1} under x_{t+1} = F x_t + d_t, vectorized.
 
-    Diagonalizes F and runs each eigen-coordinate as a scalar AR(1) filter;
-    falls back to the plain recursion when F is too far from diagonalizable.
+    Diagonalizes F and runs each eigen-coordinate as a scalar AR(1) filter
+    with ``lfilter`` (``scipy.signal.lfilter``); falls back to the plain
+    recursion when F is too far from diagonalizable.
     """
     n, T = disturbances.shape[0], disturbances.shape[1] + 1
     lam, V = np.linalg.eig(F)
@@ -306,7 +310,7 @@ def _simulate_closed_loop(F: np.ndarray, x0: np.ndarray,
         Y = np.empty((n, T), dtype=complex)
         Y[:, 0] = y0
         for i in range(n):
-            Y[i, 1:] = signal.lfilter(
+            Y[i, 1:] = lfilter(
                 [1.0], [1.0, -lam[i]], E[i], zi=np.array([lam[i] * y0[i]])
             )[0]
         return np.ascontiguousarray((V @ Y).real)
@@ -329,7 +333,16 @@ def rollout_cost_estimate(dyn: LinearDynamics, cost, K: np.ndarray,
     z_t ~ N(0, Sigma); this is the noisy-expert policy used in the
     experiments.  Intended as an independent cross-check of
     :func:`closed_loop_cost`.
+
+    This is the only function in lqfit that loads scipy: the first call
+    imports ``scipy.signal`` (about 1 s), so a process that never estimates
+    a rollout cost never pays for it.
     """
+    # Imported here, before the rollout's long arrays are drawn, rather than
+    # where lfilter runs: the import's allocations then land before the big
+    # arrays, and peak memory is lower.
+    from scipy.signal import lfilter
+
     Q, R = cost_pair(cost)
     K = np.asarray(K, dtype=float)
     F = dyn.closed_loop(K)
@@ -349,7 +362,7 @@ def rollout_cost_estimate(dyn: LinearDynamics, cost, K: np.ndarray,
         Z = Lz @ rng.standard_normal((dyn.m, horizon))
         if horizon > 1:
             disturbances = disturbances + dyn.B @ Z[:, :-1]
-    X = _simulate_closed_loop(F, x0, disturbances)
+    X = _simulate_closed_loop(F, x0, disturbances, lfilter)
     state_cost = np.einsum("it,ij,jt->", X, Q, X)
     U = K @ X
     if Z is not None:
