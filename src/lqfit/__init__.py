@@ -14,7 +14,7 @@ from .conic_ls import (LossSpec, PqrStepResult, RegularizerSpec,
                        solve_k_step, solve_pqr_step)
 from .fitting import FitReport, fit_objective, policy_fit
 from .kalman_fit import (AdmmConfig, AdmmState, KalmanFitReport, admm_iterate,
-                         fit_kalman)
+                         fit_kalman, fit_kalman_batch)
 from .linsys import (CostMatrices, DemoSet, LinearDynamics, closed_loop_cost,
                      generate_demos, rollout_cost_estimate, spectral_radius,
                      stationary_covariance)
@@ -32,8 +32,8 @@ __all__ = [
     "SingularFitError", "UnstableModeWitness",
     "admm_iterate", "build_aircraft", "build_small_random",
     "check_kalman_feasible", "closed_loop_cost", "default_config",
-    "fit_kalman", "fit_objective", "generate_demos", "huber_value",
-    "kalman_residual", "policy_fit", "project_psd", "rollout_cost_estimate",
-    "run_experiment", "solve_k_step", "solve_lqr", "solve_pqr_step",
-    "spectral_radius", "stationary_covariance",
+    "fit_kalman", "fit_kalman_batch", "fit_objective", "generate_demos",
+    "huber_value", "kalman_residual", "policy_fit", "project_psd",
+    "rollout_cost_estimate", "run_experiment", "solve_k_step", "solve_lqr",
+    "solve_pqr_step", "spectral_radius", "stationary_covariance",
 ]

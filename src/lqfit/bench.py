@@ -181,50 +181,78 @@ def _derived_seed(*parts) -> np.random.SeedSequence:
     return np.random.SeedSequence(tuple(int(p) for p in parts))
 
 
-def run_cell(config: ExperimentConfig, dyn, cost, sigma, Kstar, seed: int,
-             N: int):
-    """Fit both methods on one (seed, N) cell; returns (pf_row, kalman_row)."""
-    demos = generate_demos(dyn, Kstar, sigma, N, config.outlier_prob,
-                           rng_seed=_derived_seed(seed, N, 1))
+def _cell_demos(config: ExperimentConfig, dyn, Kstar, sigma, seed: int,
+                N: int):
+    return generate_demos(dyn, Kstar, sigma, N, config.outlier_prob,
+                          rng_seed=_derived_seed(seed, N, 1))
+
+
+def _pf_row(config: ExperimentConfig, dyn, cost, demos, seed: int,
+            N: int) -> ResultRow:
     name = config.experiment
     try:
         pf = fitting.policy_fit(demos, config.loss, config.reg)
         sr = spectral_radius(dyn.closed_loop(pf.K))
-        pf_row = ResultRow(name, N, seed, "pf",
-                           closed_loop_cost(dyn, cost, pf.K),
-                           finite=sr < STABILITY_MARGIN, spectral_radius=sr)
+        return ResultRow(name, N, seed, "pf",
+                         closed_loop_cost(dyn, cost, pf.K),
+                         finite=sr < STABILITY_MARGIN, spectral_radius=sr)
     except Exception as e:  # recorded, not fatal
         print(f"warning: pf failed at seed={seed} N={N}: {e}", file=sys.stderr)
-        pf_row = ResultRow(name, N, seed, "pf", math.inf, False, math.inf)
-    try:
-        report = kalman_fit.fit_kalman(demos, config.loss, config.reg, dyn,
-                                       config.admm)
-        K_eval = report.K
-        if config.certify and report.K_certified is not None:
-            K_eval = report.K_certified
-        sr = spectral_radius(dyn.closed_loop(K_eval))
-        kalman_row = ResultRow(name, N, seed, "kalman",
-                               closed_loop_cost(dyn, cost, K_eval),
-                               finite=sr < STABILITY_MARGIN,
-                               spectral_radius=sr,
-                               kalman_residual=report.certificate.residual)
-    except Exception as e:
-        print(f"warning: kalman fit failed at seed={seed} N={N}: {e}",
-              file=sys.stderr)
-        kalman_row = ResultRow(name, N, seed, "kalman", math.inf, False,
-                               math.inf)
-        report = None
+        return ResultRow(name, N, seed, "pf", math.inf, False, math.inf)
+
+
+def _kalman_row(config: ExperimentConfig, dyn, cost, seed: int, N: int,
+                fit):
+    """The kalman row of a cell from its fit, a report or the exception
+    the fit raised; returns (row, report), with report None when the fit
+    or the evaluation of its gain failed."""
+    if not isinstance(fit, Exception):
+        try:
+            K_eval = fit.K
+            if config.certify and fit.K_certified is not None:
+                K_eval = fit.K_certified
+            sr = spectral_radius(dyn.closed_loop(K_eval))
+            return ResultRow(config.experiment, N, seed, "kalman",
+                             closed_loop_cost(dyn, cost, K_eval),
+                             finite=sr < STABILITY_MARGIN, spectral_radius=sr,
+                             kalman_residual=fit.certificate.residual), fit
+        except Exception as e:  # recorded, not fatal
+            fit = e
+    print(f"warning: kalman fit failed at seed={seed} N={N}: {fit}",
+          file=sys.stderr)
+    return ResultRow(config.experiment, N, seed, "kalman", math.inf, False,
+                     math.inf), None
+
+
+def run_cell(config: ExperimentConfig, dyn, cost, sigma, Kstar, seed: int,
+             N: int):
+    """Fit both methods on one (seed, N) cell, as ``run_experiment`` does
+    for each of its cells.
+
+    Returns (pf_row, kalman_row, demos, report); report is None when the
+    Kalman fit failed, and the failure is printed to stderr.
+    """
+    demos = _cell_demos(config, dyn, Kstar, sigma, seed, N)
+    pf_row = _pf_row(config, dyn, cost, demos, seed, N)
+    fit, = kalman_fit.fit_kalman_batch([(demos, dyn)], config.loss,
+                                       config.reg, config.admm)
+    kalman_row, report = _kalman_row(config, dyn, cost, seed, N, fit)
     return pf_row, kalman_row, demos, report
 
 
 def run_experiment(config: ExperimentConfig, output_path=None):
     """Full sweep over seeds and demonstration counts.
 
-    Returns the list of ResultRows and the summary dict; when
-    ``output_path`` is given, writes ``<output_path>`` as CSV and the
-    summary next to it with a ``_summary.json`` suffix.
+    Draws every cell's demonstrations and fits its plain policy, then runs
+    the Kalman fits of all cells in one lockstep batch
+    (``kalman_fit.fit_kalman_batch``); every row is the one ``run_cell``
+    gives for its cell, and a failed fit fails only its own cell.  Returns
+    the list of ResultRows and the summary dict; when ``output_path`` is
+    given, writes ``<output_path>`` as CSV and the summary next to it with
+    a ``_summary.json`` suffix.
     """
-    rows = []
+    name = config.experiment
+    cells = []
     for seed in config.seeds:
         dyn, cost, sigma = _build_system(config, seed)
         Kstar = riccati.solve_lqr(dyn, cost).K
@@ -233,17 +261,24 @@ def run_experiment(config: ExperimentConfig, output_path=None):
         expert_cost = rollout_cost_estimate(
             dyn, cost, Kstar, horizon=config.expert_eval_horizon,
             rng_seed=_derived_seed(seed, 0, 2), input_noise_cov=sigma)
-        name = config.experiment
         for N in config.N_values:
-            pf_row, kalman_row, _, _ = run_cell(config, dyn, cost, sigma,
-                                                Kstar, seed, N)
-            rows.append(pf_row)
-            rows.append(kalman_row)
-            rows.append(ResultRow(name, N, seed, "expert", expert_cost,
-                                  True, sr_star))
-            rows.append(ResultRow(name, N, seed, "optimal", optimal_cost,
-                                  finite=sr_star < STABILITY_MARGIN,
-                                  spectral_radius=sr_star))
+            demos = _cell_demos(config, dyn, Kstar, sigma, seed, N)
+            reference = [ResultRow(name, N, seed, "expert", expert_cost,
+                                   True, sr_star),
+                         ResultRow(name, N, seed, "optimal", optimal_cost,
+                                   finite=sr_star < STABILITY_MARGIN,
+                                   spectral_radius=sr_star)]
+            cells.append((seed, N, dyn, cost, demos,
+                          _pf_row(config, dyn, cost, demos, seed, N),
+                          reference))
+    fits = kalman_fit.fit_kalman_batch(
+        [(demos, dyn) for _, _, dyn, _, demos, _, _ in cells], config.loss,
+        config.reg, config.admm)
+    rows = []
+    for (seed, N, dyn, cost, _, pf_row, reference), fit in zip(cells, fits):
+        rows.append(pf_row)
+        rows.append(_kalman_row(config, dyn, cost, seed, N, fit)[0])
+        rows.extend(reference)
     summary = summarize(config.experiment, rows)
     if output_path is not None:
         write_csv(rows, output_path)

@@ -538,8 +538,20 @@ class _SplitSolver:
         return best
 
 
-def solve_pqr_step(dyn: LinearDynamics, K, Y1, Y2, rho: float,
-                   tol: float = 1e-11, max_iter: int = 4000,
+def per_member(value, count: int) -> list:
+    """``value`` once per member of a stack of ``count``: a list or tuple
+    holds one entry per member and must have ``count`` of them; any other
+    value is shared by every member."""
+    if isinstance(value, (list, tuple)):
+        if len(value) != count:
+            raise ValueError(f"expected one entry per member ({count}), "
+                             f"got {len(value)}")
+        return list(value)
+    return [value] * count
+
+
+def solve_pqr_step(dyn: LinearDynamics | list[LinearDynamics], K, Y1, Y2,
+                   rho: float, tol: float = 1e-11, max_iter: int = 4000,
                    init=None, dual0=None, refine: bool = True,
                    target: float = 0.0) -> PqrStepResult:
     """Cone-constrained least squares in (P, Q, R) for a fixed gain K.
@@ -555,20 +567,25 @@ def solve_pqr_step(dyn: LinearDynamics, K, Y1, Y2, rho: float,
     suboptimality estimate.
 
     K may also be a stack of gains, shape (S, m, n), with Y1, Y2, the
-    matrices of ``init`` and ``dual0`` stacked alike.  The splitting loop
-    then runs once for the whole stack, and every field of the result
-    gains a leading axis except ``iterations``, which is the lockstep
-    count: the most iterations any member's result took.  Each member's
-    result is bit for bit that of its own call.
+    matrices of ``init`` and ``dual0`` stacked alike, and ``dyn`` either
+    one system for the whole stack or a list of S systems of one size,
+    the i-th for the i-th gain.  The splitting loop then runs once for the
+    whole stack, and every field of the result gains a leading axis except
+    ``iterations``, which is the lockstep count: the most iterations any
+    member's result took.  Each member's result is bit for bit that of its
+    own call.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
     K = np.asarray(K, dtype=float)
-    n, m = dyn.n, dyn.m
+    single = K.ndim == 2
+    systems = per_member(dyn, len(K) if K.ndim == 3 else 1)
+    n, m = systems[0].n, systems[0].m
     if K.shape[-2:] != (m, n) or K.ndim not in (2, 3):
         raise ValueError(f"gain must be {m}x{n} or a stack of {m}x{n}, "
                          f"got shape {K.shape}")
-    single = K.ndim == 2
+    if any((d.n, d.m) != (n, m) for d in systems):
+        raise ValueError("the systems of a stack must share one size")
 
     def stacked(M):
         M = np.asarray(M, dtype=float)
@@ -578,7 +595,8 @@ def solve_pqr_step(dyn: LinearDynamics, K, Y1, Y2, rho: float,
     T1 = stacked(Y1) / rho
     T2 = stacked(Y2) / rho
     u0 = None if dual0 is None else stacked(dual0)
-    engines = [_SplitSolver(KalmanOperator(dyn.A, dyn.B, k)) for k in Ks]
+    engines = [_SplitSolver(KalmanOperator(d.A, d.B, k))
+               for d, k in zip(systems, Ks)]
     if init is not None:
         P0, Q0, R0 = (stacked(Mmat) for Mmat in init)
         starts = [[(P0[i], Q0[i], R0[i])] for i in range(len(Ks))]

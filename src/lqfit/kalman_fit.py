@@ -19,12 +19,15 @@ K step never reads the previous K, so restarts that differ only in K
 would repeat the identity start's iterates from the first sweep on: the
 initial P, Q and R are all that set a run apart.
 
-The starts advance in lockstep: each sweep runs the K step start by start
-and then one (P, Q, R) step for all starts still running, so the
-per-call overhead of the small cone solves is paid once per sweep instead
-of once per start.  A start that stops or diverges leaves the batch.  The
+Fits advance in lockstep across problems and starts: ``fit_kalman_batch``
+takes many (demos, system) problems of one size, such as the cells of an
+experiment sweep, and each sweep runs the K step member by member and
+then one (P, Q, R) step for every start of every problem still running,
+so the per-call overhead of the small cone solves is paid once per sweep
+instead of once per start.  A start that stops or diverges leaves the
+batch, and so does every start of a problem whose subsolver fails.  The
 results are unchanged: every start's iterates are bit for bit those of
-running it alone.
+running it alone, and ``fit_kalman`` is the batch of one problem.
 
 Besides the raw final iterate K, each report carries ``K_certified``: the
 gain re-synthesized by solving the Riccati equation with the recovered
@@ -151,28 +154,34 @@ def _take(state: AdmmState, index) -> AdmmState:
                      else state.pqr_dual[index])
 
 
-def admm_iterate(state: AdmmState, demos: DemoSet, loss: LossSpec,
-                 reg: RegularizerSpec, dyn: LinearDynamics, rho: float,
+def admm_iterate(state: AdmmState, demos: DemoSet | list[DemoSet],
+                 loss: LossSpec, reg: RegularizerSpec,
+                 dyn: LinearDynamics | list[LinearDynamics], rho: float,
                  pqr_iters: int = AdmmConfig.pqr_iters,
                  pqr_tol: float = AdmmConfig.pqr_tol) -> AdmmState:
     """One sweep: K step, (P, Q, R) step, then dual update Y <- Y + rho M.
 
     The constraint matrix M in the dual update is evaluated at the freshly
-    updated iterates.  Subsolver failures are re-raised with the iteration
-    number attached.  ``state`` may also be a stack of starts (a leading
-    axis on every matrix, see ``fit_kalman``): the K step and the dual
-    update then run start by start, and the (P, Q, R) step runs once for
-    the whole stack.  Each start's new iterate is bit for bit the one a
-    sweep of that start alone gives.
+    updated iterates.  Subsolver failures are re-raised as RuntimeError
+    with the iteration number attached.  ``state`` may also be a stack of
+    members (a leading axis on every matrix, see ``fit_kalman_batch``),
+    with ``demos`` and ``dyn`` each either shared or a list holding one
+    entry per member; the systems must share one size.  The K step and the
+    dual update then run member by member, and the (P, Q, R) step runs once
+    for the whole stack.  Each member's new iterate is bit for bit the one
+    a sweep of that member alone gives.
     """
     lead = state.K.ndim == 3
     batch = state if lead else _stack([state])
+    demo_sets = conic_ls.per_member(demos, len(batch.K))
+    systems = conic_ls.per_member(dyn, len(batch.K))
     try:
-        K = np.stack([conic_ls.solve_k_step(demos, loss, reg, rho, P, Q, R,
-                                            Y1, Y2, dyn)
-                      for P, Q, R, Y1, Y2 in zip(batch.P, batch.Q, batch.R,
-                                                 batch.Y1, batch.Y2)])
-        step = conic_ls.solve_pqr_step(dyn, K, batch.Y1, batch.Y2, rho,
+        K = np.stack([conic_ls.solve_k_step(d, loss, reg, rho, P, Q, R, Y1,
+                                            Y2, s)
+                      for d, s, P, Q, R, Y1, Y2 in zip(
+                          demo_sets, systems, batch.P, batch.Q, batch.R,
+                          batch.Y1, batch.Y2)])
+        step = conic_ls.solve_pqr_step(systems, K, batch.Y1, batch.Y2, rho,
                                        tol=pqr_tol, max_iter=pqr_iters,
                                        init=(batch.P, batch.Q, batch.R),
                                        dual0=batch.pqr_dual, refine=False)
@@ -180,9 +189,9 @@ def admm_iterate(state: AdmmState, demos: DemoSet, loss: LossSpec,
         raise RuntimeError(
             f"subsolver failed at iteration {state.iter + 1}: {e}") from e
     Y1, Y2 = [], []
-    for k, P, Q, R, y1, y2 in zip(K, step.P, step.Q, step.R, batch.Y1,
-                                  batch.Y2):
-        M1, M2 = conic_ls.KalmanOperator(dyn.A, dyn.B, k).apply(P, Q, R)
+    for s, k, P, Q, R, y1, y2 in zip(systems, K, step.P, step.Q, step.R,
+                                     batch.Y1, batch.Y2):
+        M1, M2 = conic_ls.KalmanOperator(s.A, s.B, k).apply(P, Q, R)
         Y1.append(y1 + rho * M1)
         Y2.append(y2 + rho * M2)
     new = AdmmState(K=K, P=step.P, Q=step.Q, R=step.R, Y1=np.stack(Y1),
@@ -190,25 +199,53 @@ def admm_iterate(state: AdmmState, demos: DemoSet, loss: LossSpec,
     return new if lead else _take(new, 0)
 
 
-def _run_lockstep(starts, demos, loss, reg, dyn, config):
+def _sweep(batch, members, loss, reg, config):
+    """One stacked ``admm_iterate`` over ``batch``, whose members are the
+    (demos, dyn, problem) triples ``members``.  Returns, per member, its
+    new state or the RuntimeError its problem's sweep raised: a raising
+    sweep is repeated problem by problem, so that one problem's failure
+    leaves every other problem's iterates as they are."""
+    try:
+        new = admm_iterate(batch, [d for d, _, _ in members], loss, reg,
+                           [s for _, s, _ in members], config.rho,
+                           pqr_iters=config.pqr_iters, pqr_tol=config.pqr_tol)
+    except RuntimeError as e:
+        problems = sorted({p for _, _, p in members})
+        if len(problems) == 1:
+            return [e] * len(members)
+        out = [None] * len(members)
+        for p in problems:
+            idx = [j for j, member in enumerate(members) if member[2] == p]
+            for j, r in zip(idx, _sweep(_take(batch, idx),
+                                        [members[j] for j in idx], loss, reg,
+                                        config)):
+                out[j] = r
+        return out
+    return [_take(new, j) for j in range(len(members))]
+
+
+def _run_lockstep(starts, members, loss, reg, config):
     """Advance all starts together, one stacked ``admm_iterate`` per sweep.
 
-    A start stops at the cap or once ||K_{k+1} - K_k||_F < eps, and leaves
-    the batch; so does a start whose iterate turns non-finite.  Returns,
-    per start, (final state, converged) or the FloatingPointError raised
-    for it.
+    Start i belongs to the (demos, dyn, problem) triple ``members[i]``.  A
+    start stops at the cap or once ||K_{k+1} - K_k||_F < eps, and leaves
+    the batch; so does a start whose iterate turns non-finite, and every
+    start of a problem whose sweep raised.  Returns, per start, (final
+    state, converged), the FloatingPointError raised for it, or the
+    RuntimeError its problem's sweep raised.
     """
     outcome = [None] * len(starts)
     active = list(range(len(starts)))
     batch = _stack(starts)
     for _ in range(config.n_iter):
-        new = admm_iterate(batch, demos, loss, reg, dyn, config.rho,
-                           pqr_iters=config.pqr_iters, pqr_tol=config.pqr_tol)
+        new = _sweep(batch, [members[i] for i in active], loss, reg, config)
         keep = []
-        for j, idx in enumerate(active):
-            s = _take(new, j)
-            if not (np.all(np.isfinite(s.K)) and np.all(np.isfinite(s.P))
-                    and np.all(np.isfinite(s.Q)) and np.all(np.isfinite(s.R))):
+        for j, (idx, s) in enumerate(zip(active, new)):
+            if isinstance(s, RuntimeError):
+                outcome[idx] = s
+            elif not (np.all(np.isfinite(s.K)) and np.all(np.isfinite(s.P))
+                      and np.all(np.isfinite(s.Q))
+                      and np.all(np.isfinite(s.R))):
                 outcome[idx] = FloatingPointError(
                     f"non-finite iterate at iteration {s.iter}")
             elif np.linalg.norm(s.K - batch.K[j], "fro") < config.eps:
@@ -218,31 +255,21 @@ def _run_lockstep(starts, demos, loss, reg, dyn, config):
         active = [active[j] for j in keep]
         if not active:
             break
-        batch = new if len(keep) == len(new.K) else _take(new, keep)
+        batch = _stack([new[j] for j in keep])
     for j, idx in enumerate(active):
         outcome[idx] = (_take(batch, j), False)
     return outcome
 
 
-def fit_kalman(demos: DemoSet, loss: LossSpec, reg: RegularizerSpec,
-               dyn: LinearDynamics, config: AdmmConfig = AdmmConfig()
-               ) -> KalmanFitReport:
-    """Two-start constrained policy fit; the lowest-objective run wins.
-
-    Start 0 is ``zero_state`` and start 1 is ``identity_state``.  Both
-    advance together, one stacked ``admm_iterate`` per sweep, and each
-    stops on its own test; the report is the same as if the starts ran
-    one after another, and bit-reproducible for a fixed config.  More
-    starts in K alone would add nothing: the K step does not read the
-    incoming K, so such a start holds the identity start's iterate after
-    one sweep.  Ties in the objective break toward the lower init index.
-    Raises RuntimeError only if both runs produced non-finite iterates.
-    """
-    starts = [zero_state(dyn), identity_state(dyn)]
+def _report(demos, loss, reg, dyn, outcomes):
+    """The report of one problem from the outcomes of its starts, or the
+    RuntimeError the problem failed with."""
+    error = next((o for o in outcomes if isinstance(o, RuntimeError)), None)
+    if error is not None:
+        return error
     results = []
     failures = []
-    for idx, out in enumerate(_run_lockstep(starts, demos, loss, reg, dyn,
-                                            config)):
+    for idx, out in enumerate(outcomes):
         if isinstance(out, FloatingPointError):
             failures.append(f"init {idx}: {out}")
             continue
@@ -250,7 +277,7 @@ def fit_kalman(demos: DemoSet, loss: LossSpec, reg: RegularizerSpec,
         objective = fitting.fit_objective(demos, final.K, loss, reg)
         results.append((objective, idx, final, converged))
     if not results:
-        raise RuntimeError("all runs diverged: " + "; ".join(failures))
+        return RuntimeError("all runs diverged: " + "; ".join(failures))
     objective, idx, final, converged = min(results, key=lambda r: (r[0], r[1]))
     P = conic_ls.project_psd(final.P, 0.0)
     Q = conic_ls.project_psd(final.Q, 0.0)
@@ -266,3 +293,51 @@ def fit_kalman(demos: DemoSet, loss: LossSpec, reg: RegularizerSpec,
                            certificate=certificate, objective=objective,
                            converged=converged, iterations=final.iter,
                            init_index=idx)
+
+
+def fit_kalman_batch(problems, loss: LossSpec, reg: RegularizerSpec,
+                     config: AdmmConfig = AdmmConfig()
+                     ) -> list[KalmanFitReport | RuntimeError]:
+    """``fit_kalman`` on every (demos, dyn) pair of ``problems`` at once.
+
+    The systems must share one size (n, m).  Both starts of every problem
+    advance together, one stacked ``admm_iterate`` per sweep.  Returns, in
+    order, each problem's ``KalmanFitReport``, or the RuntimeError that
+    ``fit_kalman`` raises on that problem alone; a failed problem leaves
+    the batch with both its starts.  Every report is bit for bit the one
+    ``fit_kalman`` gives for its problem alone.
+    """
+    problems = list(problems)
+    sizes = sorted({(dyn.n, dyn.m) for _, dyn in problems})
+    if len(sizes) > 1:
+        raise ValueError(f"the systems of a batch must share one size "
+                         f"(n, m), got {sizes}")
+    starts, members = [], []
+    for p, (demos, dyn) in enumerate(problems):
+        for start in (zero_state(dyn), identity_state(dyn)):
+            starts.append(start)
+            members.append((demos, dyn, p))
+    outcome = _run_lockstep(starts, members, loss, reg, config)
+    return [_report(demos, loss, reg, dyn, outcome[2 * p:2 * p + 2])
+            for p, (demos, dyn) in enumerate(problems)]
+
+
+def fit_kalman(demos: DemoSet, loss: LossSpec, reg: RegularizerSpec,
+               dyn: LinearDynamics, config: AdmmConfig = AdmmConfig()
+               ) -> KalmanFitReport:
+    """Two-start constrained policy fit; the lowest-objective run wins.
+
+    Start 0 is ``zero_state`` and start 1 is ``identity_state``.  Both
+    advance together, one stacked ``admm_iterate`` per sweep, and each
+    stops on its own test; the report is the same as if the starts ran
+    one after another, and bit-reproducible for a fixed config.  More
+    starts in K alone would add nothing: the K step does not read the
+    incoming K, so such a start holds the identity start's iterate after
+    one sweep.  Ties in the objective break toward the lower init index.
+    Raises RuntimeError if a subsolver failed or both runs produced
+    non-finite iterates.  This is ``fit_kalman_batch`` on one problem.
+    """
+    result, = fit_kalman_batch([(demos, dyn)], loss, reg, config)
+    if isinstance(result, RuntimeError):
+        raise result
+    return result

@@ -15,7 +15,7 @@ from lqfit.bench import (ExperimentConfig, build_aircraft, build_small_random,
                          run_experiment)
 from lqfit.conic_ls import LossSpec, RegularizerSpec, solve_pqr_step
 from lqfit.fitting import policy_fit
-from lqfit.kalman_fit import AdmmConfig, fit_kalman
+from lqfit.kalman_fit import AdmmConfig, fit_kalman, fit_kalman_batch
 from lqfit.linsys import (LinearDynamics, closed_loop_cost, generate_demos,
                           rollout_cost_estimate, spectral_radius)
 from lqfit.riccati import are_residual, check_kalman_feasible, solve_lqr
@@ -134,19 +134,20 @@ def test_criterion_05_noiseless_recovery():
 
 @pytest.fixture(scope="module")
 def small_random_grid():
-    """20 seeds x N in {1,2,3,5,10}: both fitters on identical demos."""
-    cells = []
+    """20 seeds x N in {1,2,3,5,10}: both fitters on identical demos; the
+    constrained fits run as one lockstep batch, as in an experiment sweep,
+    each bit for bit what ``fit_kalman`` gives for its cell alone."""
+    cells, problems = [], []
     for seed in range(20):
         dyn, cost, sigma = build_small_random(seed)
         Kstar = solve_lqr(dyn, cost).K
         for N in (1, 2, 3, 5, 10):
             demos = generate_demos(dyn, Kstar, sigma, N, 0.0,
                                    np.random.SeedSequence((seed, N, 1)))
-            pf = policy_fit(demos, QUAD, RIDGE)
-            report = fit_kalman(demos, QUAD, RIDGE, dyn,
-                                AdmmConfig())
-            cells.append((seed, N, dyn, cost, pf, report))
-    return cells
+            cells.append((seed, N, dyn, cost, policy_fit(demos, QUAD, RIDGE)))
+            problems.append((demos, dyn))
+    reports = fit_kalman_batch(problems, QUAD, RIDGE, AdmmConfig())
+    return [(*cell, report) for cell, report in zip(cells, reports)]
 
 
 def test_criterion_06_stability_claim(small_random_grid):

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from lqfit import conic_ls
 from lqfit.bench import (CSV_HEADER, ExperimentConfig, build_aircraft,
                          build_small_random, config_from_dict, default_config,
-                         run_experiment)
+                         run_cell, run_experiment, write_csv)
 from lqfit.conic_ls import LossSpec
 from lqfit.kalman_fit import AdmmConfig
-from lqfit.linsys import spectral_radius
+from lqfit.linsys import generate_demos, spectral_radius
+from lqfit.riccati import solve_lqr
 
 
 class TestBuilders:
@@ -160,6 +162,109 @@ class TestRunExperiment:
             assert entry["fraction_finite"]["kalman"] == 1.0
             assert entry["fraction_finite"]["optimal"] == 1.0
             assert entry["fraction_finite"]["expert"] == 1.0
+
+
+@pytest.mark.parametrize("experiment, seeds, N_values", [
+    ("small_random", (0, 1), (1, 3)),
+    # cell (0, 1) is the one whose certified re-solve fails (fault A)
+    ("aircraft", (0, 1), (1,)),
+])
+def test_batched_sweep_equals_cells_run_alone(tmp_path, experiment, seeds,
+                                              N_values):
+    cfg = default_config(experiment, seeds=seeds, N_values=N_values,
+                         expert_eval_horizon=5_000)
+    rows, _ = run_experiment(cfg, tmp_path / "batch.csv")
+    reference = {(r.seed, r.N, r.method): r for r in rows
+                 if r.method in ("expert", "optimal")}
+    looped, reports = [], {}
+    for seed in seeds:
+        dyn, cost, sigma = (build_aircraft() if experiment == "aircraft"
+                            else build_small_random(seed))
+        Kstar = solve_lqr(dyn, cost).K
+        for N in N_values:
+            pf_row, kalman_row, _, reports[seed, N] = run_cell(
+                cfg, dyn, cost, sigma, Kstar, seed, N)
+            looped += [pf_row, kalman_row, reference[seed, N, "expert"],
+                       reference[seed, N, "optimal"]]
+    write_csv(looped, tmp_path / "cells.csv")
+    assert ((tmp_path / "batch.csv").read_bytes()
+            == (tmp_path / "cells.csv").read_bytes())
+    if experiment == "aircraft":
+        assert reports[0, 1].K_certified is None
+
+
+GRID = ExperimentConfig(experiment="small_random", N_values=(1, 3),
+                        seeds=(0, 1), admm=AdmmConfig(n_iter=20),
+                        expert_eval_horizon=5_000)
+
+
+@pytest.fixture(scope="module")
+def clean_grid():
+    rows, _ = run_experiment(GRID)
+    return rows
+
+
+def _failing_after(fn, calls, hit, error):
+    """``fn`` that raises ``error`` from the ``calls``-th call on which
+    ``hit(args)`` holds."""
+    count = 0
+
+    def wrapper(*args, **kwargs):
+        nonlocal count
+        if hit(args):
+            count += 1
+            if count >= calls:
+                raise error
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def _assert_only_failed(clean, rows, failed):
+    assert len(rows) == len(clean)
+    for before, after in zip(clean, rows):
+        if after.method == "kalman" and (after.seed, after.N) in failed:
+            assert after.cost == math.inf and not after.finite
+        else:
+            assert after.to_csv() == before.to_csv()
+
+
+class TestFailureIsolation:
+    def test_k_step_failure_fails_only_its_cell(self, clean_grid,
+                                                monkeypatch, capsys):
+        dyn, cost, sigma = build_small_random(1)
+        target = generate_demos(dyn, solve_lqr(dyn, cost).K, sigma, 3, 0.0,
+                                np.random.SeedSequence((1, 3, 1)))
+        # the K steps of ADMM sweeps only (rho passed by position), not of
+        # plain fitting; the 9th is the first start's K step in sweep 5
+        monkeypatch.setattr(conic_ls, "solve_k_step", _failing_after(
+            conic_ls.solve_k_step, 9,
+            lambda a: len(a) > 3 and np.array_equal(a[0].states,
+                                                    target.states),
+            conic_ls.SingularFitError("injected")))
+        rows, _ = run_experiment(GRID)
+        err = capsys.readouterr().err
+        assert ("warning: kalman fit failed at seed=1 N=3: subsolver failed "
+                "at iteration 5: injected") in err
+        assert err.count("warning:") == 1
+        _assert_only_failed(clean_grid, rows, {(1, 3)})
+
+    def test_stacked_pqr_failure_fails_only_its_cells(self, clean_grid,
+                                                      monkeypatch, capsys):
+        # a raising (P, Q, R) step on a stack holding seed 1's system, as a
+        # stacked eigh or inv raises for all members: the sweep is repeated
+        # cell by cell, and only seed 1's cells fail
+        A1 = build_small_random(1)[0].A
+        monkeypatch.setattr(conic_ls, "solve_pqr_step", _failing_after(
+            conic_ls.solve_pqr_step, 3,
+            lambda a: any(np.array_equal(d.A, A1) for d in a[0]),
+            np.linalg.LinAlgError("injected")))
+        rows, _ = run_experiment(GRID)
+        err = capsys.readouterr().err
+        for N in (1, 3):
+            assert (f"warning: kalman fit failed at seed=1 N={N}: subsolver "
+                    f"failed at iteration 3: injected") in err
+        assert err.count("warning:") == 2
+        _assert_only_failed(clean_grid, rows, {(1, 1), (1, 3)})
 
 
 def test_convergence_toward_optimal_at_scale():

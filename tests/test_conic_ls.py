@@ -353,6 +353,27 @@ class TestPqrStep:
         assert singles[0].iterations == 0 < singles[1].iterations
         self._assert_members_match(stacked, singles)
 
+    def test_stack_over_systems_equals_calls_one_by_one(self):
+        # one gain per system: each member builds its operator from its own
+        # (A, B), bit for bit as in a call on that system alone
+        rng = np.random.default_rng(15)
+        systems = []
+        for _ in range(3):
+            A = rng.standard_normal((3, 3))
+            systems.append(_dyn(0.9 * A / np.abs(np.linalg.eigvals(A)).max(),
+                                rng.standard_normal((3, 2))))
+        K = 0.3 * rng.standard_normal((3, 2, 3))
+        Y1 = 0.2 * rng.standard_normal((3, 3, 3))
+        Y2 = 0.2 * rng.standard_normal((3, 2, 3))
+        kw = dict(rho=1.0, max_iter=120)
+        stacked = solve_pqr_step(systems, K, Y1, Y2, **kw)
+        singles = [solve_pqr_step(d, K[i], Y1[i], Y2[i], **kw)
+                   for i, d in enumerate(systems)]
+        self._assert_members_match(stacked, singles)
+        other = _dyn(np.zeros((2, 2)), np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            solve_pqr_step([systems[0], other], K[:2], Y1[:2], Y2[:2], **kw)
+
     def test_rejects_nonpositive_rho(self):
         dyn = _dyn(np.zeros((1, 1)), np.ones((1, 1)))
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from lqfit.conic_ls import (KalmanOperator, LossSpec, RegularizerSpec,
                             project_psd)
 from lqfit.fitting import fit_objective, policy_fit
 from lqfit.kalman_fit import (AdmmConfig, AdmmState, admm_iterate, fit_kalman,
-                              identity_state, zero_state)
+                              fit_kalman_batch, identity_state, zero_state)
 from lqfit.linsys import DemoSet, LinearDynamics, generate_demos, spectral_radius
 from lqfit.riccati import KalmanCertificate, kalman_residual, solve_lqr
 
@@ -208,3 +208,39 @@ class TestFitKalman:
             report.certificate.P, report.certificate.Q, report.certificate.R))
         assert recomputed == pytest.approx(report.certificate.residual,
                                            rel=1e-6, abs=1e-9)
+
+
+class TestFitKalmanBatch:
+    @staticmethod
+    def _problems():
+        from lqfit.bench import build_small_random
+        problems = []
+        for seed in (0, 1):
+            dyn, cost, sigma = build_small_random(seed)
+            Kstar = solve_lqr(dyn, cost).K
+            for N in (1, 5):
+                problems.append((generate_demos(
+                    dyn, Kstar, sigma, N, 0.0,
+                    np.random.SeedSequence((seed, N, 1))), dyn))
+        return problems
+
+    def test_batch_equals_fits_alone(self):
+        # two systems at N = 1 and 5; six of the eight starts meet eps and
+        # leave the batch at sweeps 12 to 27, two hit the cap; the reports
+        # come from starts that stopped at 15 and 27 and two capped ones
+        cfg = AdmmConfig(n_iter=30, eps=3e-3)
+        problems = self._problems()
+        reports = fit_kalman_batch(problems, QUAD, RIDGE, cfg)
+        alone = [fit_kalman(demos, QUAD, RIDGE, dyn, cfg)
+                 for demos, dyn in problems]
+        assert [r.converged for r in alone] == [False, True, True, False]
+        assert len(reports) == len(problems)
+        for batched, single in zip(reports, alone):
+            assert repr(batched.to_dict()) == repr(single.to_dict())
+
+    def test_mixed_sizes_rejected(self):
+        demos, dyn = self._problems()[0]
+        other = _dyn(0.5 * np.eye(3), np.ones((3, 1)))
+        pair = DemoSet(states=np.ones((2, 3)), inputs=np.ones((2, 1)))
+        with pytest.raises(ValueError):
+            fit_kalman_batch([(demos, dyn), (pair, other)], QUAD, RIDGE)
