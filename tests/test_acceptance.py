@@ -187,6 +187,7 @@ def test_criterion_08_huber_robustness():
     huber = LossSpec("huber", huber_m=0.5)
     kalman_costs = []
     pf_costs = []
+    cells = []
     for seed in range(10):
         dyn, cost, sigma = build_small_random(seed)
         Kstar = solve_lqr(dyn, cost).K
@@ -196,7 +197,12 @@ def test_criterion_08_huber_robustness():
         J_pf = closed_loop_cost(dyn, cost, pf.K)
         if J_pf < math.inf:
             pf_costs.append(J_pf)
-        report = fit_kalman(demos, huber, RIDGE, dyn, AdmmConfig())
+        cells.append((demos, dyn, cost))
+    reports = fit_kalman_batch([(demos, dyn) for demos, dyn, _ in cells],
+                               huber, RIDGE, AdmmConfig())
+    for (_, dyn, cost), report in zip(cells, reports):
+        if isinstance(report, RuntimeError):
+            raise report
         K_eval = report.K_certified if report.K_certified is not None else report.K
         J_k = closed_loop_cost(dyn, cost, K_eval)
         if J_k < math.inf:

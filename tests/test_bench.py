@@ -3,15 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_discrete_are
 
-from lqfit import conic_ls
+from lqfit import conic_ls, riccati
 from lqfit.bench import (CSV_HEADER, ExperimentConfig, build_aircraft,
                          build_small_random, config_from_dict, default_config,
                          run_cell, run_experiment, write_csv)
 from lqfit.conic_ls import LossSpec
 from lqfit.kalman_fit import AdmmConfig
-from lqfit.linsys import generate_demos, spectral_radius
-from lqfit.riccati import solve_lqr
+from lqfit.linsys import closed_loop_cost, generate_demos, spectral_radius
+from lqfit.riccati import ConvergenceError, solve_lqr
 
 
 class TestBuilders:
@@ -164,9 +165,28 @@ class TestRunExperiment:
             assert entry["fraction_finite"]["expert"] == 1.0
 
 
+def _cells_run_alone(cfg, rows):
+    """``run_cell`` over the cells of ``cfg``, each followed by the expert
+    and optimal rows of the sweep's ``rows``; returns the rows and the
+    reports by (seed, N)."""
+    reference = {(r.seed, r.N, r.method): r for r in rows
+                 if r.method in ("expert", "optimal")}
+    looped, reports = [], {}
+    for seed in cfg.seeds:
+        dyn, cost, sigma = (build_aircraft() if cfg.experiment == "aircraft"
+                            else build_small_random(seed))
+        Kstar = solve_lqr(dyn, cost).K
+        for N in cfg.N_values:
+            pf_row, kalman_row, _, reports[seed, N] = run_cell(
+                cfg, dyn, cost, sigma, Kstar, seed, N)
+            looped += [pf_row, kalman_row, reference[seed, N, "expert"],
+                       reference[seed, N, "optimal"]]
+    return looped, reports
+
+
 @pytest.mark.parametrize("experiment, seeds, N_values", [
     ("small_random", (0, 1), (1, 3)),
-    # cell (0, 1) is the one whose certified re-solve fails (fault A)
+    # cell (0, 1)'s certified re-solve needs the Newton refinement
     ("aircraft", (0, 1), (1,)),
 ])
 def test_batched_sweep_equals_cells_run_alone(tmp_path, experiment, seeds,
@@ -174,23 +194,20 @@ def test_batched_sweep_equals_cells_run_alone(tmp_path, experiment, seeds,
     cfg = default_config(experiment, seeds=seeds, N_values=N_values,
                          expert_eval_horizon=5_000)
     rows, _ = run_experiment(cfg, tmp_path / "batch.csv")
-    reference = {(r.seed, r.N, r.method): r for r in rows
-                 if r.method in ("expert", "optimal")}
-    looped, reports = [], {}
-    for seed in seeds:
-        dyn, cost, sigma = (build_aircraft() if experiment == "aircraft"
-                            else build_small_random(seed))
-        Kstar = solve_lqr(dyn, cost).K
-        for N in N_values:
-            pf_row, kalman_row, _, reports[seed, N] = run_cell(
-                cfg, dyn, cost, sigma, Kstar, seed, N)
-            looped += [pf_row, kalman_row, reference[seed, N, "expert"],
-                       reference[seed, N, "optimal"]]
+    looped, reports = _cells_run_alone(cfg, rows)
     write_csv(looped, tmp_path / "cells.csv")
     assert ((tmp_path / "batch.csv").read_bytes()
             == (tmp_path / "cells.csv").read_bytes())
     if experiment == "aircraft":
-        assert reports[0, 1].K_certified is None
+        dyn = build_aircraft()[0]
+        report = reports[0, 1]
+        Q, R = report.certificate.Q, report.certificate.R
+        P = solve_discrete_are(dyn.A, dyn.B, Q, R)
+        BtP = dyn.B.T @ P
+        K_ref = -np.linalg.solve(R + BtP @ dyn.B, BtP @ dyn.A)
+        assert spectral_radius(dyn.closed_loop(report.K_certified)) < 1.0
+        assert (np.linalg.norm(report.K_certified - K_ref)
+                <= 1e-6 * np.linalg.norm(K_ref))
 
 
 GRID = ExperimentConfig(experiment="small_random", N_values=(1, 3),
@@ -266,30 +283,63 @@ class TestFailureIsolation:
         assert err.count("warning:") == 2
         _assert_only_failed(clean_grid, rows, {(1, 1), (1, 3)})
 
+    def test_riccati_failure_evaluates_the_fitted_gain(self, clean_grid,
+                                                       monkeypatch, tmp_path):
+        # the fourth certified re-solve, cell (1, 3)'s, raises: its kalman
+        # row evaluates the fitted K in place of K_certified, in a sweep and
+        # in run_cell alike
+        def patch():
+            monkeypatch.setattr(riccati, "solve_lqr", _failing_after(
+                solve_lqr, 4, lambda a: isinstance(a[1], tuple),
+                ConvergenceError("injected", math.inf)))
+        patch()
+        rows, _ = run_experiment(GRID, tmp_path / "batch.csv")
+        patch()
+        looped, reports = _cells_run_alone(GRID, rows)
+        write_csv(looped, tmp_path / "cells.csv")
+        assert ((tmp_path / "batch.csv").read_bytes()
+                == (tmp_path / "cells.csv").read_bytes())
+        assert [seed_N for seed_N, r in reports.items()
+                if r.K_certified is None] == [(1, 3)]
+        dyn, cost, _ = build_small_random(1)
+        for before, after in zip(clean_grid, rows):
+            if after.method == "kalman" and (after.seed, after.N) == (1, 3):
+                assert after.cost == closed_loop_cost(dyn, cost,
+                                                      reports[1, 3].K)
+                assert after.cost != before.cost
+            else:
+                assert after.to_csv() == before.to_csv()
+
 
 def test_convergence_toward_optimal_at_scale():
     # desk-scale analogue of the cost-vs-N curves: with plenty of (noisy)
     # demonstrations the certified constrained fit approaches the optimal
     # cost and clearly beats plain fitting
     from lqfit.conic_ls import LossSpec, RegularizerSpec
-    from lqfit.kalman_fit import fit_kalman
+    from lqfit.kalman_fit import fit_kalman_batch
     from lqfit.linsys import closed_loop_cost, generate_demos
     from lqfit.fitting import policy_fit
     from lqfit.riccati import solve_lqr
 
     quad, ridge = LossSpec("quadratic"), RegularizerSpec("ridge", 0.01)
     k_costs, pf_costs, o_costs = [], [], []
+    cells = []
     for seed in range(12):
         dyn, cost, sigma = build_small_random(seed)
         Kstar = solve_lqr(dyn, cost).K
         demos = generate_demos(dyn, Kstar, sigma, 200, 0.0,
                                np.random.SeedSequence((seed, 200, 1)))
-        rep = fit_kalman(demos, quad, ridge, dyn, AdmmConfig())
-        k_costs.append(closed_loop_cost(dyn, cost, rep.K_certified))
         J_pf = closed_loop_cost(dyn, cost, policy_fit(demos, quad, ridge).K)
         if math.isfinite(J_pf):
             pf_costs.append(J_pf)
         o_costs.append(closed_loop_cost(dyn, cost, Kstar))
+        cells.append((demos, dyn, cost))
+    reports = fit_kalman_batch([(demos, dyn) for demos, dyn, _ in cells],
+                               quad, ridge, AdmmConfig())
+    for (_, dyn, cost), rep in zip(cells, reports):
+        if isinstance(rep, RuntimeError):
+            raise rep
+        k_costs.append(closed_loop_cost(dyn, cost, rep.K_certified))
     mean_k = sum(k_costs) / len(k_costs)
     mean_o = sum(o_costs) / len(o_costs)
     assert mean_k <= 1.6 * mean_o

@@ -88,6 +88,24 @@ class TestSolveLqr:
         assert np.array_equal(sol1.K, sol2.K)
         assert np.array_equal(sol1.P, sol2.P)
 
+    def test_badly_scaled_747_equation_refined_by_newton(self, caplog):
+        # the weights a constrained fit recovers on the 747 at seed 0, N = 1
+        # (rank-one Q), rounded: doubling stops at Riccati residual 4.4,
+        # and the Newton steps must bring it within tolerance
+        dyn, _, _ = build_aircraft()
+        q = np.array([0.0087, -0.149, -0.0145, 1.141])
+        Q, R = np.outer(q, q), np.array([[80.2, 23.6], [23.6, 52.9]])
+        with caplog.at_level(logging.INFO, logger="lqfit"):
+            sol = solve_lqr(dyn, (Q, R))
+        assert (are_residual(dyn, (Q, R), sol.P)
+                <= 1e-8 * (1 + np.linalg.norm(sol.P)))
+        assert spectral_radius(dyn.closed_loop(sol.K)) < 1.0
+        P_ref = solve_discrete_are(dyn.A, dyn.B, Q, R)
+        BtP = dyn.B.T @ P_ref
+        K_ref = -np.linalg.solve(R + BtP @ dyn.B, BtP @ dyn.A)
+        assert np.linalg.norm(sol.K - K_ref) <= 1e-6 * np.linalg.norm(K_ref)
+        assert "Riccati Newton refinement" in caplog.text
+
     def test_uncontrollable_system_raises(self):
         dyn = _dyn(np.array([[1.0]]), np.array([[0.0]]))
         with pytest.raises(ConvergenceError):
