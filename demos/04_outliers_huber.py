@@ -28,8 +28,8 @@ show("plain fit, quadratic loss", policy_fit(demos, LossSpec(), ridge).K)
 show("plain fit, huber loss", policy_fit(demos, huber, ridge).K)
 
 rep_q = fit_kalman(demos, LossSpec(), ridge, dyn, AdmmConfig())
-show("constrained fit, quadratic loss", rep_q.K_certified)
+show("constrained fit, quadratic loss", rep_q.K_reported)
 rep_h = fit_kalman(demos, huber, ridge, dyn, AdmmConfig())
-show("constrained fit, huber loss", rep_h.K_certified)
+show("constrained fit, huber loss", rep_h.K_reported)
 
 show("optimal gain", Kstar)

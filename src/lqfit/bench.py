@@ -51,7 +51,6 @@ class ExperimentConfig:
     reg: RegularizerSpec = RegularizerSpec("ridge", 0.01)
     admm: AdmmConfig = AdmmConfig()
     dynamics_path: str | None = None
-    certify: bool = True          # evaluate the certified gain in the kalman row
     expert_eval_horizon: int = 100_000
 
     def __post_init__(self):
@@ -106,7 +105,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     if "admm" in d:
         kwargs["admm"] = AdmmConfig(**d.pop("admm"))
     for key in ("N_values", "seeds", "sigma", "outlier_prob", "dynamics_path",
-                "certify", "expert_eval_horizon"):
+                "expert_eval_horizon"):
         if key in d:
             kwargs[key] = d.pop(key)
     if d:
@@ -205,12 +204,14 @@ def _kalman_row(config: ExperimentConfig, dyn, cost, seed: int, N: int,
                 fit):
     """The kalman row of a cell from its fit, a report or the exception
     the fit raised; returns (row, report), with report None when the fit
-    or the evaluation of its gain failed."""
+    or the evaluation of its gain failed.  The row evaluates the report's
+    ``K_reported``."""
     if not isinstance(fit, Exception):
+        if fit.K_certified is None:
+            print(f"warning: certified re-solve failed at seed={seed} N={N}; "
+                  "evaluating the fitted gain", file=sys.stderr)
         try:
-            K_eval = fit.K
-            if config.certify and fit.K_certified is not None:
-                K_eval = fit.K_certified
+            K_eval = fit.K_reported
             sr = spectral_radius(dyn.closed_loop(K_eval))
             return ResultRow(config.experiment, N, seed, "kalman",
                              closed_loop_cost(dyn, cost, K_eval),

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -103,12 +102,7 @@ def _cmd_fit_kalman(args) -> int:
     report = kalman_fit.fit_kalman(demos, _loss_from_args(args),
                                    RegularizerSpec("ridge", args.lam),
                                    dyn, config)
-    payload = report.to_dict()
-    selected = report.K
-    if args.certify and report.K_certified is not None:
-        selected = report.K_certified
-    payload["K_reported"] = selected.tolist()
-    _emit(payload, args.out)
+    _emit(report.to_dict(), args.out)
     return 0
 
 
@@ -126,16 +120,6 @@ def _cmd_experiment(args) -> int:
         config = bench.config_from_dict(d)
     except (TypeError, ValueError) as e:
         raise _ConfigError(f"bad experiment config: {e}") from e
-    admm = config.admm
-    if args.rho is not None:
-        admm = replace(admm, rho=args.rho)
-    if args.iters is not None:
-        admm = replace(admm, n_iter=args.iters)
-    if args.eps is not None:
-        admm = replace(admm, eps=args.eps)
-    config = replace(config, admm=admm)
-    if args.certify is not None:
-        config = replace(config, certify=args.certify)
     rows, _ = bench.run_experiment(config, args.out)
     print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     return 0
@@ -173,10 +157,6 @@ def build_parser() -> _Parser:
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--iters", type=int, default=200)
     p.add_argument("--eps", type=float, default=1e-6)
-    p.add_argument("--certify", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="report the Riccati-resynthesized gain as K_reported "
-                   "(default; --no-certify reports the raw ADMM iterate)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_fit_kalman)
 
@@ -191,11 +171,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("experiment", help="run a benchmark sweep")
     p.add_argument("--config", help="JSON config (defaults to small_random)")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--certify", action=argparse.BooleanOptionalAction,
-                   default=None)
     p.set_defaults(func=_cmd_experiment)
     return parser
 

@@ -32,7 +32,8 @@ running it alone, and ``fit_kalman`` is the batch of one problem.
 Besides the raw final iterate K, each report carries ``K_certified``: the
 gain re-synthesized by solving the Riccati equation with the recovered
 (Q, R), which satisfies the optimality constraints exactly and inherits
-LQR stability margins whenever the re-solve succeeds.
+LQR stability margins whenever the re-solve succeeds, and ``K_reported``:
+the gain callers use, ``K_certified`` or, when the re-solve failed, K.
 """
 
 from __future__ import annotations
@@ -46,21 +47,24 @@ from .conic_ls import LossSpec, RegularizerSpec
 from .linsys import DemoSet, LinearDynamics
 
 
+# The iteration cap and tolerance of each sweep's (P, Q, R) step.
+_PQR_ITERS = 40
+_PQR_TOL = 1e-11
+
+
 @dataclass(frozen=True)
 class AdmmConfig:
     """Parameters of the alternating-direction fitting loop.
 
-    ``rho`` is the penalty weight, ``n_iter`` the iteration cap, ``eps``
-    the Frobenius threshold on successive gains for early termination,
-    ``pqr_iters`` and ``pqr_tol`` bound the inner cone-least-squares
-    solver per iteration.  The starts are fixed; see ``fit_kalman``.
+    ``rho`` is the penalty weight, ``n_iter`` the iteration cap and
+    ``eps`` the Frobenius threshold on successive gains for early
+    termination.  The inner (P, Q, R) solver's budget per sweep and the
+    starts are fixed; see ``admm_iterate`` and ``fit_kalman``.
     """
 
     rho: float = 1.0
     n_iter: int = 200
     eps: float = 1e-6
-    pqr_iters: int = 40
-    pqr_tol: float = 1e-11
 
     def __post_init__(self):
         if self.rho <= 0:
@@ -103,6 +107,11 @@ class KalmanFitReport:
     iterations: int
     init_index: int
 
+    @property
+    def K_reported(self) -> np.ndarray:
+        """``K_certified``, or the fitted ``K`` when the re-solve failed."""
+        return self.K if self.K_certified is None else self.K_certified
+
     def to_dict(self) -> dict:
         return {
             "K": self.K.tolist(),
@@ -116,6 +125,7 @@ class KalmanFitReport:
             "converged": self.converged,
             "iterations": self.iterations,
             "init_index": self.init_index,
+            "K_reported": self.K_reported.tolist(),
         }
 
 
@@ -156,20 +166,22 @@ def _take(state: AdmmState, index) -> AdmmState:
 
 def admm_iterate(state: AdmmState, demos: DemoSet | list[DemoSet],
                  loss: LossSpec, reg: RegularizerSpec,
-                 dyn: LinearDynamics | list[LinearDynamics], rho: float,
-                 pqr_iters: int = AdmmConfig.pqr_iters,
-                 pqr_tol: float = AdmmConfig.pqr_tol) -> AdmmState:
+                 dyn: LinearDynamics | list[LinearDynamics],
+                 rho: float) -> AdmmState:
     """One sweep: K step, (P, Q, R) step, then dual update Y <- Y + rho M.
 
-    The constraint matrix M in the dual update is evaluated at the freshly
-    updated iterates.  Subsolver failures are re-raised as RuntimeError
-    with the iteration number attached.  ``state`` may also be a stack of
-    members (a leading axis on every matrix, see ``fit_kalman_batch``),
-    with ``demos`` and ``dyn`` each either shared or a list holding one
-    entry per member; the systems must share one size.  The K step and the
-    dual update then run member by member, and the (P, Q, R) step runs once
-    for the whole stack.  Each member's new iterate is bit for bit the one
-    a sweep of that member alone gives.
+    The (P, Q, R) step is warm-started from the incoming iterate and its
+    splitting dual, and runs at most 40 iterations to relative tolerance
+    1e-11 without the FISTA refine.  The constraint matrix M in the dual
+    update is evaluated at the freshly updated iterates.  Subsolver
+    failures are re-raised as RuntimeError with the iteration number
+    attached.  ``state`` may also be a stack of members (a leading axis
+    on every matrix, see ``fit_kalman_batch``), with ``demos`` and ``dyn``
+    each either shared or a list holding one entry per member; the systems
+    must share one size.  The K step and the dual update then run member
+    by member, and the (P, Q, R) step runs once for the whole stack.  Each
+    member's new iterate is bit for bit the one a sweep of that member
+    alone gives.
     """
     lead = state.K.ndim == 3
     batch = state if lead else _stack([state])
@@ -182,7 +194,7 @@ def admm_iterate(state: AdmmState, demos: DemoSet | list[DemoSet],
                           demo_sets, systems, batch.P, batch.Q, batch.R,
                           batch.Y1, batch.Y2)])
         step = conic_ls.solve_pqr_step(systems, K, batch.Y1, batch.Y2, rho,
-                                       tol=pqr_tol, max_iter=pqr_iters,
+                                       tol=_PQR_TOL, max_iter=_PQR_ITERS,
                                        init=(batch.P, batch.Q, batch.R),
                                        dual0=batch.pqr_dual, refine=False)
     except (conic_ls.SingularFitError, np.linalg.LinAlgError) as e:
@@ -207,8 +219,7 @@ def _sweep(batch, members, loss, reg, config):
     leaves every other problem's iterates as they are."""
     try:
         new = admm_iterate(batch, [d for d, _, _ in members], loss, reg,
-                           [s for _, s, _ in members], config.rho,
-                           pqr_iters=config.pqr_iters, pqr_tol=config.pqr_tol)
+                           [s for _, s, _ in members], config.rho)
     except RuntimeError as e:
         problems = sorted({p for _, _, p in members})
         if len(problems) == 1:

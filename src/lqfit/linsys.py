@@ -31,6 +31,9 @@ import numpy as np
 # the Lyapunov iteration is meaningless that close to marginal stability.
 STABILITY_MARGIN = 1.0 - 1e-9
 
+_LYAP_TOL = 1e-12
+_LYAP_MAX_ITER = 200
+
 
 def _as_matrix(M, name: str) -> np.ndarray:
     M = np.array(M, dtype=float)
@@ -112,9 +115,8 @@ class LinearDynamics:
             blocks.append(self.A @ blocks[-1])
         return np.hstack(blocks)
 
-    def is_controllable(self, tol: float | None = None) -> bool:
-        C = self.controllability_matrix()
-        return np.linalg.matrix_rank(C, tol=tol) == self.n
+    def is_controllable(self) -> bool:
+        return np.linalg.matrix_rank(self.controllability_matrix()) == self.n
 
     def closed_loop(self, K: np.ndarray) -> np.ndarray:
         K = np.asarray(K, dtype=float)
@@ -236,21 +238,22 @@ def spectral_radius(M: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvals(M)).max())
 
 
-def solve_lyapunov_stein(F: np.ndarray, C: np.ndarray,
-                         tol: float = 1e-12, max_iter: int = 200) -> np.ndarray:
+def solve_lyapunov_stein(F: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Solve P = C + F^T P F for symmetric C with rho(F) < 1.
 
     Fixed-point iteration with squaring (P accumulates sum F^{T k} C F^k
-    while F is repeatedly squared), quadratically convergent.  The
-    stationary state covariance X = F X F^T + W is the transposed variant:
-    pass F.T.
+    while F is repeatedly squared), quadratically convergent.  It stops
+    once a step moves P by at most 1e-12 relative to 1 + ||P||_F, or after
+    200 steps.  The stationary state covariance X = F X F^T + W is the
+    transposed variant: pass F.T.
     """
     P = _sym(np.asarray(C, dtype=float))
     Fk = np.asarray(F, dtype=float).copy()
-    for _ in range(max_iter):
+    for _ in range(_LYAP_MAX_ITER):
         Pn = _sym(P + Fk.T @ P @ Fk)
         Fk = Fk @ Fk
-        if np.linalg.norm(Pn - P, "fro") <= tol * (1.0 + np.linalg.norm(Pn, "fro")):
+        if (np.linalg.norm(Pn - P, "fro")
+                <= _LYAP_TOL * (1.0 + np.linalg.norm(Pn, "fro"))):
             return Pn
         P = Pn
     return P
@@ -373,15 +376,13 @@ def rollout_cost_estimate(dyn: LinearDynamics, cost, K: np.ndarray,
 
 def generate_demos(dyn: LinearDynamics, expert: np.ndarray,
                    input_noise_cov: np.ndarray, n_demos: int,
-                   outlier_prob: float, rng_seed,
-                   state_dist: str = "stationary") -> DemoSet:
+                   outlier_prob: float, rng_seed) -> DemoSet:
     """Draw N demonstration pairs from a noisy expert.
 
     States are drawn i.i.d. from the expert's stationary closed-loop
-    distribution (or standard normal with ``state_dist="standard_normal"``),
-    inputs are u_i = K_expert x_i + z_i with z_i ~ N(0, Sigma), and then
-    every scalar input entry is independently sign-flipped with probability
-    ``outlier_prob``.
+    distribution, inputs are u_i = K_expert x_i + z_i with z_i ~ N(0, Sigma),
+    and then every scalar input entry is independently sign-flipped with
+    probability ``outlier_prob``.
 
     Draw order (fixed for reproducibility): state normals (n, N), input
     normals (m, N), then flip uniforms (N, m); the flip uniforms are drawn
@@ -397,12 +398,7 @@ def generate_demos(dyn: LinearDynamics, expert: np.ndarray,
     if _min_eig(Sigma) < -1e-10 * (1.0 + np.linalg.norm(Sigma)):
         raise ValueError("input_noise_cov must be positive semidefinite")
     rng = np.random.default_rng(rng_seed)
-    if state_dist == "stationary":
-        Lx = _psd_factor(stationary_covariance(dyn, expert))
-    elif state_dist == "standard_normal":
-        Lx = np.eye(dyn.n)
-    else:
-        raise ValueError(f"unknown state_dist {state_dist!r}")
+    Lx = _psd_factor(stationary_covariance(dyn, expert))
     states = (Lx @ rng.standard_normal((dyn.n, n_demos))).T
     noise = (_psd_factor(Sigma) @ rng.standard_normal((dyn.m, n_demos))).T
     inputs = states @ expert.T + noise

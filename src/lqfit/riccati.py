@@ -66,6 +66,9 @@ _POLISH_EVERY = 100
 # or gives up after _SDA_MAX_ITER steps.
 _SDA_TOL = 1e-12
 _SDA_MAX_ITER = 120
+# check_kalman_feasible gives the reduced check _CHECK_MAX_ITER Dykstra
+# iterations, and its fallback as many splitting iterations.
+_CHECK_MAX_ITER = 20_000
 
 
 class ConvergenceError(RuntimeError):
@@ -376,14 +379,14 @@ class _ReducedCheck:
             return None
         return FarkasWitness(Y=Y, Wq=Wq, Wr=Wr)
 
-    def run(self, max_iter):
+    def run(self):
         """(certificate, witness, iterations): one of the first two is set,
-        or neither when the loop reaches max_iter."""
+        or neither when the loop reaches _CHECK_MAX_ITER."""
         sn, sm = self.sn, self.sm
         x = np.concatenate([sn.svec(np.eye(sn.n)), sm.svec(np.eye(sm.n))])
         corr = np.zeros_like(x)
         debug = logger.isEnabledFor(logging.DEBUG)
-        for it in range(1, max_iter + 1):
+        for it in range(1, _CHECK_MAX_ITER + 1):
             y = self.Z @ (self.Z.T @ x)
             cert = self.certify(*self.split(y))
             if cert is not None:
@@ -404,7 +407,7 @@ class _ReducedCheck:
                 witness = self.farkas(x - y)
                 if witness is not None:
                     return None, witness, it
-        return None, None, max_iter
+        return None, None, _CHECK_MAX_ITER
 
 
 def _infeasible(dyn, K, tol, iterations, witness):
@@ -417,8 +420,8 @@ def _infeasible(dyn, K, tol, iterations, witness):
                              verdict="infeasible", witness=witness)
 
 
-def check_kalman_feasible(dyn: LinearDynamics, K, tol: float | None = None,
-                          max_iter: int = 20_000) -> FeasibilityResult:
+def check_kalman_feasible(dyn: LinearDynamics, K,
+                          tol: float | None = None) -> FeasibilityResult:
     """Decide whether K is LQR-optimal for some cone-feasible (P, Q, R).
 
     Three routes, tried in order (F = A + B K):
@@ -438,15 +441,16 @@ def check_kalman_feasible(dyn: LinearDynamics, K, tol: float | None = None,
        between the iterates, mapped to a multiplier Y, gives a
        :class:`FarkasWitness` (tested every 10 iterations).
     3. Otherwise (an unstable mode in ker K, e.g. K = 0, or route 2 still
-       undecided after ``max_iter`` iterations) the cone least squares of
-       :func:`conic_ls.solve_pqr_step` runs as a fallback: ``feasible`` if
-       its residual is within tol, else ``undecided``.  Each fallback is
-       logged on the ``lqfit`` logger with its reason.
+       undecided after 20 000 iterations) the cone least squares of
+       :func:`conic_ls.solve_pqr_step` runs as a fallback, for at most
+       20 000 splitting iterations: ``feasible`` if its residual is within
+       tol, else ``undecided``.  Each fallback is logged on the ``lqfit``
+       logger with its reason.
 
     ``tol`` defaults to 1e-6 * (1 + ||K||_F).  Infeasible answers carry
     the cone point (0, 0, I) with its residual ||K||_F as ``certificate``.
     ``iterations`` counts Dykstra iterations: 0 on route 1 and on a
-    fallback for an unstable closed loop, ``max_iter`` on a fallback after
+    fallback for an unstable closed loop, 20 000 on a fallback after
     route 2.  The witness tests allow for roundoff: an unstable
     mode needs |K v| > _WITNESS_SLACK * (1 + ||K||_2) for unit v, and a
     Farkas witness's blocks may have eigenvalues down to -_WITNESS_SLACK
@@ -463,13 +467,13 @@ def check_kalman_feasible(dyn: LinearDynamics, K, tol: float | None = None,
     if witness is not None:
         return _infeasible(dyn, K, tol, 0, witness)
     if np.abs(lam).max() < STABILITY_MARGIN:
-        cert, witness, iterations = _ReducedCheck(dyn, K, F, tol).run(max_iter)
+        cert, witness, iterations = _ReducedCheck(dyn, K, F, tol).run()
         if witness is not None:
             return _infeasible(dyn, K, tol, iterations, witness)
         if cert is not None:
             return FeasibilityResult(certificate=cert, tol=tol,
                                      iterations=iterations, verdict="feasible")
-        reason = f"reduced check undecided after {max_iter} iterations"
+        reason = f"reduced check undecided after {_CHECK_MAX_ITER} iterations"
     else:
         iterations = 0
         reason = ("closed loop not stable, every mode with |lambda| >= 1 "
@@ -477,7 +481,7 @@ def check_kalman_feasible(dyn: LinearDynamics, K, tol: float | None = None,
     zero1 = np.zeros((dyn.n, dyn.n))
     zero2 = np.zeros((dyn.m, dyn.n))
     step = conic_ls.solve_pqr_step(dyn, K, zero1, zero2, rho=1.0,
-                                   tol=1e-13, max_iter=max_iter,
+                                   tol=1e-13, max_iter=_CHECK_MAX_ITER,
                                    target=(0.5 * tol) ** 2)
     residual = float(np.sqrt(max(step.objective, 0.0)))
     cert = KalmanCertificate(P=step.P, Q=step.Q, R=step.R, residual=residual)

@@ -284,18 +284,25 @@ class TestFailureIsolation:
         _assert_only_failed(clean_grid, rows, {(1, 1), (1, 3)})
 
     def test_riccati_failure_evaluates_the_fitted_gain(self, clean_grid,
-                                                       monkeypatch, tmp_path):
+                                                       monkeypatch, tmp_path,
+                                                       capsys):
         # the fourth certified re-solve, cell (1, 3)'s, raises: its kalman
-        # row evaluates the fitted K in place of K_certified, in a sweep and
-        # in run_cell alike
+        # row evaluates the fitted K in place of K_certified, and says so
+        # once on stderr, in a sweep and in run_cell alike
+        warning = ("warning: certified re-solve failed at seed=1 N=3; "
+                   "evaluating the fitted gain\n")
+
         def patch():
             monkeypatch.setattr(riccati, "solve_lqr", _failing_after(
                 solve_lqr, 4, lambda a: isinstance(a[1], tuple),
                 ConvergenceError("injected", math.inf)))
         patch()
+        capsys.readouterr()
         rows, _ = run_experiment(GRID, tmp_path / "batch.csv")
+        assert capsys.readouterr().err == warning
         patch()
         looped, reports = _cells_run_alone(GRID, rows)
+        assert capsys.readouterr().err == warning
         write_csv(looped, tmp_path / "cells.csv")
         assert ((tmp_path / "batch.csv").read_bytes()
                 == (tmp_path / "cells.csv").read_bytes())

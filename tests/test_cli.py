@@ -68,9 +68,6 @@ def test_fit_kalman_command(tmp_path, system_file, demos_file):
     assert payload["K_certified"] is not None
     assert payload["K_reported"] == payload["K_certified"]
     assert "residual" in payload and "converged" in payload
-    assert main(args + ["--no-certify"]) == 0
-    raw = json.loads(out.read_text())
-    assert raw["K_reported"] == raw["K"] == payload["K"]
 
 
 def test_check_kalman_feasible_and_not(tmp_path, system_file, capsys):
@@ -115,33 +112,32 @@ def test_experiment_command(tmp_path):
     assert out.read_text() == out2.read_text()
 
 
-def test_experiment_override_flags(tmp_path):
-    cfg = {"experiment": "small_random", "N_values": [2], "seeds": [0],
-           "admm": {"n_iter": 5},
-           "expert_eval_horizon": 2000}
+def _assert_config_rejected(tmp_path, capsys, cfg):
     cpath = tmp_path / "config.json"
-    cpath.write_text(json.dumps(cfg))
-    out = tmp_path / "a.csv"
-    assert main(["experiment", "--config", str(cpath), "--out", str(out),
-                 "--iters", "3", "--rho", "2.0", "--no-certify"]) == 0
-    assert out.exists()
-
-
-@pytest.mark.parametrize("admm", [{"n_random_inits": 3}, {"seed": 1}])
-def test_removed_admm_fields_rejected(tmp_path, capsys, admm):
-    cpath = tmp_path / "config.json"
-    cpath.write_text(json.dumps({"N_values": [2], "seeds": [0],
-                                 "admm": admm}))
+    cpath.write_text(json.dumps({"N_values": [2], "seeds": [0], **cfg}))
     assert main(["experiment", "--config", str(cpath),
                  "--out", str(tmp_path / "rows.csv")]) == 1
     assert "bad experiment config" in capsys.readouterr().err
     assert not (tmp_path / "rows.csv").exists()
 
 
+@pytest.mark.parametrize("admm", [{"n_random_inits": 3}, {"seed": 1},
+                                  {"pqr_iters": 40}, {"pqr_tol": 1e-11}])
+def test_removed_admm_fields_rejected(tmp_path, capsys, admm):
+    _assert_config_rejected(tmp_path, capsys, {"admm": admm})
+
+
+def test_removed_certify_field_rejected(tmp_path, capsys):
+    _assert_config_rejected(tmp_path, capsys, {"certify": False})
+
+
 @pytest.mark.parametrize("argv", [
     ["fit-kalman", "--system", "s.json", "--demos", "d.json", "--inits", "2"],
     ["fit-kalman", "--system", "s.json", "--demos", "d.json", "--seed", "1"],
     ["experiment", "--out", "rows.csv", "--seed", "1"],
+    ["fit-kalman", "--system", "s.json", "--demos", "d.json", "--no-certify"],
+    ["experiment", "--out", "rows.csv", "--no-certify"],
+    ["experiment", "--out", "rows.csv", "--iters", "3"],
 ])
 def test_removed_flags_rejected(argv):
     with pytest.raises(SystemExit) as exc:

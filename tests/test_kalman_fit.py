@@ -1,15 +1,18 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from lqfit import riccati
 from lqfit.conic_ls import (KalmanOperator, LossSpec, RegularizerSpec,
                             project_psd)
 from lqfit.fitting import fit_objective, policy_fit
 from lqfit.kalman_fit import (AdmmConfig, AdmmState, admm_iterate, fit_kalman,
                               fit_kalman_batch, identity_state, zero_state)
 from lqfit.linsys import DemoSet, LinearDynamics, generate_demos, spectral_radius
-from lqfit.riccati import KalmanCertificate, kalman_residual, solve_lqr
+from lqfit.riccati import (ConvergenceError, KalmanCertificate,
+                           kalman_residual, solve_lqr)
 
 from _oracles import random_controllable
 
@@ -139,9 +142,7 @@ class TestFitKalman:
         objectives = []
         for idx, state in enumerate((zero_state(dyn), identity_state(dyn))):
             for _ in range(cfg.n_iter):
-                new = admm_iterate(state, demos, QUAD, RIDGE, dyn, cfg.rho,
-                                   pqr_iters=cfg.pqr_iters,
-                                   pqr_tol=cfg.pqr_tol)
+                new = admm_iterate(state, demos, QUAD, RIDGE, dyn, cfg.rho)
                 delta = np.linalg.norm(new.K - state.K)
                 state = new
                 if delta < cfg.eps:
@@ -159,9 +160,7 @@ class TestFitKalman:
         runs = []
         for idx, state in enumerate((zero_state(dyn), identity_state(dyn))):
             for _ in range(cfg.n_iter):
-                new = admm_iterate(state, demos, QUAD, RIDGE, dyn, cfg.rho,
-                                   pqr_iters=cfg.pqr_iters,
-                                   pqr_tol=cfg.pqr_tol)
+                new = admm_iterate(state, demos, QUAD, RIDGE, dyn, cfg.rho)
                 delta = np.linalg.norm(new.K - state.K, "fro")
                 state = new
                 if delta < cfg.eps:
@@ -198,6 +197,24 @@ class TestFitKalman:
         for key in ("K", "K_certified", "P", "Q", "R", "residual",
                     "objective", "iterations", "converged", "init_index"):
             assert key in payload
+
+    def test_reported_gain_is_certified_unless_the_resolve_fails(
+            self, small_system, monkeypatch):
+        dyn, cost, sigma, Kstar = small_system
+        demos = generate_demos(dyn, Kstar, sigma, 3, 0.0, 37)
+        cfg = AdmmConfig(n_iter=10)
+        report = fit_kalman(demos, QUAD, RIDGE, dyn, cfg)
+        assert report.K_certified is not None
+        assert report.K_reported is report.K_certified
+
+        def fail(*args, **kwargs):
+            raise ConvergenceError("injected", math.inf)
+        monkeypatch.setattr(riccati, "solve_lqr", fail)
+        failed = fit_kalman(demos, QUAD, RIDGE, dyn, cfg)
+        assert failed.K_certified is None
+        assert np.array_equal(failed.K, report.K)
+        assert failed.K_reported is failed.K
+        assert failed.to_dict()["K_reported"] == report.K.tolist()
 
     def test_residual_matches_certificate(self, small_system):
         dyn, cost, sigma, Kstar = small_system

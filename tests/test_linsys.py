@@ -222,13 +222,6 @@ class TestGenerateDemos:
         emp = demos.states.T @ demos.states / len(demos)
         assert np.linalg.norm(emp - X) / np.linalg.norm(X) < 0.15
 
-    def test_standard_normal_fallback(self, stable_sys):
-        K = np.zeros((2, 3))
-        demos = generate_demos(stable_sys, K, np.zeros((2, 2)), 4000, 0.0, 5,
-                               state_dist="standard_normal")
-        emp = demos.states.T @ demos.states / len(demos)
-        assert np.linalg.norm(emp - np.eye(3)) < 0.2
-
     def test_unstable_expert_rejected(self):
         dyn = LinearDynamics(A=[[1.5]], B=[[1.0]], W=[[1.0]])
         with pytest.raises(ValueError):
