@@ -45,7 +45,6 @@ class ExperimentConfig:
     experiment: str = "small_random"
     N_values: tuple = (1, 2, 3, 4, 5, 7, 10, 15, 20)
     seeds: tuple = tuple(range(10))
-    sigma: object = None          # scalar, matrix, or None for the default
     outlier_prob: float = 0.0
     loss: LossSpec = LossSpec("quadratic")
     reg: RegularizerSpec = RegularizerSpec("ridge", 0.01)
@@ -104,7 +103,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         kwargs["reg"] = RegularizerSpec(**d.pop("reg"))
     if "admm" in d:
         kwargs["admm"] = AdmmConfig(**d.pop("admm"))
-    for key in ("N_values", "seeds", "sigma", "outlier_prob", "dynamics_path",
+    for key in ("N_values", "seeds", "outlier_prob", "dynamics_path",
                 "expert_eval_horizon"):
         if key in d:
             kwargs[key] = d.pop(key)
@@ -156,15 +155,6 @@ def build_aircraft() -> tuple[LinearDynamics, CostMatrices, np.ndarray]:
     return dyn, CostMatrices(Q=np.eye(4), R=np.eye(2)), 25.0 * np.eye(2)
 
 
-def _resolve_sigma(config: ExperimentConfig, default: np.ndarray, m: int):
-    if config.sigma is None:
-        return default
-    sig = np.asarray(config.sigma, dtype=float)
-    if sig.ndim == 0:
-        return float(sig) * np.eye(m)
-    return sig
-
-
 def _build_system(config: ExperimentConfig, seed: int):
     if config.experiment in ("small_random", "outliers"):
         dyn, cost, sigma = build_small_random(seed)
@@ -173,7 +163,7 @@ def _build_system(config: ExperimentConfig, seed: int):
     else:
         dyn, Q, R, sigma = load_system(config.dynamics_path)
         cost = CostMatrices(Q=Q, R=R)
-    return dyn, cost, _resolve_sigma(config, sigma, dyn.m)
+    return dyn, cost, sigma
 
 
 def _derived_seed(*parts) -> np.random.SeedSequence:

@@ -8,11 +8,8 @@ closed by a linear state-feedback policy u_t = K x_t.  The module provides
 the system container, the infinite-horizon average quadratic cost of a gain
 (computed through a discrete Lyapunov equation), a Monte-Carlo cost
 estimator used as a cross-check, and a generator of noisy "expert"
-demonstrations, optionally corrupted by sign-flip outliers.
-
-Only the Monte-Carlo estimator, :func:`rollout_cost_estimate`, uses scipy
-(``scipy.signal.lfilter``), and it imports it when called: scipy.signal
-takes about 1 s to import, so everything else in lqfit runs on numpy alone.
+demonstrations, optionally corrupted by sign-flip outliers.  Everything
+runs on numpy alone.
 
 Conventions: gains are plain (m, n) numpy arrays acting as u = K x; the
 closed-loop matrix is A + B K.  An unstable closed loop has infinite
@@ -47,10 +44,10 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.swapaxes(-1, -2))
 
 
-def _check_symmetric(M: np.ndarray, name: str, atol_scale: float = 1e-8) -> None:
+def _check_symmetric(M: np.ndarray, name: str) -> None:
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
-    if not np.allclose(M, M.T, atol=atol_scale * (1.0 + np.abs(M).max())):
+    if not np.allclose(M, M.T, atol=1e-8 * (1.0 + np.abs(M).max())):
         raise ValueError(f"{name} must be symmetric")
 
 
@@ -291,36 +288,22 @@ def closed_loop_cost(dyn: LinearDynamics, cost, K: np.ndarray) -> float:
 
 
 def _simulate_closed_loop(F: np.ndarray, x0: np.ndarray,
-                          disturbances: np.ndarray, lfilter) -> np.ndarray:
-    """States x_0..x_{T-1} under x_{t+1} = F x_t + d_t, vectorized.
+                          disturbances: np.ndarray) -> np.ndarray:
+    """States x_0..x_{T-1} under x_{t+1} = F x_t + d_t, as one (n, T) array.
 
-    Diagonalizes F and runs each eigen-coordinate as a scalar AR(1) filter
-    with ``lfilter`` (``scipy.signal.lfilter``); falls back to the plain
-    recursion when F is too far from diagonalizable.
+    A log-depth prefix scan (Hillis and Steele, 1986) on the columns
+    [x_0, d_0, ..., d_{T-2}]: after the step with shift s, column t holds
+    sum_{j < 2s} F^j times column t - j of the input, so once the shift
+    reaches T every column is the state.  Each step is one matrix product
+    over the whole horizon, and F need not be diagonalizable.
     """
-    n, T = disturbances.shape[0], disturbances.shape[1] + 1
-    lam, V = np.linalg.eig(F)
-    use_fast = True
-    try:
-        Vinv = np.linalg.inv(V)
-        if np.linalg.cond(V) > 1e8:
-            use_fast = False
-    except np.linalg.LinAlgError:
-        use_fast = False
-    if use_fast:
-        E = Vinv @ disturbances
-        y0 = Vinv @ x0
-        Y = np.empty((n, T), dtype=complex)
-        Y[:, 0] = y0
-        for i in range(n):
-            Y[i, 1:] = lfilter(
-                [1.0], [1.0, -lam[i]], E[i], zi=np.array([lam[i] * y0[i]])
-            )[0]
-        return np.ascontiguousarray((V @ Y).real)
-    X = np.empty((n, T))
-    X[:, 0] = x0
-    for t in range(T - 1):
-        X[:, t + 1] = F @ X[:, t] + disturbances[:, t]
+    X = np.hstack([x0[:, None], disturbances])
+    Fk = F
+    shift = 1
+    while shift < X.shape[1]:
+        X[:, shift:] += Fk @ X[:, :-shift]
+        Fk = Fk @ Fk
+        shift *= 2
     return X
 
 
@@ -335,17 +318,9 @@ def rollout_cost_estimate(dyn: LinearDynamics, cost, K: np.ndarray,
     ``input_noise_cov`` set, the applied input is u_t = K x_t + z_t with
     z_t ~ N(0, Sigma); this is the noisy-expert policy used in the
     experiments.  Intended as an independent cross-check of
-    :func:`closed_loop_cost`.
-
-    This is the only function in lqfit that loads scipy: the first call
-    imports ``scipy.signal`` (about 1 s), so a process that never estimates
-    a rollout cost never pays for it.
+    :func:`closed_loop_cost`; the trajectory comes from a numpy prefix scan
+    of the closed-loop recursion.
     """
-    # Imported here, before the rollout's long arrays are drawn, rather than
-    # where lfilter runs: the import's allocations then land before the big
-    # arrays, and peak memory is lower.
-    from scipy.signal import lfilter
-
     Q, R = cost_pair(cost)
     K = np.asarray(K, dtype=float)
     F = dyn.closed_loop(K)
@@ -365,7 +340,7 @@ def rollout_cost_estimate(dyn: LinearDynamics, cost, K: np.ndarray,
         Z = Lz @ rng.standard_normal((dyn.m, horizon))
         if horizon > 1:
             disturbances = disturbances + dyn.B @ Z[:, :-1]
-    X = _simulate_closed_loop(F, x0, disturbances, lfilter)
+    X = _simulate_closed_loop(F, x0, disturbances)
     state_cost = np.einsum("it,ij,jt->", X, Q, X)
     U = K @ X
     if Z is not None:

@@ -131,6 +131,10 @@ def test_removed_certify_field_rejected(tmp_path, capsys):
     _assert_config_rejected(tmp_path, capsys, {"certify": False})
 
 
+def test_removed_sigma_field_rejected(tmp_path, capsys):
+    _assert_config_rejected(tmp_path, capsys, {"sigma": 1.0})
+
+
 @pytest.mark.parametrize("argv", [
     ["fit-kalman", "--system", "s.json", "--demos", "d.json", "--inits", "2"],
     ["fit-kalman", "--system", "s.json", "--demos", "d.json", "--seed", "1"],

@@ -1,5 +1,6 @@
-"""What a fresh interpreter loads: lqfit runs on numpy alone until a
-rollout cost is estimated, the one place that imports scipy.signal."""
+"""lqfit runs on numpy alone: in a fresh interpreter where every scipy
+import fails, the public calls, a rollout cost estimate and a one-cell
+experiment all run, and no scipy module is loaded."""
 
 import subprocess
 import sys
@@ -11,6 +12,7 @@ SCRIPT = """
 import json, sys
 from pathlib import Path
 
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
 src, tmp = sys.argv[1:3]
 sys.path.insert(0, src)
 import numpy as np
@@ -23,7 +25,8 @@ from lqfit import (AdmmConfig, CostMatrices, LinearDynamics, LossSpec,
 assert Path(lqfit.__file__).resolve().parent == Path(src) / "lqfit", lqfit.__file__
 
 def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    return sorted(m for m, mod in sys.modules.items() if mod is not None
+                  and (m == "scipy" or m.startswith("scipy.")))
 
 dyn = LinearDynamics(A=[[1.0, 0.2], [0.0, 0.9]], B=[[0.0], [1.0]],
                      W=0.1 * np.eye(2))
@@ -38,14 +41,20 @@ system.write_text(json.dumps(dyn.to_dict()))
 gain.write_text(json.dumps({"K": K.tolist()}))
 assert lqfit.cli.main(["check-kalman", "--system", str(system),
                        "--gain", str(gain)]) == 0
-assert not scipy_modules(), scipy_modules()[:10]
 
-rollout_cost_estimate(dyn, cost, K, horizon=100, rng_seed=0)
-assert "scipy.signal" in sys.modules, scipy_modules()
+assert np.isfinite(rollout_cost_estimate(dyn, cost, K, horizon=100, rng_seed=0))
+config, rows = Path(tmp) / "config.json", Path(tmp) / "rows.csv"
+config.write_text(json.dumps({"N_values": [2], "seeds": [0],
+                              "admm": {"n_iter": 10},
+                              "expert_eval_horizon": 2000}))
+assert lqfit.cli.main(["experiment", "--config", str(config),
+                       "--out", str(rows)]) == 0
+assert len(rows.read_text().splitlines()) == 5
+assert not scipy_modules(), scipy_modules()[:10]
 """
 
 
-def test_only_rollout_cost_estimate_loads_scipy(tmp_path):
+def test_runs_with_scipy_blocked(tmp_path):
     proc = subprocess.run([sys.executable, "-c", SCRIPT, str(SRC), str(tmp_path)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from lqfit.bench import build_aircraft
 from lqfit.linsys import (CostMatrices, DemoSet, LinearDynamics,
-                          closed_loop_cost, generate_demos,
-                          rollout_cost_estimate, solve_lyapunov_stein,
-                          spectral_radius, stationary_covariance)
+                          _simulate_closed_loop, closed_loop_cost,
+                          generate_demos, rollout_cost_estimate,
+                          solve_lyapunov_stein, spectral_radius,
+                          stationary_covariance)
+from lqfit.riccati import solve_lqr
 
 
 @pytest.fixture
@@ -167,7 +170,7 @@ class TestRollout:
                                   horizon=100, rng_seed=0)
 
     def test_nondiagonalizable_fallback(self, scalar_cost):
-        # Jordan block: eigenvector matrix is singular, slow path must run
+        # Jordan block: F has no eigenvector basis
         dyn = LinearDynamics(A=[[0.5, 1.0], [0.0, 0.5]], B=[[0.0], [1.0]],
                              W=0.2 * np.eye(2))
         cost = (np.eye(2), np.eye(1))
@@ -175,6 +178,35 @@ class TestRollout:
         J = closed_loop_cost(dyn, cost, K)
         est = rollout_cost_estimate(dyn, cost, K, horizon=200_000, rng_seed=5)
         assert abs(est - J) / J <= 0.05
+
+
+def _random_stable(n, seed):
+    F = np.random.default_rng(seed).standard_normal((n, n))
+    return F * (0.95 / spectral_radius(F))
+
+
+def _aircraft_expert_loop():
+    dyn, cost, _ = build_aircraft()
+    return dyn.closed_loop(solve_lqr(dyn, cost).K)
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 1000, 2**10 + 1])
+@pytest.mark.parametrize("F", [
+    _random_stable(4, 0),
+    0.95 * np.eye(3) + np.eye(3, k=1),  # defective: one Jordan block
+    _aircraft_expert_loop(),
+], ids=["random", "jordan", "aircraft-expert"])
+def test_simulation_matches_recursion(F, T):
+    rng = np.random.default_rng(T)
+    x0 = rng.standard_normal(F.shape[0])
+    D = rng.standard_normal((F.shape[0], T - 1))
+    ref = np.empty((F.shape[0], T))
+    ref[:, 0] = x0
+    for t in range(T - 1):
+        ref[:, t + 1] = F @ ref[:, t] + D[:, t]
+    X = _simulate_closed_loop(F, x0, D)
+    assert X.shape == ref.shape
+    assert np.abs(X - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestGenerateDemos:
