@@ -17,7 +17,10 @@ a linear least squares over a product of semidefinite cones.  It is solved
 by operator splitting (ADMM on the variable/copy pair) in an orthonormal
 svec parameterization, with penalty self-rescaling, an exact "polish"
 solve on the active face of the cones and an accelerated projected-gradient
-refine.
+refine.  A stack of such problems (gains of one size) runs through the
+splitting loop in lockstep, and the members that leave it together are
+polished as one stack, with one face least squares per member; each
+member's result is bit for bit that of solving it alone.
 """
 
 from __future__ import annotations
@@ -232,6 +235,24 @@ def _svec_ops(n: int) -> _SvecOps:
     return _SvecOps(n)
 
 
+@functools.lru_cache(maxsize=None)
+def _stacked_svec(n: int, m: int):
+    """The svec maps of a (P, Q, R) triple, with P and Q n x n and R m x m,
+    in the flat layout [P | Q | R] of its row-major entries: the svec
+    position and the scale of every entry, and the flat positions of the
+    upper and lower triangle entries of every svec coordinate, in svec
+    order; read-only."""
+    sn, sm = _svec_ops(n), _svec_ops(m)
+    blocks = ((sn, 0, 0), (sn, n * n, sn.dim), (sm, 2 * n * n, 2 * sn.dim))
+    pos = np.concatenate([o.pos + k0 for o, _, k0 in blocks])
+    scale = np.concatenate([o.scale for o, _, _ in blocks])
+    up = np.concatenate([f0 + o.iu[0] * o.n + o.iu[1] for o, f0, _ in blocks])
+    lo = np.concatenate([f0 + o.iu[1] * o.n + o.iu[0] for o, f0, _ in blocks])
+    for arr in (pos, scale, up, lo):
+        arr.flags.writeable = False
+    return pos, scale, up, lo
+
+
 class KalmanOperator:
     """The Kalman-constraint map at a fixed gain K, and its adjoint.
 
@@ -248,9 +269,22 @@ class KalmanOperator:
         self.F = A + B @ self.K
         self.n, self.m = A.shape[0], B.shape[1]
 
+    @classmethod
+    def stack(cls, ops):
+        """The operators ``ops``, all of one size, as one operator whose
+        ``apply`` and ``objective`` take stacks of shape (S, k, size, size)
+        and send slice [i, j] through ``ops[i]``."""
+        op = cls.__new__(cls)
+        op.A, op.B, op.K, op.F = (
+            np.stack([getattr(o, f) for o in ops])[:, None]
+            for f in ("A", "B", "K", "F"))
+        op.n, op.m = ops[0].n, ops[0].m
+        return op
+
     def apply(self, P, Q, R):
         A, B, F = self.A, self.B, self.F
-        return Q + A.T @ P @ F - P, R @ self.K + B.T @ P @ F
+        return (Q + A.swapaxes(-1, -2) @ P @ F - P,
+                R @ self.K + B.swapaxes(-1, -2) @ P @ F)
 
     def adjoint(self, M1, M2):
         """The symmetric (P, Q, R) directions with
@@ -259,12 +293,14 @@ class KalmanOperator:
         return (_sym(A @ M1 @ F.T - M1 + B @ M2 @ F.T), _sym(M1),
                 _sym(M2 @ self.K.T))
 
-    def objective(self, P, Q, R, T1=0.0, T2=0.0) -> float:
-        """||apply(P, Q, R) + (T1, T2)||_F^2."""
+    def objective(self, P, Q, R, T1=0.0, T2=0.0):
+        """||apply(P, Q, R) + (T1, T2)||_F^2: a float, or an array of one
+        value per matrix for stacks."""
         M1, M2 = self.apply(P, Q, R)
         M1 = M1 + T1
         M2 = M2 + T2
-        return float(np.sum(M1 * M1) + np.sum(M2 * M2))
+        f = np.sum(M1 * M1, axis=(-2, -1)) + np.sum(M2 * M2, axis=(-2, -1))
+        return float(f) if f.ndim == 0 else f
 
     def matrix(self) -> np.ndarray:
         """(n*n + m*n) x (2 dim_n + dim_m): column j is apply of the j-th
@@ -282,21 +318,32 @@ class KalmanOperator:
         return Mat
 
 
+def _face_bases(w, V, floor, act_tol):
+    """The face bases of {X >= floor I} at a stack of matrices with
+    eigenpairs (w, V), at full width: for every pair i <= j of eigenvectors,
+    in triu order, the matrix (v_i v_j^T + v_j v_i^T) / (2 or sqrt 2), and
+    whether it lies in the face active at the matrix, that is, whether both
+    eigenvalues exceed floor by more than the tolerance (relative)."""
+    i, j, divisor = _face_index(w.shape[-1])
+    Vt = V.swapaxes(-1, -2)
+    O = Vt[..., i, :, None] * Vt[..., j, None, :]
+    on = (w - floor) > act_tol * (1.0 + w.max(axis=-1, initial=0.0,
+                                             keepdims=True))
+    return (O + O.swapaxes(-1, -2)) / divisor, on[..., i] & on[..., j]
+
+
 def _face_basis(w, V, floor, act_tol):
     """Orthonormal basis (a stack) of the face of {X >= floor I} active at
-    the matrix with eigenpairs (w, V): the matrices (v_i v_j^T + v_j v_i^T)
-    / (2 or sqrt 2), i <= j, over the eigenvectors whose eigenvalues exceed
-    floor by more than the tolerance."""
-    V = V[:, (w - floor) > act_tol * (1.0 + w.max(initial=0.0))].T
-    i, j, divisor = _face_index(len(V))
-    O = V[i, :, None] * V[j, None, :]
-    return (O + O.swapaxes(1, 2)) / divisor
+    the matrix with eigenpairs (w, V): the matrices of
+    :func:`_face_bases` that lie in the face, in triu order."""
+    E, on = _face_bases(w, V, floor, act_tol)
+    return E[on]
 
 
 @functools.lru_cache(maxsize=None)
 def _face_index(k: int):
-    """The pairs i <= j of a k-dimensional face and the divisor of each
-    basis matrix, 2 on the diagonal and sqrt 2 off it; read-only."""
+    """The pairs i <= j of k eigenvectors and the divisor of each basis
+    matrix, 2 on the diagonal and sqrt 2 off it; read-only."""
     i, j = np.triu_indices(k)
     divisor = np.where(i == j, 2.0, _SQRT2)[:, None, None]
     for arr in (i, j, divisor):
@@ -318,6 +365,93 @@ def _row_norms(V):
     """Euclidean norms along the last axis, bit-equal to np.linalg.norm of
     each row: both take one BLAS dot product per row."""
     return np.sqrt((V[..., None, :] @ V[..., :, None])[..., 0, 0])
+
+
+def _reaches(w, floor):
+    """Whether the eigenvalues w (last axis) all reach floor, up to 1e-9
+    relative."""
+    return w.min(axis=-1) >= floor - 1e-9 * (1.0 + np.abs(w).max(axis=-1))
+
+
+def _polish(engines, T1, T2, best):
+    """Exact least squares on the active face of the cones, for a stack.
+
+    Member i is the problem of ``engines[i]`` (all of one size) with
+    offsets (T1[i], T2[i]) at ``best[i]``, an (objective, P, Q, R) tuple.
+    Its face is read off the eigenstructure of that (P, Q, R); the nearest
+    correction within the face is applied and accepted only if
+    cone-feasible and lower.  Members whose correction is rejected try the
+    next tolerance of _POLISH_ACT_TOLS together.  The eigendecompositions,
+    the face bases (at full width, pairs off the face held at theta = 0),
+    the operator, the cone tests and projections act on the whole stack;
+    the face least squares is one ``lstsq`` per member on its own face
+    columns.  So each member's result is bit for bit that of polishing it
+    alone.  Returns the lower (objective, P, Q, R) per member.
+    """
+    best = list(best)
+    ops = [e.op for e in engines]
+    n, m, dn, p = ops[0].n, ops[0].m, engines[0].dn, engines[0].p
+    PQ = np.stack([b[1:3] for b in best])
+    R = np.stack([b[3] for b in best])
+    w_pq, V_pq = np.linalg.eigh(_sym(PQ))
+    w_r, V_r = np.linalg.eigh(_sym(R))
+    todo = np.arange(len(best))
+    for act_tol in _POLISH_ACT_TOLS:
+        s = len(todo)
+        op = KalmanOperator.stack([ops[i] for i in todo])
+        E_pq, on_pq = _face_bases(w_pq[todo], V_pq[todo], 0.0, act_tol)
+        E_r, on_r = _face_bases(w_r[todo], V_r[todo], 1.0, act_tol)
+        # the face columns: apply of each basis matrix in its own block
+        Ps, Qs = np.zeros((s, p, n, n)), np.zeros((s, p, n, n))
+        Rs = np.zeros((s, p, m, m))
+        Ps[:, :dn], Qs[:, dn:2 * dn], Rs[:, 2 * dn:] = (E_pq[:, 0],
+                                                        E_pq[:, 1], E_r)
+        M1, M2 = op.apply(Ps, Qs, Rs)
+        cols = np.concatenate([M1.reshape(s, p, n * n),
+                               M2.reshape(s, p, m * n)], axis=2)
+        on = np.concatenate([on_pq.reshape(s, 2 * dn), on_r], axis=1)
+        theta = np.concatenate([
+            np.sum(E_pq * PQ[todo, :, None], axis=(-2, -1)).reshape(s, -1),
+            np.sum(E_r * (R[todo] - np.eye(m))[:, None], axis=(-2, -1))],
+            axis=1)
+        c = np.concatenate([T1[todo].reshape(s, -1),
+                            (op.K[:, 0] + T2[todo]).reshape(s, -1)], axis=1)
+        for t, face, col, ci in zip(theta, on, cols, c):
+            Mt = col[face].T.copy()
+            dth, *_ = np.linalg.lstsq(Mt, -(Mt @ t[face] + ci), rcond=None)
+            t[face] += dth
+            t[~face] = 0.0
+        # start + sum_k theta_k E_k, added in order as _combine does: numpy
+        # reduces an outer axis term by term (a 1 x 1 block has one term)
+        PQn = np.add.reduce(np.concatenate(
+            [np.zeros((s, 2, 1, n, n)),
+             theta[:, :2 * dn].reshape(s, 2, dn, 1, 1) * E_pq], axis=2),
+            axis=2)
+        Rn = np.add.reduce(np.concatenate(
+            [np.broadcast_to(np.eye(m), (s, 1, m, m)),
+             theta[:, 2 * dn:, None, None] * E_r], axis=1), axis=1)
+        ok = (_reaches(np.linalg.eigvalsh(_sym(PQn)), 0.0).all(axis=-1)
+              & _reaches(np.linalg.eigvalsh(_sym(Rn)), 1.0))
+        if ok.any():
+            done = todo[ok]
+            PQn, Rn = project_psd(PQn[ok]), project_psd(Rn[ok], 1.0)
+            f = KalmanOperator.stack([ops[i] for i in done]).objective(
+                PQn[:, None, 0], PQn[:, None, 1], Rn[:, None],
+                T1[done, None], T2[done, None])[:, 0]
+            for i, fi, (Pn, Qn), Rn_i in zip(done, f.tolist(), PQn, Rn):
+                best[i] = _lower(best[i], (fi, Pn, Qn, Rn_i))
+        todo = todo[~ok]
+        if not len(todo):
+            break
+    return best
+
+
+def _settle(engines, T1, T2, best, last):
+    """The lower of each member's best and its last iterate (a (P, Q, R)
+    tuple), polished as one stack."""
+    return _polish(engines, T1, T2, [
+        _lower(b, (e.op.objective(*x, t1, t2), *x))
+        for e, t1, t2, b, x in zip(engines, T1, T2, best, last)])
 
 
 class _SplitSolver:
@@ -389,16 +523,22 @@ class _SplitSolver:
             P, Q, R, f_prev = Pn, Qn, Rn, f
         return best
 
-    def finish(self, T1, T2, best, last, converged, refine, iters, stop_at):
-        """The lower of best and the last iterate, polished, then refined
-        and polished again when the loop neither converged nor reached
-        its target."""
-        op = self.op
-        best = _lower(best, (op.objective(*last, T1, T2), *last))
-        best = self._polish(T1, T2, best)
-        if refine and not converged and best[0] > stop_at:
-            best = _lower(best, self.refine(T1, T2, *best[1:], iters=iters))
-            best = self._polish(T1, T2, best)
+    @staticmethod
+    def finish(engines, T1, T2, best, last, converged, refine, iters,
+               stop_at):
+        """Finish the members that leave the loop together.
+
+        The lower of each member's best and its last iterate is polished,
+        all members as one stack with one face least squares per member.
+        If the loop neither converged nor reached its target, a member is
+        then refined and polished again, as a stack of one.
+        """
+        best = _settle(engines, T1, T2, best, last)
+        for k, e in enumerate(engines):
+            if refine and not converged and best[k][0] > stop_at:
+                b = _lower(best[k], e.refine(T1[k], T2[k], *best[k][1:],
+                                             iters=iters))
+                best[k] = _polish([e], T1[k:k + 1], T2[k:k + 1], [b])[0]
         return best
 
     @staticmethod
@@ -411,12 +551,17 @@ class _SplitSolver:
         dual u0[i].  The stacked steps (the x solve, the cone projections,
         the norms) work matrix by matrix and row by row, and each member
         keeps its own penalty, best point and stopping test; a member that
-        stops leaves the batch.  So every member's result is bit for bit
-        the result of running it alone.  Returns one (best, iterations,
-        converged, primal residual, dual residual, dual) per member.
+        stops leaves the batch.  The members that leave at one iteration
+        are finished together (:meth:`finish`): their polish runs as one
+        stack, with one face least squares per member.  So every member's
+        result is bit for bit the result of running it alone.  Returns one
+        (best, iterations, converged, primal residual, dual residual, dual)
+        per member.
         """
         head = engines[0]
-        sn, sm, dn, p = head.sn, head.sm, head.dn, head.p
+        sn, sm, p = head.sn, head.sm, head.p
+        pos, scale, up, lo = _stacked_svec(sn.n, sm.n)
+        n2 = 2 * sn.n * sn.n
         stop_at = max(target, 1e-24)
         alpha = 1.6
         eye = np.eye(p)
@@ -431,7 +576,9 @@ class _SplitSolver:
         act = [i for i, r in enumerate(results) if r is None]
         if not act:
             return results
-        # the running iterates: (P, Q) stacked per member, R, their svec z
+        # the running iterates: (P, Q) stacked per member, R, their svec z;
+        # from the first iteration on, (P, Q) and R are the cone projections
+        # before their final symmetrization
         PQ, R, u = np.stack([P0[act], Q0[act]], axis=1), R0[act], u[act]
         z = head.svec(PQ, R)
         G = np.stack([engines[i].G for i in act])
@@ -442,11 +589,20 @@ class _SplitSolver:
         Minv = np.linalg.inv(G + sigma[:, None, None] * eye)
         rp = rd = np.full(len(act), math.inf)
 
-        def leave(j, i, it_done, converged):
-            results[i] = (engines[i].finish(
-                T1[i], T2[i], best[i], (PQ[j, 0], PQ[j, 1], R[j]), converged,
-                refine, max_iter, stop_at),
-                it_done, converged, rp[j], rd[j], u[j].copy())
+        def last(js):
+            """The symmetrized running (P, Q, R) of the members js."""
+            PQs, Rs = _sym(PQ[js]), _sym(R[js])
+            return [(PQs[k, 0], PQs[k, 1], Rs[k]) for k in range(len(js))]
+
+        def leave(js, it_done, converged):
+            ids = [act[j] for j in js]
+            done = _SplitSolver.finish(
+                [engines[i] for i in ids], T1[ids], T2[ids],
+                [best[i] for i in ids], last(js), converged, refine,
+                max_iter, stop_at)
+            for j, i, b in zip(js, ids, done):
+                results[i] = (b, it_done, converged, rp[j], rd[j],
+                              u[j].copy())
 
         it = 0
         while act and it < max_iter:
@@ -454,88 +610,56 @@ class _SplitSolver:
             x = (Minv @ (sigma[:, None] * (z - u) - q)[:, :, None])[:, :, 0]
             xr = alpha * x + (1.0 - alpha) * z
             v = xr + u
-            PQ = project_psd(sn.smat(v[:, :2 * dn].reshape(-1, 2, dn)))
-            R = project_psd(sm.smat(v[:, 2 * dn:]), 1.0)
-            znew = head.svec(PQ, R)
+            # both cone blocks of v as exactly symmetric matrices, so eigh
+            # needs no symmetrization
+            Mv = np.take(v / scale, pos, axis=-1)
+            w, V = np.linalg.eigh(Mv[:, :n2].reshape(-1, 2, sn.n, sn.n))
+            PQ = V @ (np.maximum(w, 0.0)[..., None] * V.swapaxes(-1, -2))
+            w, V = np.linalg.eigh(Mv[:, n2:].reshape(-1, sm.n, sm.n))
+            R = V @ (np.maximum(w, 1.0)[..., None] * V.swapaxes(-1, -2))
+            # svec of the symmetrized projections, read off both triangles
+            M = np.concatenate([PQ.reshape(len(v), -1),
+                                R.reshape(len(v), -1)], axis=1)
+            znew = 0.5 * (M[:, up] + M[:, lo]) * scale
             u += xr - znew
             nz, rp, rd = _row_norms(np.array([znew, x - znew, znew - z]))
             rd = sigma * rd
             z = znew
-            converged = [r <= eps * (1.0 + n) and d <= eps * (1.0 + n)
-                         for n, r, d in zip(nz.tolist(), rp.tolist(),
-                                            rd.tolist())]
-            if it % 50 and not any(converged):
+            tol = eps * (1.0 + nz)
+            converged = (rp <= tol) & (rd <= tol)
+            if it % 50 and not converged.any():
                 continue
-            keep = []
-            for j, i in enumerate(act):
-                if converged[j]:
-                    leave(j, i, it, True)
-                    continue
+            going = np.flatnonzero(~converged).tolist()
+            if it % 50 == 0:
                 # penalty self-rescaling when primal/dual residuals drift apart
-                if it % 50 == 0 and rp[j] > 0 and rd[j] > 0:
-                    ratio = math.sqrt(rp[j] / rd[j])
-                    if ratio > 5.0 or ratio < 0.2:
-                        sigma[j] *= ratio
-                        u[j] /= ratio
-                        Minv[j] = np.linalg.inv(G[j] + sigma[j] * eye)
-                if it % 200 == 0:
-                    e, last = engines[i], (PQ[j, 0], PQ[j, 1], R[j])
-                    best[i] = _lower(best[i], (e.op.objective(
-                        *last, T1[i], T2[i]), *last))
-                    best[i] = e._polish(T1[i], T2[i], best[i])
-                    if best[i][0] <= stop_at:
-                        leave(j, i, it, False)
-                        continue
-                keep.append(j)
-            if len(keep) < len(act):
+                for j in going:
+                    if rp[j] > 0 and rd[j] > 0:
+                        ratio = math.sqrt(rp[j] / rd[j])
+                        if ratio > 5.0 or ratio < 0.2:
+                            sigma[j] *= ratio
+                            u[j] /= ratio
+                            Minv[j] = np.linalg.inv(G[j] + sigma[j] * eye)
+            out = np.flatnonzero(converged).tolist()
+            if out:
+                leave(out, it, True)
+            if it % 200 == 0 and going:
+                ids = [act[j] for j in going]
+                for i, b in zip(ids, _settle(
+                        [engines[i] for i in ids], T1[ids], T2[ids],
+                        [best[i] for i in ids], last(going))):
+                    best[i] = b
+                reached = [j for j in going if best[act[j]][0] <= stop_at]
+                if reached:
+                    leave(reached, it, False)
+                out += reached
+            if out:
+                keep = [j for j in range(len(act)) if j not in out]
                 act = [act[j] for j in keep]
                 PQ, R, z, u, q, G, sigma, Minv, rp, rd = (
                     a[keep] for a in (PQ, R, z, u, q, G, sigma, Minv, rp, rd))
-        for j, i in enumerate(act):
-            leave(j, i, it, False)
+        if act:
+            leave(list(range(len(act))), it, False)
         return results
-
-    def _polish(self, T1, T2, best):
-        """Exact least squares on the active face of the cones.
-
-        The face is read off the eigenstructure of best's (P, Q, R); the
-        nearest correction within the face is applied and accepted only if
-        cone-feasible and lower.  Returns the lower (objective, P, Q, R).
-        """
-        _, P, Q, R = best
-        op = self.op
-        n, m = op.n, op.m
-        c = np.concatenate([T1.ravel(), (op.K + T2).ravel()])
-        eigs = [np.linalg.eigh(_sym(M)) for M in (P, Q, R)]
-        for act_tol in _POLISH_ACT_TOLS:
-            EP, EQ, ER = (_face_basis(w, V, floor, act_tol)
-                          for (w, V), floor in zip(eigs, (0.0, 0.0, 1.0)))
-            # the face columns: apply of each basis matrix in its own block
-            kp, kq = len(EP), len(EQ)
-            k = kp + kq + len(ER)
-            Ps, Qs = np.zeros((k, n, n)), np.zeros((k, n, n))
-            Rs = np.zeros((k, m, m))
-            Ps[:kp], Qs[kp:kp + kq], Rs[kp + kq:] = EP, EQ, ER
-            M1, M2 = op.apply(Ps, Qs, Rs)
-            Mt = np.concatenate([M1.reshape(k, n * n), M2.reshape(k, m * n)],
-                                axis=1).T.copy()
-            theta = np.array([np.sum(E * X) for Es, X in
-                              ((EP, P), (EQ, Q), (ER, R - np.eye(m)))
-                              for E in Es])
-            dth, *_ = np.linalg.lstsq(Mt, -(Mt @ theta + c), rcond=None)
-            theta = theta + dth
-            Pn = _combine(np.zeros((n, n)), theta[:kp], EP)
-            Qn = _combine(np.zeros((n, n)), theta[kp:kp + kq], EQ)
-            Rn = _combine(np.eye(m), theta[kp + kq:], ER)
-            if all(w.min() >= floor - 1e-9 * (1.0 + np.abs(w).max())
-                   for w, floor in ((np.linalg.eigvalsh(_sym(Pn)), 0.0),
-                                    (np.linalg.eigvalsh(_sym(Qn)), 0.0),
-                                    (np.linalg.eigvalsh(_sym(Rn)), 1.0))):
-                Pn, Qn = project_psd(np.stack([Pn, Qn]))
-                Rn = project_psd(Rn, 1.0)
-                return _lower(best, (op.objective(Pn, Qn, Rn, T1, T2),
-                                     Pn, Qn, Rn))
-        return best
 
 
 def per_member(value, count: int) -> list:

@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lqfit import build_aircraft, build_small_random, conic_ls
 from lqfit.conic_ls import (KalmanOperator, LossSpec, RegularizerSpec,
                             SingularFitError, huber_value, project_psd,
                             solve_k_step, solve_pqr_step)
-from lqfit.linsys import DemoSet, LinearDynamics
+from lqfit.kalman_fit import AdmmConfig, fit_kalman_batch
+from lqfit.linsys import DemoSet, LinearDynamics, generate_demos
 from lqfit.riccati import solve_lqr
 
-from _oracles import pqr_projected_gradient, random_controllable
+from _oracles import (_face_basis, polish_reference, pqr_projected_gradient,
+                      random_controllable)
 
 
 def _dyn(A, B):
@@ -379,3 +382,114 @@ class TestPqrStep:
         with pytest.raises(ValueError):
             solve_pqr_step(dyn, np.zeros((1, 1)), np.zeros((1, 1)),
                            np.zeros((1, 1)), rho=0.0)
+
+
+class TestPolish:
+    """The face polish of a stack against the one-member reference, array
+    for array."""
+
+    @staticmethod
+    def _assert_matches_reference(engines, T1, T2, best):
+        got = conic_ls._polish(engines, T1, T2, best)
+        assert len(got) == len(best)
+        for e, t1, t2, b, g in zip(engines, T1, T2, best, got):
+            ref = polish_reference(e.op, t1, t2, b)
+            assert g[0] == ref[0]
+            for x, y in zip(g[1:], ref[1:]):
+                assert np.array_equal(x, y)
+        return got
+
+    @staticmethod
+    def _signature(best):
+        """The face sizes of (P, Q, R) at the first tolerance."""
+        return tuple(len(_face_basis(*np.linalg.eigh(M), floor, 1e-5))
+                     for M, floor in zip(best[1:], (0.0, 0.0, 1.0)))
+
+    @staticmethod
+    def _counting_lstsq(monkeypatch):
+        count = [0]
+        lstsq = np.linalg.lstsq
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        return count
+
+    def test_warm_calls_match_reference(self, monkeypatch):
+        # the polish calls of three sweeps of two-problem batches on
+        # small_random and the 747, four members each
+        calls = []
+        polish = conic_ls._polish
+
+        def record(engines, T1, T2, best):
+            calls.append((engines, T1.copy(), T2.copy(), list(best)))
+            return polish(engines, T1, T2, best)
+
+        monkeypatch.setattr(conic_ls, "_polish", record)
+        for (dyn, cost, sigma), Ns in ((build_small_random(0), (1, 5)),
+                                       (build_aircraft(), (1, 3))):
+            K = solve_lqr(dyn, cost).K
+            fit_kalman_batch([(generate_demos(dyn, K, sigma, N, 0.0, N), dyn)
+                              for N in Ns], QUAD, RegularizerSpec(),
+                             AdmmConfig(n_iter=3))
+        monkeypatch.setattr(conic_ls, "_polish", polish)
+        assert len(calls) == 6
+        assert all(len(best) == 4 for *_, best in calls)
+        count = self._counting_lstsq(monkeypatch)
+        for call in calls:
+            self._assert_matches_reference(*call)
+        # the stack and the reference each solve once per member, and again
+        # for a member whose first correction is rejected: some are
+        assert count[0] > 2 * 6 * 4
+        assert all(len({self._signature(b) for b in best}) > 1
+                   for *_, best in calls)
+
+    def test_edge_faces_match_reference(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((3, 3))
+        A *= 0.9 / np.abs(np.linalg.eigvals(A)).max()
+        B = rng.standard_normal((3, 2))
+
+        def low_rank(size, rank):
+            G = rng.standard_normal((size, rank))
+            return G @ G.T
+
+        def nudged(M, floor):
+            # the eigenvalues above the floor moved, the face kept
+            w, V = np.linalg.eigh(M)
+            w = np.where(w - floor > 1e-8,
+                         w * (1.0 + 0.05 * rng.standard_normal(len(w))), w)
+            return (V * w) @ V.T
+
+        # K = 0 (zero R-block columns); Q = 0 (an empty Q face); a member
+        # whose offsets put the face's least squares point outside the
+        # cones, so that its correction is rejected at both tolerances
+        gains = [np.zeros((2, 3)), 0.3 * rng.standard_normal((2, 3)),
+                 0.3 * rng.standard_normal((2, 3))]
+        targets = [
+            (low_rank(3, 2), low_rank(3, 1), np.eye(2) + low_rank(2, 1)),
+            (low_rank(3, 3), np.zeros((3, 3)), np.eye(2) + low_rank(2, 2)),
+            (low_rank(3, 1), low_rank(3, 2), np.eye(2))]
+        engines = [conic_ls._SplitSolver(KalmanOperator(A, B, K))
+                   for K in gains]
+        T1, T2 = [], []
+        for e, target in zip(engines, targets):
+            M1, M2 = e.op.apply(*target)
+            T1.append(1e-3 * rng.standard_normal((3, 3)) - M1)
+            T2.append(1e-3 * rng.standard_normal((2, 3)) - M2)
+        T1[2], T2[2] = rng.standard_normal((3, 3)), rng.standard_normal((2, 3))
+        T1, T2 = np.array(T1), np.array(T2)
+        best = []
+        for e, target, t1, t2 in zip(engines, targets, T1, T2):
+            X = [nudged(M, floor) for M, floor in zip(target, (0.0, 0.0, 1.0))]
+            best.append((e.op.objective(*X, t1, t2), *X))
+        assert len({self._signature(b) for b in best}) == 3
+        count = self._counting_lstsq(monkeypatch)
+        got = self._assert_matches_reference(engines, T1, T2, best)
+        # one solve per member and a retry for the third, in the stack and
+        # in the reference
+        assert count[0] == 2 * (3 + 1)
+        assert got[0][0] < best[0][0] and got[1][0] < best[1][0]
+        assert got[2] is best[2]
