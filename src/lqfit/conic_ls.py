@@ -20,12 +20,12 @@ solve on the active face of the cones and an accelerated projected-gradient
 refine.  A stack of such problems (gains of one size) runs through the
 splitting loop in lockstep, and the members that leave it together are
 polished as one stack, with one face least squares per member; each
-member's result is bit for bit that of solving it alone.
+member's result is bit for bit that of solving it alone.  The K step
+takes stacks too, as one batched solve of its normal equations.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -109,36 +109,80 @@ def _huber_weights(E: np.ndarray, M: float) -> np.ndarray:
         return np.where(a <= M, 1.0, M / np.maximum(a, 1e-300))
 
 
-def _penalty_terms(rho, dyn, P, Q, R, Y1, Y2):
-    """Hessian/rhs contribution of (rho/2)||[G K - H1; S K - H2]||_F^2."""
-    A, B = dyn.A, dyn.B
-    G = A.T @ P @ B
-    S = R + B.T @ P @ B
-    H1 = P - Q - A.T @ P @ A - Y1 / rho
-    H2 = -B.T @ P @ A - Y2 / rho
-    return rho * (G.T @ G + S.T @ S), rho * (G.T @ H1 + S.T @ H2)
+@dataclass(frozen=True, eq=False)
+class DemoTerms:
+    """The K step's terms that depend on the demonstrations alone.
 
-
-def _weighted_normal_solve(X, U, coeff, lam, pen_H, pen_rhs, n, m):
-    """Solve for K in the stacked normal equations, row-major vec(K).
-
-    Data term sum_{i,j} coeff[i,j] (K_j x_i - u_ij)^2, ridge lam||K||^2 and
-    the coupled penalty (pen_H acting on rows of K).
+    ``X`` and ``U`` are the pairs in canonical order, sorted
+    lexicographically by (state, input): every fit reads them in this
+    order, so its result is bit for bit the same under any permutation of
+    the pairs.  ``D`` (m blocks of n x n) and ``rhs`` (m x n) are the Gram
+    blocks and the right-hand side of the quadratic data term in the
+    normal equations of row-major vec(K).
     """
-    H = np.kron(pen_H, np.eye(n)) + 2.0 * lam * np.eye(m * n)
-    D = 2.0 * np.einsum("ij,ik,il->jkl", coeff, X, X)
+
+    X: np.ndarray
+    U: np.ndarray
+    D: np.ndarray
+    rhs: np.ndarray
+
+
+def demo_terms(demos: DemoSet) -> DemoTerms:
+    """The :class:`DemoTerms` of ``demos``; callers read them through
+    ``demos.cached(demo_terms)``, which computes them once per DemoSet."""
+    X, U = demos.states, demos.inputs
+    order = np.lexsort(np.hstack([X, U]).T[::-1])
+    X, U = X[order], U[order]
+    ones = np.ones_like(U)
+    terms = DemoTerms(X=X, U=U, D=_data_gram(ones, X),
+                      rhs=_data_rhs(ones, X, U))
+    for arr in (terms.X, terms.U, terms.D, terms.rhs):
+        arr.flags.writeable = False
+    return terms
+
+
+def _data_gram(coeff, X):
+    """The Gram blocks of the data term sum_{i,j} coeff[i,j] (K_j x_i -
+    u_ij)^2, one n x n block per row of K."""
+    return 2.0 * np.einsum("ij,ik,il->jkl", coeff, X, X)
+
+
+def _data_rhs(coeff, X, U):
+    """The right-hand side of the same data term, m x n."""
+    return 2.0 * (coeff * U).T @ X
+
+
+def _penalty_terms(rho, A, B, P, Q, R, Y1, Y2):
+    """Hessian/rhs contribution of (rho/2)||[G K - H1; S K - H2]||_F^2,
+    for stacks (a leading member axis on every matrix)."""
+    At, Bt = A.swapaxes(-1, -2), B.swapaxes(-1, -2)
+    G = At @ P @ B
+    S = R + Bt @ P @ B
+    H1 = P - Q - At @ P @ A - Y1 / rho
+    H2 = -Bt @ P @ A - Y2 / rho
+    Gt, St = G.swapaxes(-1, -2), S.swapaxes(-1, -2)
+    return rho * (Gt @ G + St @ S), rho * (Gt @ H1 + St @ H2)
+
+
+def _normal_solve(H0, D, rhs, n, m):
+    """Solve the stacked normal equations of row-major vec(K): member i's
+    matrix is H0[i] with the data Gram blocks D[i] added on its diagonal
+    blocks, its right-hand side rhs[i] (m x n).  One batched solve."""
+    H = H0.copy()
     for j in range(m):
-        H[j * n:(j + 1) * n, j * n:(j + 1) * n] += D[j]
-    rhs = (2.0 * (coeff * U).T @ X + pen_rhs).ravel()
+        H[:, j * n:(j + 1) * n, j * n:(j + 1) * n] += D[:, j]
     try:
-        return np.linalg.solve(H, rhs).reshape(m, n)
+        x = np.linalg.solve(H, rhs.reshape(len(H), m * n, 1))
     except np.linalg.LinAlgError as e:
         raise SingularFitError("normal equations are singular") from e
+    return x.reshape(len(H), m, n)
 
 
-def solve_k_step(demos: DemoSet, loss: LossSpec, reg: RegularizerSpec,
-                 rho: float, P=None, Q=None, R=None, Y1=None, Y2=None,
-                 dyn: LinearDynamics | None = None) -> np.ndarray:
+def solve_k_step(demos: DemoSet | list[DemoSet], loss: LossSpec,
+                 reg: RegularizerSpec, rho: float, P=None, Q=None, R=None,
+                 Y1=None, Y2=None,
+                 dyn: LinearDynamics | list[LinearDynamics] | None = None
+                 ) -> np.ndarray:
     """Minimize L(K) + r(K) + (rho/2)||[A'PB K - (P-Q-A'PA-Y1/rho);
     (R+B'PB) K - (-B'PA-Y2/rho)]||_F^2 over K.
 
@@ -147,33 +191,64 @@ def solve_k_step(demos: DemoSet, loss: LossSpec, reg: RegularizerSpec,
     fitting) and needs neither the system nor (P, Q, R, Y1, Y2).  Raises
     SingularFitError when lam = 0, rho = 0 and the demonstration states
     are rank deficient.
+
+    P, Q, R, Y1 and Y2 may also carry a leading member axis, with
+    ``demos`` and ``dyn`` each either shared or a list holding one entry
+    per member (the systems of one size); the gains are then returned as
+    one (S, m, n) stack.  A single call is a stack of one.  The penalty
+    terms are stacked matmuls and the normal equations one batched solve;
+    the terms that depend on the demonstrations alone are read from
+    ``demos.cached(demo_terms)``.  Huber IRLS reweights member by member
+    (the members' demonstration counts differ) and stops each member on
+    its own test.  Each member's gain is bit for bit that of its own call.
     """
-    X, U = demos.states, demos.inputs
-    # canonical demo order: makes the fit bit-identical under permutation
-    order = np.lexsort(np.hstack([X, U]).T[::-1])
-    X, U = X[order], U[order]
-    n, m = X.shape[1], U.shape[1]
+    lead = P is not None and np.ndim(P) == 3
+    count = len(P) if lead else 1
+    terms = [d.cached(demo_terms) for d in per_member(demos, count)]
+    n, m = terms[0].X.shape[1], terms[0].U.shape[1]
     lam = reg.weight
     if rho > 0:
         if dyn is None:
             raise ValueError("rho > 0 needs the system")
-        pen_H, pen_rhs = _penalty_terms(rho, dyn, P, Q, R, Y1, Y2)
+        A, B = _stacked_systems(dyn, count)
+        Ps, Qs, Rs, Y1s, Y2s = (np.asarray(M, dtype=float).reshape(
+            (count,) + np.shape(M)[-2:]) for M in (P, Q, R, Y1, Y2))
+        pen_H, pen_rhs = _penalty_terms(rho, A, B, Ps, Qs, Rs, Y1s, Y2s)
     else:
-        pen_H, pen_rhs = np.zeros((m, m)), np.zeros((m, n))
-    if lam == 0.0 and rho == 0.0 and np.linalg.matrix_rank(X) < n:
+        pen_H, pen_rhs = np.zeros((count, m, m)), np.zeros((count, m, n))
+    if lam == 0.0 and rho == 0.0 and any(
+            np.linalg.matrix_rank(t.X) < n for t in terms):
         raise SingularFitError(
             "rank-deficient demonstrations with no regularization")
-    ones = np.ones_like(U)
-    K = _weighted_normal_solve(X, U, ones, lam, pen_H, pen_rhs, n, m)
-    if loss.kind == "quadratic":
-        return K
+    # kron(pen_H, I_n) + 2 lam I, member by member
+    H0 = ((pen_H[:, :, None, :, None] * np.eye(n)[:, None, :]).reshape(
+        count, m * n, m * n) + 2.0 * lam * np.eye(m * n))
+    K = _normal_solve(H0, np.stack([t.D for t in terms]),
+                      np.stack([t.rhs for t in terms]) + pen_rhs, n, m)
+    if loss.kind == "huber":
+        K = _huber_irls(K, terms, loss.huber_m, H0, pen_rhs, n, m)
+    return K if lead else K[0]
+
+
+def _huber_irls(K, terms, M, H0, pen_rhs, n, m):
+    """IRLS for the Huber loss from the quadratic-loss gains K: each
+    member stops once its gain moves less than 1e-9 (Frobenius), or after
+    100 reweightings, and leaves the stacked solve."""
+    act = np.arange(len(K))
     for _ in range(100):
-        E = X @ K.T - U
-        coeff = 0.5 * _huber_weights(E, loss.huber_m)
-        K_new = _weighted_normal_solve(X, U, coeff, lam, pen_H, pen_rhs, n, m)
-        if np.linalg.norm(K_new - K, "fro") < 1e-9:
-            return K_new
-        K = K_new
+        D, rhs = [], []
+        for i in act:
+            t = terms[i]
+            coeff = 0.5 * _huber_weights(t.X @ K[i].T - t.U, M)
+            D.append(_data_gram(coeff, t.X))
+            rhs.append(_data_rhs(coeff, t.X, t.U))
+        K_new = _normal_solve(H0[act], np.stack(D), np.stack(rhs)
+                              + pen_rhs[act], n, m)
+        still = ~(_row_norms((K_new - K[act]).reshape(len(act), -1)) < 1e-9)
+        K[act] = K_new
+        act = act[still]
+        if not len(act):
+            break
     return K
 
 
@@ -261,13 +336,25 @@ class KalmanOperator:
     P >= 0, Q >= 0, R >= I.  ``apply`` broadcasts over stacks of matrices.
     ``matrix()`` is the same map in coordinates: it sends the concatenated
     orthonormal svec of (P, Q, R) to the row-major ravel of (M1, M2).
+    A, B and K may carry a leading member axis: the operator is then a
+    stack of operators of one size, and each member's matrices and values
+    are bit for bit those of its own operator.
     """
 
     def __init__(self, A, B, K):
         self.A, self.B = A, B
         self.K = np.asarray(K, dtype=float)
         self.F = A + B @ self.K
-        self.n, self.m = A.shape[0], B.shape[1]
+        self.n, self.m = A.shape[-1], B.shape[-1]
+
+    def take(self, index):
+        """Member ``index`` of a stacked operator (an int), or the smaller
+        stack of the members ``index``."""
+        op = KalmanOperator.__new__(KalmanOperator)
+        op.A, op.B, op.K, op.F = (getattr(self, f)[index]
+                                  for f in ("A", "B", "K", "F"))
+        op.n, op.m = self.n, self.m
+        return op
 
     @classmethod
     def stack(cls, ops):
@@ -304,17 +391,24 @@ class KalmanOperator:
 
     def matrix(self) -> np.ndarray:
         """(n*n + m*n) x (2 dim_n + dim_m): column j is apply of the j-th
-        svec unit vector."""
-        n, m, A, B, F = self.n, self.m, self.A, self.B, self.F
+        svec unit vector; one such matrix per member for a stack."""
+        n, m, F = self.n, self.m, self.F
         En, Em = _svec_ops(n).basis, _svec_ops(m).basis
         dn, dm = len(En), len(Em)
-        Mat = np.zeros((n * n + m * n, 2 * dn + dm))
-        Mat[:n * n, :dn] = (np.einsum("ab,kbc,cd->kad", A.T, En, F)
-                            - En).reshape(dn, n * n).T
-        Mat[n * n:, :dn] = np.einsum("ab,kbc,cd->kad", B.T, En,
-                                     F).reshape(dn, m * n).T
-        Mat[:n * n, dn:2 * dn] = En.reshape(dn, n * n).T
-        Mat[n * n:, 2 * dn:] = (Em @ self.K).reshape(dm, m * n).T
+        lead = self.K.shape[:-2]
+
+        def columns(M, rows):
+            return M.reshape(lead + (M.shape[-3], rows)).swapaxes(-1, -2)
+
+        At, Bt = self.A.swapaxes(-1, -2), self.B.swapaxes(-1, -2)
+        Mat = np.zeros(lead + (n * n + m * n, 2 * dn + dm))
+        Mat[..., :n * n, :dn] = columns(
+            np.einsum("...ab,kbc,...cd->...kad", At, En, F) - En, n * n)
+        Mat[..., n * n:, :dn] = columns(
+            np.einsum("...ab,kbc,...cd->...kad", Bt, En, F), m * n)
+        Mat[..., :n * n, dn:2 * dn] = En.reshape(dn, n * n).T
+        Mat[..., n * n:, 2 * dn:] = columns(Em @ self.K[..., None, :, :],
+                                            m * n)
         return Mat
 
 
@@ -389,8 +483,8 @@ def _polish(engines, T1, T2, best):
     alone.  Returns the lower (objective, P, Q, R) per member.
     """
     best = list(best)
-    ops = [e.op for e in engines]
-    n, m, dn, p = ops[0].n, ops[0].m, engines[0].dn, engines[0].p
+    ops = KalmanOperator.stack([e.op for e in engines])
+    n, m, dn, p = ops.n, ops.m, engines[0].dn, engines[0].p
     PQ = np.stack([b[1:3] for b in best])
     R = np.stack([b[3] for b in best])
     w_pq, V_pq = np.linalg.eigh(_sym(PQ))
@@ -398,7 +492,7 @@ def _polish(engines, T1, T2, best):
     todo = np.arange(len(best))
     for act_tol in _POLISH_ACT_TOLS:
         s = len(todo)
-        op = KalmanOperator.stack([ops[i] for i in todo])
+        op = ops.take(todo)
         E_pq, on_pq = _face_bases(w_pq[todo], V_pq[todo], 0.0, act_tol)
         E_r, on_r = _face_bases(w_r[todo], V_r[todo], 1.0, act_tol)
         # the face columns: apply of each basis matrix in its own block
@@ -435,7 +529,7 @@ def _polish(engines, T1, T2, best):
         if ok.any():
             done = todo[ok]
             PQn, Rn = project_psd(PQn[ok]), project_psd(Rn[ok], 1.0)
-            f = KalmanOperator.stack([ops[i] for i in done]).objective(
+            f = ops.take(done).objective(
                 PQn[:, None, 0], PQn[:, None, 1], Rn[:, None],
                 T1[done, None], T2[done, None])[:, 0]
             for i, fi, (Pn, Qn), Rn_i in zip(done, f.tolist(), PQn, Rn):
@@ -447,24 +541,40 @@ def _polish(engines, T1, T2, best):
 
 
 def _settle(engines, T1, T2, best, last):
-    """The lower of each member's best and its last iterate (a (P, Q, R)
-    tuple), polished as one stack."""
+    """The lower of each member's best and its last iterate, polished as
+    one stack; ``last`` holds the members' last P, Q and R as three
+    stacks."""
+    P, Q, R = last
+    f = KalmanOperator.stack([e.op for e in engines]).objective(
+        P[:, None], Q[:, None], R[:, None], T1[:, None], T2[:, None])
     return _polish(engines, T1, T2, [
-        _lower(b, (e.op.objective(*x, t1, t2), *x))
-        for e, t1, t2, b, x in zip(engines, T1, T2, best, last)])
+        _lower(b, (fi, Pi, Qi, Ri))
+        for b, fi, Pi, Qi, Ri in zip(best, f[:, 0].tolist(), P, Q, R)])
 
 
 class _SplitSolver:
     """Operator-splitting solver for the (P, Q, R) cone least squares at one
-    gain; :meth:`run` advances a batch of them together."""
+    gain, or, for a stacked operator, at a stack of gains of one size: the
+    operator matrices and G = 2 Mat^T Mat are then built for the whole
+    stack at once, and :meth:`take` reads members off it.  :meth:`run`
+    advances a stack together."""
 
     def __init__(self, op: KalmanOperator):
         self.op = op
         self.sn, self.sm = _svec_ops(op.n), _svec_ops(op.m)
         self.dn = self.sn.dim
         self.Mat = op.matrix()
-        self.p = self.Mat.shape[1]
-        self.G = 2.0 * (self.Mat.T @ self.Mat)
+        self.p = self.Mat.shape[-1]
+        self.G = 2.0 * (self.Mat.swapaxes(-1, -2) @ self.Mat)
+
+    def take(self, index):
+        """Member ``index`` of a stacked solver (an int), or the smaller
+        stack of the members ``index``."""
+        e = _SplitSolver.__new__(_SplitSolver)
+        e.op = self.op.take(index)
+        e.sn, e.sm, e.dn, e.p = self.sn, self.sm, self.dn, self.p
+        e.Mat, e.G = self.Mat[index], self.G[index]
+        return e
 
     def svec(self, PQ, R):
         """Rows of svec coordinates of a stack of (P, Q) pairs and of R."""
@@ -544,32 +654,31 @@ class _SplitSolver:
     @staticmethod
     def run(engines, T1, T2, P0, Q0, R0, u0=None, max_iter=4000, eps=1e-11,
             refine=True, target=0.0):
-        """The splitting loop for a batch of problems, advanced in lockstep.
+        """The splitting loop for a stack of problems, advanced in lockstep.
 
-        Member i is the problem of ``engines[i]`` (all of one size) with
-        offsets (T1[i], T2[i]), started from (P0[i], Q0[i], R0[i]) and the
-        dual u0[i].  The stacked steps (the x solve, the cone projections,
-        the norms) work matrix by matrix and row by row, and each member
-        keeps its own penalty, best point and stopping test; a member that
-        stops leaves the batch.  The members that leave at one iteration
-        are finished together (:meth:`finish`): their polish runs as one
-        stack, with one face least squares per member.  So every member's
-        result is bit for bit the result of running it alone.  Returns one
-        (best, iterations, converged, primal residual, dual residual, dual)
-        per member.
+        Member i is the problem of ``engines.take(i)`` (``engines`` is a
+        stacked solver) with offsets (T1[i], T2[i]), started from
+        (P0[i], Q0[i], R0[i]) and the dual u0[i].  The stacked steps (the
+        x solve, the cone projections, the norms) work matrix by matrix
+        and row by row, and each member keeps its own penalty, best point
+        and stopping test; a member that stops leaves the stack.  The
+        members that leave at one iteration are finished together
+        (:meth:`finish`): their polish runs as one stack, with one face
+        least squares per member.  So every member's result is bit for bit
+        the result of running it alone.  Returns one (best, iterations,
+        converged, primal residual, dual residual, dual) per member.
         """
-        head = engines[0]
-        sn, sm, p = head.sn, head.sm, head.p
+        sn, sm, p = engines.sn, engines.sm, engines.p
         pos, scale, up, lo = _stacked_svec(sn.n, sm.n)
         n2 = 2 * sn.n * sn.n
         stop_at = max(target, 1e-24)
         alpha = 1.6
         eye = np.eye(p)
-        results = [None] * len(engines)
-        best = [(e.op.objective(P0[i], Q0[i], R0[i], T1[i], T2[i]),
-                 P0[i], Q0[i], R0[i]) for i, e in enumerate(engines)]
-        u = (np.zeros((len(engines), p)) if u0 is None
-             else np.array(u0, dtype=float))
+        S = len(T1)
+        results = [None] * S
+        f0 = engines.op.objective(P0, Q0, R0, T1, T2).tolist()
+        best = [(f0[i], P0[i], Q0[i], R0[i]) for i in range(S)]
+        u = np.zeros((S, p)) if u0 is None else np.array(u0, dtype=float)
         for i, b in enumerate(best):
             if b[0] <= stop_at:
                 results[i] = (b, 0, True, 0.0, 0.0, u[i].copy())
@@ -580,24 +689,24 @@ class _SplitSolver:
         # from the first iteration on, (P, Q) and R are the cone projections
         # before their final symmetrization
         PQ, R, u = np.stack([P0[act], Q0[act]], axis=1), R0[act], u[act]
-        z = head.svec(PQ, R)
-        G = np.stack([engines[i].G for i in act])
-        q = np.stack([2.0 * (engines[i].Mat.T @ np.concatenate(
-            [T1[i].ravel(), T2[i].ravel()])) for i in act])
-        sigma = np.array([max(np.trace(engines[i].G) / p, 1e-12)
-                          for i in act])
+        z = engines.svec(PQ, R)
+        G, Mat = engines.G[act], engines.Mat[act]
+        c = np.concatenate([T1[act].reshape(len(act), -1),
+                            T2[act].reshape(len(act), -1)], axis=1)
+        q = 2.0 * (Mat.swapaxes(-1, -2) @ c[:, :, None])[:, :, 0]
+        sigma = np.maximum(np.trace(G, axis1=1, axis2=2) / p, 1e-12)
         Minv = np.linalg.inv(G + sigma[:, None, None] * eye)
         rp = rd = np.full(len(act), math.inf)
 
         def last(js):
-            """The symmetrized running (P, Q, R) of the members js."""
-            PQs, Rs = _sym(PQ[js]), _sym(R[js])
-            return [(PQs[k, 0], PQs[k, 1], Rs[k]) for k in range(len(js))]
+            """The symmetrized running P, Q and R of the members js."""
+            PQs = _sym(PQ[js])
+            return PQs[:, 0], PQs[:, 1], _sym(R[js])
 
         def leave(js, it_done, converged):
             ids = [act[j] for j in js]
             done = _SplitSolver.finish(
-                [engines[i] for i in ids], T1[ids], T2[ids],
+                [engines.take(i) for i in ids], T1[ids], T2[ids],
                 [best[i] for i in ids], last(js), converged, refine,
                 max_iter, stop_at)
             for j, i, b in zip(js, ids, done):
@@ -645,7 +754,7 @@ class _SplitSolver:
             if it % 200 == 0 and going:
                 ids = [act[j] for j in going]
                 for i, b in zip(ids, _settle(
-                        [engines[i] for i in ids], T1[ids], T2[ids],
+                        [engines.take(i) for i in ids], T1[ids], T2[ids],
                         [best[i] for i in ids], last(going))):
                     best[i] = b
                 reached = [j for j in going if best[act[j]][0] <= stop_at]
@@ -660,6 +769,13 @@ class _SplitSolver:
         if act:
             leave(list(range(len(act))), it, False)
         return results
+
+
+def _stacked_systems(dyn, count: int):
+    """The A and B matrices of ``dyn``, one system or a list of one per
+    member, as stacks of ``count``."""
+    systems = per_member(dyn, count)
+    return np.stack([d.A for d in systems]), np.stack([d.B for d in systems])
 
 
 def per_member(value, count: int) -> list:
@@ -719,8 +835,8 @@ def solve_pqr_step(dyn: LinearDynamics | list[LinearDynamics], K, Y1, Y2,
     T1 = stacked(Y1) / rho
     T2 = stacked(Y2) / rho
     u0 = None if dual0 is None else stacked(dual0)
-    engines = [_SplitSolver(KalmanOperator(d.A, d.B, k))
-               for d, k in zip(systems, Ks)]
+    engines = _SplitSolver(KalmanOperator(*_stacked_systems(systems, len(Ks)),
+                                          Ks))
     if init is not None:
         P0, Q0, R0 = (stacked(Mmat) for Mmat in init)
         starts = [[(P0[i], Q0[i], R0[i])] for i in range(len(Ks))]
@@ -728,31 +844,35 @@ def solve_pqr_step(dyn: LinearDynamics | list[LinearDynamics], K, Y1, Y2,
         # the Lyapunov start is exact for gains optimal under unit weights,
         # so try it first and skip the cold solve when it lands at zero
         cold = (np.zeros((n, n)), np.zeros((n, n)), np.eye(m))
-        starts = [[s for s in (e.value_form_start(), cold) if s is not None]
-                  for e in engines]
+        starts = [[s for s in (engines.take(i).value_form_start(), cold)
+                   if s is not None] for i in range(len(Ks))]
     stop_at = max(target, 1e-24)
+    # per member, the lowest (best, iterations, converged, primal
+    # residual, dual residual, dual) over its starts
     best = [None] * len(Ks)
     for r in range(max(map(len, starts))):
         todo = [i for i, b in enumerate(best) if r < len(starts[i])
-                and (b is None or b.objective > stop_at)]
+                and (b is None or b[0][0] > stop_at)]
         if not todo:
             break
         P0, Q0, R0 = (np.stack([starts[i][r][k] for i in todo])
                       for k in range(3))
         outs = _SplitSolver.run(
-            [engines[i] for i in todo], T1[todo], T2[todo], P0, Q0, R0,
+            engines.take(todo), T1[todo], T2[todo], P0, Q0, R0,
             u0=None if u0 is None else u0[todo], max_iter=max_iter, eps=tol,
             refine=refine, target=target)
-        for i, (out, iters, conv, rp, rd, u) in zip(todo, outs):
-            cand = PqrStepResult(P=out[1], Q=out[2], R=out[3],
-                                 objective=out[0], iterations=iters,
-                                 converged=conv, primal_residual=rp,
-                                 dual_residual=rd, dual=u)
-            if best[i] is None or cand.objective < best[i].objective:
-                best[i] = cand
+        for i, out in zip(todo, outs):
+            if best[i] is None or out[0][0] < best[i][0][0]:
+                best[i] = out
+    objective, P, Q, R = zip(*(out[0] for out in best))
+    _, iterations, converged, rp, rd, dual = zip(*best)
     if single:
-        return best[0]
-    stacked_fields = {f.name: np.array([getattr(b, f.name) for b in best])
-                      for f in dataclasses.fields(PqrStepResult)}
-    stacked_fields["iterations"] = max(b.iterations for b in best)
-    return PqrStepResult(**stacked_fields)
+        return PqrStepResult(P=P[0], Q=Q[0], R=R[0], objective=objective[0],
+                             iterations=iterations[0], converged=converged[0],
+                             primal_residual=rp[0], dual_residual=rd[0],
+                             dual=dual[0])
+    return PqrStepResult(
+        P=np.array(P), Q=np.array(Q), R=np.array(R),
+        objective=np.array(objective), iterations=max(iterations),
+        converged=np.array(converged), primal_residual=np.array(rp),
+        dual_residual=np.array(rd), dual=np.array(dual))

@@ -48,9 +48,8 @@ def policy_fit(demos: DemoSet,
     except SingularFitError:
         if loss.kind != "quadratic":
             raise
-        order = np.lexsort(np.hstack([demos.states, demos.inputs]).T[::-1])
-        K = np.linalg.lstsq(demos.states[order], demos.inputs[order],
-                            rcond=None)[0].T
+        terms = demos.cached(conic_ls.demo_terms)
+        K = np.linalg.lstsq(terms.X, terms.U, rcond=None)[0].T
     return FitReport(K=K, objective=fit_objective(demos, K, loss, reg),
                      loss=loss, reg=reg)
 

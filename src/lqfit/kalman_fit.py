@@ -21,13 +21,15 @@ initial P, Q and R are all that set a run apart.
 
 Fits advance in lockstep across problems and starts: ``fit_kalman_batch``
 takes many (demos, system) problems of one size, such as the cells of an
-experiment sweep, and each sweep runs the K step member by member and
-then one (P, Q, R) step for every start of every problem still running,
-so the per-call overhead of the small cone solves is paid once per sweep
-instead of once per start.  A start that stops or diverges leaves the
-batch, and so does every start of a problem whose subsolver fails.  The
-results are unchanged: every start's iterates are bit for bit those of
-running it alone, and ``fit_kalman`` is the batch of one problem.
+experiment sweep, and each sweep runs one K step, one (P, Q, R) step and
+one dual update for every start of every problem still running, so the
+per-call overhead of the small solves is paid once per sweep instead of
+once per start.  The K step's terms that depend on the demonstrations
+alone are computed once per problem.  A start that stops or diverges
+leaves the batch, and so does every start of a problem whose subsolver
+fails.  The results are unchanged: every start's iterates are bit for
+bit those of running it alone, and ``fit_kalman`` is the batch of one
+problem.
 
 Besides the raw final iterate K, each report carries ``K_certified``: the
 gain re-synthesized by solving the Riccati equation with the recovered
@@ -144,6 +146,10 @@ def identity_state(dyn: LinearDynamics) -> AdmmState:
                      R=np.eye(m), Y1=np.zeros((n, n)), Y2=np.zeros((m, n)))
 
 
+# The stacked fields of an AdmmState, one row per member.
+_FIELDS = ("K", "P", "Q", "R", "Y1", "Y2", "pqr_dual")
+
+
 def _stack(states) -> AdmmState:
     """One state holding the iterates of ``states`` (all at the same
     iteration) along a leading start axis."""
@@ -178,61 +184,61 @@ def admm_iterate(state: AdmmState, demos: DemoSet | list[DemoSet],
     attached.  ``state`` may also be a stack of members (a leading axis
     on every matrix, see ``fit_kalman_batch``), with ``demos`` and ``dyn``
     each either shared or a list holding one entry per member; the systems
-    must share one size.  The K step and the dual update then run member
-    by member, and the (P, Q, R) step runs once for the whole stack.  Each
-    member's new iterate is bit for bit the one a sweep of that member
-    alone gives.
+    must share one size.  The K step, the (P, Q, R) step and the dual
+    update each run once for the whole stack, and each member's new
+    iterate is bit for bit the one a sweep of that member alone gives.
     """
     lead = state.K.ndim == 3
     batch = state if lead else _stack([state])
-    demo_sets = conic_ls.per_member(demos, len(batch.K))
-    systems = conic_ls.per_member(dyn, len(batch.K))
     try:
-        K = np.stack([conic_ls.solve_k_step(d, loss, reg, rho, P, Q, R, Y1,
-                                            Y2, s)
-                      for d, s, P, Q, R, Y1, Y2 in zip(
-                          demo_sets, systems, batch.P, batch.Q, batch.R,
-                          batch.Y1, batch.Y2)])
-        step = conic_ls.solve_pqr_step(systems, K, batch.Y1, batch.Y2, rho,
+        K = conic_ls.solve_k_step(demos, loss, reg, rho, batch.P, batch.Q,
+                                  batch.R, batch.Y1, batch.Y2, dyn)
+        step = conic_ls.solve_pqr_step(dyn, K, batch.Y1, batch.Y2, rho,
                                        tol=_PQR_TOL, max_iter=_PQR_ITERS,
                                        init=(batch.P, batch.Q, batch.R),
                                        dual0=batch.pqr_dual, refine=False)
     except (conic_ls.SingularFitError, np.linalg.LinAlgError) as e:
         raise RuntimeError(
             f"subsolver failed at iteration {state.iter + 1}: {e}") from e
-    Y1, Y2 = [], []
-    for s, k, P, Q, R, y1, y2 in zip(systems, K, step.P, step.Q, step.R,
-                                     batch.Y1, batch.Y2):
-        M1, M2 = conic_ls.KalmanOperator(s.A, s.B, k).apply(P, Q, R)
-        Y1.append(y1 + rho * M1)
-        Y2.append(y2 + rho * M2)
-    new = AdmmState(K=K, P=step.P, Q=step.Q, R=step.R, Y1=np.stack(Y1),
-                    Y2=np.stack(Y2), iter=state.iter + 1, pqr_dual=step.dual)
+    A, B = conic_ls._stacked_systems(dyn, len(K))
+    M1, M2 = conic_ls.KalmanOperator(A, B, K).apply(step.P, step.Q, step.R)
+    new = AdmmState(K=K, P=step.P, Q=step.Q, R=step.R,
+                    Y1=batch.Y1 + rho * M1, Y2=batch.Y2 + rho * M2,
+                    iter=state.iter + 1, pqr_dual=step.dual)
     return new if lead else _take(new, 0)
 
 
 def _sweep(batch, members, loss, reg, config):
     """One stacked ``admm_iterate`` over ``batch``, whose members are the
-    (demos, dyn, problem) triples ``members``.  Returns, per member, its
-    new state or the RuntimeError its problem's sweep raised: a raising
-    sweep is repeated problem by problem, so that one problem's failure
-    leaves every other problem's iterates as they are."""
+    (demos, dyn, problem) triples ``members``.  Returns the new stacked
+    state and, per member, None or the RuntimeError its problem's sweep
+    raised (that member's rows of the state are then to be ignored): a
+    raising sweep is repeated problem by problem, so that one problem's
+    failure leaves every other problem's iterates as they are."""
     try:
         new = admm_iterate(batch, [d for d, _, _ in members], loss, reg,
                            [s for _, s, _ in members], config.rho)
+        return new, [None] * len(members)
     except RuntimeError as e:
         problems = sorted({p for _, _, p in members})
         if len(problems) == 1:
-            return [e] * len(members)
-        out = [None] * len(members)
+            return batch, [e] * len(members)
+        errors = [None] * len(members)
+        arrays = {}
         for p in problems:
             idx = [j for j, member in enumerate(members) if member[2] == p]
-            for j, r in zip(idx, _sweep(_take(batch, idx),
-                                        [members[j] for j in idx], loss, reg,
-                                        config)):
-                out[j] = r
-        return out
-    return [_take(new, j) for j in range(len(members))]
+            sub, errs = _sweep(_take(batch, idx), [members[j] for j in idx],
+                               loss, reg, config)
+            for j, err in zip(idx, errs):
+                errors[j] = err
+            if errs[0] is None:
+                for f in _FIELDS:
+                    a = getattr(sub, f)
+                    arrays.setdefault(f, np.zeros((len(members),)
+                                                  + a.shape[1:]))[idx] = a
+        if not arrays:
+            return batch, errors
+        return AdmmState(**arrays, iter=batch.iter + 1), errors
 
 
 def _run_lockstep(starts, members, loss, reg, config):
@@ -241,33 +247,44 @@ def _run_lockstep(starts, members, loss, reg, config):
     Start i belongs to the (demos, dyn, problem) triple ``members[i]``.  A
     start stops at the cap or once ||K_{k+1} - K_k||_F < eps, and leaves
     the batch; so does a start whose iterate turns non-finite, and every
-    start of a problem whose sweep raised.  Returns, per start, (final
-    state, converged), the FloatingPointError raised for it, or the
-    RuntimeError its problem's sweep raised.
+    start of a problem whose sweep raised.  The batch stays one stacked
+    state: the tests run on the whole stack, and the starts that go on are
+    taken from it once per sweep.  Returns, per start, (final state,
+    converged), the FloatingPointError raised for it, or the RuntimeError
+    its problem's sweep raised.
     """
     outcome = [None] * len(starts)
-    active = list(range(len(starts)))
+    active = np.arange(len(starts))
     batch = _stack(starts)
     for _ in range(config.n_iter):
-        new = _sweep(batch, [members[i] for i in active], loss, reg, config)
-        keep = []
-        for j, (idx, s) in enumerate(zip(active, new)):
-            if isinstance(s, RuntimeError):
-                outcome[idx] = s
-            elif not (np.all(np.isfinite(s.K)) and np.all(np.isfinite(s.P))
-                      and np.all(np.isfinite(s.Q))
-                      and np.all(np.isfinite(s.R))):
-                outcome[idx] = FloatingPointError(
-                    f"non-finite iterate at iteration {s.iter}")
-            elif np.linalg.norm(s.K - batch.K[j], "fro") < config.eps:
-                outcome[idx] = (s, True)
+        new, errors = _sweep(batch, [members[i] for i in active], loss, reg,
+                             config)
+        ok = np.array([e is None for e in errors])
+        ok &= np.all(np.isfinite(new.K), axis=(1, 2))
+        for f in ("P", "Q", "R"):
+            ok &= np.all(np.isfinite(getattr(new, f)), axis=(1, 2))
+        # ||K_{k+1} - K_k||_F of the finite starts, each bit-equal to
+        # np.linalg.norm of its difference
+        step = np.full(len(active), np.inf)
+        step[ok] = conic_ls._row_norms(
+            (new.K[ok] - batch.K[ok]).reshape(int(ok.sum()), -1))
+        keep = ok & ~(step < config.eps)
+        for j in np.flatnonzero(~keep).tolist():
+            if errors[j] is not None:
+                outcome[active[j]] = errors[j]
+            elif not ok[j]:
+                outcome[active[j]] = FloatingPointError(
+                    f"non-finite iterate at iteration {new.iter}")
             else:
-                keep.append(j)
-        active = [active[j] for j in keep]
-        if not active:
+                outcome[active[j]] = (_take(new, j), True)
+        if keep.all():
+            batch = new
+            continue
+        active = active[keep]
+        if not len(active):
             break
-        batch = _stack([new[j] for j in keep])
-    for j, idx in enumerate(active):
+        batch = _take(new, keep)
+    for j, idx in enumerate(active.tolist()):
         outcome[idx] = (_take(batch, j), False)
     return outcome
 

@@ -31,6 +31,10 @@ STABILITY_MARGIN = 1.0 - 1e-9
 _LYAP_TOL = 1e-12
 _LYAP_MAX_ITER = 200
 
+# Columns per block of the in-place rollout: the scratch space of one
+# scan step, n x _SCAN_BLOCK doubles.
+_SCAN_BLOCK = 4096
+
 
 def _as_matrix(M, name: str) -> np.ndarray:
     M = np.array(M, dtype=float)
@@ -218,6 +222,15 @@ class DemoSet:
     def __len__(self) -> int:
         return self.states.shape[0]
 
+    def cached(self, make):
+        """``make(self)``, computed on the first call with ``make`` and kept
+        with the demonstrations.  The arrays are read-only copies, so a
+        kept value cannot go stale."""
+        cache = self.__dict__.setdefault("_cache", {})
+        if make not in cache:
+            cache[make] = make(self)
+        return cache[make]
+
     def to_dict(self) -> dict:
         return {"states": self.states.tolist(), "inputs": self.inputs.tolist()}
 
@@ -287,21 +300,25 @@ def closed_loop_cost(dyn: LinearDynamics, cost, K: np.ndarray) -> float:
     return float(np.sum(dyn.W * Pcl))
 
 
-def _simulate_closed_loop(F: np.ndarray, x0: np.ndarray,
-                          disturbances: np.ndarray) -> np.ndarray:
-    """States x_0..x_{T-1} under x_{t+1} = F x_t + d_t, as one (n, T) array.
+def _simulate_closed_loop(F: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """States x_0..x_{T-1} under x_{t+1} = F x_t + d_t, computed in place.
 
-    A log-depth prefix scan (Hillis and Steele, 1986) on the columns
-    [x_0, d_0, ..., d_{T-2}]: after the step with shift s, column t holds
+    ``X`` is an (n, T) array holding [x_0, d_0, ..., d_{T-2}] on entry and
+    the states on return (it is also returned).  A log-depth prefix scan
+    (Hillis and Steele, 1986): after the step with shift s, column t holds
     sum_{j < 2s} F^j times column t - j of the input, so once the shift
-    reaches T every column is the state.  Each step is one matrix product
-    over the whole horizon, and F need not be diagonalizable.
+    reaches T every column is the state.  Each step adds F^s times the
+    columns s to the left in blocks of _SCAN_BLOCK columns, from right to
+    left, so that every read sees the column from before the step and the
+    only scratch space is one block.  F need not be diagonalizable.
     """
-    X = np.hstack([x0[:, None], disturbances])
+    T = X.shape[1]
     Fk = F
     shift = 1
-    while shift < X.shape[1]:
-        X[:, shift:] += Fk @ X[:, :-shift]
+    while shift < T:
+        for hi in range(T, shift, -_SCAN_BLOCK):
+            lo = max(hi - _SCAN_BLOCK, shift)
+            X[:, lo:hi] += Fk @ X[:, lo - shift:hi - shift]
         Fk = Fk @ Fk
         shift *= 2
     return X
@@ -318,8 +335,10 @@ def rollout_cost_estimate(dyn: LinearDynamics, cost, K: np.ndarray,
     ``input_noise_cov`` set, the applied input is u_t = K x_t + z_t with
     z_t ~ N(0, Sigma); this is the noisy-expert policy used in the
     experiments.  Intended as an independent cross-check of
-    :func:`closed_loop_cost`; the trajectory comes from a numpy prefix scan
-    of the closed-loop recursion.
+    :func:`closed_loop_cost`.  The trajectory lives in one (n, T) array:
+    x_0 and the disturbances are written into it, the input noise's share
+    B z_t is added block by block, and the prefix scan of
+    :func:`_simulate_closed_loop` turns it into the states in place.
     """
     Q, R = cost_pair(cost)
     K = np.asarray(K, dtype=float)
@@ -330,21 +349,25 @@ def rollout_cost_estimate(dyn: LinearDynamics, cost, K: np.ndarray,
         raise ValueError("horizon must be positive")
     rng = np.random.default_rng(rng_seed)
     Xstat = stationary_covariance(dyn, K, input_noise_cov)
-    x0 = _psd_factor(Xstat) @ rng.standard_normal(dyn.n)
+    X = np.empty((dyn.n, horizon))
+    X[:, 0] = _psd_factor(Xstat) @ rng.standard_normal(dyn.n)
     Lw = _psd_factor(dyn.W)
-    disturbances = Lw @ rng.standard_normal((dyn.n, horizon - 1)) if horizon > 1 \
-        else np.zeros((dyn.n, 0))
+    if horizon > 1:
+        np.matmul(Lw, rng.standard_normal((dyn.n, horizon - 1)),
+                  out=X[:, 1:])
     Z = None
     if input_noise_cov is not None:
         Lz = _psd_factor(np.asarray(input_noise_cov, dtype=float))
         Z = Lz @ rng.standard_normal((dyn.m, horizon))
-        if horizon > 1:
-            disturbances = disturbances + dyn.B @ Z[:, :-1]
-    X = _simulate_closed_loop(F, x0, disturbances)
+        for lo in range(0, horizon - 1, _SCAN_BLOCK):
+            hi = min(lo + _SCAN_BLOCK, horizon - 1)
+            X[:, 1 + lo:1 + hi] += dyn.B @ Z[:, lo:hi]
+    _simulate_closed_loop(F, X)
     state_cost = np.einsum("it,ij,jt->", X, Q, X)
     U = K @ X
+    del X
     if Z is not None:
-        U = U + Z
+        U += Z
     input_cost = np.einsum("it,ij,jt->", U, R, U)
     return float((state_cost + input_cost) / horizon)
 

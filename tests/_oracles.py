@@ -183,3 +183,41 @@ def polish_reference(op, T1, T2, best):
             f = objective(Pn, Qn, Rn)
             return (f, Pn, Qn, Rn) if f < best[0] else best
     return best
+
+
+def rollout_reference(dyn, cost, K, horizon, rng_seed, input_noise_cov=None):
+    """``linsys.rollout_cost_estimate`` as a full-width computation: the
+    disturbances and the input noise's share as separate arrays, x_0 and
+    them joined with ``hstack``, and each step of the prefix scan one
+    matrix product over the whole horizon.  The same draws in the same
+    order, and the same floating-point operations on every entry."""
+    from lqfit.linsys import _psd_factor, cost_pair, stationary_covariance
+
+    Q, R = cost_pair(cost)
+    K = np.asarray(K, dtype=float)
+    F = dyn.closed_loop(K)
+    rng = np.random.default_rng(rng_seed)
+    Xstat = stationary_covariance(dyn, K, input_noise_cov)
+    x0 = _psd_factor(Xstat) @ rng.standard_normal(dyn.n)
+    Lw = _psd_factor(dyn.W)
+    disturbances = (Lw @ rng.standard_normal((dyn.n, horizon - 1))
+                    if horizon > 1 else np.zeros((dyn.n, 0)))
+    Z = None
+    if input_noise_cov is not None:
+        Lz = _psd_factor(np.asarray(input_noise_cov, dtype=float))
+        Z = Lz @ rng.standard_normal((dyn.m, horizon))
+        if horizon > 1:
+            disturbances = disturbances + dyn.B @ Z[:, :-1]
+    X = np.hstack([x0[:, None], disturbances])
+    Fk = F
+    shift = 1
+    while shift < X.shape[1]:
+        X[:, shift:] += Fk @ X[:, :-shift]
+        Fk = Fk @ Fk
+        shift *= 2
+    state_cost = np.einsum("it,ij,jt->", X, Q, X)
+    U = K @ X
+    if Z is not None:
+        U = U + Z
+    input_cost = np.einsum("it,ij,jt->", U, R, U)
+    return float((state_cost + input_cost) / horizon)

@@ -251,12 +251,13 @@ class TestFailureIsolation:
         dyn, cost, sigma = build_small_random(1)
         target = generate_demos(dyn, solve_lqr(dyn, cost).K, sigma, 3, 0.0,
                                 np.random.SeedSequence((1, 3, 1)))
-        # the K steps of ADMM sweeps only (rho passed by position), not of
-        # plain fitting; the 9th is the first start's K step in sweep 5
+        # the stacked K steps of ADMM sweeps only (rho passed by position),
+        # not of plain fitting; the 5th holding cell (1, 3)'s demos is
+        # sweep 5's
         monkeypatch.setattr(conic_ls, "solve_k_step", _failing_after(
-            conic_ls.solve_k_step, 9,
-            lambda a: len(a) > 3 and np.array_equal(a[0].states,
-                                                    target.states),
+            conic_ls.solve_k_step, 5,
+            lambda a: len(a) > 3 and any(
+                np.array_equal(d.states, target.states) for d in a[0]),
             conic_ls.SingularFitError("injected")))
         rows, _ = run_experiment(GRID)
         err = capsys.readouterr().err

@@ -137,6 +137,58 @@ class TestKStep:
         with pytest.raises(SingularFitError):
             _kstep_plain(demos, QUAD, NO_REG)
 
+    @pytest.mark.parametrize("shared_dyn", [True, False],
+                             ids=["one-system", "per-member-systems"])
+    @pytest.mark.parametrize("shared_demos", [True, False],
+                             ids=["shared-demos", "per-member-demos"])
+    @pytest.mark.parametrize("lam", [0.01, 0.0])
+    @pytest.mark.parametrize("loss", [QUAD, LossSpec("huber", huber_m=1.0)],
+                             ids=["quadratic", "huber"])
+    def test_stack_equals_member_calls(self, monkeypatch, loss, lam,
+                                       shared_demos, shared_dyn):
+        rng = np.random.default_rng(9)
+        S, n, m = 4, 4, 2
+        built = [build_small_random(seed) for seed in range(S)]
+        systems = [b[0] for b in built]
+        demo_sets = [generate_demos(d, solve_lqr(d, c).K, sigma, N, 0.2,
+                                    seed)
+                     for seed, ((d, c, sigma), N) in enumerate(
+                         zip(built, (3, 5, 8, 12)))]
+
+        def psd(size, shift=0.0):
+            G = rng.standard_normal((S, size, size))
+            return G @ G.swapaxes(-1, -2) + shift * np.eye(size)
+
+        P, Q, R = psd(n), psd(n), psd(m, 1.0)
+        Y1 = rng.standard_normal((S, n, n))
+        Y2 = rng.standard_normal((S, m, n))
+        demos = demo_sets[0] if shared_demos else demo_sets
+        dyn = systems[0] if shared_dyn else systems
+        reg = RegularizerSpec("ridge", lam)
+        stacked = solve_k_step(demos, loss, reg, 1.0, P, Q, R, Y1, Y2, dyn)
+        assert stacked.shape == (S, m, n)
+        # the IRLS reweightings of each member, counted on its own call
+        count = [0]
+        weights = conic_ls._huber_weights
+
+        def counted(*args):
+            count[0] += 1
+            return weights(*args)
+
+        monkeypatch.setattr(conic_ls, "_huber_weights", counted)
+        reweightings = []
+        for i in range(S):
+            count[0] = 0
+            K = solve_k_step(conic_ls.per_member(demos, S)[i], loss, reg,
+                             1.0, P[i], Q[i], R[i], Y1[i], Y2[i],
+                             conic_ls.per_member(dyn, S)[i])
+            assert np.array_equal(stacked[i], K)
+            reweightings.append(count[0])
+        if loss.kind == "huber":
+            assert len(set(reweightings)) > 1
+        else:
+            assert reweightings == [0] * S
+
     def test_local_minimality(self):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((6, 3))

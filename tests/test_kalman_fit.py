@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lqfit import riccati
+from lqfit import conic_ls, riccati
 from lqfit.conic_ls import (KalmanOperator, LossSpec, RegularizerSpec,
                             project_psd)
 from lqfit.fitting import fit_objective, policy_fit
@@ -84,6 +84,26 @@ class TestAdmmIterate:
             new_b = admm_iterate(b, demos, QUAD, RIDGE, dyn, rho=1.0)
             for f in ("K", "P", "Q", "R", "Y1", "Y2", "pqr_dual"):
                 assert np.array_equal(getattr(new_a, f), getattr(new_b, f)), f
+
+
+    def test_demo_terms_once_per_problem(self, monkeypatch, small_system):
+        # the K step's demo-only terms are computed once per DemoSet and
+        # read by every sweep of every start
+        dyn, cost, sigma, Kstar = small_system
+        made = []
+        demo_terms = conic_ls.demo_terms
+
+        def counted(demos):
+            made.append(demos)
+            return demo_terms(demos)
+
+        monkeypatch.setattr(conic_ls, "demo_terms", counted)
+        problems = [(generate_demos(dyn, Kstar, sigma, N, 0.0, N), dyn)
+                    for N in (2, 3, 5)]
+        reports = fit_kalman_batch(problems, QUAD, RIDGE,
+                                   AdmmConfig(n_iter=10))
+        assert all(r.iterations == 10 for r in reports)
+        assert sorted(map(id, made)) == sorted(id(d) for d, _ in problems)
 
 
 class TestFitKalman:

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from lqfit import linsys
 from lqfit.bench import build_aircraft
 from lqfit.linsys import (CostMatrices, DemoSet, LinearDynamics,
                           _simulate_closed_loop, closed_loop_cost,
@@ -10,6 +12,8 @@ from lqfit.linsys import (CostMatrices, DemoSet, LinearDynamics,
                           solve_lyapunov_stein, spectral_radius,
                           stationary_covariance)
 from lqfit.riccati import solve_lqr
+
+from _oracles import rollout_reference
 
 
 @pytest.fixture
@@ -180,6 +184,37 @@ class TestRollout:
         assert abs(est - J) / J <= 0.05
 
 
+_BLOCK = linsys._SCAN_BLOCK
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["plain", "input-noise"])
+@pytest.mark.parametrize("T", [1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                               2 * _BLOCK + 1, 100_000])
+def test_rollout_equals_full_width_reference(T, noisy):
+    # the in-place, blockwise rollout against the full-width one, on the
+    # 747 expert as the experiments run it
+    dyn, cost, sigma = build_aircraft()
+    K = solve_lqr(dyn, cost).K
+    noise = sigma if noisy else None
+    assert (rollout_cost_estimate(dyn, cost, K, T, 11, noise)
+            == rollout_reference(dyn, cost, K, T, 11, noise))
+
+
+def test_rollout_peak_allocation():
+    # one (n, T) state array plus one draw of normals at a time: at most
+    # 2.1 times the trajectory (the full-width rollout reaches 3.5)
+    dyn, cost, sigma = build_aircraft()
+    K = solve_lqr(dyn, cost).K
+    T = 100_000
+    tracemalloc.start()
+    try:
+        rollout_cost_estimate(dyn, cost, K, T, 0, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * 8 * dyn.n * T
+
+
 def _random_stable(n, seed):
     F = np.random.default_rng(seed).standard_normal((n, n))
     return F * (0.95 / spectral_radius(F))
@@ -204,7 +239,7 @@ def test_simulation_matches_recursion(F, T):
     ref[:, 0] = x0
     for t in range(T - 1):
         ref[:, t + 1] = F @ ref[:, t] + D[:, t]
-    X = _simulate_closed_loop(F, x0, D)
+    X = _simulate_closed_loop(F, np.column_stack([x0, D]))
     assert X.shape == ref.shape
     assert np.abs(X - ref).max() <= 1e-12 * np.abs(ref).max()
 
