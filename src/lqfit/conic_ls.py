@@ -16,12 +16,13 @@ and the (P, Q, R) problem is
 a linear least squares over a product of semidefinite cones.  It is solved
 by operator splitting (ADMM on the variable/copy pair) in an orthonormal
 svec parameterization, with penalty self-rescaling, an exact "polish"
-solve on the active face of the cones and an accelerated projected-gradient
-refine.  A stack of such problems (gains of one size) runs through the
-splitting loop in lockstep, and the members that leave it together are
-polished as one stack, with one face least squares per member; each
-member's result is bit for bit that of solving it alone.  The K step
-takes stacks too, as one batched solve of its normal equations.
+solve on the active face of the cones and, on a cold call, an accelerated
+projected-gradient refine.  A stack of such problems (gains of one size)
+is one stacked solver, run through the splitting loop in lockstep; the
+members that leave it together are polished as one stack, with one face
+least squares per member; each member's result is bit for bit that of
+solving it alone.  The K step takes stacks too, as one batched solve of
+its normal equations.
 """
 
 from __future__ import annotations
@@ -349,23 +350,12 @@ class KalmanOperator:
 
     def take(self, index):
         """Member ``index`` of a stacked operator (an int), or the smaller
-        stack of the members ``index``."""
+        stack of the members ``index``; ``take((ids, None))`` sends slice
+        [i, j] of an (S, k, size, size) stack through member ``ids[i]``."""
         op = KalmanOperator.__new__(KalmanOperator)
         op.A, op.B, op.K, op.F = (getattr(self, f)[index]
                                   for f in ("A", "B", "K", "F"))
         op.n, op.m = self.n, self.m
-        return op
-
-    @classmethod
-    def stack(cls, ops):
-        """The operators ``ops``, all of one size, as one operator whose
-        ``apply`` and ``objective`` take stacks of shape (S, k, size, size)
-        and send slice [i, j] through ``ops[i]``."""
-        op = cls.__new__(cls)
-        op.A, op.B, op.K, op.F = (
-            np.stack([getattr(o, f) for o in ops])[:, None]
-            for f in ("A", "B", "K", "F"))
-        op.n, op.m = ops[0].n, ops[0].m
         return op
 
     def apply(self, P, Q, R):
@@ -426,14 +416,6 @@ def _face_bases(w, V, floor, act_tol):
     return (O + O.swapaxes(-1, -2)) / divisor, on[..., i] & on[..., j]
 
 
-def _face_basis(w, V, floor, act_tol):
-    """Orthonormal basis (a stack) of the face of {X >= floor I} active at
-    the matrix with eigenpairs (w, V): the matrices of
-    :func:`_face_bases` that lie in the face, in triu order."""
-    E, on = _face_bases(w, V, floor, act_tol)
-    return E[on]
-
-
 @functools.lru_cache(maxsize=None)
 def _face_index(k: int):
     """The pairs i <= j of k eigenvectors and the divisor of each basis
@@ -470,7 +452,7 @@ def _reaches(w, floor):
 def _polish(engines, T1, T2, best):
     """Exact least squares on the active face of the cones, for a stack.
 
-    Member i is the problem of ``engines[i]`` (all of one size) with
+    Member i is the problem of ``engines.take(i)`` (a stacked solver) with
     offsets (T1[i], T2[i]) at ``best[i]``, an (objective, P, Q, R) tuple.
     Its face is read off the eigenstructure of that (P, Q, R); the nearest
     correction within the face is applied and accepted only if
@@ -483,8 +465,7 @@ def _polish(engines, T1, T2, best):
     alone.  Returns the lower (objective, P, Q, R) per member.
     """
     best = list(best)
-    ops = KalmanOperator.stack([e.op for e in engines])
-    n, m, dn, p = ops.n, ops.m, engines[0].dn, engines[0].p
+    n, m, dn, p = engines.op.n, engines.op.m, engines.dn, engines.p
     PQ = np.stack([b[1:3] for b in best])
     R = np.stack([b[3] for b in best])
     w_pq, V_pq = np.linalg.eigh(_sym(PQ))
@@ -492,7 +473,7 @@ def _polish(engines, T1, T2, best):
     todo = np.arange(len(best))
     for act_tol in _POLISH_ACT_TOLS:
         s = len(todo)
-        op = ops.take(todo)
+        op = engines.op.take((todo, None))
         E_pq, on_pq = _face_bases(w_pq[todo], V_pq[todo], 0.0, act_tol)
         E_r, on_r = _face_bases(w_r[todo], V_r[todo], 1.0, act_tol)
         # the face columns: apply of each basis matrix in its own block
@@ -529,7 +510,7 @@ def _polish(engines, T1, T2, best):
         if ok.any():
             done = todo[ok]
             PQn, Rn = project_psd(PQn[ok]), project_psd(Rn[ok], 1.0)
-            f = ops.take(done).objective(
+            f = op.take(ok).objective(
                 PQn[:, None, 0], PQn[:, None, 1], Rn[:, None],
                 T1[done, None], T2[done, None])[:, 0]
             for i, fi, (Pn, Qn), Rn_i in zip(done, f.tolist(), PQn, Rn):
@@ -542,14 +523,13 @@ def _polish(engines, T1, T2, best):
 
 def _settle(engines, T1, T2, best, last):
     """The lower of each member's best and its last iterate, polished as
-    one stack; ``last`` holds the members' last P, Q and R as three
-    stacks."""
+    one stack (member i is ``engines.take(i)``); ``last`` holds the
+    members' last P, Q and R as three stacks."""
     P, Q, R = last
-    f = KalmanOperator.stack([e.op for e in engines]).objective(
-        P[:, None], Q[:, None], R[:, None], T1[:, None], T2[:, None])
+    f = engines.op.objective(P, Q, R, T1, T2)
     return _polish(engines, T1, T2, [
         _lower(b, (fi, Pi, Qi, Ri))
-        for b, fi, Pi, Qi, Ri in zip(best, f[:, 0].tolist(), P, Q, R)])
+        for b, fi, Pi, Qi, Ri in zip(best, f.tolist(), P, Q, R)])
 
 
 class _SplitSolver:
@@ -634,26 +614,26 @@ class _SplitSolver:
         return best
 
     @staticmethod
-    def finish(engines, T1, T2, best, last, converged, refine, iters,
-               stop_at):
+    def finish(engines, T1, T2, best, last, refine, iters, stop_at):
         """Finish the members that leave the loop together.
 
         The lower of each member's best and its last iterate is polished,
         all members as one stack with one face least squares per member.
-        If the loop neither converged nor reached its target, a member is
-        then refined and polished again, as a stack of one.
+        With ``refine`` (a cold call's members that did not converge), a
+        member still above ``stop_at`` is then refined and polished again,
+        as ``engines.take([k])``, a stack of one.
         """
         best = _settle(engines, T1, T2, best, last)
-        for k, e in enumerate(engines):
-            if refine and not converged and best[k][0] > stop_at:
-                b = _lower(best[k], e.refine(T1[k], T2[k], *best[k][1:],
-                                             iters=iters))
-                best[k] = _polish([e], T1[k:k + 1], T2[k:k + 1], [b])[0]
+        for k, b in enumerate(best):
+            if refine and b[0] > stop_at:
+                b = _lower(b, engines.take(k).refine(T1[k], T2[k], *b[1:],
+                                                     iters=iters))
+                best[k] = _polish(engines.take([k]), T1[k:k + 1],
+                                  T2[k:k + 1], [b])[0]
         return best
 
     @staticmethod
-    def run(engines, T1, T2, P0, Q0, R0, u0=None, max_iter=4000, eps=1e-11,
-            refine=True, target=0.0):
+    def run(engines, T1, T2, P0, Q0, R0, u0, max_iter, eps, refine, target):
         """The splitting loop for a stack of problems, advanced in lockstep.
 
         Member i is the problem of ``engines.take(i)`` (``engines`` is a
@@ -663,10 +643,11 @@ class _SplitSolver:
         and row by row, and each member keeps its own penalty, best point
         and stopping test; a member that stops leaves the stack.  The
         members that leave at one iteration are finished together
-        (:meth:`finish`): their polish runs as one stack, with one face
-        least squares per member.  So every member's result is bit for bit
-        the result of running it alone.  Returns one (best, iterations,
-        converged, primal residual, dual residual, dual) per member.
+        (:meth:`finish` on ``engines.take`` of them, which refines those
+        that did not converge if ``refine``).  So every member's result
+        is bit for bit the result of running it alone.  Returns one (best,
+        iterations, converged, primal residual, dual residual, dual) per
+        member.
         """
         sn, sm, p = engines.sn, engines.sm, engines.p
         pos, scale, up, lo = _stacked_svec(sn.n, sm.n)
@@ -706,9 +687,8 @@ class _SplitSolver:
         def leave(js, it_done, converged):
             ids = [act[j] for j in js]
             done = _SplitSolver.finish(
-                [engines.take(i) for i in ids], T1[ids], T2[ids],
-                [best[i] for i in ids], last(js), converged, refine,
-                max_iter, stop_at)
+                engines.take(ids), T1[ids], T2[ids], [best[i] for i in ids],
+                last(js), refine and not converged, max_iter, stop_at)
             for j, i, b in zip(js, ids, done):
                 results[i] = (b, it_done, converged, rp[j], rd[j],
                               u[j].copy())
@@ -754,7 +734,7 @@ class _SplitSolver:
             if it % 200 == 0 and going:
                 ids = [act[j] for j in going]
                 for i, b in zip(ids, _settle(
-                        [engines.take(i) for i in ids], T1[ids], T2[ids],
+                        engines.take(ids), T1[ids], T2[ids],
                         [best[i] for i in ids], last(going))):
                     best[i] = b
                 reached = [j for j in going if best[act[j]][0] <= stop_at]
@@ -792,8 +772,8 @@ def per_member(value, count: int) -> list:
 
 def solve_pqr_step(dyn: LinearDynamics | list[LinearDynamics], K, Y1, Y2,
                    rho: float, tol: float = 1e-11, max_iter: int = 4000,
-                   init=None, dual0=None, refine: bool = True,
-                   target: float = 0.0) -> PqrStepResult:
+                   init=None, dual0=None, target: float = 0.0
+                   ) -> PqrStepResult:
     """Cone-constrained least squares in (P, Q, R) for a fixed gain K.
 
     ``init`` is an optional (P0, Q0, R0) warm start and ``dual0`` the
@@ -804,7 +784,8 @@ def solve_pqr_step(dyn: LinearDynamics | list[LinearDynamics], K, Y1, Y2,
     ``target`` counts as solved and stops early (feasibility checks pass
     their tolerance here).  Hitting ``max_iter`` is not an error: the best
     iterate is returned with ``converged=False`` and the residuals as a
-    suboptimality estimate.
+    suboptimality estimate.  A cold call (no ``init``) then refines it by
+    FISTA; a warm call does not, as ADMM's inner steps may be inexact.
 
     K may also be a stack of gains, shape (S, m, n), with Y1, Y2, the
     matrices of ``init`` and ``dual0`` stacked alike, and ``dyn`` either
@@ -860,7 +841,7 @@ def solve_pqr_step(dyn: LinearDynamics | list[LinearDynamics], K, Y1, Y2,
         outs = _SplitSolver.run(
             engines.take(todo), T1[todo], T2[todo], P0, Q0, R0,
             u0=None if u0 is None else u0[todo], max_iter=max_iter, eps=tol,
-            refine=refine, target=target)
+            refine=init is None, target=target)
         for i, out in zip(todo, outs):
             if best[i] is None or out[0][0] < best[i][0][0]:
                 best[i] = out

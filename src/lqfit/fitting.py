@@ -41,7 +41,8 @@ def policy_fit(demos: DemoSet,
     Quadratic loss with ridge is an exact linear solve; Huber loss runs
     IRLS around it.  With no regularization and rank-deficient noiseless
     data the quadratic fit falls back to the minimum-norm least-squares
-    solution; for Huber loss that case raises SingularFitError.
+    solution; for Huber loss that case raises SingularFitError.  Finite
+    data whose fit overflows raise FloatingPointError.
     """
     try:
         K = conic_ls.solve_k_step(demos, loss, reg, rho=0.0)
@@ -50,6 +51,8 @@ def policy_fit(demos: DemoSet,
             raise
         terms = demos.cached(conic_ls.demo_terms)
         K = np.linalg.lstsq(terms.X, terms.U, rcond=None)[0].T
+    if not np.all(np.isfinite(K)):
+        raise FloatingPointError("the fitted gain is not finite")
     return FitReport(K=K, objective=fit_objective(demos, K, loss, reg),
                      loss=loss, reg=reg)
 

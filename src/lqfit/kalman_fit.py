@@ -49,9 +49,8 @@ from .conic_ls import LossSpec, RegularizerSpec
 from .linsys import DemoSet, LinearDynamics
 
 
-# The iteration cap and tolerance of each sweep's (P, Q, R) step.
+# The iteration cap of each sweep's (P, Q, R) step.
 _PQR_ITERS = 40
-_PQR_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -177,16 +176,17 @@ def admm_iterate(state: AdmmState, demos: DemoSet | list[DemoSet],
     """One sweep: K step, (P, Q, R) step, then dual update Y <- Y + rho M.
 
     The (P, Q, R) step is warm-started from the incoming iterate and its
-    splitting dual, and runs at most 40 iterations to relative tolerance
-    1e-11 without the FISTA refine.  The constraint matrix M in the dual
-    update is evaluated at the freshly updated iterates.  Subsolver
-    failures are re-raised as RuntimeError with the iteration number
-    attached.  ``state`` may also be a stack of members (a leading axis
-    on every matrix, see ``fit_kalman_batch``), with ``demos`` and ``dyn``
-    each either shared or a list holding one entry per member; the systems
-    must share one size.  The K step, the (P, Q, R) step and the dual
-    update each run once for the whole stack, and each member's new
-    iterate is bit for bit the one a sweep of that member alone gives.
+    splitting dual, and runs at most 40 iterations at its default
+    tolerance (a warm call, so without the FISTA refine).  The constraint
+    matrix M in the dual update is evaluated at the freshly updated
+    iterates.  Subsolver failures are re-raised as RuntimeError with the
+    iteration number attached.  ``state`` may also be a stack of members
+    (a leading axis on every matrix, see ``fit_kalman_batch``), with
+    ``demos`` and ``dyn`` each either shared or a list holding one entry
+    per member; the systems must share one size.  The K step, the
+    (P, Q, R) step and the dual update each run once for the whole stack,
+    and each member's new iterate is bit for bit the one a sweep of that
+    member alone gives.
     """
     lead = state.K.ndim == 3
     batch = state if lead else _stack([state])
@@ -194,9 +194,9 @@ def admm_iterate(state: AdmmState, demos: DemoSet | list[DemoSet],
         K = conic_ls.solve_k_step(demos, loss, reg, rho, batch.P, batch.Q,
                                   batch.R, batch.Y1, batch.Y2, dyn)
         step = conic_ls.solve_pqr_step(dyn, K, batch.Y1, batch.Y2, rho,
-                                       tol=_PQR_TOL, max_iter=_PQR_ITERS,
+                                       max_iter=_PQR_ITERS,
                                        init=(batch.P, batch.Q, batch.R),
-                                       dual0=batch.pqr_dual, refine=False)
+                                       dual0=batch.pqr_dual)
     except (conic_ls.SingularFitError, np.linalg.LinAlgError) as e:
         raise RuntimeError(
             f"subsolver failed at iteration {state.iter + 1}: {e}") from e
@@ -266,8 +266,8 @@ def _run_lockstep(starts, members, loss, reg, config):
         # ||K_{k+1} - K_k||_F of the finite starts, each bit-equal to
         # np.linalg.norm of its difference
         step = np.full(len(active), np.inf)
-        step[ok] = conic_ls._row_norms(
-            (new.K[ok] - batch.K[ok]).reshape(int(ok.sum()), -1))
+        dK = new.K[ok] - batch.K[ok]
+        step[ok] = conic_ls._row_norms(dK.reshape(len(dK), new.K[0].size))
         keep = ok & ~(step < config.eps)
         for j in np.flatnonzero(~keep).tolist():
             if errors[j] is not None:

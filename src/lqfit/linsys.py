@@ -40,6 +40,8 @@ def _as_matrix(M, name: str) -> np.ndarray:
     M = np.array(M, dtype=float)
     if M.ndim != 2:
         raise ValueError(f"{name} must be a 2-d matrix, got shape {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise ValueError(f"{name} must be finite")
     M.flags.writeable = False
     return M
 
@@ -145,7 +147,8 @@ def load_system(path):
     Returns (dynamics, Q, R, Sigma).  W defaults to zero, Q and R to
     identities and Sigma, the expert's input-noise covariance, to the
     identity.  Raises OSError when the file cannot be read and ValueError
-    when its content is not such an object.
+    when its content is not such an object, holds a non-finite entry, or
+    Q is not n x n or R or Sigma not m x m.
     """
     with open(path) as f:
         text = f.read()
@@ -154,10 +157,14 @@ def load_system(path):
         if not isinstance(d, dict):
             raise ValueError("the top-level JSON value must be an object")
         dyn = LinearDynamics.from_dict(d)
-        Q = np.array(d.get("Q", np.eye(dyn.n)), dtype=float)
-        R = np.array(d.get("R", np.eye(dyn.m)), dtype=float)
+        n, m = dyn.n, dyn.m
+        Q = _as_matrix(d.get("Q", np.eye(n)), "Q")
+        R = _as_matrix(d.get("R", np.eye(m)), "R")
         sigma = d.get("Sigma")
-        sigma = np.eye(dyn.m) if sigma is None else np.array(sigma, dtype=float)
+        sigma = _as_matrix(np.eye(m) if sigma is None else sigma, "Sigma")
+        for name, M, k in (("Q", Q, n), ("R", R, m), ("Sigma", sigma, m)):
+            if M.shape != (k, k):
+                raise ValueError(f"{name} must be {k}x{k}")
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"bad system file {path}: {e}") from e
     return dyn, Q, R, sigma

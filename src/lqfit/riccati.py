@@ -350,7 +350,8 @@ class _ReducedCheck:
         face of the PSD cone that Q lies on."""
         w, V = np.linalg.eigh(Q)
         for act_tol in conic_ls._POLISH_ACT_TOLS:
-            EQ = conic_ls._face_basis(w, V, 0.0, act_tol)
+            EQ, on = conic_ls._face_bases(w, V, 0.0, act_tol)
+            EQ = EQ[on]
             k = len(EQ)
             Mf = np.hstack([self.Mat[:, :self.sn.dim] @ self.sn.svec(EQ).T,
                             self.Mat[:, self.sn.dim:]])
@@ -447,7 +448,8 @@ def check_kalman_feasible(dyn: LinearDynamics, K,
        tol, else ``undecided``.  Each fallback is logged on the ``lqfit``
        logger with its reason.
 
-    ``tol`` defaults to 1e-6 * (1 + ||K||_F).  Infeasible answers carry
+    Raises ValueError on a non-finite K.  ``tol`` defaults to
+    1e-6 * (1 + ||K||_F).  Infeasible answers carry
     the cone point (0, 0, I) with its residual ||K||_F as ``certificate``.
     ``iterations`` counts Dykstra iterations: 0 on route 1 and on a
     fallback for an unstable closed loop, 20 000 on a fallback after
@@ -458,6 +460,8 @@ def check_kalman_feasible(dyn: LinearDynamics, K,
     out).
     """
     K = np.asarray(K, dtype=float)
+    if not np.all(np.isfinite(K)):
+        raise ValueError("the gain must be finite")
     if tol is None:
         tol = 1e-6 * (1.0 + np.linalg.norm(K, "fro"))
     tol = float(tol)

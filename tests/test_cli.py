@@ -222,3 +222,66 @@ def test_gain_file_requires_k(tmp_path, system_file):
     gain.write_text(json.dumps({"M": [[1.0]]}))
     assert main(["check-kalman", "--system", str(spath),
                  "--gain", str(gain)]) == 1
+
+
+_TWO_STATE = {"A": [[1.0, 0.2], [0.0, 0.9]], "B": [[0.0], [1.0]]}
+
+
+def _write_json(tmp_path, name, payload):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("field", ["A", "Q"])
+def test_non_finite_system_file_is_config_error(tmp_path, capsys, field):
+    system = dict(_TWO_STATE, Q=np.eye(2).tolist())
+    system[field] = [[float("nan"), 0.0], [0.0, 1.0]]
+    path = _write_json(tmp_path, "system.json", system)
+    assert main(["lqr", "--system", path]) == 1
+    assert f"{field} must be finite" in capsys.readouterr().err
+
+
+def test_non_finite_demos_are_config_error(tmp_path, capsys):
+    # Python's json reads NaN; the fit must not print it back
+    path = _write_json(tmp_path, "demos.json", {
+        "states": [[float("nan"), 1.0], [0.5, 1.0]], "inputs": [[1.0], [0.2]]})
+    assert main(["fit", "--demos", path]) == 1
+    captured = capsys.readouterr()
+    assert "bad demos file" in captured.err and "NaN" not in captured.out
+
+
+def test_non_finite_gain_is_config_error(tmp_path, capsys):
+    spath = _write_json(tmp_path, "system.json", _TWO_STATE)
+    gain = _write_json(tmp_path, "gain.json", {"K": [[float("inf"), 0.0]]})
+    assert main(["check-kalman", "--system", spath, "--gain", gain]) == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_overflowing_demos_are_solver_failures(tmp_path, capsys):
+    # finite data whose fit is not finite: exit 2, not a NaN gain
+    spath = _write_json(tmp_path, "system.json", _TWO_STATE)
+    path = _write_json(tmp_path, "demos.json", {
+        "states": [[1e308, 1.0], [0.5, 1.0]], "inputs": [[1.0], [0.2]]})
+    with np.errstate(all="ignore"):
+        assert main(["fit", "--demos", path]) == 2
+        assert main(["fit-kalman", "--system", spath, "--demos", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("solver failure") == 2
+
+
+def test_system_matrix_sizes_checked(tmp_path, capsys):
+    system = dict(_TWO_STATE, Sigma=np.eye(2).tolist())
+    spath = _write_json(tmp_path, "system.json", system)
+    cpath = _write_json(tmp_path, "config.json", {
+        "experiment": "custom", "dynamics_path": spath, "N_values": [2],
+        "seeds": [0], "admm": {"n_iter": 5}, "expert_eval_horizon": 200})
+    out = str(tmp_path / "custom.csv")
+    assert main(["experiment", "--config", cpath, "--out", out]) == 1
+    assert (f"bad system file {spath}: Sigma must be 1x1"
+            in capsys.readouterr().err)
+    for field, size, expected in (("Q", 1, "2x2"), ("R", 2, "1x1")):
+        spath = _write_json(tmp_path, "system.json", dict(
+            _TWO_STATE, **{field: np.eye(size).tolist()}))
+        assert main(["lqr", "--system", spath]) == 1
+        assert f"{field} must be {expected}" in capsys.readouterr().err

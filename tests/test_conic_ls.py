@@ -382,7 +382,7 @@ class TestPqrStep:
         init = (np.stack([sol.P] + [np.eye(n)] * 4),
                 np.stack([np.eye(n)] * 5), np.stack([np.eye(m)] * 5))
         dual0 = np.zeros((5, p))
-        kw = dict(rho=1.0, tol=1e-6, max_iter=150, refine=False)
+        kw = dict(rho=1.0, tol=1e-6, max_iter=150)
         stacked = solve_pqr_step(dyn, K, Y1, Y2, init=init, dual0=dual0, **kw)
         singles = [solve_pqr_step(dyn, K[i], Y1[i], Y2[i],
                                   init=[M[i] for M in init], dual0=dual0[i],
@@ -429,6 +429,47 @@ class TestPqrStep:
         with pytest.raises(ValueError):
             solve_pqr_step([systems[0], other], K[:2], Y1[:2], Y2[:2], **kw)
 
+    @staticmethod
+    def _counting_refine(monkeypatch):
+        count = [0]
+        refine = conic_ls._SplitSolver.refine
+
+        def counted(self, *args, **kwargs):
+            count[0] += 1
+            return refine(self, *args, **kwargs)
+
+        monkeypatch.setattr(conic_ls._SplitSolver, "refine", counted)
+        return count
+
+    def test_warm_call_at_its_cap_does_not_refine(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        A, B = random_controllable(rng, n_max=3, m_max=2, rho_scale=0.8)
+        n, m = A.shape[0], B.shape[1]
+        K = 0.4 * rng.standard_normal((m, n))
+        count = self._counting_refine(monkeypatch)
+        step = solve_pqr_step(_dyn(A, B), K, np.zeros((n, n)),
+                              np.zeros((m, n)), rho=1.0, max_iter=300,
+                              init=(np.eye(n), np.eye(n), np.eye(m)))
+        assert not step.converged and step.objective > 0.0
+        assert count[0] == 0
+
+    def test_cold_call_at_its_cap_refines_each_member_short_of_target(
+            self, monkeypatch):
+        # unstable closed loops have no Lyapunov start, so every member
+        # runs from the cold start alone
+        rng = np.random.default_rng(17)
+        A = np.diag([1.5, 0.5, 0.2])
+        B = rng.standard_normal((3, 2))
+        K = 0.1 * rng.standard_normal((4, 2, 3))
+        assert all(np.abs(np.linalg.eigvals(A + B @ k)).max() > 1.0
+                   for k in K)
+        count = self._counting_refine(monkeypatch)
+        step = solve_pqr_step(_dyn(A, B), K, np.zeros((4, 3, 3)),
+                              np.zeros((4, 2, 3)), rho=1.0, max_iter=300)
+        short = int(np.sum(~step.converged & (step.objective > 0.0)))
+        assert short > 0
+        assert count[0] == short
+
     def test_rejects_nonpositive_rho(self):
         dyn = _dyn(np.zeros((1, 1)), np.ones((1, 1)))
         with pytest.raises(ValueError):
@@ -444,8 +485,8 @@ class TestPolish:
     def _assert_matches_reference(engines, T1, T2, best):
         got = conic_ls._polish(engines, T1, T2, best)
         assert len(got) == len(best)
-        for e, t1, t2, b, g in zip(engines, T1, T2, best, got):
-            ref = polish_reference(e.op, t1, t2, b)
+        for i, (t1, t2, b, g) in enumerate(zip(T1, T2, best, got)):
+            ref = polish_reference(engines.op.take(i), t1, t2, b)
             assert g[0] == ref[0]
             for x, y in zip(g[1:], ref[1:]):
                 assert np.array_equal(x, y)
@@ -524,19 +565,20 @@ class TestPolish:
             (low_rank(3, 2), low_rank(3, 1), np.eye(2) + low_rank(2, 1)),
             (low_rank(3, 3), np.zeros((3, 3)), np.eye(2) + low_rank(2, 2)),
             (low_rank(3, 1), low_rank(3, 2), np.eye(2))]
-        engines = [conic_ls._SplitSolver(KalmanOperator(A, B, K))
-                   for K in gains]
+        engines = conic_ls._SplitSolver(KalmanOperator(
+            np.stack([A] * 3), np.stack([B] * 3), np.stack(gains)))
+        ops = [engines.op.take(i) for i in range(3)]
         T1, T2 = [], []
-        for e, target in zip(engines, targets):
-            M1, M2 = e.op.apply(*target)
+        for op, target in zip(ops, targets):
+            M1, M2 = op.apply(*target)
             T1.append(1e-3 * rng.standard_normal((3, 3)) - M1)
             T2.append(1e-3 * rng.standard_normal((2, 3)) - M2)
         T1[2], T2[2] = rng.standard_normal((3, 3)), rng.standard_normal((2, 3))
         T1, T2 = np.array(T1), np.array(T2)
         best = []
-        for e, target, t1, t2 in zip(engines, targets, T1, T2):
+        for op, target, t1, t2 in zip(ops, targets, T1, T2):
             X = [nudged(M, floor) for M, floor in zip(target, (0.0, 0.0, 1.0))]
-            best.append((e.op.objective(*X, t1, t2), *X))
+            best.append((op.objective(*X, t1, t2), *X))
         assert len({self._signature(b) for b in best}) == 3
         count = self._counting_lstsq(monkeypatch)
         got = self._assert_matches_reference(engines, T1, T2, best)

@@ -281,3 +281,55 @@ class TestFitKalmanBatch:
         pair = DemoSet(states=np.ones((2, 3)), inputs=np.ones((2, 1)))
         with pytest.raises(ValueError):
             fit_kalman_batch([(demos, dyn), (pair, other)], QUAD, RIDGE)
+
+
+class TestWholeBatchFails:
+    """Every start of the batch leaves in one sweep: the documented
+    RuntimeError, not an error of the bookkeeping around it."""
+
+    @staticmethod
+    def _failing_call(monkeypatch, name, calls, fail):
+        """``conic_ls.<name>`` whose ``calls``-th call returns ``fail`` of
+        its result (or raises what ``fail`` raises)."""
+        fn = getattr(conic_ls, name)
+        count = [0]
+
+        def wrapper(*args, **kwargs):
+            count[0] += 1
+            out = fn(*args, **kwargs)
+            return fail(out) if count[0] == calls else out
+
+        monkeypatch.setattr(conic_ls, name, wrapper)
+
+    def test_subsolver_failure_of_the_only_problem(self, monkeypatch,
+                                                   small_system):
+        dyn, cost, sigma, Kstar = small_system
+        demos = generate_demos(dyn, Kstar, sigma, 3, 0.0, 23)
+
+        def fail(out):
+            raise np.linalg.LinAlgError("injected")
+
+        self._failing_call(monkeypatch, "solve_pqr_step", 3, fail)
+        with pytest.raises(RuntimeError,
+                           match="subsolver failed at iteration 3: injected"):
+            fit_kalman(demos, QUAD, RIDGE, dyn)
+
+    def test_every_start_non_finite(self, monkeypatch, small_system):
+        dyn, cost, sigma, Kstar = small_system
+        demos = generate_demos(dyn, Kstar, sigma, 3, 0.0, 23)
+        self._failing_call(monkeypatch, "solve_pqr_step", 2, lambda step:
+                           replace(step, P=np.full_like(step.P, np.nan)))
+        with pytest.raises(RuntimeError, match="all runs diverged: init 0: "
+                           "non-finite iterate at iteration 2"):
+            fit_kalman(demos, QUAD, RIDGE, dyn)
+
+    def test_overflowing_demonstrations(self):
+        dyn = _dyn(np.array([[1.0, 0.2], [0.0, 0.9]]),
+                   np.array([[0.0], [1.0]]))
+        demos = DemoSet(states=[[1e308, 1.0], [0.5, 1.0]],
+                        inputs=[[1.0], [0.2]])
+        with np.errstate(all="ignore"):
+            with pytest.raises(RuntimeError):
+                fit_kalman(demos, QUAD, RIDGE, dyn)
+            reports = fit_kalman_batch([(demos, dyn)] * 2, QUAD, RIDGE)
+        assert all(isinstance(r, RuntimeError) for r in reports)
