@@ -20,9 +20,10 @@ solve on the active face of the cones and, on a cold call, an accelerated
 projected-gradient refine.  A stack of such problems (gains of one size)
 is one stacked solver, run through the splitting loop in lockstep; the
 members that leave it together are polished as one stack, with one face
-least squares per member; each member's result is bit for bit that of
-solving it alone.  The K step takes stacks too, as one batched solve of
-its normal equations.
+least squares per member, repeated at a smaller face tolerance only for
+a member whose correction was rejected and whose face changes there;
+each member's result is bit for bit that of solving it alone.  The K
+step takes stacks too, as one batched solve of its normal equations.
 """
 
 from __future__ import annotations
@@ -392,27 +393,47 @@ class KalmanOperator:
 
         At, Bt = self.A.swapaxes(-1, -2), self.B.swapaxes(-1, -2)
         Mat = np.zeros(lead + (n * n + m * n, 2 * dn + dm))
-        Mat[..., :n * n, :dn] = columns(
-            np.einsum("...ab,kbc,...cd->...kad", At, En, F) - En, n * n)
-        Mat[..., n * n:, :dn] = columns(
-            np.einsum("...ab,kbc,...cd->...kad", Bt, En, F), m * n)
+        Mat[..., :n * n, :dn] = columns(_basis_sandwich(At, F) - En, n * n)
+        Mat[..., n * n:, :dn] = columns(_basis_sandwich(Bt, F), m * n)
         Mat[..., :n * n, dn:2 * dn] = En.reshape(dn, n * n).T
         Mat[..., n * n:, 2 * dn:] = columns(Em @ self.K[..., None, :, :],
                                             m * n)
         return Mat
 
 
-def _face_bases(w, V, floor, act_tol):
+def _basis_sandwich(X, F):
+    """X E_k F for every svec basis matrix E_k of F's size, along the
+    next-to-last leading axis: the einsum "...ab,kbc,...cd->...kad" of X,
+    the basis and F, bit for bit.  E_k has the entry e at (i, j) and
+    (j, i), so the einsum's only nonzero products are (X[:, i] e) F[j, :]
+    and (X[:, j] e) F[i, :] (one of them on the diagonal); both are added
+    to 0.0, as the einsum adds its products to a zeroed output, and the
+    other products are signed zeros, which change no sum."""
+    sn = _svec_ops(F.shape[-1])
+    i, j = sn.iu
+    e = sn.basis[np.arange(sn.dim), i, j][:, None, None]
+
+    def term(a, b):
+        return ((X[..., :, a].swapaxes(-1, -2)[..., None] * e)
+                * F[..., b, None, :])
+
+    return (0.0 + term(i, j)) + np.where((i == j)[:, None, None], 0.0,
+                                         term(j, i))
+
+
+def _face_bases(w, V, floor):
     """The face bases of {X >= floor I} at a stack of matrices with
     eigenpairs (w, V), at full width: for every pair i <= j of eigenvectors,
-    in triu order, the matrix (v_i v_j^T + v_j v_i^T) / (2 or sqrt 2), and
-    whether it lies in the face active at the matrix, that is, whether both
+    in triu order, the matrix (v_i v_j^T + v_j v_i^T) / (2 or sqrt 2); and,
+    along a leading axis, one per tolerance of _POLISH_ACT_TOLS, whether it
+    lies in the face active at the matrix, that is, whether both
     eigenvalues exceed floor by more than the tolerance (relative)."""
     i, j, divisor = _face_index(w.shape[-1])
     Vt = V.swapaxes(-1, -2)
     O = Vt[..., i, :, None] * Vt[..., j, None, :]
+    act_tol = np.reshape(_POLISH_ACT_TOLS, (-1,) + (1,) * w.ndim)
     on = (w - floor) > act_tol * (1.0 + w.max(axis=-1, initial=0.0,
-                                             keepdims=True))
+                                              keepdims=True))
     return (O + O.swapaxes(-1, -2)) / divisor, on[..., i] & on[..., j]
 
 
@@ -454,70 +475,79 @@ def _polish(engines, T1, T2, best):
 
     Member i is the problem of ``engines.take(i)`` (a stacked solver) with
     offsets (T1[i], T2[i]) at ``best[i]``, an (objective, P, Q, R) tuple.
-    Its face is read off the eigenstructure of that (P, Q, R); the nearest
-    correction within the face is applied and accepted only if
-    cone-feasible and lower.  Members whose correction is rejected try the
-    next tolerance of _POLISH_ACT_TOLS together.  The eigendecompositions,
-    the face bases (at full width, pairs off the face held at theta = 0),
-    the operator, the cone tests and projections act on the whole stack;
-    the face least squares is one ``lstsq`` per member on its own face
-    columns.  So each member's result is bit for bit that of polishing it
-    alone.  Returns the lower (objective, P, Q, R) per member.
+    Its face is read off the eigenstructure of that (P, Q, R) at each
+    tolerance of _POLISH_ACT_TOLS in turn; the nearest correction within
+    the face is applied and accepted only if cone-feasible and lower.  A
+    member whose correction is rejected tries the next tolerance only if
+    its face changes there: on the same face the solve would repeat bit
+    for bit and be rejected again.  The members that try a tolerance try
+    it together.  The eigendecompositions, the face bases (at full width,
+    pairs off the face held at theta = 0), their operator columns, the
+    coordinates theta and the offsets are built once for the whole stack,
+    and the cone tests and projections act on each tolerance's members as
+    a stack; the face least squares is one ``lstsq`` per member on its own
+    face columns.  So each member's result is bit for bit that of
+    polishing it alone.  Returns the lower (objective, P, Q, R) per member.
     """
     best = list(best)
     n, m, dn, p = engines.op.n, engines.op.m, engines.dn, engines.p
+    S = len(best)
     PQ = np.stack([b[1:3] for b in best])
     R = np.stack([b[3] for b in best])
-    w_pq, V_pq = np.linalg.eigh(_sym(PQ))
-    w_r, V_r = np.linalg.eigh(_sym(R))
-    todo = np.arange(len(best))
-    for act_tol in _POLISH_ACT_TOLS:
+    E_pq, on_pq = _face_bases(*np.linalg.eigh(_sym(PQ)), 0.0)
+    E_r, on_r = _face_bases(*np.linalg.eigh(_sym(R)), 1.0)
+    op = engines.op.take((np.arange(S), None))
+    # the face columns: apply of each basis matrix in its own block
+    Ps, Qs = np.zeros((S, p, n, n)), np.zeros((S, p, n, n))
+    Rs = np.zeros((S, p, m, m))
+    Ps[:, :dn], Qs[:, dn:2 * dn], Rs[:, 2 * dn:] = E_pq[:, 0], E_pq[:, 1], E_r
+    M1, M2 = op.apply(Ps, Qs, Rs)
+    cols = np.concatenate([M1.reshape(S, p, n * n),
+                           M2.reshape(S, p, m * n)], axis=2)
+    theta0 = np.concatenate([
+        np.sum(E_pq * PQ[:, :, None], axis=(-2, -1)).reshape(S, -1),
+        np.sum(E_r * (R - np.eye(m))[:, None], axis=(-2, -1))], axis=1)
+    c = np.concatenate([T1.reshape(S, -1),
+                        (op.K[:, 0] + T2).reshape(S, -1)], axis=1)
+    # one face mask per tolerance and member, and whether it differs from
+    # the member's mask at the tolerance before
+    faces = np.concatenate([on_pq.reshape(len(on_pq), S, 2 * dn), on_r],
+                           axis=2)
+    fresh = np.ones(faces.shape[:2], dtype=bool)
+    fresh[1:] = (faces[1:] != faces[:-1]).any(axis=2)
+    todo = np.arange(S)
+    for face, new in zip(faces, fresh):
+        todo = todo[new[todo]]
+        if not len(todo):
+            break
         s = len(todo)
-        op = engines.op.take((todo, None))
-        E_pq, on_pq = _face_bases(w_pq[todo], V_pq[todo], 0.0, act_tol)
-        E_r, on_r = _face_bases(w_r[todo], V_r[todo], 1.0, act_tol)
-        # the face columns: apply of each basis matrix in its own block
-        Ps, Qs = np.zeros((s, p, n, n)), np.zeros((s, p, n, n))
-        Rs = np.zeros((s, p, m, m))
-        Ps[:, :dn], Qs[:, dn:2 * dn], Rs[:, 2 * dn:] = (E_pq[:, 0],
-                                                        E_pq[:, 1], E_r)
-        M1, M2 = op.apply(Ps, Qs, Rs)
-        cols = np.concatenate([M1.reshape(s, p, n * n),
-                               M2.reshape(s, p, m * n)], axis=2)
-        on = np.concatenate([on_pq.reshape(s, 2 * dn), on_r], axis=1)
-        theta = np.concatenate([
-            np.sum(E_pq * PQ[todo, :, None], axis=(-2, -1)).reshape(s, -1),
-            np.sum(E_r * (R[todo] - np.eye(m))[:, None], axis=(-2, -1))],
-            axis=1)
-        c = np.concatenate([T1[todo].reshape(s, -1),
-                            (op.K[:, 0] + T2[todo]).reshape(s, -1)], axis=1)
-        for t, face, col, ci in zip(theta, on, cols, c):
-            Mt = col[face].T.copy()
-            dth, *_ = np.linalg.lstsq(Mt, -(Mt @ t[face] + ci), rcond=None)
-            t[face] += dth
-            t[~face] = 0.0
+        theta = theta0[todo]
+        for i, t in zip(todo, theta):
+            on = face[i]
+            Mt = cols[i, on].T.copy()
+            dth, *_ = np.linalg.lstsq(Mt, -(Mt @ t[on] + c[i]), rcond=None)
+            t[on] += dth
+            t[~on] = 0.0
         # start + sum_k theta_k E_k, added in order as _combine does: numpy
         # reduces an outer axis term by term (a 1 x 1 block has one term)
         PQn = np.add.reduce(np.concatenate(
             [np.zeros((s, 2, 1, n, n)),
-             theta[:, :2 * dn].reshape(s, 2, dn, 1, 1) * E_pq], axis=2),
+             theta[:, :2 * dn].reshape(s, 2, dn, 1, 1) * E_pq[todo]], axis=2),
             axis=2)
         Rn = np.add.reduce(np.concatenate(
             [np.broadcast_to(np.eye(m), (s, 1, m, m)),
-             theta[:, 2 * dn:, None, None] * E_r], axis=1), axis=1)
+             theta[:, 2 * dn:, None, None] * E_r[todo]], axis=1), axis=1)
         ok = (_reaches(np.linalg.eigvalsh(_sym(PQn)), 0.0).all(axis=-1)
               & _reaches(np.linalg.eigvalsh(_sym(Rn)), 1.0))
         if ok.any():
             done = todo[ok]
             PQn, Rn = project_psd(PQn[ok]), project_psd(Rn[ok], 1.0)
-            f = op.take(ok).objective(
+            f = op.take(done).objective(
                 PQn[:, None, 0], PQn[:, None, 1], Rn[:, None],
                 T1[done, None], T2[done, None])[:, 0]
             for i, fi, (Pn, Qn), Rn_i in zip(done, f.tolist(), PQn, Rn):
                 best[i] = _lower(best[i], (fi, Pn, Qn, Rn_i))
         todo = todo[~ok]
-        if not len(todo):
-            break
     return best
 
 
@@ -709,7 +739,7 @@ class _SplitSolver:
             # svec of the symmetrized projections, read off both triangles
             M = np.concatenate([PQ.reshape(len(v), -1),
                                 R.reshape(len(v), -1)], axis=1)
-            znew = 0.5 * (M[:, up] + M[:, lo]) * scale
+            znew = 0.5 * (M.take(up, axis=1) + M.take(lo, axis=1)) * scale
             u += xr - znew
             nz, rp, rd = _row_norms(np.array([znew, x - znew, znew - z]))
             rd = sigma * rd

@@ -179,25 +179,30 @@ def admm_iterate(state: AdmmState, demos: DemoSet | list[DemoSet],
     splitting dual, and runs at most 40 iterations at its default
     tolerance (a warm call, so without the FISTA refine).  The constraint
     matrix M in the dual update is evaluated at the freshly updated
-    iterates.  Subsolver failures are re-raised as RuntimeError with the
-    iteration number attached.  ``state`` may also be a stack of members
-    (a leading axis on every matrix, see ``fit_kalman_batch``), with
-    ``demos`` and ``dyn`` each either shared or a list holding one entry
-    per member; the systems must share one size.  The K step, the
-    (P, Q, R) step and the dual update each run once for the whole stack,
-    and each member's new iterate is bit for bit the one a sweep of that
-    member alone gives.
+    iterates.  Subsolver failures, and a non-finite K-step gain (which
+    would reach LAPACK in the (P, Q, R) step), are re-raised as
+    RuntimeError with the iteration number attached.  ``state`` may also
+    be a stack of members (a leading axis on every matrix, see
+    ``fit_kalman_batch``), with ``demos`` and ``dyn`` each either shared
+    or a list holding one entry per member; the systems must share one
+    size.  The K step, the (P, Q, R) step and the dual update each run
+    once for the whole stack, and each member's new iterate is bit for bit
+    the one a sweep of that member alone gives.
     """
     lead = state.K.ndim == 3
     batch = state if lead else _stack([state])
     try:
         K = conic_ls.solve_k_step(demos, loss, reg, rho, batch.P, batch.Q,
                                   batch.R, batch.Y1, batch.Y2, dyn)
+        if not np.isfinite(K).all():
+            raise FloatingPointError("the K step returned a non-finite "
+                                     "gain")
         step = conic_ls.solve_pqr_step(dyn, K, batch.Y1, batch.Y2, rho,
                                        max_iter=_PQR_ITERS,
                                        init=(batch.P, batch.Q, batch.R),
                                        dual0=batch.pqr_dual)
-    except (conic_ls.SingularFitError, np.linalg.LinAlgError) as e:
+    except (conic_ls.SingularFitError, np.linalg.LinAlgError,
+            FloatingPointError) as e:
         raise RuntimeError(
             f"subsolver failed at iteration {state.iter + 1}: {e}") from e
     A, B = conic_ls._stacked_systems(dyn, len(K))

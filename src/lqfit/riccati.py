@@ -347,11 +347,14 @@ class _ReducedCheck:
 
     def face_polish(self, Q, R):
         """Certify the least-squares point of the null space within the
-        face of the PSD cone that Q lies on."""
-        w, V = np.linalg.eigh(Q)
-        for act_tol in conic_ls._POLISH_ACT_TOLS:
-            EQ, on = conic_ls._face_bases(w, V, 0.0, act_tol)
-            EQ = EQ[on]
+        face of the PSD cone that Q lies on, at each tolerance of
+        conic_ls._POLISH_ACT_TOLS where that face changes: on an unchanged
+        face the point, and so the answer, would repeat."""
+        E, faces = conic_ls._face_bases(*np.linalg.eigh(Q), 0.0)
+        for j, on in enumerate(faces):
+            if j and np.array_equal(on, faces[j - 1]):
+                continue
+            EQ = E[on]
             k = len(EQ)
             Mf = np.hstack([self.Mat[:, :self.sn.dim] @ self.sn.svec(EQ).T,
                             self.Mat[:, self.sn.dim:]])

@@ -11,7 +11,8 @@ from lqfit.kalman_fit import AdmmConfig, fit_kalman_batch
 from lqfit.linsys import DemoSet, LinearDynamics, generate_demos
 from lqfit.riccati import solve_lqr
 
-from _oracles import (_face_basis, polish_reference, pqr_projected_gradient,
+from _oracles import (_face_basis, operator_matrix_reference,
+                      polish_reference, pqr_projected_gradient,
                       random_controllable)
 
 
@@ -265,6 +266,26 @@ class TestKalmanOperator:
                                np.concatenate([M1.ravel(), M2.ravel()]),
                                rtol=1e-12, atol=1e-12)
 
+    def test_matrix_equals_einsum_reference_bit_for_bit(self):
+        # stacks and single operators; K = 0 and rows of -0.0 in A and B
+        # make products of signed zeros, whose sum must keep its sign bit
+        rng = np.random.default_rng(23)
+        for trial in range(300):
+            n, m, S = (int(k) for k in rng.integers(1, (6, 4, 4)))
+            A = rng.standard_normal((S, n, n))
+            B = rng.standard_normal((S, n, m))
+            K = rng.standard_normal((S, m, n))
+            if trial % 3 == 0:
+                K[:] = 0.0
+            if trial % 2 == 0:
+                A[:, rng.integers(n)] = -0.0
+                B[:, rng.integers(n)] = -0.0
+            op = (KalmanOperator(A, B, K) if trial % 4 < 2
+                  else KalmanOperator(A[0], B[0], K[0]))
+            got, ref = op.matrix(), operator_matrix_reference(op)
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+
     def test_objective_is_squared_norm_of_apply(self):
         rng = np.random.default_rng(22)
         op, (P, Q, R) = self._random(rng)
@@ -482,15 +503,19 @@ class TestPolish:
     for array."""
 
     @staticmethod
-    def _assert_matches_reference(engines, T1, T2, best):
+    def _assert_matches_reference(engines, T1, T2, best, count):
+        """The stack's result, and the face least squares (``lstsq``
+        calls, counted in ``count``) of the stack and of the reference."""
+        start = count[0]
         got = conic_ls._polish(engines, T1, T2, best)
+        stack = count[0] - start
         assert len(got) == len(best)
         for i, (t1, t2, b, g) in enumerate(zip(T1, T2, best, got)):
             ref = polish_reference(engines.op.take(i), t1, t2, b)
             assert g[0] == ref[0]
             for x, y in zip(g[1:], ref[1:]):
                 assert np.array_equal(x, y)
-        return got
+        return got, stack, count[0] - start - stack
 
     @staticmethod
     def _signature(best):
@@ -531,11 +556,13 @@ class TestPolish:
         assert len(calls) == 6
         assert all(len(best) == 4 for *_, best in calls)
         count = self._counting_lstsq(monkeypatch)
-        for call in calls:
-            self._assert_matches_reference(*call)
+        solves = np.sum([self._assert_matches_reference(*call, count)[1:]
+                         for call in calls], axis=0)
         # the stack and the reference each solve once per member, and again
-        # for a member whose first correction is rejected: some are
-        assert count[0] > 2 * 6 * 4
+        # for a member whose first correction is rejected (the stack only
+        # when its face changes): some are
+        assert solves.sum() > 2 * 6 * 4
+        assert 6 * 4 <= solves[0] <= solves[1]
         assert all(len({self._signature(b) for b in best}) > 1
                    for *_, best in calls)
 
@@ -565,25 +592,46 @@ class TestPolish:
             (low_rank(3, 2), low_rank(3, 1), np.eye(2) + low_rank(2, 1)),
             (low_rank(3, 3), np.zeros((3, 3)), np.eye(2) + low_rank(2, 2)),
             (low_rank(3, 1), low_rank(3, 2), np.eye(2))]
+        # and a member whose P has an eigenvalue between the tolerances (1e-5
+        # against 1e-9 and 1e-5 times 1 + 2), off its 1e-5 face and on its
+        # 1e-9 face, with R - I small on both: its 1e-5 correction leaves
+        # R >= I, and the correction on its larger face is accepted
+        r4 = np.random.default_rng(104)
+        gains.append(0.3 * r4.standard_normal((2, 3)))
+        spectra = [(np.linalg.qr(r4.standard_normal((len(w), len(w))))[0],
+                    np.array(w), floor) for w, floor in
+                   (([0.0, 1e-5, 2.0], 0.0), ([0.0, 3e-4, 1.5], 0.0),
+                    ([5e-5, 1.0], 1.0))]
+        targets.append(tuple((V * w) @ V.T + floor * np.eye(len(w))
+                             for V, w, floor in spectra))
         engines = conic_ls._SplitSolver(KalmanOperator(
-            np.stack([A] * 3), np.stack([B] * 3), np.stack(gains)))
-        ops = [engines.op.take(i) for i in range(3)]
+            np.stack([A] * 4), np.stack([B] * 4), np.stack(gains)))
+        ops = [engines.op.take(i) for i in range(4)]
         T1, T2 = [], []
-        for op, target in zip(ops, targets):
+        for op, target in zip(ops[:3], targets):
             M1, M2 = op.apply(*target)
             T1.append(1e-3 * rng.standard_normal((3, 3)) - M1)
             T2.append(1e-3 * rng.standard_normal((2, 3)) - M2)
         T1[2], T2[2] = rng.standard_normal((3, 3)), rng.standard_normal((2, 3))
+        M1, M2 = ops[3].apply(*targets[3])
+        T1.append(-M1)
+        T2.append(-M2)
         T1, T2 = np.array(T1), np.array(T2)
         best = []
-        for op, target, t1, t2 in zip(ops, targets, T1, T2):
+        for op, target, t1, t2 in zip(ops[:3], targets, T1, T2):
             X = [nudged(M, floor) for M, floor in zip(target, (0.0, 0.0, 1.0))]
             best.append((op.objective(*X, t1, t2), *X))
-        assert len({self._signature(b) for b in best}) == 3
+        X = [(V * (w * (1.0 + 0.05 * r4.standard_normal(len(w))))) @ V.T
+             + floor * np.eye(len(w)) for V, w, floor in spectra]
+        best.append((ops[3].objective(*X, T1[3], T2[3]), *X))
+        assert len({self._signature(b) for b in best}) == 4
         count = self._counting_lstsq(monkeypatch)
-        got = self._assert_matches_reference(engines, T1, T2, best)
-        # one solve per member and a retry for the third, in the stack and
-        # in the reference
-        assert count[0] == 2 * (3 + 1)
+        got, stack, reference = self._assert_matches_reference(
+            engines, T1, T2, best, count)
+        # one solve per member; the reference retries the third and fourth,
+        # the stack only the fourth, as the third's face is the same at
+        # both tolerances
+        assert (stack, reference) == (4 + 1, 4 + 2)
         assert got[0][0] < best[0][0] and got[1][0] < best[1][0]
         assert got[2] is best[2]
+        assert got[3][0] < best[3][0]

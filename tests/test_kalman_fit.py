@@ -323,13 +323,19 @@ class TestWholeBatchFails:
                            "non-finite iterate at iteration 2"):
             fit_kalman(demos, QUAD, RIDGE, dyn)
 
-    def test_overflowing_demonstrations(self):
+    def test_overflowing_demonstrations(self, capfd):
+        # the non-finite K-step gain is caught before the (P, Q, R) step,
+        # whose LAPACK calls would print to the process's stderr
         dyn = _dyn(np.array([[1.0, 0.2], [0.0, 0.9]]),
                    np.array([[0.0], [1.0]]))
         demos = DemoSet(states=[[1e308, 1.0], [0.5, 1.0]],
                         inputs=[[1.0], [0.2]])
+        message = ("subsolver failed at iteration 1: the K step returned a "
+                   "non-finite gain")
         with np.errstate(all="ignore"):
-            with pytest.raises(RuntimeError):
+            with pytest.raises(RuntimeError, match=message):
                 fit_kalman(demos, QUAD, RIDGE, dyn)
             reports = fit_kalman_batch([(demos, dyn)] * 2, QUAD, RIDGE)
-        assert all(isinstance(r, RuntimeError) for r in reports)
+        assert all(isinstance(r, RuntimeError) and str(r) == message
+                   for r in reports)
+        assert "DLASCL" not in capfd.readouterr().err

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_are, solve_discrete_lyapunov
 
+from lqfit import riccati
 from lqfit.bench import build_aircraft, build_small_random
 from lqfit.conic_ls import KalmanOperator
 from lqfit.linsys import LinearDynamics, spectral_radius
@@ -231,6 +232,33 @@ class TestFeasibilityRoutes:
         assert not res.fallback and res.witness is None
         assert kalman_residual(dyn, K, res.certificate) <= res.tol
         assert elapsed < 1.0
+
+    def test_face_polish_solves_each_face_once(self, monkeypatch):
+        # a perturbed LQR gain and tol 1e-12: no polished point certifies.
+        # Q's face is the same at both tolerances of the first Q, so one
+        # least squares decides; the second Q has an eigenvalue between
+        # them (1e-6 against 1e-9 and 1e-5 times 1 + 2), so both are tried
+        rng = np.random.default_rng(3)
+        dyn = build_small_random(0)[0]
+        K = (_dare_gain(dyn, np.eye(4), np.eye(2))
+             + 0.1 * rng.standard_normal((2, 4)))
+        F = dyn.closed_loop(K)
+        assert spectral_radius(F) < 1.0
+        check = riccati._ReducedCheck(dyn, K, F, 1e-12)
+        V = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        count = [0]
+        lstsq = np.linalg.lstsq
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        for gap, solves in ((0.0, 1), (1e-6, 2)):
+            count[0] = 0
+            Q = (V * [0.0, gap, 1.0, 2.0]) @ V.T
+            assert check.face_polish(Q, np.eye(2)) is None
+            assert count[0] == solves
 
     def test_zero_dynamics_stable_gain_has_farkas_witness(self):
         rng = np.random.default_rng(11)
