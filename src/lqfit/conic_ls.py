@@ -43,6 +43,8 @@ _SQRT2 = math.sqrt(2.0)
 # boundary in the face polish, tried in order: the larger gap (a smaller
 # face) first.
 _POLISH_ACT_TOLS = (1e-5, 1e-9)
+# An objective at or below _SOLVED counts as solved and stops a member early.
+_SOLVED = 1e-24
 
 
 class SingularFitError(RuntimeError):
@@ -448,11 +450,6 @@ def _face_index(k: int):
     return i, j, divisor
 
 
-def _combine(start, theta, E):
-    """start + sum_k theta_k E_k, added in order."""
-    return functools.reduce(np.add, theta[:, None, None] * E, start)
-
-
 def _lower(a, b):
     """The (objective, P, Q, R) tuple with the lower objective; a on ties."""
     return b if b[0] < a[0] else a
@@ -528,8 +525,8 @@ def _polish(engines, T1, T2, best):
             dth, *_ = np.linalg.lstsq(Mt, -(Mt @ t[on] + c[i]), rcond=None)
             t[on] += dth
             t[~on] = 0.0
-        # start + sum_k theta_k E_k, added in order as _combine does: numpy
-        # reduces an outer axis term by term (a 1 x 1 block has one term)
+        # start + sum_k theta_k E_k, added in order: numpy reduces an outer
+        # axis term by term (a 1 x 1 block has one term)
         PQn = np.add.reduce(np.concatenate(
             [np.zeros((s, 2, 1, n, n)),
              theta[:, :2 * dn].reshape(s, 2, dn, 1, 1) * E_pq[todo]], axis=2),
@@ -644,18 +641,18 @@ class _SplitSolver:
         return best
 
     @staticmethod
-    def finish(engines, T1, T2, best, last, refine, iters, stop_at):
+    def finish(engines, T1, T2, best, last, refine, iters):
         """Finish the members that leave the loop together.
 
         The lower of each member's best and its last iterate is polished,
         all members as one stack with one face least squares per member.
         With ``refine`` (a cold call's members that did not converge), a
-        member still above ``stop_at`` is then refined and polished again,
+        member still above ``_SOLVED`` is then refined and polished again,
         as ``engines.take([k])``, a stack of one.
         """
         best = _settle(engines, T1, T2, best, last)
         for k, b in enumerate(best):
-            if refine and b[0] > stop_at:
+            if refine and b[0] > _SOLVED:
                 b = _lower(b, engines.take(k).refine(T1[k], T2[k], *b[1:],
                                                      iters=iters))
                 best[k] = _polish(engines.take([k]), T1[k:k + 1],
@@ -663,7 +660,7 @@ class _SplitSolver:
         return best
 
     @staticmethod
-    def run(engines, T1, T2, P0, Q0, R0, u0, max_iter, eps, refine, target):
+    def run(engines, T1, T2, P0, Q0, R0, u0, max_iter, eps, refine):
         """The splitting loop for a stack of problems, advanced in lockstep.
 
         Member i is the problem of ``engines.take(i)`` (``engines`` is a
@@ -682,7 +679,6 @@ class _SplitSolver:
         sn, sm, p = engines.sn, engines.sm, engines.p
         pos, scale, up, lo = _stacked_svec(sn.n, sm.n)
         n2 = 2 * sn.n * sn.n
-        stop_at = max(target, 1e-24)
         alpha = 1.6
         eye = np.eye(p)
         S = len(T1)
@@ -691,7 +687,7 @@ class _SplitSolver:
         best = [(f0[i], P0[i], Q0[i], R0[i]) for i in range(S)]
         u = np.zeros((S, p)) if u0 is None else np.array(u0, dtype=float)
         for i, b in enumerate(best):
-            if b[0] <= stop_at:
+            if b[0] <= _SOLVED:
                 results[i] = (b, 0, True, 0.0, 0.0, u[i].copy())
         act = [i for i, r in enumerate(results) if r is None]
         if not act:
@@ -718,7 +714,7 @@ class _SplitSolver:
             ids = [act[j] for j in js]
             done = _SplitSolver.finish(
                 engines.take(ids), T1[ids], T2[ids], [best[i] for i in ids],
-                last(js), refine and not converged, max_iter, stop_at)
+                last(js), refine and not converged, max_iter)
             for j, i, b in zip(js, ids, done):
                 results[i] = (b, it_done, converged, rp[j], rd[j],
                               u[j].copy())
@@ -767,7 +763,7 @@ class _SplitSolver:
                         engines.take(ids), T1[ids], T2[ids],
                         [best[i] for i in ids], last(going))):
                     best[i] = b
-                reached = [j for j in going if best[act[j]][0] <= stop_at]
+                reached = [j for j in going if best[act[j]][0] <= _SOLVED]
                 if reached:
                     leave(reached, it, False)
                 out += reached
@@ -802,8 +798,7 @@ def per_member(value, count: int) -> list:
 
 def solve_pqr_step(dyn: LinearDynamics | list[LinearDynamics], K, Y1, Y2,
                    rho: float, tol: float = 1e-11, max_iter: int = 4000,
-                   init=None, dual0=None, target: float = 0.0
-                   ) -> PqrStepResult:
+                   init=None, dual0=None) -> PqrStepResult:
     """Cone-constrained least squares in (P, Q, R) for a fixed gain K.
 
     ``init`` is an optional (P0, Q0, R0) warm start and ``dual0`` the
@@ -811,11 +806,11 @@ def solve_pqr_step(dyn: LinearDynamics | list[LinearDynamics], K, Y1, Y2,
     (0, 0, I).  With no warm start the solver additionally tries a
     Lyapunov-based start, which lands exactly on the certificate whenever K
     is optimal for unit cost weights.  An objective value at or below
-    ``target`` counts as solved and stops early (feasibility checks pass
-    their tolerance here).  Hitting ``max_iter`` is not an error: the best
-    iterate is returned with ``converged=False`` and the residuals as a
-    suboptimality estimate.  A cold call (no ``init``) then refines it by
-    FISTA; a warm call does not, as ADMM's inner steps may be inexact.
+    1e-24 counts as solved and stops early.  Hitting ``max_iter`` is not an
+    error: the best iterate is returned with ``converged=False`` and the
+    residuals as a suboptimality estimate.  A cold call (no ``init``) then
+    refines it by FISTA; a warm call does not, as ADMM's inner steps may be
+    inexact.
 
     K may also be a stack of gains, shape (S, m, n), with Y1, Y2, the
     matrices of ``init`` and ``dual0`` stacked alike, and ``dyn`` either
@@ -857,13 +852,12 @@ def solve_pqr_step(dyn: LinearDynamics | list[LinearDynamics], K, Y1, Y2,
         cold = (np.zeros((n, n)), np.zeros((n, n)), np.eye(m))
         starts = [[s for s in (engines.take(i).value_form_start(), cold)
                    if s is not None] for i in range(len(Ks))]
-    stop_at = max(target, 1e-24)
     # per member, the lowest (best, iterations, converged, primal
     # residual, dual residual, dual) over its starts
     best = [None] * len(Ks)
     for r in range(max(map(len, starts))):
         todo = [i for i, b in enumerate(best) if r < len(starts[i])
-                and (b is None or b[0][0] > stop_at)]
+                and (b is None or b[0][0] > _SOLVED)]
         if not todo:
             break
         P0, Q0, R0 = (np.stack([starts[i][r][k] for i in todo])
@@ -871,7 +865,7 @@ def solve_pqr_step(dyn: LinearDynamics | list[LinearDynamics], K, Y1, Y2,
         outs = _SplitSolver.run(
             engines.take(todo), T1[todo], T2[todo], P0, Q0, R0,
             u0=None if u0 is None else u0[todo], max_iter=max_iter, eps=tol,
-            refine=init is None, target=target)
+            refine=init is None)
         for i, out in zip(todo, outs):
             if best[i] is None or out[0][0] < best[i][0][0]:
                 best[i] = out

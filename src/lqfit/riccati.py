@@ -24,11 +24,10 @@ every solution has P = Lyap(F, Q + K^T R K), so the question reduces to
 whether the null space of one linear map in (Q, R) meets
 {Q >= 0, R >= I} (Kalman 1964, "When is a linear control system
 optimal?"; Boyd et al. 1994, *LMIs in System and Control Theory*,
-section 10.6).  Alternating projections in that reduced space end in a
-certificate or in a Farkas witness, each verified up to a stated
-roundoff slack.  The cases left over fall back to the cone least squares
-in (P, Q, R); when that misses the tolerance the answer is "undecided",
-not a proof of infeasibility.
+section 10.6).  A barrier method in that reduced space ends in a
+certificate or in a Farkas witness, each verified up to a stated roundoff
+slack, or else in "undecided", which proves nothing.  Unstable modes in
+ker K are split off first.
 
 The Riccati solver is a structure-preserving doubling iteration
 (quadratically convergent, no external solver).  On badly scaled systems
@@ -58,17 +57,13 @@ logger = logging.getLogger("lqfit")
 _WITNESS_SLACK = 1e-9
 # Least tr Wr of a Farkas witness, relative to its scale.
 _WITNESS_TRACE = 1e-6
-# The reduced check tries a Farkas witness every _WITNESS_EVERY Dykstra
-# iterations and the face polish every _POLISH_EVERY.
-_WITNESS_EVERY = 10
-_POLISH_EVERY = 100
+# The reduced check's barrier method: the gap bound it stops at, the Newton
+# decrement that ends a centering and the most steps a centering takes.
+_GAP_STOP, _CENTERED, _CENTER_MAX = 1e-13, 1e-7, 50
 # Doubling stops once a step moves P by at most _SDA_TOL relative to ||P||_F,
 # or gives up after _SDA_MAX_ITER steps.
 _SDA_TOL = 1e-12
 _SDA_MAX_ITER = 120
-# check_kalman_feasible gives the reduced check _CHECK_MAX_ITER Dykstra
-# iterations, and its fallback as many splitting iterations.
-_CHECK_MAX_ITER = 20_000
 
 
 class ConvergenceError(RuntimeError):
@@ -164,9 +159,9 @@ class FeasibilityResult:
     """Outcome of the Kalman feasibility check for a gain.
 
     ``verdict`` is "feasible" (``certificate`` within ``tol``),
-    "infeasible" (``witness`` proves it) or "undecided" (the fallback
-    missed ``tol``; no proof either way).  ``fallback`` marks answers from
-    the cone least-squares fallback.
+    "infeasible" (``witness`` proves it) or "undecided" (the check found
+    neither; no proof either way).  ``iterations`` counts the Newton steps
+    of the reduced check's barrier method.
     """
 
     certificate: KalmanCertificate
@@ -174,7 +169,6 @@ class FeasibilityResult:
     iterations: int
     verdict: str
     witness: UnstableModeWitness | FarkasWitness | None = None
-    fallback: bool = False
 
     @property
     def feasible(self) -> bool:
@@ -182,7 +176,7 @@ class FeasibilityResult:
 
     def to_dict(self) -> dict:
         return {"feasible": self.feasible, "verdict": self.verdict,
-                "fallback": self.fallback, "tol": self.tol,
+                "tol": self.tol,
                 "iterations": self.iterations,
                 "witness": None if self.witness is None
                 else self.witness.to_dict(),
@@ -309,25 +303,30 @@ def _reduced_map(F, B, K):
 
 
 class _ReducedCheck:
-    """Route 2: Dykstra's alternating projections between the null space of
-    the reduced map and {Q >= 0, R >= I}, with the tests that end them."""
+    """Route 2: whether the null space of the reduced map meets
+    {Q >= 0, R >= I}, decided by a barrier method, with the tests that turn
+    its points into answers."""
 
-    def __init__(self, dyn, K, F, tol):
-        self.B, self.K, self.F, self.tol = dyn.B, K, F, tol
-        self.op = conic_ls.KalmanOperator(dyn.A, dyn.B, K)
-        self.sn = conic_ls._svec_ops(dyn.n)
-        self.sm = conic_ls._svec_ops(dyn.m)
-        self.Mat = _reduced_map(F, dyn.B, K)
-        U, s, Vt = np.linalg.svd(self.Mat)
-        rank = int(np.sum(s > max(self.Mat.shape) * np.finfo(float).eps
+    def __init__(self, A, B, K, tol):
+        self.op = conic_ls.KalmanOperator(A, B, K)
+        self.B, self.K, self.F, self.tol = B, K, self.op.F, tol
+        self.sn, self.sm = map(conic_ls._svec_ops, B.shape)
+        Mat = _reduced_map(self.F, B, K)
+        U, s, Vt = np.linalg.svd(Mat)
+        rank = int(np.sum(s > max(Mat.shape) * np.finfo(float).eps
                           * s.max(initial=0.0)))
         self.Z = Vt[rank:].T
         # pseudo-inverse of Mat^T on its range: the multiplier of a gap
         self.pinvT = (U[:, :rank] / s[:rank]) @ Vt[:rank]
 
     def split(self, t):
+        """(Q, R) of the svec point t, or stacks of them along t's rows."""
         dn = self.sn.dim
-        return self.sn.smat(t[:dn]), self.sm.smat(t[dn:])
+        return self.sn.smat(t[..., :dn]), self.sm.smat(t[..., dn:])
+
+    def join(self, Q, R):
+        """The svec point of (Q, R), or of stacks of them: split undone."""
+        return np.concatenate([self.sn.svec(Q), self.sm.svec(R)], axis=-1)
 
     def certify(self, Q, R):
         """A certificate from a null-space point with Q >= 0 and R > 0
@@ -345,33 +344,10 @@ class _ReducedCheck:
             return None
         return KalmanCertificate(P=P, Q=Q, R=R, residual=residual)
 
-    def face_polish(self, Q, R):
-        """Certify the least-squares point of the null space within the
-        face of the PSD cone that Q lies on, at each tolerance of
-        conic_ls._POLISH_ACT_TOLS where that face changes: on an unchanged
-        face the point, and so the answer, would repeat."""
-        E, faces = conic_ls._face_bases(*np.linalg.eigh(Q), 0.0)
-        for j, on in enumerate(faces):
-            if j and np.array_equal(on, faces[j - 1]):
-                continue
-            EQ = E[on]
-            k = len(EQ)
-            Mf = np.hstack([self.Mat[:, :self.sn.dim] @ self.sn.svec(EQ).T,
-                            self.Mat[:, self.sn.dim:]])
-            t = np.concatenate([np.sum(EQ * Q, axis=(1, 2)),
-                                self.sm.svec(R)])
-            dt, *_ = np.linalg.lstsq(Mf, -(Mf @ t), rcond=None)
-            t = t + dt
-            cert = self.certify(conic_ls._combine(np.zeros_like(Q), t[:k], EQ),
-                                self.sm.smat(t[k:]))
-            if cert is not None:
-                return cert
-        return None
-
     def farkas(self, gap):
-        """An infeasibility witness from the gap between the iterates: its
-        multiplier Y, pulled back through the adjoint of the map, if that
-        lands blockwise PSD with tr Wr > 0."""
+        """An infeasibility witness from a point orthogonal to the null
+        space: its multiplier Y, pulled back through the adjoint of the
+        map, if that lands blockwise PSD with tr Wr > 0."""
         m, n = self.K.shape
         Y = (self.pinvT @ gap).reshape(m, n)
         Wq = solve_lyapunov_stein(self.F.T, _sym(self.B @ Y @ self.F.T))
@@ -383,52 +359,103 @@ class _ReducedCheck:
             return None
         return FarkasWitness(Y=Y, Wq=Wq, Wr=Wr)
 
-    def run(self):
-        """(certificate, witness, iterations): one of the first two is set,
-        or neither when the loop reaches _CHECK_MAX_ITER."""
-        sn, sm = self.sn, self.sm
-        x = np.concatenate([sn.svec(np.eye(sn.n)), sm.svec(np.eye(sm.n))])
-        corr = np.zeros_like(x)
-        debug = logger.isEnabledFor(logging.DEBUG)
-        for it in range(1, _CHECK_MAX_ITER + 1):
-            y = self.Z @ (self.Z.T @ x)
-            cert = self.certify(*self.split(y))
-            if cert is not None:
-                return cert, None, it
-            v = y + corr
-            Q, R = self.split(v)
-            Q, R = conic_ls.project_psd(Q), conic_ls.project_psd(R, 1.0)
-            x = np.concatenate([sn.svec(Q), sm.svec(R)])
-            corr = v - x
-            if it % _POLISH_EVERY == 0:
-                cert = self.face_polish(Q, R)
-                if cert is not None:
-                    return cert, None, it
-            if it % _WITNESS_EVERY == 0:
-                if debug:
-                    logger.debug("reduced check iteration %d: gap %.3e", it,
-                                 np.linalg.norm(x - y))
-                witness = self.farkas(x - y)
-                if witness is not None:
-                    return None, witness, it
-        return None, None, _CHECK_MAX_ITER
+    def decide(self):
+        """(certificate, witness, Newton steps): one of the first two is
+        set, or neither when the barrier method ends undecided.
+
+        With x0 = svec(I, I) and a = Z^T x0, Z a goes to certify and
+        x0 - Z a to farkas (which settles a = 0).  Then damped Newton
+        maximizes s over Q(y) - sI > 0, R(y) - sI > 0, a.y = 1, t tenfold
+        per centering (Boyd & Vandenberghe, *Convex Optimization*, 11.3).
+        Each central point gives Z y to certify, whose slack admits faces
+        (max s ~ 0), and W - s_hat x0 to farkas: W = ((Q - sI)^-1,
+        (R - sI)^-1) / t and s_hat = s + (n + m)/t >= max s make it
+        orthogonal to the null space.  It stops at (n + m)/t < _GAP_STOP.
+        """
+        Z, x0 = self.Z, self.join(np.eye(self.sn.n), np.eye(self.sm.n))
+        a = Z.T @ x0
+        cert = self.certify(*self.split(Z @ a))
+        witness = None if cert is not None else self.farkas(x0 - Z @ a)
+        if cert is not None or witness is not None or not a.any():
+            return cert, witness, 0
+        # z = (y, s), C z = svec(Q(y) - sI, R(y) - sI); s starts below
+        # -||Z y|| = -1/||a||, and the KKT matrix ends in a.y = 1
+        C = np.column_stack([Z, -x0])
+        D = self.split(C.T)
+        z = np.append(a / (a @ a), -1.0 - 1.0 / math.sqrt(a @ a))
+        kkt = np.zeros((len(z) + 1, len(z) + 1))
+        kkt[-1, :-2] = kkt[:-2, -1] = a
+        t, steps, order = 1.0, 0, self.sn.n + self.sm.n
+        while order / t >= _GAP_STOP:
+            for _ in range(_CENTER_MAX):
+                steps += 1
+                inv = [np.linalg.inv(X) for X in self.split(C @ z)]
+                kkt[:-1, :-1] = self.join(*(Xi @ Dk @ Xi for Xi, Dk
+                                            in zip(inv, D))) @ C
+                rhs = np.append(C.T @ self.join(*inv), 0.0)
+                rhs[-2] += t
+                dz = np.linalg.solve(kkt, rhs)[:-1]
+                decrement = math.sqrt(max(rhs[:-1] @ dz, 0.0))
+                if not decrement > _CENTERED:
+                    break
+                # inside the domain by self-concordance, up to roundoff
+                step = z + dz / (1.0 + decrement if decrement > 0.25 else 1.0)
+                if not min(map(_min_eig, self.split(C @ step))) > 0.0:
+                    break
+                z = step
+            cert = self.certify(*self.split(Z @ z[:-1]))
+            W = self.join(*map(np.linalg.inv, self.split(C @ z))) / t
+            witness = (None if cert is not None
+                       else self.farkas(W - (z[-1] + order / t) * x0))
+            if cert is not None or witness is not None:
+                return cert, witness, steps
+            t *= 10.0
+        return None, None, steps
 
 
-def _infeasible(dyn, K, tol, iterations, witness):
-    """An infeasible answer; its cone point (0, 0, I) leaves residual
-    ||K||_F, the least of any cone point when A = 0."""
-    cold = KalmanCertificate(P=np.zeros((dyn.n, dyn.n)),
-                             Q=np.zeros((dyn.n, dyn.n)), R=np.eye(dyn.m),
+def _split_certificate(dyn, K, V, tol):
+    """Route 3, modes V in ker K: (certificate within tol or None, Newton
+    steps).  P and Q vanish on the modes with |lambda| > 1, so a
+    certificate of (T'AT, T'B, KT), T a basis of V's complement, embeds as
+    (T P T', T Q T', R), or (0, 0, I).  The smaller system is checked
+    whole, so a Jordan chain in ker K is split off one mode per level."""
+    U, s, _ = np.linalg.svd(np.hstack([V.real, V.imag]))
+    T = U[:, int(np.sum(s > len(U) * np.finfo(float).eps * s.max())):]
+    k = T.shape[1]
+    P = Q = np.zeros((k, k))
+    R, steps = np.eye(dyn.m), 0
+    if k:
+        sub = LinearDynamics(A=T.T @ dyn.A @ T, B=T.T @ dyn.B,
+                             W=np.zeros((k, k)))
+        res = check_kalman_feasible(sub, K @ T, tol)
+        steps = res.iterations
+        if not res.feasible:
+            return None, steps
+        P, Q, R = res.certificate.P, res.certificate.Q, res.certificate.R
+    P, Q = T @ P @ T.T, T @ Q @ T.T
+    residual = math.sqrt(conic_ls.KalmanOperator(dyn.A, dyn.B, K)
+                         .objective(P, Q, R))
+    if residual > tol:
+        return None, steps
+    return KalmanCertificate(P=P, Q=Q, R=R, residual=residual), steps
+
+
+def _unproven(dyn, K, tol, iterations, witness):
+    """An infeasible answer, or an undecided one without a witness; its
+    cone point (0, 0, I) leaves residual ||K||_F, the least when A = 0."""
+    zero = np.zeros((dyn.n, dyn.n))
+    cold = KalmanCertificate(P=zero, Q=zero, R=np.eye(dyn.m),
                              residual=float(np.linalg.norm(K)))
+    verdict = "undecided" if witness is None else "infeasible"
     return FeasibilityResult(certificate=cold, tol=tol, iterations=iterations,
-                             verdict="infeasible", witness=witness)
+                             verdict=verdict, witness=witness)
 
 
 def check_kalman_feasible(dyn: LinearDynamics, K,
                           tol: float | None = None) -> FeasibilityResult:
     """Decide whether K is LQR-optimal for some cone-feasible (P, Q, R).
 
-    Three routes, tried in order (F = A + B K):
+    Three routes (F = A + B K):
 
     1. An eigenpair F v = lambda v with |lambda| >= 1 and K v != 0 proves
        K infeasible; it is returned as an :class:`UnstableModeWitness`.
@@ -436,31 +463,24 @@ def check_kalman_feasible(dyn: LinearDynamics, K,
        P = Lyap(F, Q + K^T R K), on which the first constraint block is
        -K^T M(Q, R) with M(Q, R) = R K + B^T P(Q, R) F.  So K is optimal
        exactly when the null space of the linear map M meets
-       {Q >= 0, R >= I}.  Dykstra's alternating projections between the
-       two, from (I, I), end in one of two checkable answers.  A null-space
-       iterate with Q >= 0 and R > 0, scaled into R >= I (or the same from
-       a least-squares point on the active face of Q, every 100
-       iterations), gives a certificate whose P is recomputed from the
-       Lyapunov equation and whose residual is at most ``tol``.  Or the gap
-       between the iterates, mapped to a multiplier Y, gives a
-       :class:`FarkasWitness` (tested every 10 iterations).
-    3. Otherwise (an unstable mode in ker K, e.g. K = 0, or route 2 still
-       undecided after 20 000 iterations) the cone least squares of
-       :func:`conic_ls.solve_pqr_step` runs as a fallback, for at most
-       20 000 splitting iterations: ``feasible`` if its residual is within
-       tol, else ``undecided``.  Each fallback is logged on the ``lqfit``
-       logger with its reason.
+       {Q >= 0, R >= I}.  A barrier method there ends in a certificate (a
+       null-space point scaled into R >= I, P recomputed from the Lyapunov
+       equation, residual at most ``tol``), in a :class:`FarkasWitness`,
+       or, with neither once its gap bound is below 1e-13, ``undecided``.
+    3. Otherwise every mode with |lambda| >= STABILITY_MARGIN lies in
+       ker K (K = 0, say).  A certificate of the system restricted to the
+       complement of those modes, re-checked on the whole system, answers
+       ``feasible``; anything else is ``undecided``.
 
     Raises ValueError on a non-finite K.  ``tol`` defaults to
-    1e-6 * (1 + ||K||_F).  Infeasible answers carry
-    the cone point (0, 0, I) with its residual ||K||_F as ``certificate``.
-    ``iterations`` counts Dykstra iterations: 0 on route 1 and on a
-    fallback for an unstable closed loop, 20 000 on a fallback after
-    route 2.  The witness tests allow for roundoff: an unstable
-    mode needs |K v| > _WITNESS_SLACK * (1 + ||K||_2) for unit v, and a
-    Farkas witness's blocks may have eigenvalues down to -_WITNESS_SLACK
-    times its norm (see :class:`FarkasWitness` for what that still rules
-    out).
+    1e-6 * (1 + ||K||_F).  Answers without a certificate carry the cone
+    point (0, 0, I) with its residual ||K||_F as ``certificate``.
+    ``iterations`` counts the barrier's Newton steps: 0 on route 1 and
+    when a test from (I, I) answers.  The witness tests allow for
+    roundoff: an unstable mode needs |K v| > _WITNESS_SLACK * (1 + ||K||_2)
+    for unit v, and a Farkas witness's blocks may have eigenvalues down to
+    -_WITNESS_SLACK times its norm (see :class:`FarkasWitness` for what
+    that still rules out).
     """
     K = np.asarray(K, dtype=float)
     if not np.all(np.isfinite(K)):
@@ -468,33 +488,16 @@ def check_kalman_feasible(dyn: LinearDynamics, K,
     if tol is None:
         tol = 1e-6 * (1.0 + np.linalg.norm(K, "fro"))
     tol = float(tol)
-    F = dyn.closed_loop(K)
-    lam, V = np.linalg.eig(F)
+    lam, V = np.linalg.eig(dyn.closed_loop(K))
     witness = _unstable_mode_witness(K, lam, V)
     if witness is not None:
-        return _infeasible(dyn, K, tol, 0, witness)
-    if np.abs(lam).max() < STABILITY_MARGIN:
-        cert, witness, iterations = _ReducedCheck(dyn, K, F, tol).run()
-        if witness is not None:
-            return _infeasible(dyn, K, tol, iterations, witness)
-        if cert is not None:
-            return FeasibilityResult(certificate=cert, tol=tol,
-                                     iterations=iterations, verdict="feasible")
-        reason = f"reduced check undecided after {_CHECK_MAX_ITER} iterations"
+        return _unproven(dyn, K, tol, 0, witness)
+    out = np.abs(lam) >= STABILITY_MARGIN
+    if out.any():
+        cert, steps = _split_certificate(dyn, K, V[:, out], tol)
     else:
-        iterations = 0
-        reason = ("closed loop not stable, every mode with |lambda| >= 1 "
-                  "in ker K")
-    zero1 = np.zeros((dyn.n, dyn.n))
-    zero2 = np.zeros((dyn.m, dyn.n))
-    step = conic_ls.solve_pqr_step(dyn, K, zero1, zero2, rho=1.0,
-                                   tol=1e-13, max_iter=_CHECK_MAX_ITER,
-                                   target=(0.5 * tol) ** 2)
-    residual = float(np.sqrt(max(step.objective, 0.0)))
-    cert = KalmanCertificate(P=step.P, Q=step.Q, R=step.R, residual=residual)
-    verdict = "feasible" if residual <= tol else "undecided"
-    logger.info("feasibility check fallback (%s): %s, residual %.3e after %d "
-                "splitting iterations", reason, verdict, residual,
-                step.iterations)
-    return FeasibilityResult(certificate=cert, tol=tol, iterations=iterations,
-                             verdict=verdict, fallback=True)
+        cert, witness, steps = _ReducedCheck(dyn.A, dyn.B, K, tol).decide()
+    if cert is None:
+        return _unproven(dyn, K, tol, steps, witness)
+    return FeasibilityResult(certificate=cert, tol=tol, iterations=steps,
+                             verdict="feasible")

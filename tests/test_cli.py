@@ -88,7 +88,6 @@ def test_check_kalman_feasible_and_not(tmp_path, system_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["feasible"] is False
     assert payload["verdict"] == "infeasible"
-    assert payload["fallback"] is False
     assert payload["witness"]["kind"] == "unstable_mode"
     assert payload["residual"] >= 0.99
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_are, solve_discrete_lyapunov
 
-from lqfit import riccati
 from lqfit.bench import build_aircraft, build_small_random
 from lqfit.conic_ls import KalmanOperator
 from lqfit.linsys import LinearDynamics, spectral_radius
@@ -229,70 +228,44 @@ class TestFeasibilityRoutes:
         res = check_kalman_feasible(dyn, K)
         elapsed = time.perf_counter() - t0
         assert res.verdict == "feasible" and res.feasible
-        assert not res.fallback and res.witness is None
+        assert res.witness is None
         assert kalman_residual(dyn, K, res.certificate) <= res.tol
         assert elapsed < 1.0
-
-    def test_face_polish_solves_each_face_once(self, monkeypatch):
-        # a perturbed LQR gain and tol 1e-12: no polished point certifies.
-        # Q's face is the same at both tolerances of the first Q, so one
-        # least squares decides; the second Q has an eigenvalue between
-        # them (1e-6 against 1e-9 and 1e-5 times 1 + 2), so both are tried
-        rng = np.random.default_rng(3)
-        dyn = build_small_random(0)[0]
-        K = (_dare_gain(dyn, np.eye(4), np.eye(2))
-             + 0.1 * rng.standard_normal((2, 4)))
-        F = dyn.closed_loop(K)
-        assert spectral_radius(F) < 1.0
-        check = riccati._ReducedCheck(dyn, K, F, 1e-12)
-        V = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-        count = [0]
-        lstsq = np.linalg.lstsq
-
-        def counted(*args, **kwargs):
-            count[0] += 1
-            return lstsq(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "lstsq", counted)
-        for gap, solves in ((0.0, 1), (1e-6, 2)):
-            count[0] = 0
-            Q = (V * [0.0, gap, 1.0, 2.0]) @ V.T
-            assert check.face_polish(Q, np.eye(2)) is None
-            assert count[0] == solves
 
     def test_zero_dynamics_stable_gain_has_farkas_witness(self):
         rng = np.random.default_rng(11)
         B = rng.standard_normal((4, 2))
         K = rng.standard_normal((2, 4))
         K *= 0.5 / spectral_radius(B @ K)
-        res = check_kalman_feasible(_dyn(np.zeros((4, 4)), B), K)
-        assert res.verdict == "infeasible" and not res.fallback
-        assert res.iterations > 0
-        w = res.witness
-        assert isinstance(w, FarkasWitness)
-        # re-derive the witness blocks from the multiplier alone:
-        # X = F X F' + sym(B Y F'), Wr = sym(Y K') + K X K'
-        F = B @ K
-        S = B @ w.Y @ F.T
-        X = solve_discrete_lyapunov(F, 0.5 * (S + S.T))
-        YK = w.Y @ K.T
-        Wr = 0.5 * (YK + YK.T) + K @ X @ K.T
-        scale = math.hypot(np.linalg.norm(X), np.linalg.norm(Wr))
-        assert np.allclose(X, w.Wq, atol=1e-10 * scale)
-        assert np.linalg.eigvalsh(X).min() >= -1e-9 * scale
-        assert np.linalg.eigvalsh(Wr).min() >= -1e-9 * scale
-        assert np.trace(Wr) >= 1e-6 * scale
-        # <Y, RK + B'P(Q, R)F> = <X, Q> + <Wr, R> for any (Q, R): so no
-        # Q >= 0, R >= I zeroes the constraint
-        for _ in range(3):
-            G = rng.standard_normal((4, 4))
-            H = rng.standard_normal((2, 2))
-            Q, R = G @ G.T, np.eye(2) + H @ H.T
-            P = solve_discrete_lyapunov(F.T, Q + K.T @ R @ K)
-            lhs = np.sum(w.Y * (R @ K + B.T @ P @ F))
-            rhs = np.sum(X * Q) + np.sum(Wr * R)
-            assert lhs == pytest.approx(rhs, rel=1e-9)
-            assert rhs >= np.trace(Wr) * (1 - 1e-9)
+        # the second input's null space lies in tr Q + tr R = 0
+        for B, K in ((B, K), (np.eye(2), 0.5 * np.eye(2))):
+            (n, m), F = B.shape, B @ K
+            res = check_kalman_feasible(_dyn(np.zeros((n, n)), B), K)
+            assert res.verdict == "infeasible"
+            w = res.witness
+            assert isinstance(w, FarkasWitness)
+            # re-derive the witness blocks from the multiplier alone:
+            # X = F X F' + sym(B Y F'), Wr = sym(Y K') + K X K'
+            S = B @ w.Y @ F.T
+            X = solve_discrete_lyapunov(F, 0.5 * (S + S.T))
+            YK = w.Y @ K.T
+            Wr = 0.5 * (YK + YK.T) + K @ X @ K.T
+            scale = math.hypot(np.linalg.norm(X), np.linalg.norm(Wr))
+            assert np.allclose(X, w.Wq, atol=1e-10 * scale)
+            assert np.linalg.eigvalsh(X).min() >= -1e-9 * scale
+            assert np.linalg.eigvalsh(Wr).min() >= -1e-9 * scale
+            assert np.trace(Wr) >= 1e-6 * scale
+            # <Y, RK + B'P(Q, R)F> = <X, Q> + <Wr, R> for any (Q, R): so no
+            # Q >= 0, R >= I zeroes the constraint
+            for _ in range(3):
+                G = rng.standard_normal((n, n))
+                H = rng.standard_normal((m, m))
+                Q, R = G @ G.T, np.eye(m) + H @ H.T
+                P = solve_discrete_lyapunov(F.T, Q + K.T @ R @ K)
+                lhs = np.sum(w.Y * (R @ K + B.T @ P @ F))
+                rhs = np.sum(X * Q) + np.sum(Wr * R)
+                assert lhs == pytest.approx(rhs, rel=1e-9)
+                assert rhs >= np.trace(Wr) * (1 - 1e-9)
 
     def test_unstable_gain_has_eigenpair_witness(self):
         rng = np.random.default_rng(12)
@@ -314,22 +287,47 @@ class TestFeasibilityRoutes:
         assert kalman_residual(_dyn(A, B), K, res.certificate) == \
             pytest.approx(np.linalg.norm(K))
 
-    def test_rank_one_weight_gain_stays_certified(self, caplog):
+    def test_rank_one_weight_gain_stays_certified(self):
+        # a rank-one Q puts the last two draws on a face of the cone,
+        # where no null-space point has Q > 0
         rng = np.random.default_rng(5)
-        dyn = build_small_random(int(rng.integers(2**31)))[0]
-        g = rng.standard_normal((4, 1))
-        K = _dare_gain(dyn, g @ g.T, np.eye(2))
-        with caplog.at_level(logging.INFO, logger="lqfit"):
+        for _ in range(6):
+            dyn = build_small_random(int(rng.integers(2**31)))[0]
+            g = rng.standard_normal((4, 1))
+            K = _dare_gain(dyn, g @ g.T, np.eye(2))
             res = check_kalman_feasible(dyn, K)
-        assert res.feasible
-        assert kalman_residual(dyn, K, res.certificate) <= res.tol
-        if res.fallback:
-            assert "undecided" in caplog.text
+            assert res.feasible
+            assert kalman_residual(dyn, K, res.certificate) <= res.tol
 
-    def test_fallback_for_unstable_modes_in_ker_k_is_logged(self, caplog):
+    def test_perturbed_lqr_gains_have_farkas_witnesses(self):
+        # stable closed loops of LQR gains plus noise, each proved
+        # infeasible within a second
+        rng = np.random.default_rng(11)
+        count = 0
+        while count < 16:
+            dyn, cost, _ = build_small_random(rng)
+            K = solve_lqr(dyn, cost).K + 0.3 * rng.standard_normal((2, 4))
+            if spectral_radius(dyn.closed_loop(K)) >= 1.0:
+                continue
+            count += 1
+            t0 = time.perf_counter()
+            res = check_kalman_feasible(dyn, K)
+            assert time.perf_counter() - t0 < 1.0
+            assert res.verdict == "infeasible"
+            assert isinstance(res.witness, FarkasWitness)
+
+    def test_unstable_modes_in_ker_k_are_split_off(self):
         A = np.diag([2.0, 0.5])
         B = np.array([[0.0], [1.0]])
-        with caplog.at_level(logging.INFO, logger="lqfit"):
-            res = check_kalman_feasible(_dyn(A, B), np.zeros((1, 2)))
-        assert res.feasible and res.fallback and res.iterations == 0
-        assert "ker K" in caplog.text
+        # K = 0: (0, 0, I) is exact, also on a Jordan block, whose second
+        # mode is split off from the smaller system
+        for A0 in (A, np.array([[1.5, 1.0], [0.0, 1.5]])):
+            res = check_kalman_feasible(_dyn(A0, B), np.zeros((1, 2)))
+            assert res.feasible and res.certificate.residual == 0.0
+        # the LQR gain of the stable mode, which B reaches alone
+        k = solve_lqr(_dyn(A[1:, 1:], B[1:]), (np.eye(1), np.eye(1))).K
+        K = np.hstack([np.zeros((1, 1)), k])
+        res = check_kalman_feasible(_dyn(A, B), K)
+        assert res.feasible and res.iterations == 0
+        assert kalman_residual(_dyn(A, B), K, res.certificate) <= res.tol
+        assert np.allclose(res.certificate.P[0], 0.0)
