@@ -13,17 +13,19 @@ and the (P, Q, R) problem is
     minimize ||L(P, Q, R) + (Y1, Y2)/rho||_F^2
     subject to P >= 0,  Q >= 0,  R >= I,
 
-a linear least squares over a product of semidefinite cones.  It is solved
-by operator splitting (ADMM on the variable/copy pair) in an orthonormal
-svec parameterization, with penalty self-rescaling, an exact "polish"
-solve on the active face of the cones and, on a cold call, an accelerated
-projected-gradient refine.  A stack of such problems (gains of one size)
-is one stacked solver, run through the splitting loop in lockstep; the
-members that leave it together are polished as one stack, with one face
-least squares per member, repeated at a smaller face tolerance only for
-a member whose correction was rejected and whose face changes there;
-each member's result is bit for bit that of solving it alone.  The K
-step takes stacks too, as one batched solve of its normal equations.
+a linear least squares over a product of semidefinite cones, taken in an
+orthonormal svec parameterization.  A cold call (no warm start) solves
+each gain by one barrier method, whose damped Newton centering the reduced
+optimality check of :mod:`lqfit.riccati` shares.  A warm call (ADMM's
+inexact inner step) runs operator splitting (ADMM on the variable/copy
+pair) with penalty self-rescaling and an exact "polish" solve on the
+active face of the cones.  A warm stack (gains of one size) is one stacked
+solver, run through the splitting loop in lockstep; the members that
+leave it together are polished as one stack, with one face least squares
+per member, repeated at a smaller face tolerance only for a member whose
+correction was rejected and whose face changes there.  Each member's
+result is bit for bit that of solving it alone.  The K step takes stacks
+too, as one batched solve of its normal equations.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linsys import (STABILITY_MARGIN, DemoSet, LinearDynamics, _sym,
-                     solve_lyapunov_stein, spectral_radius)
+from .linsys import (STABILITY_MARGIN, DemoSet, LinearDynamics, _min_eig,
+                     _sym, solve_lyapunov_stein, spectral_radius)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -45,6 +47,11 @@ _SQRT2 = math.sqrt(2.0)
 _POLISH_ACT_TOLS = (1e-5, 1e-9)
 # An objective at or below _SOLVED counts as solved and stops a member early.
 _SOLVED = 1e-24
+# Barrier centering ends at Newton decrement _CENTERED or after _CENTER_MAX
+# steps.  A cold call's barrier stops at gap bound _BARRIER_GAP (1 + f), 14
+# to 21 centerings on the test problems, or after _BARRIER_ROUNDS of them.
+_CENTERED, _CENTER_MAX = 1e-7, 50
+_BARRIER_GAP, _BARRIER_ROUNDS = 1e-12, 60
 
 
 class SingularFitError(RuntimeError):
@@ -260,11 +267,13 @@ def _huber_irls(K, terms, M, H0, pen_rhs, n, m):
 class PqrStepResult:
     """Cone-feasible (P, Q, R) with solver diagnostics.
 
-    ``objective`` is the subproblem value at (P, Q, R); when ``converged``
-    is False the primal/dual residuals estimate the remaining
-    suboptimality.  ``dual`` is opaque warm-start state for the next call.
-    For a stack of gains every field but ``iterations`` has a leading
-    member axis (see :func:`solve_pqr_step`).
+    ``objective`` is the subproblem value at (P, Q, R).  After a warm call
+    the primal/dual residuals estimate the remaining suboptimality when
+    ``converged`` is False, and ``dual`` is opaque warm-start state for the
+    next call.  After a cold call ``iterations`` counts Newton steps,
+    ``converged`` means the gap test held, ``dual_residual`` is the final
+    gap bound, ``primal_residual`` is 0 and ``dual`` is zeros.  For a
+    stack every field but ``iterations`` has a leading member axis.
     """
 
     P: np.ndarray
@@ -564,7 +573,8 @@ class _SplitSolver:
     gain, or, for a stacked operator, at a stack of gains of one size: the
     operator matrices and G = 2 Mat^T Mat are then built for the whole
     stack at once, and :meth:`take` reads members off it.  :meth:`run`
-    advances a stack together."""
+    advances a stack together; a cold call hands each member to
+    :func:`_barrier` instead."""
 
     def __init__(self, op: KalmanOperator):
         self.op = op
@@ -588,79 +598,8 @@ class _SplitSolver:
         return np.concatenate([self.sn.svec(PQ).reshape(len(R), -1),
                                self.sm.svec(R)], axis=1)
 
-    def value_form_start(self):
-        """Candidate start from the Lyapunov value identity under (Q, R) = (I, I).
-
-        If K is LQR-optimal for (I, I) this is an exact zero-residual
-        certificate; otherwise it is a cone-feasible point at the right
-        scale.  Only available when the closed loop is stable.
-        """
-        op = self.op
-        if spectral_radius(op.F) >= STABILITY_MARGIN:
-            return None
-        n, m = op.n, op.m
-        P0 = solve_lyapunov_stein(op.F, np.eye(n) + op.K.T @ op.K)
-        M1, M2 = op.apply(P0, np.zeros((n, n)), np.zeros((m, m)))
-        Q0 = project_psd(-M1)
-        # nearest symmetric R >= I with R K ~= -M2, via one least squares
-        # over the R columns of the operator + clamp
-        theta, *_ = np.linalg.lstsq(self.Mat[n * n:, 2 * self.dn:],
-                                    -M2.ravel(), rcond=None)
-        R0 = project_psd(self.sm.smat(theta), 1.0)
-        return P0, Q0, R0
-
-    def refine(self, T1, T2, P, Q, R, iters):
-        """Accelerated projected-gradient polish (FISTA with restart)."""
-        op = self.op
-        best = (op.objective(P, Q, R, T1, T2), P, Q, R)
-        L = float(np.linalg.eigvalsh(self.G).max())
-        if L <= 0.0:
-            return best
-        # gradient of the objective is 2 adjoint(residual)
-        step = 2.0 / (1.05 * L)
-        Yp, Yq, Yr = P, Q, R
-        tk = 1.0
-        f_prev = math.inf
-        for _ in range(iters):
-            M1, M2 = op.apply(Yp, Yq, Yr)
-            gP, gQ, gR = op.adjoint(M1 + T1, M2 + T2)
-            Pn, Qn = project_psd(np.stack([Yp - step * gP, Yq - step * gQ]))
-            Rn = project_psd(Yr - step * gR, 1.0)
-            f = op.objective(Pn, Qn, Rn, T1, T2)
-            best = _lower(best, (f, Pn, Qn, Rn))
-            if f > f_prev:
-                Yp, Yq, Yr, tk = Pn, Qn, Rn, 1.0
-            else:
-                tn = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
-                beta = (tk - 1.0) / tn
-                Yp = Pn + beta * (Pn - P)
-                Yq = Qn + beta * (Qn - Q)
-                Yr = Rn + beta * (Rn - R)
-                tk = tn
-            P, Q, R, f_prev = Pn, Qn, Rn, f
-        return best
-
     @staticmethod
-    def finish(engines, T1, T2, best, last, refine, iters):
-        """Finish the members that leave the loop together.
-
-        The lower of each member's best and its last iterate is polished,
-        all members as one stack with one face least squares per member.
-        With ``refine`` (a cold call's members that did not converge), a
-        member still above ``_SOLVED`` is then refined and polished again,
-        as ``engines.take([k])``, a stack of one.
-        """
-        best = _settle(engines, T1, T2, best, last)
-        for k, b in enumerate(best):
-            if refine and b[0] > _SOLVED:
-                b = _lower(b, engines.take(k).refine(T1[k], T2[k], *b[1:],
-                                                     iters=iters))
-                best[k] = _polish(engines.take([k]), T1[k:k + 1],
-                                  T2[k:k + 1], [b])[0]
-        return best
-
-    @staticmethod
-    def run(engines, T1, T2, P0, Q0, R0, u0, max_iter, eps, refine):
+    def run(engines, T1, T2, P0, Q0, R0, u0, max_iter, eps):
         """The splitting loop for a stack of problems, advanced in lockstep.
 
         Member i is the problem of ``engines.take(i)`` (``engines`` is a
@@ -669,12 +608,11 @@ class _SplitSolver:
         x solve, the cone projections, the norms) work matrix by matrix
         and row by row, and each member keeps its own penalty, best point
         and stopping test; a member that stops leaves the stack.  The
-        members that leave at one iteration are finished together
-        (:meth:`finish` on ``engines.take`` of them, which refines those
-        that did not converge if ``refine``).  So every member's result
-        is bit for bit the result of running it alone.  Returns one (best,
-        iterations, converged, primal residual, dual residual, dual) per
-        member.
+        members that leave at one iteration are settled together
+        (:func:`_settle` on ``engines.take`` of them).  So every member's
+        result is bit for bit the result of running it alone.  Returns one
+        (best, iterations, converged, primal residual, dual residual, dual)
+        per member.
         """
         sn, sm, p = engines.sn, engines.sm, engines.p
         pos, scale, up, lo = _stacked_svec(sn.n, sm.n)
@@ -712,9 +650,8 @@ class _SplitSolver:
 
         def leave(js, it_done, converged):
             ids = [act[j] for j in js]
-            done = _SplitSolver.finish(
-                engines.take(ids), T1[ids], T2[ids], [best[i] for i in ids],
-                last(js), refine and not converged, max_iter)
+            done = _settle(engines.take(ids), T1[ids], T2[ids],
+                           [best[i] for i in ids], last(js))
             for j, i, b in zip(js, ids, done):
                 results[i] = (b, it_done, converged, rp[j], rd[j],
                               u[j].copy())
@@ -744,10 +681,9 @@ class _SplitSolver:
             converged = (rp <= tol) & (rd <= tol)
             if it % 50 and not converged.any():
                 continue
-            going = np.flatnonzero(~converged).tolist()
             if it % 50 == 0:
                 # penalty self-rescaling when primal/dual residuals drift apart
-                for j in going:
+                for j in np.flatnonzero(~converged).tolist():
                     if rp[j] > 0 and rd[j] > 0:
                         ratio = math.sqrt(rp[j] / rd[j])
                         if ratio > 5.0 or ratio < 0.2:
@@ -757,17 +693,6 @@ class _SplitSolver:
             out = np.flatnonzero(converged).tolist()
             if out:
                 leave(out, it, True)
-            if it % 200 == 0 and going:
-                ids = [act[j] for j in going]
-                for i, b in zip(ids, _settle(
-                        engines.take(ids), T1[ids], T2[ids],
-                        [best[i] for i in ids], last(going))):
-                    best[i] = b
-                reached = [j for j in going if best[act[j]][0] <= _SOLVED]
-                if reached:
-                    leave(reached, it, False)
-                out += reached
-            if out:
                 keep = [j for j in range(len(act)) if j not in out]
                 act = [act[j] for j in keep]
                 PQ, R, z, u, q, G, sigma, Minv, rp, rd = (
@@ -775,6 +700,101 @@ class _SplitSolver:
         if act:
             leave(list(range(len(act))), it, False)
         return results
+
+
+def _center(z, newton, inside, steps):
+    """Damped Newton centering for a barrier method (Boyd & Vandenberghe,
+    *Convex Optimization*, 9.6 and 11.3): the last point, and ``steps``
+    plus the Newton steps taken.  ``newton(z)`` gives the Newton step at z
+    and its decrement, ``inside(z)`` whether z is in the barrier's domain.
+    Steps are damped by 1 / (1 + decrement) while it exceeds 0.25.  Ends
+    at decrement _CENTERED, at a step out of the domain or after
+    _CENTER_MAX steps.
+    """
+    for _ in range(_CENTER_MAX):
+        steps += 1
+        dz, decrement = newton(z)
+        if not decrement > _CENTERED:
+            break
+        # inside the domain by self-concordance, up to roundoff
+        step = z + dz / (1.0 + decrement if decrement > 0.25 else 1.0)
+        if not inside(step):
+            break
+        z = step
+    return z, steps
+
+
+def _barrier(solver, T1, T2):
+    """Solve ``solver`` (one member) with offsets (T1, T2) by a barrier
+    method: over y = svec(P, Q, R - I), minimize t f(y) + <W, y>
+    - log det P - log det Q - log det(R - I), f = ||apply(P, Q, R) +
+    (T1, T2)||^2 = ||Mat y + c||^2, t tenfold per centering from
+    nu / (1 + f(y0)), nu = 2n + m.
+
+    The start y0 is (P, Q, R) = 2 (Lyap(F, I + K'K), I, I) if F is stable
+    (zero residual when K is optimal for unit weights), else (I, I, 2I).
+    W = y0^-1 blockwise makes y0 the center as t -> 0 and keeps a center
+    when a zero-residual direction lies inside the cones (an optimal K, or
+    K = 0), where a plain barrier has none.  It stops once the gap bound
+    (nu + <W, y>) / t, a bound at a center while <W, y*> <= 2 <W, y> at
+    the optimum y*, is below _BARRIER_GAP (1 + f), after _BARRIER_ROUNDS
+    centerings, or at a singular block or Newton system.  Returns
+    :meth:`_SplitSolver.run`'s tuple: ((objective, P, Q, R), Newton steps,
+    whether the gap test held, 0.0, the gap bound, a zero dual).
+    """
+    op, Mat, dn = solver.op, solver.Mat, solver.dn
+    n, m = op.n, op.m
+    c = np.concatenate([T1.ravel(), (op.K + T2).ravel()])
+    if spectral_radius(op.F) < STABILITY_MARGIN:
+        start = (2.0 * solve_lyapunov_stein(op.F, np.eye(n) + op.K.T @ op.K),
+                 2.0 * np.eye(n), np.eye(m))
+    else:
+        start = (np.eye(n), np.eye(n), np.eye(m))
+    ops, cuts = (solver.sn, solver.sn, solver.sm), (0, dn, 2 * dn, solver.p)
+
+    def blocks(y):
+        return [o.smat(y[a:b]) for o, a, b in zip(ops, cuts, cuts[1:])]
+
+    def join(Xs):
+        return np.concatenate([o.svec(X) for o, X in zip(ops, Xs)])
+
+    def f(y):
+        r = Mat @ y + c
+        return r @ r
+
+    w = join([np.linalg.inv(X) for X in start])
+    y, nu, failed = join(start), 2 * n + m, False
+    t = nu / (1.0 + f(y))
+
+    def newton(y):
+        nonlocal failed
+        try:
+            inv = [np.linalg.inv(X) for X in blocks(y)]
+            H = t * solver.G
+            for o, a, b, Xi in zip(ops, cuts, cuts[1:], inv):
+                H[a:b, a:b] += o.svec(Xi @ o.basis @ Xi)
+            rhs = join(inv) - w - 2.0 * t * ((Mat @ y + c) @ Mat)
+            dy = np.linalg.solve(H, rhs)
+        except np.linalg.LinAlgError:
+            failed = True
+            return None, 0.0
+        return dy, math.sqrt(max(rhs @ dy, 0.0))
+
+    def inside(y):
+        return min(map(_min_eig, blocks(y))) > 0.0
+
+    steps, converged = 0, False
+    for _ in range(_BARRIER_ROUNDS):
+        if failed or converged:
+            break
+        y, steps = _center(y, newton, inside, steps)
+        gap = (nu + w @ y) / t
+        converged = not failed and gap < _BARRIER_GAP * (1.0 + f(y))
+        t *= 10.0
+    P, Q, D = blocks(y)
+    R = D + np.eye(m)
+    return ((op.objective(P, Q, R, T1, T2), P, Q, R), steps, converged, 0.0,
+            gap, np.zeros(solver.p))
 
 
 def _stacked_systems(dyn, count: int):
@@ -802,24 +822,22 @@ def solve_pqr_step(dyn: LinearDynamics | list[LinearDynamics], K, Y1, Y2,
     """Cone-constrained least squares in (P, Q, R) for a fixed gain K.
 
     ``init`` is an optional (P0, Q0, R0) warm start and ``dual0`` the
-    ``dual`` field of a previous result; both default to the cold start
-    (0, 0, I).  With no warm start the solver additionally tries a
-    Lyapunov-based start, which lands exactly on the certificate whenever K
-    is optimal for unit cost weights.  An objective value at or below
-    1e-24 counts as solved and stops early.  Hitting ``max_iter`` is not an
-    error: the best iterate is returned with ``converged=False`` and the
-    residuals as a suboptimality estimate.  A cold call (no ``init``) then
-    refines it by FISTA; a warm call does not, as ADMM's inner steps may be
-    inexact.
+    ``dual`` field of a previous result (default zeros).  A cold call (no
+    ``init``) solves each gain by one barrier method, from 2 (Lyap(F, I +
+    K^T K), I, I) if F = A + B K is stable (a certificate when K is optimal
+    for unit weights), else from (I, I, 2I).  ``tol`` and ``max_iter``
+    bound only a warm call's splitting loop, which stops early at an
+    objective of at most 1e-24.  Hitting ``max_iter`` is not an error: the
+    best iterate, polished on its face, is returned with
+    ``converged=False`` and the residuals as a suboptimality estimate.
 
     K may also be a stack of gains, shape (S, m, n), with Y1, Y2, the
     matrices of ``init`` and ``dual0`` stacked alike, and ``dyn`` either
     one system for the whole stack or a list of S systems of one size,
-    the i-th for the i-th gain.  The splitting loop then runs once for the
-    whole stack, and every field of the result gains a leading axis except
-    ``iterations``, which is the lockstep count: the most iterations any
-    member's result took.  Each member's result is bit for bit that of its
-    own call.
+    the i-th for the i-th gain.  A warm stack runs the splitting loop once
+    for the whole stack.  Every field of the result gains a leading axis
+    except ``iterations``, the most any member took.  Each member's result
+    is bit for bit that of its own call.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
@@ -843,32 +861,13 @@ def solve_pqr_step(dyn: LinearDynamics | list[LinearDynamics], K, Y1, Y2,
     u0 = None if dual0 is None else stacked(dual0)
     engines = _SplitSolver(KalmanOperator(*_stacked_systems(systems, len(Ks)),
                                           Ks))
-    if init is not None:
-        P0, Q0, R0 = (stacked(Mmat) for Mmat in init)
-        starts = [[(P0[i], Q0[i], R0[i])] for i in range(len(Ks))]
+    if init is None:
+        best = [_barrier(engines.take(i), T1[i], T2[i])
+                for i in range(len(Ks))]
     else:
-        # the Lyapunov start is exact for gains optimal under unit weights,
-        # so try it first and skip the cold solve when it lands at zero
-        cold = (np.zeros((n, n)), np.zeros((n, n)), np.eye(m))
-        starts = [[s for s in (engines.take(i).value_form_start(), cold)
-                   if s is not None] for i in range(len(Ks))]
-    # per member, the lowest (best, iterations, converged, primal
-    # residual, dual residual, dual) over its starts
-    best = [None] * len(Ks)
-    for r in range(max(map(len, starts))):
-        todo = [i for i, b in enumerate(best) if r < len(starts[i])
-                and (b is None or b[0][0] > _SOLVED)]
-        if not todo:
-            break
-        P0, Q0, R0 = (np.stack([starts[i][r][k] for i in todo])
-                      for k in range(3))
-        outs = _SplitSolver.run(
-            engines.take(todo), T1[todo], T2[todo], P0, Q0, R0,
-            u0=None if u0 is None else u0[todo], max_iter=max_iter, eps=tol,
-            refine=init is None)
-        for i, out in zip(todo, outs):
-            if best[i] is None or out[0][0] < best[i][0][0]:
-                best[i] = out
+        best = _SplitSolver.run(engines, T1, T2,
+                                *(stacked(M) for M in init), u0=u0,
+                                max_iter=max_iter, eps=tol)
     objective, P, Q, R = zip(*(out[0] for out in best))
     _, iterations, converged, rp, rd, dual = zip(*best)
     if single:

@@ -176,10 +176,9 @@ def admm_iterate(state: AdmmState, demos: DemoSet | list[DemoSet],
     """One sweep: K step, (P, Q, R) step, then dual update Y <- Y + rho M.
 
     The (P, Q, R) step is warm-started from the incoming iterate and its
-    splitting dual, and runs at most 40 iterations at its default
-    tolerance (a warm call, so without the FISTA refine).  The constraint
-    matrix M in the dual update is evaluated at the freshly updated
-    iterates.  Subsolver failures, and a non-finite K-step gain (which
+    splitting dual, and runs at most 40 splitting iterations at its
+    default tolerance.  The constraint matrix M in the dual update is
+    evaluated at the freshly updated iterates.  Subsolver failures, and a non-finite K-step gain (which
     would reach LAPACK in the (P, Q, R) step), are re-raised as
     RuntimeError with the iteration number attached.  ``state`` may also
     be a stack of members (a leading axis on every matrix, see

@@ -57,9 +57,8 @@ logger = logging.getLogger("lqfit")
 _WITNESS_SLACK = 1e-9
 # Least tr Wr of a Farkas witness, relative to its scale.
 _WITNESS_TRACE = 1e-6
-# The reduced check's barrier method: the gap bound it stops at, the Newton
-# decrement that ends a centering and the most steps a centering takes.
-_GAP_STOP, _CENTERED, _CENTER_MAX = 1e-13, 1e-7, 50
+# The gap bound the reduced check's barrier method stops at.
+_GAP_STOP = 1e-13
 # Doubling stops once a step moves P by at most _SDA_TOL relative to ||P||_F,
 # or gives up after _SDA_MAX_ITER steps.
 _SDA_TOL = 1e-12
@@ -364,9 +363,11 @@ class _ReducedCheck:
         set, or neither when the barrier method ends undecided.
 
         With x0 = svec(I, I) and a = Z^T x0, Z a goes to certify and
-        x0 - Z a to farkas (which settles a = 0).  Then damped Newton
+        x0 - Z a to farkas (which settles a = 0).  Then a barrier method
         maximizes s over Q(y) - sI > 0, R(y) - sI > 0, a.y = 1, t tenfold
-        per centering (Boyd & Vandenberghe, *Convex Optimization*, 11.3).
+        per centering, each centering :func:`conic_ls._center`'s damped
+        Newton with the equality in the KKT system (Boyd & Vandenberghe,
+        *Convex Optimization*, 11.3).
         Each central point gives Z y to certify, whose slack admits faces
         (max s ~ 0), and W - s_hat x0 to farkas: W = ((Q - sI)^-1,
         (R - sI)^-1) / t and s_hat = s + (n + m)/t >= max s make it
@@ -386,23 +387,21 @@ class _ReducedCheck:
         kkt = np.zeros((len(z) + 1, len(z) + 1))
         kkt[-1, :-2] = kkt[:-2, -1] = a
         t, steps, order = 1.0, 0, self.sn.n + self.sm.n
+
+        def newton(z):
+            inv = [np.linalg.inv(X) for X in self.split(C @ z)]
+            kkt[:-1, :-1] = self.join(*(Xi @ Dk @ Xi for Xi, Dk
+                                        in zip(inv, D))) @ C
+            rhs = np.append(C.T @ self.join(*inv), 0.0)
+            rhs[-2] += t
+            dz = np.linalg.solve(kkt, rhs)[:-1]
+            return dz, math.sqrt(max(rhs[:-1] @ dz, 0.0))
+
+        def inside(z):
+            return min(map(_min_eig, self.split(C @ z))) > 0.0
+
         while order / t >= _GAP_STOP:
-            for _ in range(_CENTER_MAX):
-                steps += 1
-                inv = [np.linalg.inv(X) for X in self.split(C @ z)]
-                kkt[:-1, :-1] = self.join(*(Xi @ Dk @ Xi for Xi, Dk
-                                            in zip(inv, D))) @ C
-                rhs = np.append(C.T @ self.join(*inv), 0.0)
-                rhs[-2] += t
-                dz = np.linalg.solve(kkt, rhs)[:-1]
-                decrement = math.sqrt(max(rhs[:-1] @ dz, 0.0))
-                if not decrement > _CENTERED:
-                    break
-                # inside the domain by self-concordance, up to roundoff
-                step = z + dz / (1.0 + decrement if decrement > 0.25 else 1.0)
-                if not min(map(_min_eig, self.split(C @ step))) > 0.0:
-                    break
-                z = step
+            z, steps = conic_ls._center(z, newton, inside, steps)
             cert = self.certify(*self.split(Z @ z[:-1]))
             W = self.join(*map(np.linalg.inv, self.split(C @ z))) / t
             witness = (None if cert is not None

@@ -1,9 +1,11 @@
 """Independent reference implementations used only by the tests.
 
 Kept deliberately separate from the library code paths: the projected
-gradient solver here shares no code with the operator-splitting solver it
-cross-checks. It assembles the constraint map from its matrix formula and
-projects with its own eigendecompositions.
+gradient and barrier solvers here share no code with the library's
+(P, Q, R) solvers they cross-check. They assemble the constraint map from
+its matrix formula; the first projects with its own eigendecompositions,
+the second has its own coordinates, Newton steps, line search and gap
+bound.
 """
 
 import numpy as np
@@ -90,6 +92,119 @@ def pqr_projected_gradient(A, B, K, Y1, Y2, rho, max_iter=100_000,
             break
         f = fn
     return S[0, :n, :n], S[1, :n, :n], S[2, :m, :m] + np.eye(m), f, it + 1
+
+
+def _lifting(n, m, k):
+    """The upper-triangle entries of P, Q (n x n) and D (m x m), one
+    coordinate each, into the _residual_map columns: a (3 k k) x count 0/1
+    matrix setting entries (i, j) and (j, i) of the block's corner."""
+    cols = []
+    for b, size in enumerate((n, n, m)):
+        for i in range(size):
+            for j in range(i, size):
+                col = np.zeros((3, k, k))
+                col[b, i, j] = col[b, j, i] = 1.0
+                cols.append(col.ravel())
+    return np.array(cols).T
+
+
+def _positive(blocks):
+    """Whether every block has a Cholesky factor."""
+    try:
+        for X in blocks:
+            np.linalg.cholesky(X)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def pqr_barrier(A, B, K, Y1, Y2, rho, rel_gap=1e-10, center_cap=200):
+    """An interior-point solve of the joint (P, Q, R) problem.
+
+    The variables v are the upper-triangle entries of P, Q and D = R - I,
+    lifted into the _residual_map columns. For t = 1, 20, 400, ... it
+    centers psi = t f(v) + tr P + tr Q + tr D - log det P - log det Q
+    - log det D by Newton's method with a backtracking (Armijo, factor 1/2)
+    line search, until the squared Newton decrement is below 1e-6 (a point
+    that close to the center moves the bound below by a relative 1e-3 at
+    most, and roundoff keeps large t from going much lower). The
+    line search reads psi's change along the step exactly: a quadratic in
+    the step for t f plus the trace term, and sum -log(1 + s mu) over the
+    eigenvalues mu of each block's step in the block's Cholesky frame, so
+    it is free of the cancellation in psi itself. The trace term makes
+    (P, Q, D) = (I, I, I), the start, the center as t -> 0, and keeps a
+    center when a direction of zero residual lies inside the cones. At a
+    center the objective is within (nu + tr P + tr Q + tr D) / t,
+    nu = 2n + m, of the optimum (P*, Q*, D*) whenever tr P* + tr Q* + tr D*
+    is at most twice tr P + tr Q + tr D. It stops once that bound is below
+    rel_gap (1 + f), or when a centering fails: a line search that finds no
+    step of at least 1e-12, or center_cap steps. Returns
+    (P, Q, R, objective, gap bound at the last center, whether the bound
+    met rel_gap).
+    """
+    n, m = A.shape[0], B.shape[1]
+    k = max(n, m)
+    L = _lifting(n, m, k)
+    J = _residual_map(A, B, K, k) @ L
+    JtJ = J.T @ J
+    c = np.concatenate([(Y1 / rho).ravel(), (K + Y2 / rho).ravel()])
+    corners = list(enumerate((n, n, m)))
+    # tr P + tr Q + tr D = w @ v, and v = w is (I, I, I)
+    w = L.T @ np.stack([np.eye(k)] * 3).ravel()
+
+    def blocks(v):
+        S = (L @ v).reshape(3, k, k)
+        return [S[b, :size, :size] for b, size in corners]
+
+    def newton(v, t):
+        """The Newton step of psi at v and the eigenvalues mu of the step's
+        blocks in the Cholesky frames of v's blocks."""
+        g, H = np.zeros((3, k, k)), np.zeros((3 * k * k, 3 * k * k))
+        chol = []
+        for (b, size), X in zip(corners, blocks(v)):
+            Xi = np.linalg.inv(X)
+            g[b, :size, :size] = -Xi
+            idx = ((b * k + np.arange(size))[:, None] * k
+                   + np.arange(size)).ravel()
+            H[np.ix_(idx, idx)] = np.kron(Xi, Xi)
+            chol.append(np.linalg.inv(np.linalg.cholesky(X)))
+        grad = 2.0 * t * (J.T @ (J @ v + c)) + w + L.T @ g.ravel()
+        dv = -np.linalg.solve(2.0 * t * JtJ + L.T @ H @ L, grad)
+        mu = np.concatenate([np.linalg.eigvalsh(Ci @ D @ Ci.T)
+                             for Ci, D in zip(chol, blocks(dv))])
+        return dv, -(grad @ dv), mu
+
+    nu = 2 * n + m
+    v, t = w.copy(), 1.0
+    gap, done = np.inf, False
+    while not done:
+        centered = False
+        for _ in range(center_cap):
+            dv, lam2, mu = newton(v, t)
+            centered = lam2 < 1e-6
+            if centered:
+                break
+            Jd = J @ dv
+            a1 = 2.0 * t * ((J @ v + c) @ Jd) + w @ dv
+            a2 = t * (Jd @ Jd)
+            s = 1.0
+            while s > 1e-12 and not (
+                    np.all(1.0 + s * mu > 0.0) and
+                    a1 * s + a2 * s * s - np.sum(np.log1p(s * mu))
+                    <= -0.25 * s * lam2 and _positive(blocks(v + s * dv))):
+                s *= 0.5
+            if s <= 1e-12:
+                break
+            v = v + s * dv
+        if not centered:
+            break
+        r = J @ v + c
+        gap = (nu + w @ v) / t
+        done = gap < rel_gap * (1.0 + float(r @ r))
+        t *= 20.0
+    P, Q, D = blocks(v)
+    r = J @ v + c
+    return P, Q, D + np.eye(m), float(r @ r), gap, done
 
 
 def random_controllable(rng, n_max=6, m_max=3, rho_scale=None):
