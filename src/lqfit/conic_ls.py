@@ -17,14 +17,13 @@ a linear least squares over a product of semidefinite cones, taken in an
 orthonormal svec parameterization.  A cold call (no warm start) solves
 each gain by one barrier method, whose damped Newton centering the reduced
 optimality check of :mod:`lqfit.riccati` shares.  A warm call (ADMM's
-inexact inner step) runs operator splitting (ADMM on the variable/copy
-pair) with penalty self-rescaling and an exact "polish" solve on the
+inexact inner step) runs a fixed number of operator-splitting iterations
+(ADMM on the variable/copy pair), keeps the lower of its start and its
+last iterate and "polishes" that once, by an exact least squares on the
 active face of the cones.  A warm stack (gains of one size) is one stacked
-solver, run through the splitting loop in lockstep; the members that
-leave it together are polished as one stack, with one face least squares
-per member, repeated at a smaller face tolerance only for a member whose
-correction was rejected and whose face changes there.  Each member's
-result is bit for bit that of solving it alone.  The K step takes stacks
+solver, run through the splitting loop in lockstep and polished as one
+stack, with one face least squares per member.  Each member's result is
+bit for bit that of solving it alone.  The K step takes stacks
 too, as one batched solve of its normal equations.
 """
 
@@ -41,12 +40,12 @@ from .linsys import (STABILITY_MARGIN, DemoSet, LinearDynamics, _min_eig,
 
 _SQRT2 = math.sqrt(2.0)
 
-# Relative eigenvalue gaps above the cone floor that count as off the
-# boundary in the face polish, tried in order: the larger gap (a smaller
-# face) first.
-_POLISH_ACT_TOLS = (1e-5, 1e-9)
-# An objective at or below _SOLVED counts as solved and stops a member early.
-_SOLVED = 1e-24
+# Relative eigenvalue gap above the cone floor that counts as off the
+# boundary in the face polish.
+_POLISH_ACT_TOL = 1e-5
+# A warm call reports convergence when both splitting residuals of its last
+# iteration are at most _CONVERGED (1 + ||z||).
+_CONVERGED = 1e-11
 # Barrier centering ends at Newton decrement _CENTERED or after _CENTER_MAX
 # steps.  A cold call's barrier stops at gap bound _BARRIER_GAP (1 + f), 14
 # to 21 centerings on the test problems, or after _BARRIER_ROUNDS of them.
@@ -268,8 +267,9 @@ class PqrStepResult:
     """Cone-feasible (P, Q, R) with solver diagnostics.
 
     ``objective`` is the subproblem value at (P, Q, R).  After a warm call
-    the primal/dual residuals estimate the remaining suboptimality when
-    ``converged`` is False, and ``dual`` is opaque warm-start state for the
+    ``iterations`` is the splitting budget ``max_iter``, the primal/dual
+    residuals are those of the last splitting iteration, ``converged``
+    means both were small, and ``dual`` is opaque warm-start state for the
     next call.  After a cold call ``iterations`` counts Newton steps,
     ``converged`` means the gap test held, ``dual_residual`` is the final
     gap bound, ``primal_residual`` is 0 and ``dual`` is zeros.  For a
@@ -342,7 +342,7 @@ def _stacked_svec(n: int, m: int):
 
 
 class KalmanOperator:
-    """The Kalman-constraint map at a fixed gain K, and its adjoint.
+    """The Kalman-constraint map at a fixed gain K.
 
     ``apply(P, Q, R) = (Q + A^T P F - P, R K + B^T P F)`` with F = A + B K;
     the constraint of an LQR-optimal K is ``apply(P, Q, R) = 0`` over
@@ -374,13 +374,6 @@ class KalmanOperator:
         A, B, F = self.A, self.B, self.F
         return (Q + A.swapaxes(-1, -2) @ P @ F - P,
                 R @ self.K + B.swapaxes(-1, -2) @ P @ F)
-
-    def adjoint(self, M1, M2):
-        """The symmetric (P, Q, R) directions with
-        <apply(P, Q, R), (M1, M2)> = <(P, Q, R), adjoint(M1, M2)>."""
-        A, B, F = self.A, self.B, self.F
-        return (_sym(A @ M1 @ F.T - M1 + B @ M2 @ F.T), _sym(M1),
-                _sym(M2 @ self.K.T))
 
     def objective(self, P, Q, R, T1=0.0, T2=0.0):
         """||apply(P, Q, R) + (T1, T2)||_F^2: a float, or an array of one
@@ -435,16 +428,14 @@ def _basis_sandwich(X, F):
 def _face_bases(w, V, floor):
     """The face bases of {X >= floor I} at a stack of matrices with
     eigenpairs (w, V), at full width: for every pair i <= j of eigenvectors,
-    in triu order, the matrix (v_i v_j^T + v_j v_i^T) / (2 or sqrt 2); and,
-    along a leading axis, one per tolerance of _POLISH_ACT_TOLS, whether it
-    lies in the face active at the matrix, that is, whether both
-    eigenvalues exceed floor by more than the tolerance (relative)."""
+    in triu order, the matrix (v_i v_j^T + v_j v_i^T) / (2 or sqrt 2); and
+    whether it lies in the face active at the matrix, that is, whether both
+    eigenvalues exceed floor by more than _POLISH_ACT_TOL (relative)."""
     i, j, divisor = _face_index(w.shape[-1])
     Vt = V.swapaxes(-1, -2)
     O = Vt[..., i, :, None] * Vt[..., j, None, :]
-    act_tol = np.reshape(_POLISH_ACT_TOLS, (-1,) + (1,) * w.ndim)
-    on = (w - floor) > act_tol * (1.0 + w.max(axis=-1, initial=0.0,
-                                              keepdims=True))
+    on = (w - floor) > _POLISH_ACT_TOL * (1.0 + w.max(axis=-1, initial=0.0,
+                                                      keepdims=True))
     return (O + O.swapaxes(-1, -2)) / divisor, on[..., i] & on[..., j]
 
 
@@ -481,17 +472,13 @@ def _polish(engines, T1, T2, best):
 
     Member i is the problem of ``engines.take(i)`` (a stacked solver) with
     offsets (T1[i], T2[i]) at ``best[i]``, an (objective, P, Q, R) tuple.
-    Its face is read off the eigenstructure of that (P, Q, R) at each
-    tolerance of _POLISH_ACT_TOLS in turn; the nearest correction within
-    the face is applied and accepted only if cone-feasible and lower.  A
-    member whose correction is rejected tries the next tolerance only if
-    its face changes there: on the same face the solve would repeat bit
-    for bit and be rejected again.  The members that try a tolerance try
-    it together.  The eigendecompositions, the face bases (at full width,
-    pairs off the face held at theta = 0), their operator columns, the
-    coordinates theta and the offsets are built once for the whole stack,
-    and the cone tests and projections act on each tolerance's members as
-    a stack; the face least squares is one ``lstsq`` per member on its own
+    Its face is read off the eigenstructure of that (P, Q, R) at
+    _POLISH_ACT_TOL; the nearest correction within the face is applied and
+    accepted only if cone-feasible and lower.  The eigendecompositions, the
+    face bases (at full width, pairs off the face held at theta = 0), their
+    operator columns, the coordinates theta and the offsets are built once
+    for the whole stack, and the cone tests and projections act on the
+    stack; the face least squares is one ``lstsq`` per member on its own
     face columns.  So each member's result is bit for bit that of
     polishing it alone.  Returns the lower (objective, P, Q, R) per member.
     """
@@ -510,62 +497,36 @@ def _polish(engines, T1, T2, best):
     M1, M2 = op.apply(Ps, Qs, Rs)
     cols = np.concatenate([M1.reshape(S, p, n * n),
                            M2.reshape(S, p, m * n)], axis=2)
-    theta0 = np.concatenate([
+    theta = np.concatenate([
         np.sum(E_pq * PQ[:, :, None], axis=(-2, -1)).reshape(S, -1),
         np.sum(E_r * (R - np.eye(m))[:, None], axis=(-2, -1))], axis=1)
     c = np.concatenate([T1.reshape(S, -1),
                         (op.K[:, 0] + T2).reshape(S, -1)], axis=1)
-    # one face mask per tolerance and member, and whether it differs from
-    # the member's mask at the tolerance before
-    faces = np.concatenate([on_pq.reshape(len(on_pq), S, 2 * dn), on_r],
-                           axis=2)
-    fresh = np.ones(faces.shape[:2], dtype=bool)
-    fresh[1:] = (faces[1:] != faces[:-1]).any(axis=2)
-    todo = np.arange(S)
-    for face, new in zip(faces, fresh):
-        todo = todo[new[todo]]
-        if not len(todo):
-            break
-        s = len(todo)
-        theta = theta0[todo]
-        for i, t in zip(todo, theta):
-            on = face[i]
-            Mt = cols[i, on].T.copy()
-            dth, *_ = np.linalg.lstsq(Mt, -(Mt @ t[on] + c[i]), rcond=None)
-            t[on] += dth
-            t[~on] = 0.0
-        # start + sum_k theta_k E_k, added in order: numpy reduces an outer
-        # axis term by term (a 1 x 1 block has one term)
-        PQn = np.add.reduce(np.concatenate(
-            [np.zeros((s, 2, 1, n, n)),
-             theta[:, :2 * dn].reshape(s, 2, dn, 1, 1) * E_pq[todo]], axis=2),
-            axis=2)
-        Rn = np.add.reduce(np.concatenate(
-            [np.broadcast_to(np.eye(m), (s, 1, m, m)),
-             theta[:, 2 * dn:, None, None] * E_r[todo]], axis=1), axis=1)
-        ok = (_reaches(np.linalg.eigvalsh(_sym(PQn)), 0.0).all(axis=-1)
-              & _reaches(np.linalg.eigvalsh(_sym(Rn)), 1.0))
-        if ok.any():
-            done = todo[ok]
-            PQn, Rn = project_psd(PQn[ok]), project_psd(Rn[ok], 1.0)
-            f = op.take(done).objective(
-                PQn[:, None, 0], PQn[:, None, 1], Rn[:, None],
-                T1[done, None], T2[done, None])[:, 0]
-            for i, fi, (Pn, Qn), Rn_i in zip(done, f.tolist(), PQn, Rn):
-                best[i] = _lower(best[i], (fi, Pn, Qn, Rn_i))
-        todo = todo[~ok]
+    faces = np.concatenate([on_pq.reshape(S, 2 * dn), on_r], axis=1)
+    for t, on, cols_i, c_i in zip(theta, faces, cols, c):
+        Mt = cols_i[on].T.copy()
+        dth, *_ = np.linalg.lstsq(Mt, -(Mt @ t[on] + c_i), rcond=None)
+        t[on] += dth
+        t[~on] = 0.0
+    # start + sum_k theta_k E_k, added in order: numpy reduces an outer
+    # axis term by term (a 1 x 1 block has one term)
+    PQn = np.add.reduce(np.concatenate(
+        [np.zeros((S, 2, 1, n, n)),
+         theta[:, :2 * dn].reshape(S, 2, dn, 1, 1) * E_pq], axis=2), axis=2)
+    Rn = np.add.reduce(np.concatenate(
+        [np.broadcast_to(np.eye(m), (S, 1, m, m)),
+         theta[:, 2 * dn:, None, None] * E_r], axis=1), axis=1)
+    ok = (_reaches(np.linalg.eigvalsh(_sym(PQn)), 0.0).all(axis=-1)
+          & _reaches(np.linalg.eigvalsh(_sym(Rn)), 1.0))
+    if ok.any():
+        done = np.flatnonzero(ok)
+        PQn, Rn = project_psd(PQn[ok]), project_psd(Rn[ok], 1.0)
+        f = op.take(done).objective(
+            PQn[:, None, 0], PQn[:, None, 1], Rn[:, None],
+            T1[done, None], T2[done, None])[:, 0]
+        for i, fi, (Pn, Qn), Rn_i in zip(done, f.tolist(), PQn, Rn):
+            best[i] = _lower(best[i], (fi, Pn, Qn, Rn_i))
     return best
-
-
-def _settle(engines, T1, T2, best, last):
-    """The lower of each member's best and its last iterate, polished as
-    one stack (member i is ``engines.take(i)``); ``last`` holds the
-    members' last P, Q and R as three stacks."""
-    P, Q, R = last
-    f = engines.op.objective(P, Q, R, T1, T2)
-    return _polish(engines, T1, T2, [
-        _lower(b, (fi, Pi, Qi, Ri))
-        for b, fi, Pi, Qi, Ri in zip(best, f.tolist(), P, Q, R)])
 
 
 class _SplitSolver:
@@ -573,8 +534,8 @@ class _SplitSolver:
     gain, or, for a stacked operator, at a stack of gains of one size: the
     operator matrices and G = 2 Mat^T Mat are then built for the whole
     stack at once, and :meth:`take` reads members off it.  :meth:`run`
-    advances a stack together; a cold call hands each member to
-    :func:`_barrier` instead."""
+    advances a stack together through a fixed number of iterations; a
+    cold call hands each member to :func:`_barrier` instead."""
 
     def __init__(self, op: KalmanOperator):
         self.op = op
@@ -599,66 +560,38 @@ class _SplitSolver:
                                self.sm.svec(R)], axis=1)
 
     @staticmethod
-    def run(engines, T1, T2, P0, Q0, R0, u0, max_iter, eps):
+    def run(engines, T1, T2, P0, Q0, R0, u0, max_iter):
         """The splitting loop for a stack of problems, advanced in lockstep.
 
         Member i is the problem of ``engines.take(i)`` (``engines`` is a
         stacked solver) with offsets (T1[i], T2[i]), started from
-        (P0[i], Q0[i], R0[i]) and the dual u0[i].  The stacked steps (the
-        x solve, the cone projections, the norms) work matrix by matrix
-        and row by row, and each member keeps its own penalty, best point
-        and stopping test; a member that stops leaves the stack.  The
-        members that leave at one iteration are settled together
-        (:func:`_settle` on ``engines.take`` of them).  So every member's
-        result is bit for bit the result of running it alone.  Returns one
-        (best, iterations, converged, primal residual, dual residual, dual)
-        per member.
+        (P0[i], Q0[i], R0[i]) and the dual u0[i].  Every member runs
+        ``max_iter`` iterations at its own fixed penalty; the stacked steps
+        (the x solve, the cone projections) work matrix by matrix and row
+        by row.  The lower of each member's start and last iterate is then
+        polished, the whole stack at once (:func:`_polish`).  So every
+        member's result is bit for bit the result of running it alone.
+        Returns one (best, iterations, converged, primal residual, dual
+        residual, dual) per member, the residuals those of the last
+        iteration.
         """
         sn, sm, p = engines.sn, engines.sm, engines.p
         pos, scale, up, lo = _stacked_svec(sn.n, sm.n)
         n2 = 2 * sn.n * sn.n
         alpha = 1.6
-        eye = np.eye(p)
         S = len(T1)
-        results = [None] * S
-        f0 = engines.op.objective(P0, Q0, R0, T1, T2).tolist()
-        best = [(f0[i], P0[i], Q0[i], R0[i]) for i in range(S)]
         u = np.zeros((S, p)) if u0 is None else np.array(u0, dtype=float)
-        for i, b in enumerate(best):
-            if b[0] <= _SOLVED:
-                results[i] = (b, 0, True, 0.0, 0.0, u[i].copy())
-        act = [i for i, r in enumerate(results) if r is None]
-        if not act:
-            return results
         # the running iterates: (P, Q) stacked per member, R, their svec z;
         # from the first iteration on, (P, Q) and R are the cone projections
         # before their final symmetrization
-        PQ, R, u = np.stack([P0[act], Q0[act]], axis=1), R0[act], u[act]
+        PQ, R = np.stack([P0, Q0], axis=1), R0
         z = engines.svec(PQ, R)
-        G, Mat = engines.G[act], engines.Mat[act]
-        c = np.concatenate([T1[act].reshape(len(act), -1),
-                            T2[act].reshape(len(act), -1)], axis=1)
+        G, Mat = engines.G, engines.Mat
+        c = np.concatenate([T1.reshape(S, -1), T2.reshape(S, -1)], axis=1)
         q = 2.0 * (Mat.swapaxes(-1, -2) @ c[:, :, None])[:, :, 0]
         sigma = np.maximum(np.trace(G, axis1=1, axis2=2) / p, 1e-12)
-        Minv = np.linalg.inv(G + sigma[:, None, None] * eye)
-        rp = rd = np.full(len(act), math.inf)
-
-        def last(js):
-            """The symmetrized running P, Q and R of the members js."""
-            PQs = _sym(PQ[js])
-            return PQs[:, 0], PQs[:, 1], _sym(R[js])
-
-        def leave(js, it_done, converged):
-            ids = [act[j] for j in js]
-            done = _settle(engines.take(ids), T1[ids], T2[ids],
-                           [best[i] for i in ids], last(js))
-            for j, i, b in zip(js, ids, done):
-                results[i] = (b, it_done, converged, rp[j], rd[j],
-                              u[j].copy())
-
-        it = 0
-        while act and it < max_iter:
-            it += 1
+        Minv = np.linalg.inv(G + sigma[:, None, None] * np.eye(p))
+        for _ in range(max_iter):
             x = (Minv @ (sigma[:, None] * (z - u) - q)[:, :, None])[:, :, 0]
             xr = alpha * x + (1.0 - alpha) * z
             v = xr + u
@@ -670,36 +603,22 @@ class _SplitSolver:
             w, V = np.linalg.eigh(Mv[:, n2:].reshape(-1, sm.n, sm.n))
             R = V @ (np.maximum(w, 1.0)[..., None] * V.swapaxes(-1, -2))
             # svec of the symmetrized projections, read off both triangles
-            M = np.concatenate([PQ.reshape(len(v), -1),
-                                R.reshape(len(v), -1)], axis=1)
-            znew = 0.5 * (M.take(up, axis=1) + M.take(lo, axis=1)) * scale
-            u += xr - znew
-            nz, rp, rd = _row_norms(np.array([znew, x - znew, znew - z]))
-            rd = sigma * rd
-            z = znew
-            tol = eps * (1.0 + nz)
-            converged = (rp <= tol) & (rd <= tol)
-            if it % 50 and not converged.any():
-                continue
-            if it % 50 == 0:
-                # penalty self-rescaling when primal/dual residuals drift apart
-                for j in np.flatnonzero(~converged).tolist():
-                    if rp[j] > 0 and rd[j] > 0:
-                        ratio = math.sqrt(rp[j] / rd[j])
-                        if ratio > 5.0 or ratio < 0.2:
-                            sigma[j] *= ratio
-                            u[j] /= ratio
-                            Minv[j] = np.linalg.inv(G[j] + sigma[j] * eye)
-            out = np.flatnonzero(converged).tolist()
-            if out:
-                leave(out, it, True)
-                keep = [j for j in range(len(act)) if j not in out]
-                act = [act[j] for j in keep]
-                PQ, R, z, u, q, G, sigma, Minv, rp, rd = (
-                    a[keep] for a in (PQ, R, z, u, q, G, sigma, Minv, rp, rd))
-        if act:
-            leave(list(range(len(act))), it, False)
-        return results
+            M = np.concatenate([PQ.reshape(S, -1), R.reshape(S, -1)], axis=1)
+            z_old = z
+            z = 0.5 * (M.take(up, axis=1) + M.take(lo, axis=1)) * scale
+            u += xr - z
+        nz, rp, rd = _row_norms(np.array([z, x - z, z - z_old]))
+        rd = sigma * rd
+        tol = _CONVERGED * (1.0 + nz)
+        converged = (rp <= tol) & (rd <= tol)
+        PQ, R = _sym(PQ), _sym(R)
+        f0 = engines.op.objective(P0, Q0, R0, T1, T2).tolist()
+        f = engines.op.objective(PQ[:, 0], PQ[:, 1], R, T1, T2).tolist()
+        best = _polish(engines, T1, T2, [
+            _lower((f0[i], P0[i], Q0[i], R0[i]),
+                   (f[i], PQ[i, 0], PQ[i, 1], R[i])) for i in range(S)])
+        return [(b, max_iter, *out, ui) for b, *out, ui in zip(
+            best, converged.tolist(), rp.tolist(), rd.tolist(), u)]
 
 
 def _center(z, newton, inside, steps):
@@ -817,19 +736,20 @@ def per_member(value, count: int) -> list:
 
 
 def solve_pqr_step(dyn: LinearDynamics | list[LinearDynamics], K, Y1, Y2,
-                   rho: float, tol: float = 1e-11, max_iter: int = 4000,
-                   init=None, dual0=None) -> PqrStepResult:
+                   rho: float, max_iter: int = 4000, init=None,
+                   dual0=None) -> PqrStepResult:
     """Cone-constrained least squares in (P, Q, R) for a fixed gain K.
 
     ``init`` is an optional (P0, Q0, R0) warm start and ``dual0`` the
     ``dual`` field of a previous result (default zeros).  A cold call (no
     ``init``) solves each gain by one barrier method, from 2 (Lyap(F, I +
     K^T K), I, I) if F = A + B K is stable (a certificate when K is optimal
-    for unit weights), else from (I, I, 2I).  ``tol`` and ``max_iter``
-    bound only a warm call's splitting loop, which stops early at an
-    objective of at most 1e-24.  Hitting ``max_iter`` is not an error: the
-    best iterate, polished on its face, is returned with
-    ``converged=False`` and the residuals as a suboptimality estimate.
+    for unit weights), else from (I, I, 2I).  A warm call runs exactly
+    ``max_iter`` splitting iterations from ``init``, then returns the
+    lower of its start and its last iterate, polished on its face: never
+    worse than the start.  ``converged`` and the residuals are read off
+    the last iteration.  ``max_iter`` must be at least 1; a cold call does
+    not use it otherwise.
 
     K may also be a stack of gains, shape (S, m, n), with Y1, Y2, the
     matrices of ``init`` and ``dual0`` stacked alike, and ``dyn`` either
@@ -841,6 +761,8 @@ def solve_pqr_step(dyn: LinearDynamics | list[LinearDynamics], K, Y1, Y2,
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     K = np.asarray(K, dtype=float)
     single = K.ndim == 2
     systems = per_member(dyn, len(K) if K.ndim == 3 else 1)
@@ -867,7 +789,7 @@ def solve_pqr_step(dyn: LinearDynamics | list[LinearDynamics], K, Y1, Y2,
     else:
         best = _SplitSolver.run(engines, T1, T2,
                                 *(stacked(M) for M in init), u0=u0,
-                                max_iter=max_iter, eps=tol)
+                                max_iter=max_iter)
     objective, P, Q, R = zip(*(out[0] for out in best))
     _, iterations, converged, rp, rd, dual = zip(*best)
     if single:

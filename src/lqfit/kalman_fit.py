@@ -49,7 +49,7 @@ from .conic_ls import LossSpec, RegularizerSpec
 from .linsys import DemoSet, LinearDynamics
 
 
-# The iteration cap of each sweep's (P, Q, R) step.
+# The splitting iterations of each sweep's (P, Q, R) step.
 _PQR_ITERS = 40
 
 
@@ -176,9 +176,10 @@ def admm_iterate(state: AdmmState, demos: DemoSet | list[DemoSet],
     """One sweep: K step, (P, Q, R) step, then dual update Y <- Y + rho M.
 
     The (P, Q, R) step is warm-started from the incoming iterate and its
-    splitting dual, and runs at most 40 splitting iterations at its
-    default tolerance.  The constraint matrix M in the dual update is
-    evaluated at the freshly updated iterates.  Subsolver failures, and a non-finite K-step gain (which
+    splitting dual, and runs 40 splitting iterations and one face polish;
+    it never returns worse than the incoming iterate.  The constraint
+    matrix M in the dual update is evaluated at the freshly updated
+    iterates.  Subsolver failures, and a non-finite K-step gain (which
     would reach LAPACK in the (P, Q, R) step), are re-raised as
     RuntimeError with the iteration number attached.  ``state`` may also
     be a stack of members (a leading axis on every matrix, see
@@ -340,6 +341,8 @@ def fit_kalman_batch(problems, loss: LossSpec, reg: RegularizerSpec,
     ``fit_kalman`` gives for its problem alone.
     """
     problems = list(problems)
+    if not problems:
+        return []
     sizes = sorted({(dyn.n, dyn.m) for _, dyn in problems})
     if len(sizes) > 1:
         raise ValueError(f"the systems of a batch must share one size "

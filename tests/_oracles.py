@@ -281,10 +281,10 @@ def polish_reference(op, T1, T2, best):
 
     ``op`` is the problem's KalmanOperator (its A, B, K and F are read),
     (T1, T2) its offsets and ``best`` an (objective, P, Q, R) tuple. The
-    face is read off the eigenstructure of best's (P, Q, R); the least
-    squares correction within the face is accepted only if cone-feasible
-    and lower, trying the face tolerances 1e-5, then 1e-9. Returns the
-    lower (objective, P, Q, R).
+    face is read off the eigenstructure of best's (P, Q, R) at the face
+    tolerance 1e-5; the least squares correction within the face is
+    accepted only if cone-feasible and lower. Returns the lower
+    (objective, P, Q, R).
     """
     A, B, K, F = op.A, op.B, op.K, op.F
 
@@ -300,39 +300,37 @@ def polish_reference(op, T1, T2, best):
     _, P, Q, R = best
     n, m = op.n, op.m
     c = np.concatenate([T1.ravel(), (K + T2).ravel()])
-    eigs = [np.linalg.eigh(_sym(M)) for M in (P, Q, R)]
-    for act_tol in (1e-5, 1e-9):
-        EP, EQ, ER = (_face_basis(w, V, floor, act_tol)
-                      for (w, V), floor in zip(eigs, (0.0, 0.0, 1.0)))
-        kp, kq = len(EP), len(EQ)
-        k = kp + kq + len(ER)
-        Ps, Qs = np.zeros((k, n, n)), np.zeros((k, n, n))
-        Rs = np.zeros((k, m, m))
-        Ps[:kp], Qs[kp:kp + kq], Rs[kp + kq:] = EP, EQ, ER
-        M1, M2 = apply(Ps, Qs, Rs)
-        Mt = np.concatenate([M1.reshape(k, n * n), M2.reshape(k, m * n)],
-                            axis=1).T.copy()
-        theta = np.array([np.sum(E * X) for Es, X in
-                          ((EP, P), (EQ, Q), (ER, R - np.eye(m)))
-                          for E in Es])
-        dth, *_ = np.linalg.lstsq(Mt, -(Mt @ theta + c), rcond=None)
-        theta = theta + dth
-        parts = []
-        for start, th, Es in ((np.zeros((n, n)), theta[:kp], EP),
-                              (np.zeros((n, n)), theta[kp:kp + kq], EQ),
-                              (np.eye(m), theta[kp + kq:], ER)):
-            for t, E in zip(th, Es):
-                start = start + t * E
-            parts.append(start)
-        Pn, Qn, Rn = parts
-        if all(w.min() >= floor - 1e-9 * (1.0 + np.abs(w).max())
-               for w, floor in ((np.linalg.eigvalsh(_sym(Pn)), 0.0),
-                                (np.linalg.eigvalsh(_sym(Qn)), 0.0),
-                                (np.linalg.eigvalsh(_sym(Rn)), 1.0))):
-            Pn, Qn = _project_psd(np.stack([Pn, Qn]))
-            Rn = _project_psd(Rn, 1.0)
-            f = objective(Pn, Qn, Rn)
-            return (f, Pn, Qn, Rn) if f < best[0] else best
+    EP, EQ, ER = (_face_basis(*np.linalg.eigh(_sym(M)), floor, 1e-5)
+                  for M, floor in zip((P, Q, R), (0.0, 0.0, 1.0)))
+    kp, kq = len(EP), len(EQ)
+    k = kp + kq + len(ER)
+    Ps, Qs = np.zeros((k, n, n)), np.zeros((k, n, n))
+    Rs = np.zeros((k, m, m))
+    Ps[:kp], Qs[kp:kp + kq], Rs[kp + kq:] = EP, EQ, ER
+    M1, M2 = apply(Ps, Qs, Rs)
+    Mt = np.concatenate([M1.reshape(k, n * n), M2.reshape(k, m * n)],
+                        axis=1).T.copy()
+    theta = np.array([np.sum(E * X) for Es, X in
+                      ((EP, P), (EQ, Q), (ER, R - np.eye(m)))
+                      for E in Es])
+    dth, *_ = np.linalg.lstsq(Mt, -(Mt @ theta + c), rcond=None)
+    theta = theta + dth
+    parts = []
+    for start, th, Es in ((np.zeros((n, n)), theta[:kp], EP),
+                          (np.zeros((n, n)), theta[kp:kp + kq], EQ),
+                          (np.eye(m), theta[kp + kq:], ER)):
+        for t, E in zip(th, Es):
+            start = start + t * E
+        parts.append(start)
+    Pn, Qn, Rn = parts
+    if all(w.min() >= floor - 1e-9 * (1.0 + np.abs(w).max())
+           for w, floor in ((np.linalg.eigvalsh(_sym(Pn)), 0.0),
+                            (np.linalg.eigvalsh(_sym(Qn)), 0.0),
+                            (np.linalg.eigvalsh(_sym(Rn)), 1.0))):
+        Pn, Qn = _project_psd(np.stack([Pn, Qn]))
+        Rn = _project_psd(Rn, 1.0)
+        f = objective(Pn, Qn, Rn)
+        return (f, Pn, Qn, Rn) if f < best[0] else best
     return best
 
 

@@ -282,6 +282,9 @@ class TestFitKalmanBatch:
         with pytest.raises(ValueError):
             fit_kalman_batch([(demos, dyn), (pair, other)], QUAD, RIDGE)
 
+    def test_empty_batch(self):
+        assert fit_kalman_batch([], QUAD, RIDGE) == []
+
 
 class TestWholeBatchFails:
     """Every start of the batch leaves in one sweep: the documented
