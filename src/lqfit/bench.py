@@ -3,7 +3,7 @@
 Reproduces the demonstration-count sweeps: build a system, synthesize the
 expert gain from the true cost, draw noisy demonstrations, fit a gain with
 and without the optimality constraint, and evaluate everything under the
-true cost.  Three built-in experiments:
+true cost.  Four experiments:
 
 * ``small_random`` - n=4, m=2, standard normal (A, B) with A rescaled to
   spectral radius one, Q = R = I, W = 0.25 I, Sigma = 4 I;

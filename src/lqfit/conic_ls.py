@@ -287,58 +287,55 @@ class PqrStepResult:
     dual: np.ndarray
 
 
-class _SvecOps:
-    """Orthonormal svec <-> symmetric matrix maps for a fixed size.
+class _SvecLayout:
+    """Orthonormal svec coordinates of a block of symmetric matrices, of
+    the sizes ``sizes``, one block after another.
 
-    Both maps act on the last axes, so they take stacks.  ``basis`` holds
-    the matrices whose svec are the unit vectors, in svec order.
+    ``join`` sends the matrices (or stacks of them, along leading axes) to
+    their svec point and ``split`` undoes it.  ``basis`` holds for each
+    block the matrices whose svec are its unit vectors, in svec order.
+    The flat layout [X1 | X2 | ...] lists the matrices' row-major entries;
+    ``cuts`` and ``flat`` hold the offsets of the blocks in svec order and
+    in the flat layout.  ``pos`` is the svec position of every flat entry,
+    ``up`` and ``lo`` are the flat positions of the upper and lower
+    triangle entries of every svec coordinate, and ``scale`` is 1 on
+    diagonal coordinates and sqrt 2 off them.  The arrays are read-only.
     """
 
-    def __init__(self, n: int):
-        iu = np.triu_indices(n)
-        self.n = n
-        self.iu = iu
-        self.scale = np.where(iu[0] == iu[1], 1.0, _SQRT2)
-        self.dim = len(self.scale)
-        # svec position of every entry of the matrix, row-major
-        k = np.arange(self.dim)
-        pos = np.zeros((n, n), dtype=np.intp)
-        pos[iu] = k
-        pos[iu[1], iu[0]] = k
-        self.pos = pos.ravel()
-        self.basis = self.smat(np.eye(self.dim))
-        for arr in (self.scale, self.pos, self.basis):
+    def __init__(self, sizes):
+        self.sizes = sizes
+        iu = [np.triu_indices(k) for k in sizes]
+        self.cuts = tuple(np.cumsum([0] + [len(i) for i, _ in iu]).tolist())
+        self.flat = tuple(np.cumsum([0] + [k * k for k in sizes]).tolist())
+        self.scale = np.concatenate([np.where(i == j, 1.0, _SQRT2)
+                                     for i, j in iu])
+        self.up = np.concatenate([f + i * k + j for k, f, (i, j)
+                                  in zip(sizes, self.flat, iu)])
+        self.lo = np.concatenate([f + j * k + i for k, f, (i, j)
+                                  in zip(sizes, self.flat, iu)])
+        self.pos = np.zeros(self.flat[-1], dtype=np.intp)
+        self.pos[self.up] = self.pos[self.lo] = np.arange(self.cuts[-1])
+        self.basis = tuple(E[a:b].copy() for E, a, b in zip(
+            self.split(np.eye(self.cuts[-1])), self.cuts, self.cuts[1:]))
+        for arr in (self.scale, self.up, self.lo, self.pos, *self.basis):
             arr.flags.writeable = False
 
-    def svec(self, M):
-        return M[..., self.iu[0], self.iu[1]] * self.scale
+    def join(self, Xs):
+        """The svec point of the blocks ``Xs``."""
+        entries = np.concatenate([X.reshape(X.shape[:-2] + (-1,))
+                                  for X in Xs], axis=-1)
+        return entries.take(self.up, axis=-1) * self.scale
 
-    def smat(self, t):
-        return np.take(t / self.scale, self.pos, axis=-1).reshape(
-            t.shape[:-1] + (self.n, self.n))
+    def split(self, y):
+        """The blocks of the svec point ``y``: :meth:`join` undone."""
+        entries = np.take(y / self.scale, self.pos, axis=-1)
+        return [entries[..., a:b].reshape(y.shape[:-1] + (k, k)) for k, a, b
+                in zip(self.sizes, self.flat, self.flat[1:])]
 
 
 @functools.lru_cache(maxsize=None)
-def _svec_ops(n: int) -> _SvecOps:
-    return _SvecOps(n)
-
-
-@functools.lru_cache(maxsize=None)
-def _stacked_svec(n: int, m: int):
-    """The svec maps of a (P, Q, R) triple, with P and Q n x n and R m x m,
-    in the flat layout [P | Q | R] of its row-major entries: the svec
-    position and the scale of every entry, and the flat positions of the
-    upper and lower triangle entries of every svec coordinate, in svec
-    order; read-only."""
-    sn, sm = _svec_ops(n), _svec_ops(m)
-    blocks = ((sn, 0, 0), (sn, n * n, sn.dim), (sm, 2 * n * n, 2 * sn.dim))
-    pos = np.concatenate([o.pos + k0 for o, _, k0 in blocks])
-    scale = np.concatenate([o.scale for o, _, _ in blocks])
-    up = np.concatenate([f0 + o.iu[0] * o.n + o.iu[1] for o, f0, _ in blocks])
-    lo = np.concatenate([f0 + o.iu[1] * o.n + o.iu[0] for o, f0, _ in blocks])
-    for arr in (pos, scale, up, lo):
-        arr.flags.writeable = False
-    return pos, scale, up, lo
+def _svec(*sizes) -> _SvecLayout:
+    return _SvecLayout(sizes)
 
 
 class KalmanOperator:
@@ -362,8 +359,7 @@ class KalmanOperator:
 
     def take(self, index):
         """Member ``index`` of a stacked operator (an int), or the smaller
-        stack of the members ``index``; ``take((ids, None))`` sends slice
-        [i, j] of an (S, k, size, size) stack through member ``ids[i]``."""
+        stack of the members ``index``."""
         op = KalmanOperator.__new__(KalmanOperator)
         op.A, op.B, op.K, op.F = (getattr(self, f)[index]
                                   for f in ("A", "B", "K", "F"))
@@ -384,11 +380,32 @@ class KalmanOperator:
         f = np.sum(M1 * M1, axis=(-2, -1)) + np.sum(M2 * M2, axis=(-2, -1))
         return float(f) if f.ndim == 0 else f
 
+    def columns(self, EP, EQ, ER):
+        """The matrix whose columns are ``apply`` of each matrix of the
+        stacks EP, EQ and ER, in that order, each in its own block (P, Q or
+        R) with the other two zero; the stacks run along the axis before
+        the matrix axes.  For a stacked operator they may also carry its
+        member axis in front (all three alike), one set of matrices per
+        member."""
+        n, m = self.n, self.m
+        kp, kq = EP.shape[-3], EQ.shape[-3]
+        k = kp + kq + ER.shape[-3]
+        lead = EP.shape[:-3]
+        Ps, Qs = np.zeros(lead + (k, n, n)), np.zeros(lead + (k, n, n))
+        Rs = np.zeros(lead + (k, m, m))
+        Ps[..., :kp, :, :] = EP
+        Qs[..., kp:kp + kq, :, :] = EQ
+        Rs[..., kp + kq:, :, :] = ER
+        # one operator per stack of matrices
+        M1, M2 = self.take(np.s_[..., None, :, :]).apply(Ps, Qs, Rs)
+        return np.concatenate([M.reshape(M.shape[:-2] + (-1,)).swapaxes(
+            -1, -2) for M in (M1, M2)], axis=-2)
+
     def matrix(self) -> np.ndarray:
         """(n*n + m*n) x (2 dim_n + dim_m): column j is apply of the j-th
         svec unit vector; one such matrix per member for a stack."""
         n, m, F = self.n, self.m, self.F
-        En, Em = _svec_ops(n).basis, _svec_ops(m).basis
+        En, Em = _svec(n).basis[0], _svec(m).basis[0]
         dn, dm = len(En), len(Em)
         lead = self.K.shape[:-2]
 
@@ -413,9 +430,8 @@ def _basis_sandwich(X, F):
     and (X[:, j] e) F[i, :] (one of them on the diagonal); both are added
     to 0.0, as the einsum adds its products to a zeroed output, and the
     other products are signed zeros, which change no sum."""
-    sn = _svec_ops(F.shape[-1])
-    i, j = sn.iu
-    e = sn.basis[np.arange(sn.dim), i, j][:, None, None]
+    i, j = np.triu_indices(F.shape[-1])
+    e = _svec(F.shape[-1]).basis[0][np.arange(len(i)), i, j][:, None, None]
 
     def term(a, b):
         return ((X[..., :, a].swapaxes(-1, -2)[..., None] * e)
@@ -431,23 +447,13 @@ def _face_bases(w, V, floor):
     in triu order, the matrix (v_i v_j^T + v_j v_i^T) / (2 or sqrt 2); and
     whether it lies in the face active at the matrix, that is, whether both
     eigenvalues exceed floor by more than _POLISH_ACT_TOL (relative)."""
-    i, j, divisor = _face_index(w.shape[-1])
+    i, j = np.triu_indices(w.shape[-1])
+    divisor = np.where(i == j, 2.0, _SQRT2)[:, None, None]
     Vt = V.swapaxes(-1, -2)
     O = Vt[..., i, :, None] * Vt[..., j, None, :]
     on = (w - floor) > _POLISH_ACT_TOL * (1.0 + w.max(axis=-1, initial=0.0,
                                                       keepdims=True))
     return (O + O.swapaxes(-1, -2)) / divisor, on[..., i] & on[..., j]
-
-
-@functools.lru_cache(maxsize=None)
-def _face_index(k: int):
-    """The pairs i <= j of k eigenvectors and the divisor of each basis
-    matrix, 2 on the diagonal and sqrt 2 off it; read-only."""
-    i, j = np.triu_indices(k)
-    divisor = np.where(i == j, 2.0, _SQRT2)[:, None, None]
-    for arr in (i, j, divisor):
-        arr.flags.writeable = False
-    return i, j, divisor
 
 
 def _lower(a, b):
@@ -467,10 +473,10 @@ def _reaches(w, floor):
     return w.min(axis=-1) >= floor - 1e-9 * (1.0 + np.abs(w).max(axis=-1))
 
 
-def _polish(engines, T1, T2, best):
+def _polish(op, T1, T2, best):
     """Exact least squares on the active face of the cones, for a stack.
 
-    Member i is the problem of ``engines.take(i)`` (a stacked solver) with
+    Member i is the problem of ``op.take(i)`` (a stacked operator) with
     offsets (T1[i], T2[i]) at ``best[i]``, an (objective, P, Q, R) tuple.
     Its face is read off the eigenstructure of that (P, Q, R) at
     _POLISH_ACT_TOL; the nearest correction within the face is applied and
@@ -483,28 +489,23 @@ def _polish(engines, T1, T2, best):
     polishing it alone.  Returns the lower (objective, P, Q, R) per member.
     """
     best = list(best)
-    n, m, dn, p = engines.op.n, engines.op.m, engines.dn, engines.p
+    n, m = op.n, op.m
     S = len(best)
     PQ = np.stack([b[1:3] for b in best])
     R = np.stack([b[3] for b in best])
     E_pq, on_pq = _face_bases(*np.linalg.eigh(_sym(PQ)), 0.0)
     E_r, on_r = _face_bases(*np.linalg.eigh(_sym(R)), 1.0)
-    op = engines.op.take((np.arange(S), None))
-    # the face columns: apply of each basis matrix in its own block
-    Ps, Qs = np.zeros((S, p, n, n)), np.zeros((S, p, n, n))
-    Rs = np.zeros((S, p, m, m))
-    Ps[:, :dn], Qs[:, dn:2 * dn], Rs[:, 2 * dn:] = E_pq[:, 0], E_pq[:, 1], E_r
-    M1, M2 = op.apply(Ps, Qs, Rs)
-    cols = np.concatenate([M1.reshape(S, p, n * n),
-                           M2.reshape(S, p, m * n)], axis=2)
+    dn = E_pq.shape[2]
+    cols = op.columns(E_pq[:, 0], E_pq[:, 1], E_r)
     theta = np.concatenate([
         np.sum(E_pq * PQ[:, :, None], axis=(-2, -1)).reshape(S, -1),
         np.sum(E_r * (R - np.eye(m))[:, None], axis=(-2, -1))], axis=1)
-    c = np.concatenate([T1.reshape(S, -1),
-                        (op.K[:, 0] + T2).reshape(S, -1)], axis=1)
+    c = np.concatenate([T1.reshape(S, -1), (op.K + T2).reshape(S, -1)],
+                       axis=1)
     faces = np.concatenate([on_pq.reshape(S, 2 * dn), on_r], axis=1)
     for t, on, cols_i, c_i in zip(theta, faces, cols, c):
-        Mt = cols_i[on].T.copy()
+        # in C order: the rounding of Mt @ t depends on the memory layout
+        Mt = cols_i[:, on].copy()
         dth, *_ = np.linalg.lstsq(Mt, -(Mt @ t[on] + c_i), rcond=None)
         t[on] += dth
         t[~on] = 0.0
@@ -521,104 +522,71 @@ def _polish(engines, T1, T2, best):
     if ok.any():
         done = np.flatnonzero(ok)
         PQn, Rn = project_psd(PQn[ok]), project_psd(Rn[ok], 1.0)
-        f = op.take(done).objective(
-            PQn[:, None, 0], PQn[:, None, 1], Rn[:, None],
-            T1[done, None], T2[done, None])[:, 0]
+        f = op.take(done).objective(PQn[:, 0], PQn[:, 1], Rn, T1[done],
+                                    T2[done])
         for i, fi, (Pn, Qn), Rn_i in zip(done, f.tolist(), PQn, Rn):
             best[i] = _lower(best[i], (fi, Pn, Qn, Rn_i))
     return best
 
 
-class _SplitSolver:
-    """Operator-splitting solver for the (P, Q, R) cone least squares at one
-    gain, or, for a stacked operator, at a stack of gains of one size: the
-    operator matrices and G = 2 Mat^T Mat are then built for the whole
-    stack at once, and :meth:`take` reads members off it.  :meth:`run`
-    advances a stack together through a fixed number of iterations; a
-    cold call hands each member to :func:`_barrier` instead."""
+def _split(op, Mat, G, T1, T2, P0, Q0, R0, u0, max_iter):
+    """The splitting loop for a stack of problems, advanced in lockstep.
 
-    def __init__(self, op: KalmanOperator):
-        self.op = op
-        self.sn, self.sm = _svec_ops(op.n), _svec_ops(op.m)
-        self.dn = self.sn.dim
-        self.Mat = op.matrix()
-        self.p = self.Mat.shape[-1]
-        self.G = 2.0 * (self.Mat.swapaxes(-1, -2) @ self.Mat)
-
-    def take(self, index):
-        """Member ``index`` of a stacked solver (an int), or the smaller
-        stack of the members ``index``."""
-        e = _SplitSolver.__new__(_SplitSolver)
-        e.op = self.op.take(index)
-        e.sn, e.sm, e.dn, e.p = self.sn, self.sm, self.dn, self.p
-        e.Mat, e.G = self.Mat[index], self.G[index]
-        return e
-
-    def svec(self, PQ, R):
-        """Rows of svec coordinates of a stack of (P, Q) pairs and of R."""
-        return np.concatenate([self.sn.svec(PQ).reshape(len(R), -1),
-                               self.sm.svec(R)], axis=1)
-
-    @staticmethod
-    def run(engines, T1, T2, P0, Q0, R0, u0, max_iter):
-        """The splitting loop for a stack of problems, advanced in lockstep.
-
-        Member i is the problem of ``engines.take(i)`` (``engines`` is a
-        stacked solver) with offsets (T1[i], T2[i]), started from
-        (P0[i], Q0[i], R0[i]) and the dual u0[i].  Every member runs
-        ``max_iter`` iterations at its own fixed penalty; the stacked steps
-        (the x solve, the cone projections) work matrix by matrix and row
-        by row.  The lower of each member's start and last iterate is then
-        polished, the whole stack at once (:func:`_polish`).  So every
-        member's result is bit for bit the result of running it alone.
-        Returns one (best, iterations, converged, primal residual, dual
-        residual, dual) per member, the residuals those of the last
-        iteration.
-        """
-        sn, sm, p = engines.sn, engines.sm, engines.p
-        pos, scale, up, lo = _stacked_svec(sn.n, sm.n)
-        n2 = 2 * sn.n * sn.n
-        alpha = 1.6
-        S = len(T1)
-        u = np.zeros((S, p)) if u0 is None else np.array(u0, dtype=float)
-        # the running iterates: (P, Q) stacked per member, R, their svec z;
-        # from the first iteration on, (P, Q) and R are the cone projections
-        # before their final symmetrization
-        PQ, R = np.stack([P0, Q0], axis=1), R0
-        z = engines.svec(PQ, R)
-        G, Mat = engines.G, engines.Mat
-        c = np.concatenate([T1.reshape(S, -1), T2.reshape(S, -1)], axis=1)
-        q = 2.0 * (Mat.swapaxes(-1, -2) @ c[:, :, None])[:, :, 0]
-        sigma = np.maximum(np.trace(G, axis1=1, axis2=2) / p, 1e-12)
-        Minv = np.linalg.inv(G + sigma[:, None, None] * np.eye(p))
-        for _ in range(max_iter):
-            x = (Minv @ (sigma[:, None] * (z - u) - q)[:, :, None])[:, :, 0]
-            xr = alpha * x + (1.0 - alpha) * z
-            v = xr + u
-            # both cone blocks of v as exactly symmetric matrices, so eigh
-            # needs no symmetrization
-            Mv = np.take(v / scale, pos, axis=-1)
-            w, V = np.linalg.eigh(Mv[:, :n2].reshape(-1, 2, sn.n, sn.n))
-            PQ = V @ (np.maximum(w, 0.0)[..., None] * V.swapaxes(-1, -2))
-            w, V = np.linalg.eigh(Mv[:, n2:].reshape(-1, sm.n, sm.n))
-            R = V @ (np.maximum(w, 1.0)[..., None] * V.swapaxes(-1, -2))
-            # svec of the symmetrized projections, read off both triangles
-            M = np.concatenate([PQ.reshape(S, -1), R.reshape(S, -1)], axis=1)
-            z_old = z
-            z = 0.5 * (M.take(up, axis=1) + M.take(lo, axis=1)) * scale
-            u += xr - z
-        nz, rp, rd = _row_norms(np.array([z, x - z, z - z_old]))
-        rd = sigma * rd
-        tol = _CONVERGED * (1.0 + nz)
-        converged = (rp <= tol) & (rd <= tol)
-        PQ, R = _sym(PQ), _sym(R)
-        f0 = engines.op.objective(P0, Q0, R0, T1, T2).tolist()
-        f = engines.op.objective(PQ[:, 0], PQ[:, 1], R, T1, T2).tolist()
-        best = _polish(engines, T1, T2, [
-            _lower((f0[i], P0[i], Q0[i], R0[i]),
-                   (f[i], PQ[i, 0], PQ[i, 1], R[i])) for i in range(S)])
-        return [(b, max_iter, *out, ui) for b, *out, ui in zip(
-            best, converged.tolist(), rp.tolist(), rd.tolist(), u)]
+    Member i is the problem of ``op.take(i)`` (a stacked operator, with
+    its matrices ``Mat`` and G = 2 Mat^T Mat) with offsets (T1[i], T2[i]),
+    started from (P0[i], Q0[i], R0[i]) and the dual u0[i].  Every member
+    runs ``max_iter`` iterations at its own fixed penalty; the stacked
+    steps (the x solve, the cone projections) work matrix by matrix and row
+    by row.  The lower of each member's start and last iterate is then
+    polished, the whole stack at once (:func:`_polish`).  So every member's
+    result is bit for bit the result of running it alone.  Returns one
+    (best, iterations, converged, primal residual, dual residual, dual) per
+    member, the residuals those of the last iteration.
+    """
+    n, m, p = op.n, op.m, Mat.shape[-1]
+    svec = _svec(n, n, m)
+    pos, scale, up, lo, n2 = (svec.pos, svec.scale, svec.up, svec.lo,
+                              svec.flat[2])
+    alpha = 1.6
+    S = len(T1)
+    u = np.zeros((S, p)) if u0 is None else np.array(u0, dtype=float)
+    # the running iterates: (P, Q) stacked per member, R, their svec z; from
+    # the first iteration on, (P, Q) and R are the cone projections before
+    # their final symmetrization
+    PQ, R = np.stack([P0, Q0], axis=1), R0
+    z = svec.join([P0, Q0, R0])
+    c = np.concatenate([T1.reshape(S, -1), T2.reshape(S, -1)], axis=1)
+    q = 2.0 * (Mat.swapaxes(-1, -2) @ c[:, :, None])[:, :, 0]
+    sigma = np.maximum(np.trace(G, axis1=1, axis2=2) / p, 1e-12)
+    Minv = np.linalg.inv(G + sigma[:, None, None] * np.eye(p))
+    for _ in range(max_iter):
+        x = (Minv @ (sigma[:, None] * (z - u) - q)[:, :, None])[:, :, 0]
+        xr = alpha * x + (1.0 - alpha) * z
+        v = xr + u
+        # both cone blocks of v as exactly symmetric matrices, so eigh
+        # needs no symmetrization
+        Mv = np.take(v / scale, pos, axis=-1)
+        w, V = np.linalg.eigh(Mv[:, :n2].reshape(-1, 2, n, n))
+        PQ = V @ (np.maximum(w, 0.0)[..., None] * V.swapaxes(-1, -2))
+        w, V = np.linalg.eigh(Mv[:, n2:].reshape(-1, m, m))
+        R = V @ (np.maximum(w, 1.0)[..., None] * V.swapaxes(-1, -2))
+        # svec of the symmetrized projections, read off both triangles
+        M = np.concatenate([PQ.reshape(S, -1), R.reshape(S, -1)], axis=1)
+        z_old = z
+        z = 0.5 * (M.take(up, axis=1) + M.take(lo, axis=1)) * scale
+        u += xr - z
+    nz, rp, rd = _row_norms(np.array([z, x - z, z - z_old]))
+    rd = sigma * rd
+    tol = _CONVERGED * (1.0 + nz)
+    converged = (rp <= tol) & (rd <= tol)
+    PQ, R = _sym(PQ), _sym(R)
+    f0 = op.objective(P0, Q0, R0, T1, T2).tolist()
+    f = op.objective(PQ[:, 0], PQ[:, 1], R, T1, T2).tolist()
+    best = _polish(op, T1, T2, [
+        _lower((f0[i], P0[i], Q0[i], R0[i]),
+               (f[i], PQ[i, 0], PQ[i, 1], R[i])) for i in range(S)])
+    return [(b, max_iter, *out, ui) for b, *out, ui in zip(
+        best, converged.tolist(), rp.tolist(), rd.tolist(), u)]
 
 
 def _center(z, newton, inside, steps):
@@ -643,8 +611,9 @@ def _center(z, newton, inside, steps):
     return z, steps
 
 
-def _barrier(solver, T1, T2):
-    """Solve ``solver`` (one member) with offsets (T1, T2) by a barrier
+def _barrier(op, Mat, G, T1, T2):
+    """Solve the problem of ``op`` (one member, with its matrix ``Mat`` and
+    G = 2 Mat^T Mat) with offsets (T1, T2) by a barrier
     method: over y = svec(P, Q, R - I), minimize t f(y) + <W, y>
     - log det P - log det Q - log det(R - I), f = ||apply(P, Q, R) +
     (T1, T2)||^2 = ||Mat y + c||^2, t tenfold per centering from
@@ -658,41 +627,34 @@ def _barrier(solver, T1, T2):
     (nu + <W, y>) / t, a bound at a center while <W, y*> <= 2 <W, y> at
     the optimum y*, is below _BARRIER_GAP (1 + f), after _BARRIER_ROUNDS
     centerings, or at a singular block or Newton system.  Returns
-    :meth:`_SplitSolver.run`'s tuple: ((objective, P, Q, R), Newton steps,
+    :func:`_split`'s tuple: ((objective, P, Q, R), Newton steps,
     whether the gap test held, 0.0, the gap bound, a zero dual).
     """
-    op, Mat, dn = solver.op, solver.Mat, solver.dn
     n, m = op.n, op.m
+    svec = _svec(n, n, m)
     c = np.concatenate([T1.ravel(), (op.K + T2).ravel()])
     if spectral_radius(op.F) < STABILITY_MARGIN:
         start = (2.0 * solve_lyapunov_stein(op.F, np.eye(n) + op.K.T @ op.K),
                  2.0 * np.eye(n), np.eye(m))
     else:
         start = (np.eye(n), np.eye(n), np.eye(m))
-    ops, cuts = (solver.sn, solver.sn, solver.sm), (0, dn, 2 * dn, solver.p)
-
-    def blocks(y):
-        return [o.smat(y[a:b]) for o, a, b in zip(ops, cuts, cuts[1:])]
-
-    def join(Xs):
-        return np.concatenate([o.svec(X) for o, X in zip(ops, Xs)])
-
     def f(y):
         r = Mat @ y + c
         return r @ r
 
-    w = join([np.linalg.inv(X) for X in start])
-    y, nu, failed = join(start), 2 * n + m, False
+    w = svec.join([np.linalg.inv(X) for X in start])
+    y, nu, failed = svec.join(start), 2 * n + m, False
     t = nu / (1.0 + f(y))
 
     def newton(y):
         nonlocal failed
         try:
-            inv = [np.linalg.inv(X) for X in blocks(y)]
-            H = t * solver.G
-            for o, a, b, Xi in zip(ops, cuts, cuts[1:], inv):
-                H[a:b, a:b] += o.svec(Xi @ o.basis @ Xi)
-            rhs = join(inv) - w - 2.0 * t * ((Mat @ y + c) @ Mat)
+            inv = [np.linalg.inv(X) for X in svec.split(y)]
+            H = t * G
+            for k, a, b, E, Xi in zip(svec.sizes, svec.cuts, svec.cuts[1:],
+                                      svec.basis, inv):
+                H[a:b, a:b] += _svec(k).join([Xi @ E @ Xi])
+            rhs = svec.join(inv) - w - 2.0 * t * ((Mat @ y + c) @ Mat)
             dy = np.linalg.solve(H, rhs)
         except np.linalg.LinAlgError:
             failed = True
@@ -700,7 +662,7 @@ def _barrier(solver, T1, T2):
         return dy, math.sqrt(max(rhs @ dy, 0.0))
 
     def inside(y):
-        return min(map(_min_eig, blocks(y))) > 0.0
+        return min(map(_min_eig, svec.split(y))) > 0.0
 
     steps, converged = 0, False
     for _ in range(_BARRIER_ROUNDS):
@@ -710,10 +672,10 @@ def _barrier(solver, T1, T2):
         gap = (nu + w @ y) / t
         converged = not failed and gap < _BARRIER_GAP * (1.0 + f(y))
         t *= 10.0
-    P, Q, D = blocks(y)
+    P, Q, D = svec.split(y)
     R = D + np.eye(m)
     return ((op.objective(P, Q, R, T1, T2), P, Q, R), steps, converged, 0.0,
-            gap, np.zeros(solver.p))
+            gap, np.zeros(len(y)))
 
 
 def _stacked_systems(dyn, count: int):
@@ -773,23 +735,29 @@ def solve_pqr_step(dyn: LinearDynamics | list[LinearDynamics], K, Y1, Y2,
     if any((d.n, d.m) != (n, m) for d in systems):
         raise ValueError("the systems of a stack must share one size")
 
-    def stacked(M):
+    def stacked(name, M, shape):
+        """M as a stack, once its shape is K's stack axis then ``shape``."""
         M = np.asarray(M, dtype=float)
+        if M.shape != K.shape[:-2] + shape:
+            raise ValueError(f"{name} must have shape {K.shape[:-2] + shape}"
+                             f", got {M.shape}")
         return M[None] if single else M
 
-    Ks = stacked(K)
-    T1 = stacked(Y1) / rho
-    T2 = stacked(Y2) / rho
-    u0 = None if dual0 is None else stacked(dual0)
-    engines = _SplitSolver(KalmanOperator(*_stacked_systems(systems, len(Ks)),
-                                          Ks))
+    Ks = stacked("K", K, (m, n))
+    T1 = stacked("Y1", Y1, (n, n)) / rho
+    T2 = stacked("Y2", Y2, (m, n)) / rho
+    op = KalmanOperator(*_stacked_systems(systems, len(Ks)), Ks)
+    Mat = op.matrix()
+    G = 2.0 * (Mat.swapaxes(-1, -2) @ Mat)
+    u0 = None if dual0 is None else stacked("dual0", dual0, Mat.shape[-1:])
     if init is None:
-        best = [_barrier(engines.take(i), T1[i], T2[i])
+        best = [_barrier(op.take(i), Mat[i], G[i], T1[i], T2[i])
                 for i in range(len(Ks))]
     else:
-        best = _SplitSolver.run(engines, T1, T2,
-                                *(stacked(M) for M in init), u0=u0,
-                                max_iter=max_iter)
+        P0, Q0, R0 = init
+        best = _split(op, Mat, G, T1, T2, stacked("init P0", P0, (n, n)),
+                      stacked("init Q0", Q0, (n, n)),
+                      stacked("init R0", R0, (m, m)), u0, max_iter)
     objective, P, Q, R = zip(*(out[0] for out in best))
     _, iterations, converged, rp, rd, dual = zip(*best)
     if single:

@@ -293,11 +293,12 @@ def _reduced_map(F, B, K):
     """(Q, R) -> R K + B^T P(Q, R) F with P(Q, R) = Lyap(F, Q + K^T R K), as
     an (m n) x (dim_n + dim_m) matrix from orthonormal svec coordinates of
     (Q, R) to the row-major ravel of the m x n result."""
-    sn, sm = conic_ls._svec_ops(F.shape[0]), conic_ls._svec_ops(K.shape[0])
-    PE = np.stack([solve_lyapunov_stein(F, E) for E in sn.basis])
+    En, Em = conic_ls._svec(*B.shape).basis
+    PE = np.stack([solve_lyapunov_stein(F, E) for E in En])
     # P is linear in Q + K'RK, so the R columns reuse the Q solves
-    PR = np.tensordot(sn.svec(K.T @ sm.basis @ K), PE, axes=1)
-    cols = np.concatenate([B.T @ PE @ F, sm.basis @ K + B.T @ PR @ F])
+    PR = np.tensordot(conic_ls._svec(len(F)).join([K.T @ Em @ K]), PE,
+                      axes=1)
+    cols = np.concatenate([B.T @ PE @ F, Em @ K + B.T @ PR @ F])
     return cols.reshape(len(cols), -1).T
 
 
@@ -309,7 +310,7 @@ class _ReducedCheck:
     def __init__(self, A, B, K, tol):
         self.op = conic_ls.KalmanOperator(A, B, K)
         self.B, self.K, self.F, self.tol = B, K, self.op.F, tol
-        self.sn, self.sm = map(conic_ls._svec_ops, B.shape)
+        self.svec = conic_ls._svec(*B.shape)
         Mat = _reduced_map(self.F, B, K)
         U, s, Vt = np.linalg.svd(Mat)
         rank = int(np.sum(s > max(Mat.shape) * np.finfo(float).eps
@@ -317,15 +318,6 @@ class _ReducedCheck:
         self.Z = Vt[rank:].T
         # pseudo-inverse of Mat^T on its range: the multiplier of a gap
         self.pinvT = (U[:, :rank] / s[:rank]) @ Vt[:rank]
-
-    def split(self, t):
-        """(Q, R) of the svec point t, or stacks of them along t's rows."""
-        dn = self.sn.dim
-        return self.sn.smat(t[..., :dn]), self.sm.smat(t[..., dn:])
-
-    def join(self, Q, R):
-        """The svec point of (Q, R), or of stacks of them: split undone."""
-        return np.concatenate([self.sn.svec(Q), self.sm.svec(R)], axis=-1)
 
     def certify(self, Q, R):
         """A certificate from a null-space point with Q >= 0 and R > 0
@@ -373,37 +365,38 @@ class _ReducedCheck:
         (R - sI)^-1) / t and s_hat = s + (n + m)/t >= max s make it
         orthogonal to the null space.  It stops at (n + m)/t < _GAP_STOP.
         """
-        Z, x0 = self.Z, self.join(np.eye(self.sn.n), np.eye(self.sm.n))
+        svec, Z = self.svec, self.Z
+        x0 = svec.join([np.eye(k) for k in svec.sizes])
         a = Z.T @ x0
-        cert = self.certify(*self.split(Z @ a))
+        cert = self.certify(*svec.split(Z @ a))
         witness = None if cert is not None else self.farkas(x0 - Z @ a)
         if cert is not None or witness is not None or not a.any():
             return cert, witness, 0
         # z = (y, s), C z = svec(Q(y) - sI, R(y) - sI); s starts below
         # -||Z y|| = -1/||a||, and the KKT matrix ends in a.y = 1
         C = np.column_stack([Z, -x0])
-        D = self.split(C.T)
+        D = svec.split(C.T)
         z = np.append(a / (a @ a), -1.0 - 1.0 / math.sqrt(a @ a))
         kkt = np.zeros((len(z) + 1, len(z) + 1))
         kkt[-1, :-2] = kkt[:-2, -1] = a
-        t, steps, order = 1.0, 0, self.sn.n + self.sm.n
+        t, steps, order = 1.0, 0, sum(svec.sizes)
 
         def newton(z):
-            inv = [np.linalg.inv(X) for X in self.split(C @ z)]
-            kkt[:-1, :-1] = self.join(*(Xi @ Dk @ Xi for Xi, Dk
-                                        in zip(inv, D))) @ C
-            rhs = np.append(C.T @ self.join(*inv), 0.0)
+            inv = [np.linalg.inv(X) for X in svec.split(C @ z)]
+            kkt[:-1, :-1] = svec.join([Xi @ Dk @ Xi for Xi, Dk
+                                       in zip(inv, D)]) @ C
+            rhs = np.append(C.T @ svec.join(inv), 0.0)
             rhs[-2] += t
             dz = np.linalg.solve(kkt, rhs)[:-1]
             return dz, math.sqrt(max(rhs[:-1] @ dz, 0.0))
 
         def inside(z):
-            return min(map(_min_eig, self.split(C @ z))) > 0.0
+            return min(map(_min_eig, svec.split(C @ z))) > 0.0
 
         while order / t >= _GAP_STOP:
             z, steps = conic_ls._center(z, newton, inside, steps)
-            cert = self.certify(*self.split(Z @ z[:-1]))
-            W = self.join(*map(np.linalg.inv, self.split(C @ z))) / t
+            cert = self.certify(*svec.split(Z @ z[:-1]))
+            W = svec.join(map(np.linalg.inv, svec.split(C @ z))) / t
             witness = (None if cert is not None
                        else self.farkas(W - (z[-1] + order / t) * x0))
             if cert is not None or witness is not None:
@@ -412,7 +405,7 @@ class _ReducedCheck:
         return None, None, steps
 
 
-def _split_certificate(dyn, K, V, tol):
+def _split_certificate(A, B, K, V, tol):
     """Route 3, modes V in ker K: (certificate within tol or None, Newton
     steps).  P and Q vanish on the modes with |lambda| > 1, so a
     certificate of (T'AT, T'B, KT), T a basis of V's complement, embeds as
@@ -422,28 +415,26 @@ def _split_certificate(dyn, K, V, tol):
     T = U[:, int(np.sum(s > len(U) * np.finfo(float).eps * s.max())):]
     k = T.shape[1]
     P = Q = np.zeros((k, k))
-    R, steps = np.eye(dyn.m), 0
+    R, steps = np.eye(B.shape[1]), 0
     if k:
-        sub = LinearDynamics(A=T.T @ dyn.A @ T, B=T.T @ dyn.B,
-                             W=np.zeros((k, k)))
-        res = check_kalman_feasible(sub, K @ T, tol)
+        res = _check(T.T @ A @ T, T.T @ B, K @ T, tol)
         steps = res.iterations
         if not res.feasible:
             return None, steps
         P, Q, R = res.certificate.P, res.certificate.Q, res.certificate.R
     P, Q = T @ P @ T.T, T @ Q @ T.T
-    residual = math.sqrt(conic_ls.KalmanOperator(dyn.A, dyn.B, K)
-                         .objective(P, Q, R))
+    residual = math.sqrt(conic_ls.KalmanOperator(A, B, K).objective(P, Q, R))
     if residual > tol:
         return None, steps
     return KalmanCertificate(P=P, Q=Q, R=R, residual=residual), steps
 
 
-def _unproven(dyn, K, tol, iterations, witness):
+def _unproven(K, tol, iterations, witness):
     """An infeasible answer, or an undecided one without a witness; its
     cone point (0, 0, I) leaves residual ||K||_F, the least when A = 0."""
-    zero = np.zeros((dyn.n, dyn.n))
-    cold = KalmanCertificate(P=zero, Q=zero, R=np.eye(dyn.m),
+    m, n = K.shape
+    zero = np.zeros((n, n))
+    cold = KalmanCertificate(P=zero, Q=zero, R=np.eye(m),
                              residual=float(np.linalg.norm(K)))
     verdict = "undecided" if witness is None else "infeasible"
     return FeasibilityResult(certificate=cold, tol=tol, iterations=iterations,
@@ -484,19 +475,25 @@ def check_kalman_feasible(dyn: LinearDynamics, K,
     K = np.asarray(K, dtype=float)
     if not np.all(np.isfinite(K)):
         raise ValueError("the gain must be finite")
+    if K.shape != (dyn.m, dyn.n):
+        raise ValueError(f"gain must be {dyn.m}x{dyn.n}, got shape {K.shape}")
     if tol is None:
         tol = 1e-6 * (1.0 + np.linalg.norm(K, "fro"))
-    tol = float(tol)
-    lam, V = np.linalg.eig(dyn.closed_loop(K))
+    return _check(dyn.A, dyn.B, K, float(tol))
+
+
+def _check(A, B, K, tol):
+    """:func:`check_kalman_feasible` on the pair (A, B)."""
+    lam, V = np.linalg.eig(A + B @ K)
     witness = _unstable_mode_witness(K, lam, V)
     if witness is not None:
-        return _unproven(dyn, K, tol, 0, witness)
+        return _unproven(K, tol, 0, witness)
     out = np.abs(lam) >= STABILITY_MARGIN
     if out.any():
-        cert, steps = _split_certificate(dyn, K, V[:, out], tol)
+        cert, steps = _split_certificate(A, B, K, V[:, out], tol)
     else:
-        cert, witness, steps = _ReducedCheck(dyn.A, dyn.B, K, tol).decide()
+        cert, witness, steps = _ReducedCheck(A, B, K, tol).decide()
     if cert is None:
-        return _unproven(dyn, K, tol, steps, witness)
+        return _unproven(K, tol, steps, witness)
     return FeasibilityResult(certificate=cert, tol=tol, iterations=steps,
                              verdict="feasible")

@@ -237,7 +237,7 @@ def test_criterion_09_pqr_step_optimality():
             # reference value for this instance
             skipped += 1
             continue
-        step = solve_pqr_step(dyn, K, Y1, Y2, rho=1.0, max_iter=8000)
+        step = solve_pqr_step(dyn, K, Y1, Y2, rho=1.0)
         worst = max(worst, abs(step.objective - f_ref))
     elapsed = time.perf_counter() - t0
     ok = skipped == 0 and worst <= 1e-4 and elapsed < 120.0

@@ -284,6 +284,30 @@ class TestKalmanOperator:
             np.sum(M1 ** 2) + np.sum(M2 ** 2), rel=1e-14)
 
 
+class TestSvecLayout:
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("sizes", [(4,), (4, 2), (4, 4, 2)])
+    def test_join_matches_svec_and_split_undoes_it(self, sizes, lead):
+        rng = np.random.default_rng(24)
+        Xs = [rng.standard_normal(lead + (k, k)) for k in sizes]
+        Xs = [X + X.swapaxes(-1, -2) for X in Xs]
+        svec = conic_ls._svec(*sizes)
+        y = svec.join(Xs)
+        members = [X.reshape((-1, k, k)) for X, k in zip(Xs, sizes)]
+        ref = np.array([np.concatenate([_svec(M[i]) for M in members])
+                        for i in range(len(members[0]))])
+        assert np.array_equal(y, ref.reshape(lead + (-1,)))
+        assert y.shape[-1] == svec.cuts[-1]
+        for X, Z in zip(Xs, svec.split(y)):
+            assert Z.shape == X.shape
+            assert np.array_equal(Z, Z.swapaxes(-1, -2))
+            assert np.array_equal(np.diagonal(Z, axis1=-2, axis2=-1),
+                                  np.diagonal(X, axis1=-2, axis2=-1))
+            # an off-diagonal entry is scaled by sqrt 2 and back, which
+            # rounds it to within one unit in the last place
+            np.testing.assert_array_max_ulp(Z, X, maxulp=1)
+
+
 class TestPqrStep:
     def test_zero_objective_at_lqr_solution(self):
         rng = np.random.default_rng(8)
@@ -328,7 +352,7 @@ class TestPqrStep:
             K = rng.standard_normal((m, n)) * 0.4
             Y1 = rng.standard_normal((n, n)) * 0.2
             Y2 = rng.standard_normal((m, n)) * 0.2
-            step = solve_pqr_step(dyn, K, Y1, Y2, rho=1.0, max_iter=500)
+            step = solve_pqr_step(dyn, K, Y1, Y2, rho=1.0)
             assert np.allclose(step.P, step.P.T)
             assert np.allclose(step.Q, step.Q.T)
             assert np.allclose(step.R, step.R.T)
@@ -358,7 +382,7 @@ class TestPqrStep:
         K = K + 0.1 * rng.standard_normal(K.shape)
         Y1 = 0.3 * rng.standard_normal((n, n))
         Y2 = 0.3 * rng.standard_normal((m, n))
-        step = solve_pqr_step(dyn, K, Y1, Y2, rho=1.0, max_iter=20000)
+        step = solve_pqr_step(dyn, K, Y1, Y2, rho=1.0)
         _, _, _, f_pg, _ = pqr_projected_gradient(A, B, K, Y1, Y2, rho=1.0)
         assert abs(step.objective - f_pg) <= 1e-4
 
@@ -370,7 +394,7 @@ class TestPqrStep:
         K = rng.standard_normal((m, n)) * 0.2
         Y1 = 0.1 * rng.standard_normal((n, n))
         Y2 = 0.1 * rng.standard_normal((m, n))
-        cold = solve_pqr_step(dyn, K, Y1, Y2, rho=1.0, max_iter=20000)
+        cold = solve_pqr_step(dyn, K, Y1, Y2, rho=1.0)
         warm = solve_pqr_step(dyn, K, Y1, Y2, rho=1.0, max_iter=20000,
                               init=(cold.P, cold.Q, cold.R), dual0=cold.dual)
         assert warm.objective <= cold.objective + 1e-10
@@ -425,9 +449,9 @@ class TestPqrStep:
         K = np.stack([solve_lqr(dyn, (np.eye(n), np.eye(m))).K,
                       0.3 * rng.standard_normal((m, n))])
         Y1, Y2 = np.zeros((2, n, n)), np.zeros((2, m, n))
-        stacked = solve_pqr_step(dyn, K, Y1, Y2, rho=1.0, max_iter=250)
-        singles = [solve_pqr_step(dyn, K[i], Y1[i], Y2[i], rho=1.0,
-                                  max_iter=250) for i in range(2)]
+        stacked = solve_pqr_step(dyn, K, Y1, Y2, rho=1.0)
+        singles = [solve_pqr_step(dyn, K[i], Y1[i], Y2[i], rho=1.0)
+                   for i in range(2)]
         assert singles[0].iterations < singles[1].iterations
         self._assert_members_match(stacked, singles)
 
@@ -443,7 +467,7 @@ class TestPqrStep:
         K = 0.3 * rng.standard_normal((3, 2, 3))
         Y1 = 0.2 * rng.standard_normal((3, 3, 3))
         Y2 = 0.2 * rng.standard_normal((3, 2, 3))
-        kw = dict(rho=1.0, max_iter=120)
+        kw = dict(rho=1.0)
         stacked = solve_pqr_step(systems, K, Y1, Y2, **kw)
         singles = [solve_pqr_step(d, K[i], Y1[i], Y2[i], **kw)
                    for i, d in enumerate(systems)]
@@ -510,20 +534,45 @@ class TestPqrStep:
                            init=init)
 
 
+    @pytest.mark.parametrize("gains, bad, warm", [
+        ("single", "Y1", False), ("single", "Y1", True),
+        ("stack", "Y1", False), ("stack", "Y1", True),
+        ("stack", "init R0", True), ("single", "dual0", True)])
+    def test_rejects_arguments_off_the_gain_shape(self, gains, bad, warm):
+        # a single gain with stacked-of-one offsets, and a stack of gains
+        # with unstacked offsets, init or dual
+        dyn, cost, _ = build_small_random(0)
+        n, m = dyn.n, dyn.m
+        K = solve_lqr(dyn, cost).K
+        lead = () if gains == "single" else (2,)
+        K = np.broadcast_to(K, lead + (m, n))
+        Y1, Y2 = np.zeros(lead + (n, n)), np.zeros(lead + (m, n))
+        P0, R0 = np.broadcast_to(np.eye(n), lead + (n, n)), np.eye(m)
+        R0 = R0 if bad == "init R0" else np.broadcast_to(R0, lead + (m, m))
+        dual0 = np.zeros(lead + (n * (n + 1) + m * (m + 1) // 2,))
+        if bad == "Y1":
+            Y1 = Y1[0] if lead else Y1[None]
+        if bad == "dual0":
+            dual0 = dual0[:-1]
+        with pytest.raises(ValueError, match=bad):
+            solve_pqr_step(dyn, K, Y1, Y2, rho=1.0, max_iter=5, dual0=dual0,
+                           init=(P0, P0, R0) if warm else None)
+
+
 class TestPolish:
     """The face polish of a stack against the one-member reference, array
     for array."""
 
     @staticmethod
-    def _assert_matches_reference(engines, T1, T2, best, count):
+    def _assert_matches_reference(op, T1, T2, best, count):
         """The stack's result, and the face least squares (``lstsq``
         calls, counted in ``count``) of the stack and of the reference."""
         start = count[0]
-        got = conic_ls._polish(engines, T1, T2, best)
+        got = conic_ls._polish(op, T1, T2, best)
         stack = count[0] - start
         assert len(got) == len(best)
         for i, (t1, t2, b, g) in enumerate(zip(T1, T2, best, got)):
-            ref = polish_reference(engines.op.take(i), t1, t2, b)
+            ref = polish_reference(op.take(i), t1, t2, b)
             assert g[0] == ref[0]
             for x, y in zip(g[1:], ref[1:]):
                 assert np.array_equal(x, y)
@@ -553,9 +602,9 @@ class TestPolish:
         calls = []
         polish = conic_ls._polish
 
-        def record(engines, T1, T2, best):
-            calls.append((engines, T1.copy(), T2.copy(), list(best)))
-            return polish(engines, T1, T2, best)
+        def record(op, T1, T2, best):
+            calls.append((op, T1.copy(), T2.copy(), list(best)))
+            return polish(op, T1, T2, best)
 
         monkeypatch.setattr(conic_ls, "_polish", record)
         for (dyn, cost, sigma), Ns in ((build_small_random(0), (1, 5)),
@@ -601,9 +650,9 @@ class TestPolish:
             (low_rank(3, 2), low_rank(3, 1), np.eye(2) + low_rank(2, 1)),
             (low_rank(3, 3), np.zeros((3, 3)), np.eye(2) + low_rank(2, 2)),
             (low_rank(3, 1), low_rank(3, 2), np.eye(2))]
-        engines = conic_ls._SplitSolver(KalmanOperator(
-            np.stack([A] * 3), np.stack([B] * 3), np.stack(gains)))
-        ops = [engines.op.take(i) for i in range(3)]
+        stacked = KalmanOperator(np.stack([A] * 3), np.stack([B] * 3),
+                                 np.stack(gains))
+        ops = [stacked.take(i) for i in range(3)]
         T1, T2 = [], []
         for op, target in zip(ops, targets):
             M1, M2 = op.apply(*target)
@@ -618,7 +667,7 @@ class TestPolish:
         assert len({self._signature(b) for b in best}) == 3
         count = self._counting_lstsq(monkeypatch)
         got, stack, reference = self._assert_matches_reference(
-            engines, T1, T2, best, count)
+            stacked, T1, T2, best, count)
         # one solve per member, in the stack and in the reference
         assert (stack, reference) == (3, 3)
         assert got[0][0] < best[0][0] and got[1][0] < best[1][0]
