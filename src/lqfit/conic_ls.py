@@ -14,16 +14,19 @@ and the (P, Q, R) problem is
     subject to P >= 0,  Q >= 0,  R >= I,
 
 a linear least squares over a product of semidefinite cones, taken in an
-orthonormal svec parameterization.  A cold call (no warm start) solves
-each gain by one barrier method, whose damped Newton centering the reduced
-optimality check of :mod:`lqfit.riccati` shares.  A warm call (ADMM's
-inexact inner step) runs a fixed number of operator-splitting iterations
-(ADMM on the variable/copy pair), keeps the lower of its start and its
-last iterate and "polishes" that once, by an exact least squares on the
-active face of the cones.  A warm stack (gains of one size) is one stacked
-solver, run through the splitting loop in lockstep and polished as one
-stack, with one face least squares per member.  Each member's result is
-bit for bit that of solving it alone.  The K step takes stacks
+orthonormal svec parameterization.  The map is written out once, in
+:meth:`KalmanOperator.apply`: its matrix in svec coordinates and the face
+columns of the polish are read off it, and every solver here and in
+:mod:`lqfit.riccati` reads one block svec layout.  A cold call (no warm
+start) solves each gain by one barrier method, whose damped Newton
+centering the reduced optimality check of :mod:`lqfit.riccati` shares.  A
+warm call (ADMM's inexact inner step) runs a fixed number of
+operator-splitting iterations (ADMM on the variable/copy pair), keeps the
+lower of its start and its last iterate and "polishes" that once, by an
+exact least squares on the active face of the cones.  A warm stack (gains
+of one size) is run through the splitting loop in lockstep and polished
+as one stack, with one face least squares per member.  Each member's
+result is bit for bit that of solving it alone.  The K step takes stacks
 too, as one batched solve of its normal equations.
 """
 
@@ -343,9 +346,12 @@ class KalmanOperator:
 
     ``apply(P, Q, R) = (Q + A^T P F - P, R K + B^T P F)`` with F = A + B K;
     the constraint of an LQR-optimal K is ``apply(P, Q, R) = 0`` over
-    P >= 0, Q >= 0, R >= I.  ``apply`` broadcasts over stacks of matrices.
-    ``matrix()`` is the same map in coordinates: it sends the concatenated
-    orthonormal svec of (P, Q, R) to the row-major ravel of (M1, M2).
+    P >= 0, Q >= 0, R >= I.  ``apply`` broadcasts over stacks of matrices,
+    and it is the only place the map is written out: ``columns`` applies it
+    to stacks of basis matrices, each in its own block, and ``matrix()`` is
+    ``columns`` of the svec basis, the map in coordinates: it sends the
+    concatenated orthonormal svec of (P, Q, R) to the row-major ravel of
+    (M1, M2).
     A, B and K may carry a leading member axis: the operator is then a
     stack of operators of one size, and each member's matrices and values
     are bit for bit those of its own operator.
@@ -402,43 +408,10 @@ class KalmanOperator:
             -1, -2) for M in (M1, M2)], axis=-2)
 
     def matrix(self) -> np.ndarray:
-        """(n*n + m*n) x (2 dim_n + dim_m): column j is apply of the j-th
-        svec unit vector; one such matrix per member for a stack."""
-        n, m, F = self.n, self.m, self.F
-        En, Em = _svec(n).basis[0], _svec(m).basis[0]
-        dn, dm = len(En), len(Em)
-        lead = self.K.shape[:-2]
-
-        def columns(M, rows):
-            return M.reshape(lead + (M.shape[-3], rows)).swapaxes(-1, -2)
-
-        At, Bt = self.A.swapaxes(-1, -2), self.B.swapaxes(-1, -2)
-        Mat = np.zeros(lead + (n * n + m * n, 2 * dn + dm))
-        Mat[..., :n * n, :dn] = columns(_basis_sandwich(At, F) - En, n * n)
-        Mat[..., n * n:, :dn] = columns(_basis_sandwich(Bt, F), m * n)
-        Mat[..., :n * n, dn:2 * dn] = En.reshape(dn, n * n).T
-        Mat[..., n * n:, 2 * dn:] = columns(Em @ self.K[..., None, :, :],
-                                            m * n)
-        return Mat
-
-
-def _basis_sandwich(X, F):
-    """X E_k F for every svec basis matrix E_k of F's size, along the
-    next-to-last leading axis: the einsum "...ab,kbc,...cd->...kad" of X,
-    the basis and F, bit for bit.  E_k has the entry e at (i, j) and
-    (j, i), so the einsum's only nonzero products are (X[:, i] e) F[j, :]
-    and (X[:, j] e) F[i, :] (one of them on the diagonal); both are added
-    to 0.0, as the einsum adds its products to a zeroed output, and the
-    other products are signed zeros, which change no sum."""
-    i, j = np.triu_indices(F.shape[-1])
-    e = _svec(F.shape[-1]).basis[0][np.arange(len(i)), i, j][:, None, None]
-
-    def term(a, b):
-        return ((X[..., :, a].swapaxes(-1, -2)[..., None] * e)
-                * F[..., b, None, :])
-
-    return (0.0 + term(i, j)) + np.where((i == j)[:, None, None], 0.0,
-                                         term(j, i))
+        """(n*n + m*n) x (2 dim_n + dim_m): :meth:`columns` of the svec
+        basis of (P, Q, R), so column j is apply of the j-th svec unit
+        vector; one such matrix per member for a stack."""
+        return self.columns(*_svec(self.n, self.n, self.m).basis)
 
 
 def _face_bases(w, V, floor):

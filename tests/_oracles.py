@@ -240,30 +240,6 @@ def _project_psd(S, floor=0.0):
     return 0.5 * (M + M.swapaxes(-1, -2))
 
 
-def operator_matrix_reference(op):
-    """``op.matrix()`` by its general formula: column j of the P block is
-    A^T E_j F - E_j over R^(n x n) and B^T E_j F over R^(m x n), each
-    formed by one three-operand einsum over the svec basis E_j (summed
-    into a zeroed output, so products of zeros leave +0.0)."""
-    n, m, F = op.n, op.m, op.F
-    En, Em = _svec_basis(n), _svec_basis(m)
-    dn, dm = len(En), len(Em)
-    lead = op.K.shape[:-2]
-
-    def columns(M, rows):
-        return M.reshape(lead + (M.shape[-3], rows)).swapaxes(-1, -2)
-
-    At, Bt = op.A.swapaxes(-1, -2), op.B.swapaxes(-1, -2)
-    Mat = np.zeros(lead + (n * n + m * n, 2 * dn + dm))
-    Mat[..., :n * n, :dn] = columns(
-        np.einsum("...ab,kbc,...cd->...kad", At, En, F) - En, n * n)
-    Mat[..., n * n:, :dn] = columns(
-        np.einsum("...ab,kbc,...cd->...kad", Bt, En, F), m * n)
-    Mat[..., :n * n, dn:2 * dn] = En.reshape(dn, n * n).T
-    Mat[..., n * n:, 2 * dn:] = columns(Em @ op.K[..., None, :, :], m * n)
-    return Mat
-
-
 def _svec_basis(k):
     """The symmetric k x k matrices whose orthonormal svec are the unit
     vectors, in triu order: 1 on a diagonal entry, 1/sqrt 2 on an

@@ -11,8 +11,8 @@ from lqfit.kalman_fit import AdmmConfig, fit_kalman_batch
 from lqfit.linsys import DemoSet, LinearDynamics, generate_demos
 from lqfit.riccati import solve_lqr
 
-from _oracles import (_face_basis, operator_matrix_reference,
-                      polish_reference, pqr_barrier, pqr_projected_gradient,
+from _oracles import (_face_basis, _svec_basis, polish_reference,
+                      pqr_barrier, pqr_projected_gradient,
                       random_controllable)
 
 
@@ -255,9 +255,10 @@ class TestKalmanOperator:
                                np.concatenate([M1.ravel(), M2.ravel()]),
                                rtol=1e-12, atol=1e-12)
 
-    def test_matrix_equals_einsum_reference_bit_for_bit(self):
-        # stacks and single operators; K = 0 and rows of -0.0 in A and B
-        # make products of signed zeros, whose sum must keep its sign bit
+    def test_matrix_equals_apply_of_each_basis_matrix_bit_for_bit(self):
+        # one apply call per svec basis matrix, for stacks and single
+        # operators; K = 0 and rows of -0.0 in A and B make products of
+        # signed zeros, whose sum must keep its sign bit
         rng = np.random.default_rng(23)
         for trial in range(300):
             n, m, S = (int(k) for k in rng.integers(1, (6, 4, 4)))
@@ -271,7 +272,15 @@ class TestKalmanOperator:
                 B[:, rng.integers(n)] = -0.0
             op = (KalmanOperator(A, B, K) if trial % 4 < 2
                   else KalmanOperator(A[0], B[0], K[0]))
-            got, ref = op.matrix(), operator_matrix_reference(op)
+            n, m, lead = op.n, op.m, op.K.shape[:-2]
+            zn, zm = np.zeros((n, n)), np.zeros((m, m))
+            blocks = ([(E, zn, zm) for E in _svec_basis(n)]
+                      + [(zn, E, zm) for E in _svec_basis(n)]
+                      + [(zn, zn, E) for E in _svec_basis(m)])
+            ref = np.stack([np.concatenate([M.reshape(lead + (-1,))
+                                            for M in op.apply(*X)], axis=-1)
+                            for X in blocks], axis=-1)
+            got = op.matrix()
             assert np.array_equal(got, ref)
             assert np.array_equal(np.signbit(got), np.signbit(ref))
 
@@ -532,7 +541,6 @@ class TestPqrStep:
             solve_pqr_step(dyn, np.zeros((1, 1)), np.zeros((1, 1)),
                            np.zeros((1, 1)), rho=1.0, max_iter=max_iter,
                            init=init)
-
 
     @pytest.mark.parametrize("gains, bad, warm", [
         ("single", "Y1", False), ("single", "Y1", True),
