@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linsys import (STABILITY_MARGIN, DemoSet, LinearDynamics, _min_eig,
-                     _sym, solve_lyapunov_stein, spectral_radius)
+                     _row_norms, _sym, solve_lyapunov_stein, spectral_radius)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -76,7 +76,7 @@ class LossSpec:
         if self.kind not in ("quadratic", "huber"):
             raise ValueError(f"unknown loss kind {self.kind!r}")
         if self.kind == "huber":
-            if self.huber_m is None or self.huber_m <= 0:
+            if self.huber_m is None or not self.huber_m > 0:
                 raise ValueError("huber loss requires huber_m > 0")
 
 
@@ -90,7 +90,7 @@ class RegularizerSpec:
     def __post_init__(self):
         if self.kind != "ridge":
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
-        if self.weight < 0:
+        if not self.weight >= 0:
             raise ValueError("ridge weight must be nonnegative")
 
 
@@ -108,7 +108,7 @@ def project_psd(S: np.ndarray, floor: float = 0.0) -> np.ndarray:
 
 def huber_value(a: float, M: float):
     """Huber penalty: a^2/2 for |a| <= M, else M|a| - M^2/2."""
-    if M <= 0:
+    if not M > 0:
         raise ValueError("huber parameter M must be positive")
     a = np.abs(np.asarray(a, dtype=float))
     out = np.where(a <= M, 0.5 * a * a, M * a - 0.5 * M * M)
@@ -202,8 +202,8 @@ def solve_k_step(demos: DemoSet | list[DemoSet], loss: LossSpec,
     Exact linear solve for the quadratic loss; IRLS around the same solve
     for the Huber loss.  rho = 0 drops the penalty entirely (plain policy
     fitting) and needs neither the system nor (P, Q, R, Y1, Y2).  Raises
-    SingularFitError when lam = 0, rho = 0 and the demonstration states
-    are rank deficient.
+    ValueError unless rho >= 0 (NaN included), and SingularFitError when
+    lam = 0, rho = 0 and the demonstration states are rank deficient.
 
     P, Q, R, Y1 and Y2 may also carry a leading member axis, with
     ``demos`` and ``dyn`` each either shared or a list holding one entry
@@ -215,6 +215,8 @@ def solve_k_step(demos: DemoSet | list[DemoSet], loss: LossSpec,
     (the members' demonstration counts differ) and stops each member on
     its own test.  Each member's gain is bit for bit that of its own call.
     """
+    if not rho >= 0:
+        raise ValueError("rho must be nonnegative")
     lead = P is not None and np.ndim(P) == 3
     count = len(P) if lead else 1
     terms = [d.cached(demo_terms) for d in per_member(demos, count)]
@@ -432,12 +434,6 @@ def _face_bases(w, V, floor):
 def _lower(a, b):
     """The (objective, P, Q, R) tuple with the lower objective; a on ties."""
     return b if b[0] < a[0] else a
-
-
-def _row_norms(V):
-    """Euclidean norms along the last axis, bit-equal to np.linalg.norm of
-    each row: both take one BLAS dot product per row."""
-    return np.sqrt((V[..., None, :] @ V[..., :, None])[..., 0, 0])
 
 
 def _reaches(w, floor):
@@ -694,7 +690,7 @@ def solve_pqr_step(dyn: LinearDynamics | list[LinearDynamics], K, Y1, Y2,
     except ``iterations``, the most any member took.  Each member's result
     is bit for bit that of its own call.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError("rho must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import conic_ls, fitting, riccati
 from .conic_ls import LossSpec, RegularizerSpec
-from .linsys import DemoSet, LinearDynamics
+from .linsys import DemoSet, LinearDynamics, _row_norms
 
 
 # The splitting iterations of each sweep's (P, Q, R) step.
@@ -68,11 +68,11 @@ class AdmmConfig:
     eps: float = 1e-6
 
     def __post_init__(self):
-        if self.rho <= 0:
+        if not self.rho > 0:
             raise ValueError("rho must be positive")
         if self.n_iter < 1:
             raise ValueError("n_iter must be at least 1")
-        if self.eps < 0:
+        if not self.eps >= 0:
             raise ValueError("eps must be nonnegative")
 
 
@@ -272,7 +272,7 @@ def _run_lockstep(starts, members, loss, reg, config):
         # np.linalg.norm of its difference
         step = np.full(len(active), np.inf)
         dK = new.K[ok] - batch.K[ok]
-        step[ok] = conic_ls._row_norms(dK.reshape(len(dK), new.K[0].size))
+        step[ok] = _row_norms(dK.reshape(len(dK), new.K[0].size))
         keep = ok & ~(step < config.eps)
         for j in np.flatnonzero(~keep).tolist():
             if errors[j] is not None:

@@ -255,6 +255,12 @@ def spectral_radius(M: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvals(M)).max())
 
 
+def _row_norms(V):
+    """Euclidean norms along the last axis, bit-equal to np.linalg.norm of
+    each row: both take one BLAS dot product per row."""
+    return np.sqrt((V[..., None, :] @ V[..., :, None])[..., 0, 0])
+
+
 def solve_lyapunov_stein(F: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Solve P = C + F^T P F for symmetric C with rho(F) < 1.
 
@@ -263,17 +269,38 @@ def solve_lyapunov_stein(F: np.ndarray, C: np.ndarray) -> np.ndarray:
     once a step moves P by at most 1e-12 relative to 1 + ||P||_F, or after
     200 steps.  The stationary state covariance X = F X F^T + W is the
     transposed variant: pass F.T.
+
+    C may carry leading axes, a stack of right-hand sides sharing one F:
+    F is then squared once per step for the whole stack, each member
+    stops on its own test and leaves the stack, and every result is bit
+    for bit that of solving its member alone.
     """
-    P = _sym(np.asarray(C, dtype=float))
-    Fk = np.asarray(F, dtype=float).copy()
+    C = np.asarray(C, dtype=float)
+    n = C.shape[-1]
+    P = _sym(C).reshape(-1, n, n)
+    out = np.empty_like(P)
+    act = np.arange(len(P))
+    Fk = np.array(F, dtype=float)
     for _ in range(_LYAP_MAX_ITER):
         Pn = _sym(P + Fk.T @ P @ Fk)
         Fk = Fk @ Fk
-        if (np.linalg.norm(Pn - P, "fro")
-                <= _LYAP_TOL * (1.0 + np.linalg.norm(Pn, "fro"))):
-            return Pn
+        S = len(P)
+        # ||Pn - P||_F and ||Pn||_F of every member, as floats
+        norms = _row_norms(np.concatenate((Pn - P, Pn)).reshape(
+            2 * S, n * n)).tolist()
+        stop = [step <= _LYAP_TOL * (1.0 + size)
+                for step, size in zip(norms[:S], norms[S:])]
+        if True in stop:
+            if False not in stop:
+                out[act] = Pn
+                break
+            keep = np.logical_not(stop)
+            out[act[~keep]] = Pn[~keep]
+            Pn, act = Pn[keep], act[keep]
         P = Pn
-    return P
+    else:
+        out[act] = P
+    return out.reshape(C.shape)
 
 
 def stationary_covariance(dyn: LinearDynamics, K: np.ndarray,

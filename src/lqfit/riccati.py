@@ -24,10 +24,13 @@ every solution has P = Lyap(F, Q + K^T R K), so the question reduces to
 whether the null space of one linear map in (Q, R) meets
 {Q >= 0, R >= I} (Kalman 1964, "When is a linear control system
 optimal?"; Boyd et al. 1994, *LMIs in System and Control Theory*,
-section 10.6).  A barrier method in that reduced space ends in a
-certificate or in a Farkas witness, each verified up to a stated roundoff
-slack, or else in "undecided", which proves nothing.  Unstable modes in
-ker K are split off first.
+section 10.6).  The map's columns need one Stein equation per svec basis
+matrix of Q, n(n + 1)/2 in all; they are solved as one stack that shares
+one doubling loop (:func:`lqfit.linsys.solve_lyapunov_stein`), each
+solution bit for bit that of its own call.  A barrier method in that
+reduced space ends in a certificate or in a Farkas witness, each verified
+up to a stated roundoff slack, or else in "undecided", which proves
+nothing.  Unstable modes in ker K are split off first.
 
 The Riccati solver is a structure-preserving doubling iteration
 (quadratically convergent, no external solver).  On badly scaled systems
@@ -292,9 +295,11 @@ def _unstable_mode_witness(K, lam, V):
 def _reduced_map(F, B, K):
     """(Q, R) -> R K + B^T P(Q, R) F with P(Q, R) = Lyap(F, Q + K^T R K), as
     an (m n) x (dim_n + dim_m) matrix from orthonormal svec coordinates of
-    (Q, R) to the row-major ravel of the m x n result."""
+    (Q, R) to the row-major ravel of the m x n result.  The n(n + 1)/2
+    Stein equations of the Q basis are solved as one stack, sharing one
+    doubling loop; each solution is bit for bit that of its own call."""
     En, Em = conic_ls._svec(*B.shape).basis
-    PE = np.stack([solve_lyapunov_stein(F, E) for E in En])
+    PE = solve_lyapunov_stein(F, En)
     # P is linear in Q + K'RK, so the R columns reuse the Q solves
     PR = np.tensordot(conic_ls._svec(len(F)).join([K.T @ Em @ K]), PE,
                       axes=1)
@@ -462,9 +467,10 @@ def check_kalman_feasible(dyn: LinearDynamics, K,
        complement of those modes, re-checked on the whole system, answers
        ``feasible``; anything else is ``undecided``.
 
-    Raises ValueError on a non-finite K.  ``tol`` defaults to
-    1e-6 * (1 + ||K||_F).  Answers without a certificate carry the cone
-    point (0, 0, I) with its residual ||K||_F as ``certificate``.
+    Raises ValueError on a non-finite K and on a ``tol`` that is not
+    finite and >= 0 (NaN would switch off every residual test).  ``tol``
+    defaults to 1e-6 * (1 + ||K||_F).  Answers without a certificate carry
+    the cone point (0, 0, I) with its residual ||K||_F as ``certificate``.
     ``iterations`` counts the barrier's Newton steps: 0 on route 1 and
     when a test from (I, I) answers.  The witness tests allow for
     roundoff: an unstable mode needs |K v| > _WITNESS_SLACK * (1 + ||K||_2)
@@ -479,7 +485,10 @@ def check_kalman_feasible(dyn: LinearDynamics, K,
         raise ValueError(f"gain must be {dyn.m}x{dyn.n}, got shape {K.shape}")
     if tol is None:
         tol = 1e-6 * (1.0 + np.linalg.norm(K, "fro"))
-    return _check(dyn.A, dyn.B, K, float(tol))
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    return _check(dyn.A, dyn.B, K, tol)
 
 
 def _check(A, B, K, tol):

@@ -346,3 +346,31 @@ def rollout_reference(dyn, cost, K, horizon, rng_seed, input_noise_cov=None):
         U = U + Z
     input_cost = np.einsum("it,ij,jt->", U, R, U)
     return float((state_cost + input_cost) / horizon)
+
+
+def stein_reference(F, C, tol=1e-12, max_iter=200):
+    """P = C + F'PF for one matrix C by squared Smith doubling, with the
+    stop test written as two Frobenius norms: a step that moves P by at
+    most tol * (1 + ||P||_F) is the last."""
+    P = _sym(np.asarray(C, dtype=float))
+    Fk = np.asarray(F, dtype=float).copy()
+    for _ in range(max_iter):
+        Pn = _sym(P + Fk.T @ P @ Fk)
+        Fk = Fk @ Fk
+        if (np.linalg.norm(Pn - P, "fro")
+                <= tol * (1.0 + np.linalg.norm(Pn, "fro"))):
+            return Pn
+        P = Pn
+    return P
+
+
+def reduced_map_reference(F, B, K):
+    """``riccati._reduced_map`` with one Stein solve per svec basis matrix
+    of Q, each by :func:`stein_reference`, and the same assembly."""
+    from lqfit.conic_ls import _svec
+
+    En, Em = _svec(*B.shape).basis
+    PE = np.stack([stein_reference(F, E) for E in En])
+    PR = np.tensordot(_svec(len(F)).join([K.T @ Em @ K]), PE, axes=1)
+    cols = np.concatenate([B.T @ PE @ F, Em @ K + B.T @ PR @ F])
+    return cols.reshape(len(cols), -1).T

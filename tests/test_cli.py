@@ -284,3 +284,23 @@ def test_system_matrix_sizes_checked(tmp_path, capsys):
             _TWO_STATE, **{field: np.eye(size).tolist()}))
         assert main(["lqr", "--system", spath]) == 1
         assert f"{field} must be {expected}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, name", [
+    (["check-kalman", "--tol", "nan"], "tol"),
+    (["check-kalman", "--tol", "-1"], "tol"),
+    (["fit-kalman", "--rho", "nan"], "rho"),
+    (["fit-kalman", "--eps", "nan"], "eps"),
+    (["fit-kalman", "--loss", "huber", "--huber-m", "nan"], "huber_m"),
+])
+def test_nan_parameter_exits_one(tmp_path, system_file, demos_file, capsys,
+                                 flags, name):
+    spath, dyn, cost = system_file
+    dpath, _, K = demos_file
+    gain = tmp_path / "gain.json"
+    gain.write_text(json.dumps({"K": K.tolist()}))
+    extra = (["--gain", str(gain)] if flags[0] == "check-kalman"
+             else ["--demos", str(dpath), "--iters", "2"])
+    assert main([flags[0], "--system", str(spath), *extra,
+                 *flags[1:]]) == 1
+    assert name in capsys.readouterr().err

@@ -9,7 +9,7 @@ from lqfit.conic_ls import (KalmanOperator, LossSpec, RegularizerSpec,
                             solve_k_step, solve_pqr_step)
 from lqfit.kalman_fit import AdmmConfig, fit_kalman_batch
 from lqfit.linsys import DemoSet, LinearDynamics, generate_demos
-from lqfit.riccati import solve_lqr
+from lqfit.riccati import check_kalman_feasible, solve_lqr
 
 from _oracles import (_face_basis, _svec_basis, polish_reference,
                       pqr_barrier, pqr_projected_gradient,
@@ -96,6 +96,48 @@ class TestHuber:
     def test_nonpositive_m_rejected(self):
         with pytest.raises(ValueError):
             huber_value(1.0, 0.0)
+
+
+_NAN = float("nan")
+_GUARD_DYN = LinearDynamics(A=0.5 * np.eye(2), B=np.eye(2)[:, :1],
+                            W=np.zeros((2, 2)))
+_GUARD_K = np.array([[-0.2, 0.0]])
+_GUARD_ZEROS = (np.zeros((2, 2)), np.zeros((1, 2)))
+_GUARD_INIT = (np.eye(2), np.eye(2), np.eye(1))
+_GUARD_DEMOS = DemoSet(states=np.eye(2), inputs=np.ones((2, 1)))
+
+
+@pytest.mark.parametrize("name, call", [
+    ("rho", lambda: AdmmConfig(rho=_NAN)),
+    ("eps", lambda: AdmmConfig(eps=_NAN)),
+    ("ridge weight", lambda: RegularizerSpec("ridge", _NAN)),
+    ("huber_m", lambda: LossSpec("huber", huber_m=_NAN)),
+    ("huber parameter M", lambda: huber_value(1.0, _NAN)),
+    ("rho", lambda: solve_pqr_step(_GUARD_DYN, _GUARD_K, *_GUARD_ZEROS,
+                                   rho=_NAN)),
+    ("rho", lambda: solve_pqr_step(_GUARD_DYN, _GUARD_K, *_GUARD_ZEROS,
+                                   rho=_NAN, init=_GUARD_INIT, max_iter=5)),
+    ("rho", lambda: solve_k_step(_GUARD_DEMOS, QUAD, NO_REG, _NAN,
+                                 *_GUARD_INIT, *_GUARD_ZEROS, _GUARD_DYN)),
+    ("tol", lambda: check_kalman_feasible(_GUARD_DYN, _GUARD_K, tol=_NAN)),
+    ("tol", lambda: check_kalman_feasible(_GUARD_DYN, _GUARD_K, tol=-1e-6)),
+    ("tol", lambda: check_kalman_feasible(_GUARD_DYN, _GUARD_K,
+                                          tol=float("inf"))),
+], ids=["admm-rho", "admm-eps", "ridge", "huber-spec", "huber-value",
+        "pqr-cold", "pqr-warm", "k-step", "tol-nan", "tol-negative",
+        "tol-inf"])
+def test_rejects_nan_and_out_of_range_parameters(name, call):
+    """NaN fails every `x <= 0`-style test, so each guard must reject it
+    (and tol must be finite and nonnegative), naming the parameter."""
+    with pytest.raises(ValueError, match=name):
+        call()
+
+
+def test_parameter_guards_keep_their_boundary_values():
+    AdmmConfig(eps=0.0)
+    RegularizerSpec("ridge", 0.0)
+    assert solve_k_step(_GUARD_DEMOS, QUAD, NO_REG, 0.0).shape == (1, 2)
+    assert check_kalman_feasible(_GUARD_DYN, _GUARD_K, tol=0.0).tol == 0.0
 
 
 def _kstep_plain(demos, loss, reg):

@@ -13,7 +13,7 @@ from lqfit.linsys import (CostMatrices, DemoSet, LinearDynamics,
                           stationary_covariance)
 from lqfit.riccati import solve_lqr
 
-from _oracles import rollout_reference
+from _oracles import rollout_reference, stein_reference
 
 
 @pytest.fixture
@@ -133,6 +133,51 @@ class TestClosedLoopCost:
             assert w.min() >= -1e-8 * (1.0 + np.linalg.norm(P))
             # residual of the fixed point
             assert np.linalg.norm(P - C - F.T @ P @ F) <= 1e-9 * (1 + np.linalg.norm(P))
+
+
+def _stein_case(n, radius, seed):
+    """F of spectral radius ``radius`` and symmetric right-hand sides
+    scaled from 1e-6 to 1e6, which stop the doubling at different steps."""
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((n, n))
+    F *= radius / spectral_radius(F)
+    C = rng.standard_normal((6, n, n))
+    C = (C + C.swapaxes(1, 2)) * np.logspace(-6, 6, 6)[:, None, None]
+    return F, C
+
+
+@pytest.mark.parametrize("radius", [0.1, 0.5, 0.9, 0.999])
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_stein_stack_equals_one_call_per_matrix(n, radius):
+    F, C = _stein_case(n, radius, seed=n)
+    each = np.array([solve_lyapunov_stein(F, Ci) for Ci in C])
+    assert np.array_equal(each, [stein_reference(F, Ci) for Ci in C])
+    for idx in ([2], [0, 3, 5]):
+        assert np.array_equal(solve_lyapunov_stein(F, C[idx]), each[idx])
+    grid = solve_lyapunov_stein(F, C.reshape(2, 3, n, n))
+    assert grid.shape == (2, 3, n, n)
+    assert np.array_equal(grid, each.reshape(2, 3, n, n))
+
+
+def test_stein_two_dimensional_call_returns_a_matrix():
+    F, C = _stein_case(4, 0.999, seed=0)
+    P = solve_lyapunov_stein(F, C[0])
+    assert P.shape == (4, 4)
+    assert np.linalg.norm(P - C[0] - F.T @ P @ F) <= 1e-9 * np.linalg.norm(P)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-300, 1e-160, 1.0, 1e150, 1e200])
+def test_row_norms_equal_np_linalg_norm_bit_for_bit(scale):
+    rng = np.random.default_rng(3)
+    for k in (1, 7, 16, 33):
+        V = rng.standard_normal((2, 5, k)) * scale
+        W = rng.standard_normal((3, k + 1)) * scale
+        with np.errstate(over="ignore"):
+            expect = [[np.linalg.norm(v) for v in rows] for rows in V]
+            assert np.array_equal(linsys._row_norms(V), expect)
+            # rows read out of a wider array
+            assert np.array_equal(linsys._row_norms(W[:, 1:]),
+                                  [np.linalg.norm(w[1:]) for w in W])
 
 
 class TestRollout:

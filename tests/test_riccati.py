@@ -12,10 +12,10 @@ from lqfit.bench import build_aircraft, build_small_random
 from lqfit.conic_ls import KalmanOperator
 from lqfit.linsys import LinearDynamics, spectral_radius
 from lqfit.riccati import (ConvergenceError, FarkasWitness, KalmanCertificate,
-                           UnstableModeWitness, are_residual,
+                           UnstableModeWitness, _reduced_map, are_residual,
                            check_kalman_feasible, kalman_residual, solve_lqr)
 
-from _oracles import random_controllable
+from _oracles import random_controllable, reduced_map_reference
 
 
 def _dyn(A, B):
@@ -215,6 +215,31 @@ class TestFeasibility:
 def _dare_gain(dyn, Q, R):
     P = solve_discrete_are(dyn.A, dyn.B, Q, R)
     return -np.linalg.solve(R + dyn.B.T @ P @ dyn.B, dyn.B.T @ P @ dyn.A)
+
+
+def _random_weight_lqr(n, m, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) / math.sqrt(n)
+    B = rng.standard_normal((n, m))
+    G, H = rng.standard_normal((n, n)), rng.standard_normal((m, m))
+    dyn = LinearDynamics(A=A, B=B, W=np.eye(n))
+    return dyn, _dare_gain(dyn, G @ G.T, np.eye(m) + H @ H.T)
+
+
+@pytest.mark.parametrize("case", ["747", "n1", "n4", "n8", "n12"])
+def test_reduced_map_equals_one_stein_solve_per_basis_matrix(case):
+    """The stacked Stein solves of the reduced map against one solve per
+    basis matrix, by the norm-based reference loop, bit for bit."""
+    if case == "747":
+        dyn, cost, _ = build_aircraft()
+        K = solve_lqr(dyn, cost).K
+    else:
+        n = int(case[1:])
+        dyn, K = _random_weight_lqr(n, max(1, n // 3), seed=n)
+    F = dyn.closed_loop(K)
+    assert spectral_radius(F) < 1.0
+    assert np.array_equal(_reduced_map(F, dyn.B, K),
+                          reduced_map_reference(F, dyn.B, K))
 
 
 class TestFeasibilityRoutes:
