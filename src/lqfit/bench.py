@@ -31,8 +31,8 @@ from . import fitting, kalman_fit, riccati
 from .conic_ls import LossSpec, RegularizerSpec, project_psd
 from .kalman_fit import AdmmConfig
 from .linsys import (STABILITY_MARGIN, CostMatrices, LinearDynamics,
-                     closed_loop_cost, generate_demos, load_system,
-                     rollout_cost_estimate, spectral_radius)
+                     _check_count, closed_loop_cost, generate_demos,
+                     load_system, rollout_cost_estimate, spectral_radius)
 
 EXPERIMENTS = ("small_random", "aircraft", "outliers", "custom")
 METHODS = ("pf", "kalman", "expert", "optimal")
@@ -55,14 +55,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if not self.N_values:
-            raise ValueError("N_values must be nonempty")
-        if not self.seeds:
-            raise ValueError("seeds must be nonempty")
         if self.experiment == "custom" and not self.dynamics_path:
             raise ValueError("custom experiment requires dynamics_path")
-        object.__setattr__(self, "N_values", tuple(int(v) for v in self.N_values))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        for name, least in (("N_values", 1), ("seeds", 0)):
+            values = tuple(_check_count(v, name, least)
+                           for v in getattr(self, name))
+            if not values:
+                raise ValueError(f"{name} must be nonempty")
+            object.__setattr__(self, name, values)
+        _check_count(self.expert_eval_horizon, "expert_eval_horizon", 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,8 +18,8 @@ orthonormal svec parameterization.  The map is written out once, in
 :meth:`KalmanOperator.apply`: its matrix in svec coordinates and the face
 columns of the polish are read off it, and every solver here and in
 :mod:`lqfit.riccati` reads one block svec layout.  A cold call (no warm
-start) solves each gain by one barrier method, whose damped Newton
-centering the reduced optimality check of :mod:`lqfit.riccati` shares.  A
+start) solves each gain by one barrier method, on the one central path
+that the reduced optimality check of :mod:`lqfit.riccati` runs too.  A
 warm call (ADMM's inexact inner step) runs a fixed number of
 operator-splitting iterations (ADMM on the variable/copy pair), keeps the
 lower of its start and its last iterate and "polishes" that once, by an
@@ -49,9 +49,10 @@ _POLISH_ACT_TOL = 1e-5
 # A warm call reports convergence when both splitting residuals of its last
 # iteration are at most _CONVERGED (1 + ||z||).
 _CONVERGED = 1e-11
-# Barrier centering ends at Newton decrement _CENTERED or after _CENTER_MAX
-# steps.  A cold call's barrier stops at gap bound _BARRIER_GAP (1 + f), 14
-# to 21 centerings on the test problems, or after _BARRIER_ROUNDS of them.
+# The two barrier methods (cold calls, the reduced check) share one central
+# path; its centerings end at Newton decrement _CENTERED or after
+# _CENTER_MAX steps.  A cold call stops at gap bound _BARRIER_GAP (1 + f),
+# 14 to 21 centerings on the test problems, or after _BARRIER_ROUNDS.
 _CENTERED, _CENTER_MAX = 1e-7, 50
 _BARRIER_GAP, _BARRIER_ROUNDS = 1e-12, 60
 
@@ -558,35 +559,52 @@ def _split(op, Mat, G, T1, T2, P0, Q0, R0, u0, max_iter):
         best, converged.tolist(), rp.tolist(), rd.tolist(), u)]
 
 
-def _center(z, newton, inside, steps):
-    """Damped Newton centering for a barrier method (Boyd & Vandenberghe,
-    *Convex Optimization*, 9.6 and 11.3): the last point, and ``steps``
-    plus the Newton steps taken.  ``newton(z)`` gives the Newton step at z
-    and its decrement, ``inside(z)`` whether z is in the barrier's domain.
-    Steps are damped by 1 / (1 + decrement) while it exceeds 0.25.  Ends
-    at decrement _CENTERED, at a step out of the domain or after
-    _CENTER_MAX steps.
+def _central_path(svec, C, z, t, w, grad, hess=lambda t: 0.0, a=None):
+    """Yield (z, t, Newton steps so far) after each centering of a barrier
+    method at t, 10 t, 100 t, ... (Boyd & Vandenberghe, *Convex
+    Optimization*, 10.2 and 11.3).  The centering at t minimizes t f(z) +
+    <w, z> - sum log det X over the blocks X of ``svec.split(C z)``,
+    keeping ``a`` z fixed (rows of equality constraints, default none);
+    ``grad(z, t)`` and ``hess(t)`` are the gradient and Hessian of t f.
+    Newton steps are damped by 1 / (1 + decrement) while it exceeds 0.25.
+    A centering ends at decrement _CENTERED, at a step out of the domain
+    or after _CENTER_MAX steps; the path ends, after yielding the point
+    reached, at a singular block or Newton system.
     """
-    for _ in range(_CENTER_MAX):
-        steps += 1
-        dz, decrement = newton(z)
-        if not decrement > _CENTERED:
-            break
-        # inside the domain by self-concordance, up to roundoff
-        step = z + dz / (1.0 + decrement if decrement > 0.25 else 1.0)
-        if not inside(step):
-            break
-        z = step
-    return z, steps
+    D, steps, p = svec.split(C.T), 0, len(z)
+    a = np.zeros((0, p)) if a is None else a
+    kkt, rhs = np.zeros((p + len(a), p + len(a))), np.zeros(p + len(a))
+    kkt[p:, :p], kkt[:p, p:] = a, a.T
+    while True:
+        try:
+            for _ in range(_CENTER_MAX):
+                steps += 1
+                inv = [np.linalg.inv(X) for X in svec.split(C @ z)]
+                kkt[:p, :p] = svec.join([Xi @ Dk @ Xi for Xi, Dk
+                                         in zip(inv, D)]) @ C + hess(t)
+                rhs[:p] = C.T @ svec.join(inv) - w - grad(z, t)
+                dz = np.linalg.solve(kkt, rhs)[:p]
+                decrement = math.sqrt(max(rhs[:p] @ dz, 0.0))
+                if not decrement > _CENTERED:
+                    break
+                # inside the domain by self-concordance, up to roundoff
+                step = z + dz / (1.0 + decrement if decrement > 0.25 else 1.0)
+                if not min(map(_min_eig, svec.split(C @ step))) > 0.0:
+                    break
+                z = step
+        except np.linalg.LinAlgError:
+            yield z, t, steps
+            return
+        yield z, t, steps
+        t *= 10.0
 
 
 def _barrier(op, Mat, G, T1, T2):
     """Solve the problem of ``op`` (one member, with its matrix ``Mat`` and
-    G = 2 Mat^T Mat) with offsets (T1, T2) by a barrier
-    method: over y = svec(P, Q, R - I), minimize t f(y) + <W, y>
-    - log det P - log det Q - log det(R - I), f = ||apply(P, Q, R) +
-    (T1, T2)||^2 = ||Mat y + c||^2, t tenfold per centering from
-    nu / (1 + f(y0)), nu = 2n + m.
+    G = 2 Mat^T Mat) with offsets (T1, T2) on :func:`_central_path`: over
+    y = svec(P, Q, R - I), minimize t f(y) + <W, y> - log det P - log det Q
+    - log det(R - I), f = ||apply(P, Q, R) + (T1, T2)||^2 = ||Mat y +
+    c||^2, from t = nu / (1 + f(y0)), nu = 2n + m.
 
     The start y0 is (P, Q, R) = 2 (Lyap(F, I + K'K), I, I) if F is stable
     (zero residual when K is optimal for unit weights), else (I, I, 2I).
@@ -595,9 +613,9 @@ def _barrier(op, Mat, G, T1, T2):
     K = 0), where a plain barrier has none.  It stops once the gap bound
     (nu + <W, y>) / t, a bound at a center while <W, y*> <= 2 <W, y> at
     the optimum y*, is below _BARRIER_GAP (1 + f), after _BARRIER_ROUNDS
-    centerings, or at a singular block or Newton system.  Returns
-    :func:`_split`'s tuple: ((objective, P, Q, R), Newton steps,
-    whether the gap test held, 0.0, the gap bound, a zero dual).
+    centerings, or where the path ends.  Returns :func:`_split`'s tuple:
+    ((objective, P, Q, R), Newton steps, whether the gap test held, 0.0,
+    the gap bound, a zero dual).
     """
     n, m = op.n, op.m
     svec = _svec(n, n, m)
@@ -612,35 +630,15 @@ def _barrier(op, Mat, G, T1, T2):
         return r @ r
 
     w = svec.join([np.linalg.inv(X) for X in start])
-    y, nu, failed = svec.join(start), 2 * n + m, False
-    t = nu / (1.0 + f(y))
-
-    def newton(y):
-        nonlocal failed
-        try:
-            inv = [np.linalg.inv(X) for X in svec.split(y)]
-            H = t * G
-            for k, a, b, E, Xi in zip(svec.sizes, svec.cuts, svec.cuts[1:],
-                                      svec.basis, inv):
-                H[a:b, a:b] += _svec(k).join([Xi @ E @ Xi])
-            rhs = svec.join(inv) - w - 2.0 * t * ((Mat @ y + c) @ Mat)
-            dy = np.linalg.solve(H, rhs)
-        except np.linalg.LinAlgError:
-            failed = True
-            return None, 0.0
-        return dy, math.sqrt(max(rhs @ dy, 0.0))
-
-    def inside(y):
-        return min(map(_min_eig, svec.split(y))) > 0.0
-
-    steps, converged = 0, False
-    for _ in range(_BARRIER_ROUNDS):
-        if failed or converged:
-            break
-        y, steps = _center(y, newton, inside, steps)
+    y, nu = svec.join(start), 2 * n + m
+    path = _central_path(svec, np.eye(len(y)), y, nu / (1.0 + f(y)), w,
+                         lambda y, t: 2.0 * t * ((Mat @ y + c) @ Mat),
+                         lambda t: t * G)
+    for _, (y, t, steps) in zip(range(_BARRIER_ROUNDS), path):
         gap = (nu + w @ y) / t
-        converged = not failed and gap < _BARRIER_GAP * (1.0 + f(y))
-        t *= 10.0
+        converged = gap < _BARRIER_GAP * (1.0 + f(y))
+        if converged:
+            break
     P, Q, D = svec.split(y)
     R = D + np.eye(m)
     return ((op.objective(P, Q, R, T1, T2), P, Q, R), steps, converged, 0.0,

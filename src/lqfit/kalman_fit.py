@@ -46,7 +46,7 @@ import numpy as np
 
 from . import conic_ls, fitting, riccati
 from .conic_ls import LossSpec, RegularizerSpec
-from .linsys import DemoSet, LinearDynamics, _row_norms
+from .linsys import DemoSet, LinearDynamics, _check_count, _row_norms
 
 
 # The splitting iterations of each sweep's (P, Q, R) step.
@@ -70,8 +70,7 @@ class AdmmConfig:
     def __post_init__(self):
         if not self.rho > 0:
             raise ValueError("rho must be positive")
-        if self.n_iter < 1:
-            raise ValueError("n_iter must be at least 1")
+        _check_count(self.n_iter, "n_iter", 1)
         if not self.eps >= 0:
             raise ValueError("eps must be nonnegative")
 
@@ -333,12 +332,13 @@ def fit_kalman_batch(problems, loss: LossSpec, reg: RegularizerSpec,
                      ) -> list[KalmanFitReport | RuntimeError]:
     """``fit_kalman`` on every (demos, dyn) pair of ``problems`` at once.
 
-    The systems must share one size (n, m).  Both starts of every problem
-    advance together, one stacked ``admm_iterate`` per sweep.  Returns, in
-    order, each problem's ``KalmanFitReport``, or the RuntimeError that
-    ``fit_kalman`` raises on that problem alone; a failed problem leaves
-    the batch with both its starts.  Every report is bit for bit the one
-    ``fit_kalman`` gives for its problem alone.
+    The systems must share one size (n, m), which the demonstrations must
+    fit.  Both starts of every problem advance together, one stacked
+    ``admm_iterate`` per sweep.  Returns, in order, each problem's
+    ``KalmanFitReport``, or the RuntimeError that ``fit_kalman`` raises on
+    that problem alone; a failed problem leaves the batch with both its
+    starts.  Every report is bit for bit the one ``fit_kalman`` gives for
+    its problem alone.
     """
     problems = list(problems)
     if not problems:
@@ -349,6 +349,10 @@ def fit_kalman_batch(problems, loss: LossSpec, reg: RegularizerSpec,
                          f"(n, m), got {sizes}")
     starts, members = [], []
     for p, (demos, dyn) in enumerate(problems):
+        if (demos.states.shape[1], demos.inputs.shape[1]) != (dyn.n, dyn.m):
+            raise ValueError(f"problem {p}: states {demos.states.shape} and "
+                             f"inputs {demos.inputs.shape} do not fit a "
+                             f"system with (n, m) = {(dyn.n, dyn.m)}")
         for start in (zero_state(dyn), identity_state(dyn)):
             starts.append(start)
             members.append((demos, dyn, p))

@@ -57,6 +57,19 @@ def _check_symmetric(M: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be symmetric")
 
 
+def _check_psd(M: np.ndarray, name: str) -> None:
+    _check_symmetric(M, name)
+    if _min_eig(M) < -1e-10 * (1.0 + np.linalg.norm(M)):
+        raise ValueError(f"{name} must be positive semidefinite")
+
+
+def _check_count(value, name: str, least: int) -> int:
+    """``value`` as an int, if it is an integer (not a bool) >= ``least``."""
+    if not (np.issubdtype(type(value), np.integer) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}: {value!r}")
+    return int(value)
+
+
 def _min_eig(M: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(_sym(M)).min())
 
@@ -97,11 +110,9 @@ class LinearDynamics:
             raise ValueError(
                 f"B must have {n} rows to match A, got shape {self.B.shape}"
             )
-        _check_symmetric(self.W, "W")
         if self.W.shape != (n, n):
             raise ValueError(f"W must be {n}x{n}, got shape {self.W.shape}")
-        if _min_eig(self.W) < -1e-10 * (1.0 + np.linalg.norm(self.W)):
-            raise ValueError("W must be positive semidefinite")
+        _check_psd(self.W, "W")
 
     @property
     def n(self) -> int:
@@ -148,7 +159,7 @@ def load_system(path):
     identities and Sigma, the expert's input-noise covariance, to the
     identity.  Raises OSError when the file cannot be read and ValueError
     when its content is not such an object, holds a non-finite entry, or
-    Q is not n x n or R or Sigma not m x m.
+    Q is not n x n PSD, Sigma not m x m PSD or R not m x m positive definite.
     """
     with open(path) as f:
         text = f.read()
@@ -165,6 +176,9 @@ def load_system(path):
         for name, M, k in (("Q", Q, n), ("R", R, m), ("Sigma", sigma, m)):
             if M.shape != (k, k):
                 raise ValueError(f"{name} must be {k}x{k}")
+            _check_psd(M, name)
+        if not _min_eig(R) > 0.0:
+            raise ValueError("R must be positive definite")
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"bad system file {path}: {e}") from e
     return dyn, Q, R, sigma
@@ -185,10 +199,8 @@ class CostMatrices:
     def __post_init__(self):
         object.__setattr__(self, "Q", _as_matrix(self.Q, "Q"))
         object.__setattr__(self, "R", _as_matrix(self.R, "R"))
-        _check_symmetric(self.Q, "Q")
+        _check_psd(self.Q, "Q")
         _check_symmetric(self.R, "R")
-        if _min_eig(self.Q) < -1e-10 * (1.0 + np.linalg.norm(self.Q)):
-            raise ValueError("Q must be positive semidefinite")
         if _min_eig(self.R) < 1.0 - 1e-8:
             raise ValueError("R must satisfy R >= I (rescale the cost pair)")
 
@@ -426,9 +438,7 @@ def generate_demos(dyn: LinearDynamics, expert: np.ndarray,
         raise ValueError("outlier_prob must be in [0, 1]")
     if n_demos < 1:
         raise ValueError("need at least one demonstration")
-    _check_symmetric(Sigma, "input_noise_cov")
-    if _min_eig(Sigma) < -1e-10 * (1.0 + np.linalg.norm(Sigma)):
-        raise ValueError("input_noise_cov must be positive semidefinite")
+    _check_psd(Sigma, "input_noise_cov")
     rng = np.random.default_rng(rng_seed)
     Lx = _psd_factor(stationary_covariance(dyn, expert))
     states = (Lx @ rng.standard_normal((dyn.n, n_demos))).T

@@ -28,9 +28,10 @@ section 10.6).  The map's columns need one Stein equation per svec basis
 matrix of Q, n(n + 1)/2 in all; they are solved as one stack that shares
 one doubling loop (:func:`lqfit.linsys.solve_lyapunov_stein`), each
 solution bit for bit that of its own call.  A barrier method in that
-reduced space ends in a certificate or in a Farkas witness, each verified
-up to a stated roundoff slack, or else in "undecided", which proves
-nothing.  Unstable modes in ker K are split off first.
+reduced space, on the central path of :mod:`lqfit.conic_ls` that the cold
+(P, Q, R) solve runs too, ends in a certificate or in a Farkas witness,
+each verified up to a stated roundoff slack, or else in "undecided",
+which proves nothing.  Unstable modes in ker K are split off first.
 
 The Riccati solver is a structure-preserving doubling iteration
 (quadratically convergent, no external solver).  On badly scaled systems
@@ -361,14 +362,13 @@ class _ReducedCheck:
 
         With x0 = svec(I, I) and a = Z^T x0, Z a goes to certify and
         x0 - Z a to farkas (which settles a = 0).  Then a barrier method
-        maximizes s over Q(y) - sI > 0, R(y) - sI > 0, a.y = 1, t tenfold
-        per centering, each centering :func:`conic_ls._center`'s damped
-        Newton with the equality in the KKT system (Boyd & Vandenberghe,
-        *Convex Optimization*, 11.3).
-        Each central point gives Z y to certify, whose slack admits faces
-        (max s ~ 0), and W - s_hat x0 to farkas: W = ((Q - sI)^-1,
-        (R - sI)^-1) / t and s_hat = s + (n + m)/t >= max s make it
-        orthogonal to the null space.  It stops at (n + m)/t < _GAP_STOP.
+        maximizes s over Q(y) - sI > 0, R(y) - sI > 0, a.y = 1 from t = 1,
+        on the cold (P, Q, R) solve's :func:`conic_ls._central_path` with
+        C = [Z, -x0], gradient -t e_s and the row (a, 0).  Each central
+        point gives Z y to certify, whose slack admits faces (max s ~ 0),
+        and W - s_hat x0 to farkas: W = ((Q - sI)^-1, (R - sI)^-1) / t and
+        s_hat = s + (n + m)/t >= max s make it orthogonal to the null
+        space.  It stops at (n + m)/t < _GAP_STOP, or where the path ends.
         """
         svec, Z = self.svec, self.Z
         x0 = svec.join([np.eye(k) for k in svec.sizes])
@@ -378,35 +378,20 @@ class _ReducedCheck:
         if cert is not None or witness is not None or not a.any():
             return cert, witness, 0
         # z = (y, s), C z = svec(Q(y) - sI, R(y) - sI); s starts below
-        # -||Z y|| = -1/||a||, and the KKT matrix ends in a.y = 1
+        # -||Z y|| = -1/||a||, and the path keeps a.y = 1
         C = np.column_stack([Z, -x0])
-        D = svec.split(C.T)
         z = np.append(a / (a @ a), -1.0 - 1.0 / math.sqrt(a @ a))
-        kkt = np.zeros((len(z) + 1, len(z) + 1))
-        kkt[-1, :-2] = kkt[:-2, -1] = a
-        t, steps, order = 1.0, 0, sum(svec.sizes)
-
-        def newton(z):
-            inv = [np.linalg.inv(X) for X in svec.split(C @ z)]
-            kkt[:-1, :-1] = svec.join([Xi @ Dk @ Xi for Xi, Dk
-                                       in zip(inv, D)]) @ C
-            rhs = np.append(C.T @ svec.join(inv), 0.0)
-            rhs[-2] += t
-            dz = np.linalg.solve(kkt, rhs)[:-1]
-            return dz, math.sqrt(max(rhs[:-1] @ dz, 0.0))
-
-        def inside(z):
-            return min(map(_min_eig, svec.split(C @ z))) > 0.0
-
-        while order / t >= _GAP_STOP:
-            z, steps = conic_ls._center(z, newton, inside, steps)
+        e_s, order = np.eye(len(z))[-1], sum(svec.sizes)
+        for z, t, steps in conic_ls._central_path(
+                svec, C, z, 1.0, 0.0, lambda z, t: -t * e_s,
+                a=np.append(a, 0.0)[None]):
             cert = self.certify(*svec.split(Z @ z[:-1]))
             W = svec.join(map(np.linalg.inv, svec.split(C @ z))) / t
             witness = (None if cert is not None
                        else self.farkas(W - (z[-1] + order / t) * x0))
-            if cert is not None or witness is not None:
+            if (cert is not None or witness is not None
+                    or order / (t * 10.0) < _GAP_STOP):
                 return cert, witness, steps
-            t *= 10.0
         return None, None, steps
 
 
@@ -461,7 +446,8 @@ def check_kalman_feasible(dyn: LinearDynamics, K,
        {Q >= 0, R >= I}.  A barrier method there ends in a certificate (a
        null-space point scaled into R >= I, P recomputed from the Lyapunov
        equation, residual at most ``tol``), in a :class:`FarkasWitness`,
-       or, with neither once its gap bound is below 1e-13, ``undecided``.
+       or ``undecided``: neither once its gap bound is below 1e-13 or its
+       Newton system is singular.
     3. Otherwise every mode with |lambda| >= STABILITY_MARGIN lies in
        ker K (K = 0, say).  A certificate of the system restricted to the
        complement of those modes, re-checked on the whole system, answers

@@ -92,6 +92,26 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="custom")
 
+    @pytest.mark.parametrize("field, value", [
+        ("N_values", (2.7,)), ("N_values", (0,)), ("N_values", (True,)),
+        ("seeds", (1.0,)), ("seeds", (-1,)),
+        ("expert_eval_horizon", 2000.5), ("expert_eval_horizon", 0),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{field: value})
+
+    def test_counts_accept_numpy_integers(self):
+        cfg = ExperimentConfig(N_values=tuple(np.arange(1, 4, 2)),
+                               seeds=(np.int64(2),),
+                               expert_eval_horizon=np.int32(500),
+                               admm=AdmmConfig(n_iter=np.int64(5)))
+        assert cfg.N_values == (1, 3) and cfg.seeds == (2,)
+        assert all(type(v) is int for v in cfg.N_values + cfg.seeds)
+        for n_iter in (10.5, 0, True):
+            with pytest.raises(ValueError, match="n_iter"):
+                AdmmConfig(n_iter=n_iter)
+
     def test_empty_sweeps_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(N_values=())

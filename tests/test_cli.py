@@ -116,8 +116,10 @@ def _assert_config_rejected(tmp_path, capsys, cfg):
     cpath.write_text(json.dumps({"N_values": [2], "seeds": [0], **cfg}))
     assert main(["experiment", "--config", str(cpath),
                  "--out", str(tmp_path / "rows.csv")]) == 1
-    assert "bad experiment config" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "lqfit: bad experiment config" in err
     assert not (tmp_path / "rows.csv").exists()
+    return err
 
 
 @pytest.mark.parametrize("admm", [{"n_random_inits": 3}, {"seed": 1},
@@ -132,6 +134,16 @@ def test_removed_certify_field_rejected(tmp_path, capsys):
 
 def test_removed_sigma_field_rejected(tmp_path, capsys):
     _assert_config_rejected(tmp_path, capsys, {"sigma": 1.0})
+
+
+@pytest.mark.parametrize("cfg, field", [
+    ({"admm": {"n_iter": 10.5}}, "n_iter"),
+    ({"expert_eval_horizon": 2000.5}, "expert_eval_horizon"),
+    ({"N_values": [2.7]}, "N_values"),
+    ({"seeds": [0.0]}, "seeds"),
+])
+def test_non_integer_counts_rejected(tmp_path, capsys, cfg, field):
+    assert field in _assert_config_rejected(tmp_path, capsys, cfg)
 
 
 @pytest.mark.parametrize("argv", [
@@ -284,6 +296,29 @@ def test_system_matrix_sizes_checked(tmp_path, capsys):
             _TWO_STATE, **{field: np.eye(size).tolist()}))
         assert main(["lqr", "--system", spath]) == 1
         assert f"{field} must be {expected}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, M", [
+    ("R", [[0.0]]), ("Q", [[1.0, 5.0], [0.0, -3.0]])])
+def test_bad_weights_are_config_errors(tmp_path, capsys, field, M):
+    path = _write_json(tmp_path, "system.json", dict(_TWO_STATE, **{field: M}))
+    assert main(["lqr", "--system", path]) == 1
+    err = capsys.readouterr().err
+    assert f"bad system file {path}: {field} must be" in err
+
+
+def test_mismatched_demos_are_config_errors(tmp_path, capsys):
+    spath = _write_json(tmp_path, "system.json", _TWO_STATE)
+    for states, inputs, shape in (([[1.0, 0.0, 0.0]] * 2, [[1.0]] * 2,
+                                   "(2, 3)"),
+                                  ([[1.0, 0.0]] * 4, [[1.0, 0.0]] * 4,
+                                   "inputs (4, 2)")):
+        dpath = _write_json(tmp_path, "demos.json",
+                            {"states": states, "inputs": inputs})
+        assert main(["fit-kalman", "--system", spath, "--demos", dpath]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("lqfit: problem 0: ") and shape in err
+        assert "(n, m) = (2, 1)" in err
 
 
 @pytest.mark.parametrize("flags, name", [

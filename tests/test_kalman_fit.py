@@ -282,6 +282,18 @@ class TestFitKalmanBatch:
         with pytest.raises(ValueError):
             fit_kalman_batch([(demos, dyn), (pair, other)], QUAD, RIDGE)
 
+    def test_demo_sizes_checked(self):
+        problems = self._problems()
+        demos, dyn = problems[1]
+        wide = DemoSet(states=np.ones((2, 5)), inputs=np.ones((2, 2)))
+        with pytest.raises(ValueError, match=r"problem 2: .*\(2, 5\).*"
+                           r"\(n, m\) = \(4, 2\)"):
+            fit_kalman_batch([problems[0], (demos, dyn), (wide, dyn)],
+                             QUAD, RIDGE)
+        tall = DemoSet(states=np.ones((2, 4)), inputs=np.ones((2, 3)))
+        with pytest.raises(ValueError, match=r"problem 0: .*\(2, 3\)"):
+            fit_kalman(tall, QUAD, RIDGE, dyn)
+
     def test_empty_batch(self):
         assert fit_kalman_batch([], QUAD, RIDGE) == []
 

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -47,6 +48,24 @@ class TestTypes:
         with pytest.raises(ValueError):
             CostMatrices(Q=np.eye(2), R=0.5 * np.eye(2))
         CostMatrices(Q=np.zeros((2, 2)), R=np.eye(2))  # boundary is fine
+
+    @pytest.mark.parametrize("field, M, message", [
+        ("R", [[0.0]], "R must be positive definite"),
+        ("R", [[-1.0]], "R must be positive"),
+        ("Q", [[1.0, 5.0], [0.0, -3.0]], "Q must be symmetric"),
+        ("Q", [[1.0, 0.0], [0.0, -3.0]], "Q must be positive semidefinite"),
+        ("Sigma", [[-1e-3]], "Sigma must be positive semidefinite"),
+    ])
+    def test_system_file_weights_checked(self, tmp_path, field, M, message):
+        path = tmp_path / "system.json"
+        system = {"A": [[1.0, 0.2], [0.0, 0.9]], "B": [[0.0], [1.0]]}
+        path.write_text(json.dumps(dict(system, **{field: M})))
+        with pytest.raises(ValueError, match=message):
+            linsys.load_system(path)
+        # R > 0 is enough: R >= I is the fitter's normalization, not lqr's
+        path.write_text(json.dumps(dict(system, R=[[0.5]], Sigma=[[0.0]],
+                                        Q=[[0.0, 0.0], [0.0, 0.0]])))
+        assert linsys.load_system(path)[2][0, 0] == 0.5
 
     def test_demoset_lengths(self):
         with pytest.raises(ValueError):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_are, solve_discrete_lyapunov
 
 from lqfit.bench import build_aircraft, build_small_random
-from lqfit.conic_ls import KalmanOperator
-from lqfit.linsys import LinearDynamics, spectral_radius
+from lqfit.conic_ls import KalmanOperator, solve_pqr_step
+from lqfit.linsys import LinearDynamics, solve_lyapunov_stein, spectral_radius
 from lqfit.riccati import (ConvergenceError, FarkasWitness, KalmanCertificate,
                            UnstableModeWitness, _reduced_map, are_residual,
                            check_kalman_feasible, kalman_residual, solve_lqr)
@@ -340,6 +340,34 @@ class TestFeasibilityRoutes:
             assert time.perf_counter() - t0 < 1.0
             assert res.verdict == "infeasible"
             assert isinstance(res.witness, FarkasWitness)
+
+    def test_singular_newton_system_ends_the_path(self, monkeypatch):
+        # a gain that needs Newton steps (infeasible after 29 of them);
+        # once every Newton system is singular, the path of both barrier
+        # methods ends after one step, and each answers from its start
+        dyn = build_small_random(4)[0]
+        rng = np.random.default_rng(4)
+        G, H = rng.standard_normal((4, 4)), rng.standard_normal((2, 2))
+        K = solve_lqr(dyn, (G @ G.T, np.eye(2) + H @ H.T)).K
+        K = K + 1e-3 * rng.standard_normal(K.shape)
+        res = check_kalman_feasible(dyn, K)
+        assert res.verdict == "infeasible" and res.iterations == 29
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        res = check_kalman_feasible(dyn, K)
+        assert res.verdict == "undecided" and res.witness is None
+        assert res.iterations == 1
+        step = solve_pqr_step(dyn, K, np.zeros((4, 4)), np.zeros((2, 4)),
+                              rho=1.0)
+        assert not step.converged and step.iterations == 1
+        F = dyn.closed_loop(K)
+        P0 = 2.0 * solve_lyapunov_stein(F, np.eye(4) + K.T @ K)
+        assert np.allclose(step.P, P0, rtol=1e-12, atol=0.0)
+        assert np.allclose(step.Q, 2.0 * np.eye(4), rtol=1e-12, atol=0.0)
+        assert np.allclose(step.R, 2.0 * np.eye(2), rtol=1e-12, atol=0.0)
 
     def test_unstable_modes_in_ker_k_are_split_off(self):
         A = np.diag([2.0, 0.5])
