@@ -25,9 +25,15 @@ operator-splitting iterations (ADMM on the variable/copy pair), keeps the
 lower of its start and its last iterate and "polishes" that once, by an
 exact least squares on the active face of the cones.  A warm stack (gains
 of one size) is run through the splitting loop in lockstep and polished
-as one stack, with one face least squares per member.  Each member's
-result is bit for bit that of solving it alone.  The K step takes stacks
-too, as one batched solve of its normal equations.
+as one stack, with one face least squares per member; its best point
+travels from the loop through the polish to the result as stacked arrays
+(objective, (P, Q), R), picked member by member with masks.  Each
+member's result is bit for bit that of solving it alone.  What depends
+only on the sizes (the svec layout and its gather indices, the padded
+svec basis the operator matrix is read off, the eigenvector pairs of the
+face bases) is built once per size, and the stacked system matrices once
+per tuple of systems.  The K step takes stacks too, as one batched solve
+of its normal equations.
 """
 
 from __future__ import annotations
@@ -38,8 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linsys import (STABILITY_MARGIN, DemoSet, LinearDynamics, _min_eig,
-                     _row_norms, _sym, solve_lyapunov_stein, spectral_radius)
+from .linsys import (STABILITY_MARGIN, DemoSet, LinearDynamics, _check_count,
+                     _min_eig, _row_norms, _sym, solve_lyapunov_stein,
+                     spectral_radius)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -304,8 +311,10 @@ class _SvecLayout:
     ``cuts`` and ``flat`` hold the offsets of the blocks in svec order and
     in the flat layout.  ``pos`` is the svec position of every flat entry,
     ``up`` and ``lo`` are the flat positions of the upper and lower
-    triangle entries of every svec coordinate, and ``scale`` is 1 on
-    diagonal coordinates and sqrt 2 off them.  The arrays are read-only.
+    triangle entries of every svec coordinate, ``uplo`` is both as one
+    (2, dim, 1) index (one gather of both triangles, as columns), and
+    ``scale`` is 1 on diagonal coordinates and sqrt 2 off them.  The arrays
+    are read-only.
     """
 
     def __init__(self, sizes):
@@ -319,11 +328,13 @@ class _SvecLayout:
                                   in zip(sizes, self.flat, iu)])
         self.lo = np.concatenate([f + j * k + i for k, f, (i, j)
                                   in zip(sizes, self.flat, iu)])
+        self.uplo = np.stack([self.up, self.lo])[..., None]
         self.pos = np.zeros(self.flat[-1], dtype=np.intp)
         self.pos[self.up] = self.pos[self.lo] = np.arange(self.cuts[-1])
         self.basis = tuple(E[a:b].copy() for E, a, b in zip(
             self.split(np.eye(self.cuts[-1])), self.cuts, self.cuts[1:]))
-        for arr in (self.scale, self.up, self.lo, self.pos, *self.basis):
+        for arr in (self.scale, self.up, self.lo, self.uplo, self.pos,
+                    *self.basis):
             arr.flags.writeable = False
 
     def join(self, Xs):
@@ -396,15 +407,10 @@ class KalmanOperator:
         the matrix axes.  For a stacked operator they may also carry its
         member axis in front (all three alike), one set of matrices per
         member."""
-        n, m = self.n, self.m
-        kp, kq = EP.shape[-3], EQ.shape[-3]
-        k = kp + kq + ER.shape[-3]
-        lead = EP.shape[:-3]
-        Ps, Qs = np.zeros(lead + (k, n, n)), np.zeros(lead + (k, n, n))
-        Rs = np.zeros(lead + (k, m, m))
-        Ps[..., :kp, :, :] = EP
-        Qs[..., kp:kp + kq, :, :] = EQ
-        Rs[..., kp + kq:, :, :] = ER
+        return self._columns(*_padded(EP, EQ, ER))
+
+    def _columns(self, Ps, Qs, Rs):
+        """:meth:`columns` of the stacks (Ps, Qs, Rs), already padded."""
         # one operator per stack of matrices
         M1, M2 = self.take(np.s_[..., None, :, :]).apply(Ps, Qs, Rs)
         return np.concatenate([M.reshape(M.shape[:-2] + (-1,)).swapaxes(
@@ -414,7 +420,45 @@ class KalmanOperator:
         """(n*n + m*n) x (2 dim_n + dim_m): :meth:`columns` of the svec
         basis of (P, Q, R), so column j is apply of the j-th svec unit
         vector; one such matrix per member for a stack."""
-        return self.columns(*_svec(self.n, self.n, self.m).basis)
+        return self._columns(*_padded_basis(self.n, self.m))
+
+
+def _padded(EP, EQ, ER):
+    """The stacks EP, EQ and ER (along the axis before the matrix axes) as
+    one stack of (P, Q, R) triples, each matrix in its own block with the
+    other two zero: the inputs of :meth:`KalmanOperator.columns`."""
+    n, m = EP.shape[-1], ER.shape[-1]
+    kp, kq = EP.shape[-3], EQ.shape[-3]
+    k = kp + kq + ER.shape[-3]
+    lead = EP.shape[:-3]
+    Ps, Qs = np.zeros(lead + (k, n, n)), np.zeros(lead + (k, n, n))
+    Rs = np.zeros(lead + (k, m, m))
+    Ps[..., :kp, :, :] = EP
+    Qs[..., kp:kp + kq, :, :] = EQ
+    Rs[..., kp + kq:, :, :] = ER
+    return Ps, Qs, Rs
+
+
+@functools.lru_cache(maxsize=None)
+def _padded_basis(n, m):
+    """:func:`_padded` of the svec basis of (P, Q, R) at size (n, m),
+    built once per size; read-only."""
+    blocks = _padded(*_svec(n, n, m).basis)
+    for arr in blocks:
+        arr.flags.writeable = False
+    return blocks
+
+
+@functools.lru_cache(maxsize=None)
+def _triu_pairs(k):
+    """The pairs i <= j of k eigenvectors in triu order, and the divisor of
+    each pair's face basis matrix (2 if i = j, else sqrt 2), built once per
+    size; read-only."""
+    i, j = np.triu_indices(k)
+    divisor = np.where(i == j, 2.0, _SQRT2)[:, None, None]
+    for arr in (i, j, divisor):
+        arr.flags.writeable = False
+    return i, j, divisor
 
 
 def _face_bases(w, V, floor):
@@ -423,18 +467,12 @@ def _face_bases(w, V, floor):
     in triu order, the matrix (v_i v_j^T + v_j v_i^T) / (2 or sqrt 2); and
     whether it lies in the face active at the matrix, that is, whether both
     eigenvalues exceed floor by more than _POLISH_ACT_TOL (relative)."""
-    i, j = np.triu_indices(w.shape[-1])
-    divisor = np.where(i == j, 2.0, _SQRT2)[:, None, None]
+    i, j, divisor = _triu_pairs(w.shape[-1])
     Vt = V.swapaxes(-1, -2)
     O = Vt[..., i, :, None] * Vt[..., j, None, :]
     on = (w - floor) > _POLISH_ACT_TOL * (1.0 + w.max(axis=-1, initial=0.0,
                                                       keepdims=True))
     return (O + O.swapaxes(-1, -2)) / divisor, on[..., i] & on[..., j]
-
-
-def _lower(a, b):
-    """The (objective, P, Q, R) tuple with the lower objective; a on ties."""
-    return b if b[0] < a[0] else a
 
 
 def _reaches(w, floor):
@@ -443,12 +481,13 @@ def _reaches(w, floor):
     return w.min(axis=-1) >= floor - 1e-9 * (1.0 + np.abs(w).max(axis=-1))
 
 
-def _polish(op, T1, T2, best):
+def _polish(op, T1, T2, f, PQ, R):
     """Exact least squares on the active face of the cones, for a stack.
 
     Member i is the problem of ``op.take(i)`` (a stacked operator) with
-    offsets (T1[i], T2[i]) at ``best[i]``, an (objective, P, Q, R) tuple.
-    Its face is read off the eigenstructure of that (P, Q, R) at
+    offsets (T1[i], T2[i]) at the point (PQ[i, 0], PQ[i, 1], R[i]) of
+    objective f[i]; f, PQ (P and Q stacked on axis 1) and R are stacked
+    arrays.  Its face is read off the eigenstructure of that (P, Q, R) at
     _POLISH_ACT_TOL; the nearest correction within the face is applied and
     accepted only if cone-feasible and lower.  The eigendecompositions, the
     face bases (at full width, pairs off the face held at theta = 0), their
@@ -456,13 +495,11 @@ def _polish(op, T1, T2, best):
     for the whole stack, and the cone tests and projections act on the
     stack; the face least squares is one ``lstsq`` per member on its own
     face columns.  So each member's result is bit for bit that of
-    polishing it alone.  Returns the lower (objective, P, Q, R) per member.
+    polishing it alone.  Returns new arrays (f, PQ, R), each member the
+    lower of its point and its polished point (its point on ties).
     """
-    best = list(best)
     n, m = op.n, op.m
-    S = len(best)
-    PQ = np.stack([b[1:3] for b in best])
-    R = np.stack([b[3] for b in best])
+    S = len(f)
     E_pq, on_pq = _face_bases(*np.linalg.eigh(_sym(PQ)), 0.0)
     E_r, on_r = _face_bases(*np.linalg.eigh(_sym(R)), 1.0)
     dn = E_pq.shape[2]
@@ -480,23 +517,26 @@ def _polish(op, T1, T2, best):
         t[on] += dth
         t[~on] = 0.0
     # start + sum_k theta_k E_k, added in order: numpy reduces an outer
-    # axis term by term (a 1 x 1 block has one term)
+    # axis term by term (a 1 x 1 block has one term).  The sums are exactly
+    # symmetric, as every E_k is.
     PQn = np.add.reduce(np.concatenate(
         [np.zeros((S, 2, 1, n, n)),
          theta[:, :2 * dn].reshape(S, 2, dn, 1, 1) * E_pq], axis=2), axis=2)
     Rn = np.add.reduce(np.concatenate(
         [np.broadcast_to(np.eye(m), (S, 1, m, m)),
          theta[:, 2 * dn:, None, None] * E_r], axis=1), axis=1)
-    ok = (_reaches(np.linalg.eigvalsh(_sym(PQn)), 0.0).all(axis=-1)
-          & _reaches(np.linalg.eigvalsh(_sym(Rn)), 1.0))
+    ok = (_reaches(np.linalg.eigvalsh(PQn), 0.0).all(axis=-1)
+          & _reaches(np.linalg.eigvalsh(Rn), 1.0))
+    f, PQ, R = f.copy(), PQ.copy(), R.copy()
     if ok.any():
         done = np.flatnonzero(ok)
         PQn, Rn = project_psd(PQn[ok]), project_psd(Rn[ok], 1.0)
-        f = op.take(done).objective(PQn[:, 0], PQn[:, 1], Rn, T1[done],
-                                    T2[done])
-        for i, fi, (Pn, Qn), Rn_i in zip(done, f.tolist(), PQn, Rn):
-            best[i] = _lower(best[i], (fi, Pn, Qn, Rn_i))
-    return best
+        fn = op.take(done).objective(PQn[:, 0], PQn[:, 1], Rn, T1[done],
+                                     T2[done])
+        lower = fn < f[done]
+        f[done[lower]], PQ[done[lower]], R[done[lower]] = (
+            fn[lower], PQn[lower], Rn[lower])
+    return f, PQ, R
 
 
 def _split(op, Mat, G, T1, T2, P0, Q0, R0, u0, max_iter):
@@ -506,57 +546,76 @@ def _split(op, Mat, G, T1, T2, P0, Q0, R0, u0, max_iter):
     its matrices ``Mat`` and G = 2 Mat^T Mat) with offsets (T1[i], T2[i]),
     started from (P0[i], Q0[i], R0[i]) and the dual u0[i].  Every member
     runs ``max_iter`` iterations at its own fixed penalty; the stacked
-    steps (the x solve, the cone projections) work matrix by matrix and row
-    by row.  The lower of each member's start and last iterate is then
-    polished, the whole stack at once (:func:`_polish`).  So every member's
-    result is bit for bit the result of running it alone.  Returns one
-    (best, iterations, converged, primal residual, dual residual, dual) per
-    member, the residuals those of the last iteration.
+    steps (the x solve, the cone projections) work matrix by matrix and
+    column by column, on (S, dim, 1) columns z, u and x, and both cone
+    projections are written into one preallocated entry buffer.  The lower
+    of each member's start and last iterate is then polished, the whole
+    stack at once (:func:`_polish`).  So every member's result is bit for
+    bit the result of running it alone.  Returns stacked arrays (f, PQ, R,
+    converged, primal residual, dual residual, dual), f the objective at
+    (PQ[:, 0], PQ[:, 1], R) and the residuals those of the last iteration.
     """
     n, m, p = op.n, op.m, Mat.shape[-1]
     svec = _svec(n, n, m)
-    pos, scale, up, lo, n2 = (svec.pos, svec.scale, svec.up, svec.lo,
-                              svec.flat[2])
+    pos, uplo, n2 = svec.pos, svec.uplo, svec.flat[2]
+    scale = svec.scale[:, None]
+    # (a + b) * (0.5 scale) rounds as 0.5 (a + b) scale: halving is exact
+    half_scale = 0.5 * scale
     alpha = 1.6
+    beta = 1.0 - alpha
     S = len(T1)
-    u = np.zeros((S, p)) if u0 is None else np.array(u0, dtype=float)
-    # the running iterates: (P, Q) stacked per member, R, their svec z; from
-    # the first iteration on, (P, Q) and R are the cone projections before
-    # their final symmetrization
-    PQ, R = np.stack([P0, Q0], axis=1), R0
-    z = svec.join([P0, Q0, R0])
+    u = (np.zeros((S, p, 1)) if u0 is None
+         else np.array(u0, dtype=float).reshape(S, p, 1))
+    z = svec.join([P0, Q0, R0]).reshape(S, p, 1)
     c = np.concatenate([T1.reshape(S, -1), T2.reshape(S, -1)], axis=1)
-    q = 2.0 * (Mat.swapaxes(-1, -2) @ c[:, :, None])[:, :, 0]
+    q = 2.0 * (Mat.swapaxes(-1, -2) @ c[:, :, None])
     sigma = np.maximum(np.trace(G, axis1=1, axis2=2) / p, 1e-12)
     Minv = np.linalg.inv(G + sigma[:, None, None] * np.eye(p))
+    sig = sigma[:, None, None]
+    # buffers and their block views, written in place every iteration:
+    # the entries of v's cone blocks; the row-major entries of the running
+    # (P, Q) and R, the cone projections before their final
+    # symmetrization; both triangles of those entries
+    flat = np.empty((S, svec.flat[-1], 1))
+    PQv, Rv = flat[:, :n2].reshape(S, 2, n, n), flat[:, n2:].reshape(S, m, m)
+    entries = np.empty((S, svec.flat[-1]))
+    PQ = entries[:, :n2].reshape(S, 2, n, n)
+    R = entries[:, n2:].reshape(S, m, m)
+    tri = np.empty((S,) + uplo.shape)
+    up, lo = tri[:, 0], tri[:, 1]
     for _ in range(max_iter):
-        x = (Minv @ (sigma[:, None] * (z - u) - q)[:, :, None])[:, :, 0]
-        xr = alpha * x + (1.0 - alpha) * z
+        x = Minv @ (sig * (z - u) - q)
+        xr = alpha * x + beta * z
         v = xr + u
         # both cone blocks of v as exactly symmetric matrices, so eigh
         # needs no symmetrization
-        Mv = np.take(v / scale, pos, axis=-1)
-        w, V = np.linalg.eigh(Mv[:, :n2].reshape(-1, 2, n, n))
-        PQ = V @ (np.maximum(w, 0.0)[..., None] * V.swapaxes(-1, -2))
-        w, V = np.linalg.eigh(Mv[:, n2:].reshape(-1, m, m))
-        R = V @ (np.maximum(w, 1.0)[..., None] * V.swapaxes(-1, -2))
+        # (every index is in range: "clip" only spares take a buffer)
+        (v / scale).take(pos, axis=1, out=flat, mode="clip")
+        w, V = np.linalg.eigh(PQv)
+        np.matmul(V, np.maximum(w, 0.0)[..., None] * V.swapaxes(-1, -2),
+                  out=PQ)
+        w, V = np.linalg.eigh(Rv)
+        np.matmul(V, np.maximum(w, 1.0)[..., None] * V.swapaxes(-1, -2),
+                  out=R)
         # svec of the symmetrized projections, read off both triangles
-        M = np.concatenate([PQ.reshape(S, -1), R.reshape(S, -1)], axis=1)
         z_old = z
-        z = 0.5 * (M.take(up, axis=1) + M.take(lo, axis=1)) * scale
+        entries.take(uplo, axis=1, out=tri, mode="clip")
+        z = (up + lo) * half_scale
         u += xr - z
-    nz, rp, rd = _row_norms(np.array([z, x - z, z - z_old]))
+    nz, rp, rd = _row_norms(np.array([z, x - z, z - z_old])[..., 0])
     rd = sigma * rd
     tol = _CONVERGED * (1.0 + nz)
     converged = (rp <= tol) & (rd <= tol)
     PQ, R = _sym(PQ), _sym(R)
-    f0 = op.objective(P0, Q0, R0, T1, T2).tolist()
-    f = op.objective(PQ[:, 0], PQ[:, 1], R, T1, T2).tolist()
-    best = _polish(op, T1, T2, [
-        _lower((f0[i], P0[i], Q0[i], R0[i]),
-               (f[i], PQ[i, 0], PQ[i, 1], R[i])) for i in range(S)])
-    return [(b, max_iter, *out, ui) for b, *out, ui in zip(
-        best, converged.tolist(), rp.tolist(), rd.tolist(), u)]
+    f0 = op.objective(P0, Q0, R0, T1, T2)
+    f = op.objective(PQ[:, 0], PQ[:, 1], R, T1, T2)
+    # the lower of start and last iterate; the start on ties
+    last = f < f0
+    f, PQ, R = _polish(op, T1, T2, np.where(last, f, f0),
+                       np.where(last[:, None, None, None], PQ,
+                                np.stack([P0, Q0], axis=1)),
+                       np.where(last[:, None, None], R, R0))
+    return f, PQ, R, converged, rp, rd, u[:, :, 0]
 
 
 def _central_path(svec, C, z, t, w, grad, hess=lambda t: 0.0, a=None):
@@ -613,9 +672,9 @@ def _barrier(op, Mat, G, T1, T2):
     K = 0), where a plain barrier has none.  It stops once the gap bound
     (nu + <W, y>) / t, a bound at a center while <W, y*> <= 2 <W, y> at
     the optimum y*, is below _BARRIER_GAP (1 + f), after _BARRIER_ROUNDS
-    centerings, or where the path ends.  Returns :func:`_split`'s tuple:
-    ((objective, P, Q, R), Newton steps, whether the gap test held, 0.0,
-    the gap bound, a zero dual).
+    centerings, or where the path ends.  Returns (objective, P, Q, R,
+    Newton steps, whether the gap test held, 0.0, the gap bound, a zero
+    dual).
     """
     n, m = op.n, op.m
     svec = _svec(n, n, m)
@@ -641,15 +700,25 @@ def _barrier(op, Mat, G, T1, T2):
             break
     P, Q, D = svec.split(y)
     R = D + np.eye(m)
-    return ((op.objective(P, Q, R, T1, T2), P, Q, R), steps, converged, 0.0,
+    return (op.objective(P, Q, R, T1, T2), P, Q, R, steps, converged, 0.0,
             gap, np.zeros(len(y)))
 
 
 def _stacked_systems(dyn, count: int):
     """The A and B matrices of ``dyn``, one system or a list of one per
-    member, as stacks of ``count``."""
-    systems = per_member(dyn, count)
-    return np.stack([d.A for d in systems]), np.stack([d.B for d in systems])
+    member, as read-only stacks of ``count``."""
+    return _stack_systems(tuple(per_member(dyn, count)))
+
+
+@functools.lru_cache(maxsize=16)
+def _stack_systems(systems):
+    """:func:`_stacked_systems` of a tuple of systems, built once per tuple:
+    one ADMM sweep reads the same stacks three times, and every sweep of a
+    batch the same tuple.  A system's arrays are read-only, so the stacks
+    cannot go stale."""
+    A, B = np.stack([d.A for d in systems]), np.stack([d.B for d in systems])
+    A.flags.writeable = B.flags.writeable = False
+    return A, B
 
 
 def per_member(value, count: int) -> list:
@@ -677,21 +746,21 @@ def solve_pqr_step(dyn: LinearDynamics | list[LinearDynamics], K, Y1, Y2,
     ``max_iter`` splitting iterations from ``init``, then returns the
     lower of its start and its last iterate, polished on its face: never
     worse than the start.  ``converged`` and the residuals are read off
-    the last iteration.  ``max_iter`` must be at least 1; a cold call does
-    not use it otherwise.
+    the last iteration.  ``max_iter`` must be an integer (not a bool) of
+    at least 1, and ``iterations`` is an int; a cold call does not use
+    ``max_iter`` otherwise.
 
     K may also be a stack of gains, shape (S, m, n), with Y1, Y2, the
     matrices of ``init`` and ``dual0`` stacked alike, and ``dyn`` either
     one system for the whole stack or a list of S systems of one size,
-    the i-th for the i-th gain.  A warm stack runs the splitting loop once
-    for the whole stack.  Every field of the result gains a leading axis
-    except ``iterations``, the most any member took.  Each member's result
-    is bit for bit that of its own call.
+    the i-th for the i-th gain.  A warm stack runs the splitting loop and
+    the polish once for the whole stack, on stacked arrays.  Every field of
+    the result gains a leading axis except ``iterations``, the most any
+    member took.  Each member's result is bit for bit that of its own call.
     """
     if not rho > 0:
         raise ValueError("rho must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    max_iter = _check_count(max_iter, "max_iter", 1)
     K = np.asarray(K, dtype=float)
     single = K.ndim == 2
     systems = per_member(dyn, len(K) if K.ndim == 3 else 1)
@@ -718,22 +787,24 @@ def solve_pqr_step(dyn: LinearDynamics | list[LinearDynamics], K, Y1, Y2,
     G = 2.0 * (Mat.swapaxes(-1, -2) @ Mat)
     u0 = None if dual0 is None else stacked("dual0", dual0, Mat.shape[-1:])
     if init is None:
-        best = [_barrier(op.take(i), Mat[i], G[i], T1[i], T2[i])
-                for i in range(len(Ks))]
+        f, P, Q, R, steps, converged, rp, rd, dual = map(np.array, zip(*(
+            _barrier(op.take(i), Mat[i], G[i], T1[i], T2[i])
+            for i in range(len(Ks)))))
+        iterations = int(steps.max())
     else:
         P0, Q0, R0 = init
-        best = _split(op, Mat, G, T1, T2, stacked("init P0", P0, (n, n)),
-                      stacked("init Q0", Q0, (n, n)),
-                      stacked("init R0", R0, (m, m)), u0, max_iter)
-    objective, P, Q, R = zip(*(out[0] for out in best))
-    _, iterations, converged, rp, rd, dual = zip(*best)
+        f, PQ, R, converged, rp, rd, dual = _split(
+            op, Mat, G, T1, T2, stacked("init P0", P0, (n, n)),
+            stacked("init Q0", Q0, (n, n)), stacked("init R0", R0, (m, m)),
+            u0, max_iter)
+        P, Q = PQ[:, 0], PQ[:, 1]
+        iterations = max_iter
     if single:
-        return PqrStepResult(P=P[0], Q=Q[0], R=R[0], objective=objective[0],
-                             iterations=iterations[0], converged=converged[0],
-                             primal_residual=rp[0], dual_residual=rd[0],
-                             dual=dual[0])
-    return PqrStepResult(
-        P=np.array(P), Q=np.array(Q), R=np.array(R),
-        objective=np.array(objective), iterations=max(iterations),
-        converged=np.array(converged), primal_residual=np.array(rp),
-        dual_residual=np.array(rd), dual=np.array(dual))
+        return PqrStepResult(P=P[0], Q=Q[0], R=R[0], objective=float(f[0]),
+                             iterations=iterations,
+                             converged=bool(converged[0]),
+                             primal_residual=float(rp[0]),
+                             dual_residual=float(rd[0]), dual=dual[0])
+    return PqrStepResult(P=P, Q=Q, R=R, objective=f, iterations=iterations,
+                         converged=converged, primal_residual=rp,
+                         dual_residual=rd, dual=dual)

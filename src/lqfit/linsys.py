@@ -157,7 +157,7 @@ def load_system(path):
 
     Returns (dynamics, Q, R, Sigma).  W defaults to zero, Q and R to
     identities and Sigma, the expert's input-noise covariance, to the
-    identity.  Raises OSError when the file cannot be read and ValueError
+    identity; a weight given as ``null`` takes its default.  Raises OSError when the file cannot be read and ValueError
     when its content is not such an object, holds a non-finite entry, or
     Q is not n x n PSD, Sigma not m x m PSD or R not m x m positive definite.
     """
@@ -169,10 +169,9 @@ def load_system(path):
             raise ValueError("the top-level JSON value must be an object")
         dyn = LinearDynamics.from_dict(d)
         n, m = dyn.n, dyn.m
-        Q = _as_matrix(d.get("Q", np.eye(n)), "Q")
-        R = _as_matrix(d.get("R", np.eye(m)), "R")
-        sigma = d.get("Sigma")
-        sigma = _as_matrix(np.eye(m) if sigma is None else sigma, "Sigma")
+        Q, R, sigma = (_as_matrix(np.eye(k) if d.get(name) is None
+                                  else d[name], name)
+                       for name, k in (("Q", n), ("R", m), ("Sigma", m)))
         for name, M, k in (("Q", Q, n), ("R", R, m), ("Sigma", sigma, m)):
             if M.shape != (k, k):
                 raise ValueError(f"{name} must be {k}x{k}")

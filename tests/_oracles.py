@@ -374,3 +374,137 @@ def reduced_map_reference(F, B, K):
     PR = np.tensordot(_svec(len(F)).join([K.T @ Em @ K]), PE, axes=1)
     cols = np.concatenate([B.T @ PE @ F, Em @ K + B.T @ PR @ F])
     return cols.reshape(len(cols), -1).T
+
+
+def warm_step_reference(systems, K, Y1, Y2, rho, max_iter, init, dual0=None):
+    """A warm ``solve_pqr_step`` call on a stack, written as the splitting
+    loop and the face polish were before they moved to stacked arrays:
+    (S, p) rows, the cone projections joined with ``concatenate``, the
+    best point of each member an (objective, P, Q, R) tuple picked by
+    comparing floats, and the polish accepting member by member.
+
+    ``systems`` holds one LinearDynamics per member; K, Y1, Y2, the three
+    matrices of ``init`` and ``dual0`` (or None) are stacks.  Returns one
+    ((objective, P, Q, R), iterations, converged, primal residual, dual
+    residual, dual) per member.
+    """
+    from lqfit.conic_ls import KalmanOperator, _svec, project_psd
+    from lqfit.linsys import _row_norms
+
+    def sym(M):
+        return 0.5 * (M + M.swapaxes(-1, -2))
+
+    def lower(a, b):
+        return b if b[0] < a[0] else a
+
+    def columns(op, EP, EQ, ER):
+        n, m = op.n, op.m
+        kp, kq = EP.shape[-3], EQ.shape[-3]
+        k = kp + kq + ER.shape[-3]
+        lead = EP.shape[:-3]
+        Ps, Qs = np.zeros(lead + (k, n, n)), np.zeros(lead + (k, n, n))
+        Rs = np.zeros(lead + (k, m, m))
+        Ps[..., :kp, :, :] = EP
+        Qs[..., kp:kp + kq, :, :] = EQ
+        Rs[..., kp + kq:, :, :] = ER
+        M1, M2 = op.take(np.s_[..., None, :, :]).apply(Ps, Qs, Rs)
+        return np.concatenate([M.reshape(M.shape[:-2] + (-1,)).swapaxes(
+            -1, -2) for M in (M1, M2)], axis=-2)
+
+    def face_bases(w, V, floor):
+        i, j = np.triu_indices(w.shape[-1])
+        divisor = np.where(i == j, 2.0, np.sqrt(2.0))[:, None, None]
+        Vt = V.swapaxes(-1, -2)
+        O = Vt[..., i, :, None] * Vt[..., j, None, :]
+        on = (w - floor) > 1e-5 * (1.0 + w.max(axis=-1, initial=0.0,
+                                              keepdims=True))
+        return (O + O.swapaxes(-1, -2)) / divisor, on[..., i] & on[..., j]
+
+    def reaches(w, floor):
+        return w.min(axis=-1) >= floor - 1e-9 * (1.0 + np.abs(w).max(axis=-1))
+
+    def polish(op, T1, T2, best):
+        best = list(best)
+        n, m = op.n, op.m
+        S = len(best)
+        PQ = np.stack([b[1:3] for b in best])
+        R = np.stack([b[3] for b in best])
+        E_pq, on_pq = face_bases(*np.linalg.eigh(sym(PQ)), 0.0)
+        E_r, on_r = face_bases(*np.linalg.eigh(sym(R)), 1.0)
+        dn = E_pq.shape[2]
+        cols = columns(op, E_pq[:, 0], E_pq[:, 1], E_r)
+        theta = np.concatenate([
+            np.sum(E_pq * PQ[:, :, None], axis=(-2, -1)).reshape(S, -1),
+            np.sum(E_r * (R - np.eye(m))[:, None], axis=(-2, -1))], axis=1)
+        c = np.concatenate([T1.reshape(S, -1), (op.K + T2).reshape(S, -1)],
+                           axis=1)
+        faces = np.concatenate([on_pq.reshape(S, 2 * dn), on_r], axis=1)
+        for t, on, cols_i, c_i in zip(theta, faces, cols, c):
+            Mt = cols_i[:, on].copy()
+            dth, *_ = np.linalg.lstsq(Mt, -(Mt @ t[on] + c_i), rcond=None)
+            t[on] += dth
+            t[~on] = 0.0
+        PQn = np.add.reduce(np.concatenate(
+            [np.zeros((S, 2, 1, n, n)),
+             theta[:, :2 * dn].reshape(S, 2, dn, 1, 1) * E_pq], axis=2),
+            axis=2)
+        Rn = np.add.reduce(np.concatenate(
+            [np.broadcast_to(np.eye(m), (S, 1, m, m)),
+             theta[:, 2 * dn:, None, None] * E_r], axis=1), axis=1)
+        ok = (reaches(np.linalg.eigvalsh(sym(PQn)), 0.0).all(axis=-1)
+              & reaches(np.linalg.eigvalsh(sym(Rn)), 1.0))
+        if ok.any():
+            done = np.flatnonzero(ok)
+            PQn, Rn = project_psd(PQn[ok]), project_psd(Rn[ok], 1.0)
+            f = op.take(done).objective(PQn[:, 0], PQn[:, 1], Rn, T1[done],
+                                        T2[done])
+            for i, fi, (Pn, Qn), Rn_i in zip(done, f.tolist(), PQn, Rn):
+                best[i] = lower(best[i], (fi, Pn, Qn, Rn_i))
+        return best
+
+    K = np.asarray(K, dtype=float)
+    T1 = np.asarray(Y1, dtype=float) / rho
+    T2 = np.asarray(Y2, dtype=float) / rho
+    P0, Q0, R0 = (np.asarray(M, dtype=float) for M in init)
+    op = KalmanOperator(np.stack([d.A for d in systems]),
+                        np.stack([d.B for d in systems]), K)
+    n, m = op.n, op.m
+    svec = _svec(n, n, m)
+    Mat = columns(op, *svec.basis)
+    G = 2.0 * (Mat.swapaxes(-1, -2) @ Mat)
+    pos, scale, up, lo, n2 = (svec.pos, svec.scale, svec.up, svec.lo,
+                              svec.flat[2])
+    alpha = 1.6
+    S, p = len(T1), Mat.shape[-1]
+    u = np.zeros((S, p)) if dual0 is None else np.array(dual0, dtype=float)
+    PQ, R = np.stack([P0, Q0], axis=1), R0
+    z = svec.join([P0, Q0, R0])
+    c = np.concatenate([T1.reshape(S, -1), T2.reshape(S, -1)], axis=1)
+    q = 2.0 * (Mat.swapaxes(-1, -2) @ c[:, :, None])[:, :, 0]
+    sigma = np.maximum(np.trace(G, axis1=1, axis2=2) / p, 1e-12)
+    Minv = np.linalg.inv(G + sigma[:, None, None] * np.eye(p))
+    for _ in range(max_iter):
+        x = (Minv @ (sigma[:, None] * (z - u) - q)[:, :, None])[:, :, 0]
+        xr = alpha * x + (1.0 - alpha) * z
+        v = xr + u
+        Mv = np.take(v / scale, pos, axis=-1)
+        w, V = np.linalg.eigh(Mv[:, :n2].reshape(-1, 2, n, n))
+        PQ = V @ (np.maximum(w, 0.0)[..., None] * V.swapaxes(-1, -2))
+        w, V = np.linalg.eigh(Mv[:, n2:].reshape(-1, m, m))
+        R = V @ (np.maximum(w, 1.0)[..., None] * V.swapaxes(-1, -2))
+        M = np.concatenate([PQ.reshape(S, -1), R.reshape(S, -1)], axis=1)
+        z_old = z
+        z = 0.5 * (M.take(up, axis=1) + M.take(lo, axis=1)) * scale
+        u += xr - z
+    nz, rp, rd = _row_norms(np.array([z, x - z, z - z_old]))
+    rd = sigma * rd
+    tol = 1e-11 * (1.0 + nz)
+    converged = (rp <= tol) & (rd <= tol)
+    PQ, R = sym(PQ), sym(R)
+    f0 = op.objective(P0, Q0, R0, T1, T2).tolist()
+    f = op.objective(PQ[:, 0], PQ[:, 1], R, T1, T2).tolist()
+    best = polish(op, T1, T2, [
+        lower((f0[i], P0[i], Q0[i], R0[i]), (f[i], PQ[i, 0], PQ[i, 1], R[i]))
+        for i in range(S)])
+    return [(b, max_iter, *out, ui) for b, *out, ui in zip(
+        best, converged.tolist(), rp.tolist(), rd.tolist(), u)]

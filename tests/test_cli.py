@@ -307,6 +307,16 @@ def test_bad_weights_are_config_errors(tmp_path, capsys, field, M):
     assert f"bad system file {path}: {field} must be" in err
 
 
+def test_null_weights_take_their_defaults(tmp_path, capsys):
+    path = _write_json(tmp_path, "system.json", dict(
+        _TWO_STATE, W=None, Q=None, R=None, Sigma=None))
+    assert main(["lqr", "--system", path]) == 0
+    K = json.loads(capsys.readouterr().out)["K"]
+    default = _write_json(tmp_path, "default.json", _TWO_STATE)
+    assert main(["lqr", "--system", default]) == 0
+    assert json.loads(capsys.readouterr().out)["K"] == K
+
+
 def test_mismatched_demos_are_config_errors(tmp_path, capsys):
     spath = _write_json(tmp_path, "system.json", _TWO_STATE)
     for states, inputs, shape in (([[1.0, 0.0, 0.0]] * 2, [[1.0]] * 2,

@@ -13,7 +13,7 @@ from lqfit.riccati import check_kalman_feasible, solve_lqr
 
 from _oracles import (_face_basis, _svec_basis, polish_reference,
                       pqr_barrier, pqr_projected_gradient,
-                      random_controllable)
+                      random_controllable, warm_step_reference)
 
 
 def _dyn(A, B):
@@ -614,25 +614,27 @@ class TestPolish:
     for array."""
 
     @staticmethod
-    def _assert_matches_reference(op, T1, T2, best, count):
+    def _assert_matches_reference(op, T1, T2, f, PQ, R, count):
         """The stack's result, and the face least squares (``lstsq``
         calls, counted in ``count``) of the stack and of the reference."""
         start = count[0]
-        got = conic_ls._polish(op, T1, T2, best)
+        got = conic_ls._polish(op, T1, T2, f, PQ, R)
         stack = count[0] - start
-        assert len(got) == len(best)
-        for i, (t1, t2, b, g) in enumerate(zip(T1, T2, best, got)):
-            ref = polish_reference(op.take(i), t1, t2, b)
-            assert g[0] == ref[0]
-            for x, y in zip(g[1:], ref[1:]):
+        assert all(len(x) == len(f) for x in got)
+        for i, (t1, t2) in enumerate(zip(T1, T2)):
+            ref = polish_reference(op.take(i), t1, t2,
+                                   (f[i], PQ[i, 0], PQ[i, 1], R[i]))
+            assert got[0][i] == ref[0]
+            for x, y in zip((got[1][i, 0], got[1][i, 1], got[2][i]),
+                            ref[1:]):
                 assert np.array_equal(x, y)
         return got, stack, count[0] - start - stack
 
     @staticmethod
-    def _signature(best):
+    def _signature(P, Q, R):
         """The face sizes of (P, Q, R) at the face tolerance."""
         return tuple(len(_face_basis(*np.linalg.eigh(M), floor, 1e-5))
-                     for M, floor in zip(best[1:], (0.0, 0.0, 1.0)))
+                     for M, floor in zip((P, Q, R), (0.0, 0.0, 1.0)))
 
     @staticmethod
     def _counting_lstsq(monkeypatch):
@@ -652,9 +654,10 @@ class TestPolish:
         calls = []
         polish = conic_ls._polish
 
-        def record(op, T1, T2, best):
-            calls.append((op, T1.copy(), T2.copy(), list(best)))
-            return polish(op, T1, T2, best)
+        def record(op, T1, T2, f, PQ, R):
+            calls.append((op, T1.copy(), T2.copy(), f.copy(), PQ.copy(),
+                          R.copy()))
+            return polish(op, T1, T2, f, PQ, R)
 
         monkeypatch.setattr(conic_ls, "_polish", record)
         for (dyn, cost, sigma), Ns in ((build_small_random(0), (1, 5)),
@@ -665,14 +668,14 @@ class TestPolish:
                              AdmmConfig(n_iter=3))
         monkeypatch.setattr(conic_ls, "_polish", polish)
         assert len(calls) == 6
-        assert all(len(best) == 4 for *_, best in calls)
+        assert all(len(f) == 4 for _, _, _, f, _, _ in calls)
         count = self._counting_lstsq(monkeypatch)
         solves = np.sum([self._assert_matches_reference(*call, count)[1:]
                          for call in calls], axis=0)
         # the stack and the reference each solve once per member
         assert solves.tolist() == [6 * 4, 6 * 4]
-        assert all(len({self._signature(b) for b in best}) > 1
-                   for *_, best in calls)
+        assert all(len({self._signature(*PQ[i], R[i]) for i in range(4)}) > 1
+                   for _, _, _, _, PQ, R in calls)
 
     def test_edge_faces_match_reference(self, monkeypatch):
         rng = np.random.default_rng(0)
@@ -710,15 +713,104 @@ class TestPolish:
             T2.append(1e-3 * rng.standard_normal((2, 3)) - M2)
         T1[2], T2[2] = rng.standard_normal((3, 3)), rng.standard_normal((2, 3))
         T1, T2 = np.array(T1), np.array(T2)
-        best = []
-        for op, target, t1, t2 in zip(ops, targets, T1, T2):
-            X = [nudged(M, floor) for M, floor in zip(target, (0.0, 0.0, 1.0))]
-            best.append((op.objective(*X, t1, t2), *X))
-        assert len({self._signature(b) for b in best}) == 3
+        points = [[nudged(M, floor) for M, floor
+                   in zip(target, (0.0, 0.0, 1.0))] for target in targets]
+        f = np.array([op.objective(*X, t1, t2)
+                      for op, X, t1, t2 in zip(ops, points, T1, T2)])
+        PQ = np.array([X[:2] for X in points])
+        R = np.array([X[2] for X in points])
+        assert len({self._signature(*X) for X in points}) == 3
         count = self._counting_lstsq(monkeypatch)
         got, stack, reference = self._assert_matches_reference(
-            stacked, T1, T2, best, count)
+            stacked, T1, T2, f, PQ, R, count)
         # one solve per member, in the stack and in the reference
         assert (stack, reference) == (3, 3)
-        assert got[0][0] < best[0][0] and got[1][0] < best[1][0]
-        assert got[2] is best[2]
+        assert got[0][0] < f[0] and got[0][1] < f[1]
+        assert got[0][2] == f[2]
+        assert np.array_equal(got[1][2], PQ[2])
+        assert np.array_equal(got[2][2], R[2])
+
+
+class TestWarmStepOracle:
+    """Every field of a warm call against ``warm_step_reference``, the
+    splitting loop and polish on per-member tuples, array for array."""
+
+    @staticmethod
+    def _assert_equal(got, ref, i=None):
+        """Result ``got`` (member i of a stack, or a single call) equals
+        the reference's member tuple ``ref`` bit for bit."""
+        (f, P, Q, R), iterations, converged, rp, rd, dual = ref
+        pick = (lambda x: x) if i is None else (lambda x: x[i])
+        assert got.iterations == iterations
+        assert type(got.iterations) is int
+        for field, want in (("objective", f), ("P", P), ("Q", Q), ("R", R),
+                            ("converged", converged),
+                            ("primal_residual", rp), ("dual_residual", rd),
+                            ("dual", dual)):
+            assert np.array_equal(pick(getattr(got, field)), want), field
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_stacks_equal_reference_bit_for_bit(self, n, m):
+        rng = np.random.default_rng(10 * n + m)
+        p = n * (n + 1) + m * (m + 1) // 2
+
+        def system():
+            A = rng.standard_normal((n, n))
+            A *= rng.uniform(0.5, 1.2) / np.abs(np.linalg.eigvals(A)).max()
+            return _dyn(A, rng.standard_normal((n, m)))
+
+        def psd(k, rank):
+            G = rng.standard_normal((k, rank))
+            return G @ G.T
+
+        for S in range(1, 6):
+            shared = S % 2 == 0
+            systems = [system()] * S if shared else [system()
+                                                     for _ in range(S)]
+            K = 0.5 * rng.standard_normal((S, m, n))
+            K[0] = 0.0
+            Y1 = rng.standard_normal((S, n, n))
+            Y2 = rng.standard_normal((S, m, n))
+            P0 = np.array([psd(n, rng.integers(1, n + 1)) for _ in range(S)])
+            Q0 = np.array([psd(n, rng.integers(0, n + 1)) for _ in range(S)])
+            R0 = np.array([np.eye(m) + psd(m, rng.integers(0, m + 1))
+                           for _ in range(S)])
+            # a non-symmetric start for the last member
+            P0[-1] += 1e-3 * rng.standard_normal((n, n))
+            dual0 = None if S % 3 == 1 else rng.standard_normal((S, p))
+            dyn = systems[0] if shared else systems
+            for max_iter in (1, 40):
+                init, dual = (P0, Q0, R0), dual0
+                # three chained calls, each from the last one's result
+                for _ in range(3):
+                    ref = warm_step_reference(systems, K, Y1, Y2, 2.0,
+                                              max_iter, init, dual)
+                    got = solve_pqr_step(dyn, K, Y1, Y2, rho=2.0,
+                                         max_iter=max_iter, init=init,
+                                         dual0=dual)
+                    for i in range(S):
+                        self._assert_equal(got, ref[i], i)
+                    one = solve_pqr_step(systems[0], K[0], Y1[0], Y2[0],
+                                         rho=2.0, max_iter=max_iter,
+                                         init=[M[0] for M in init],
+                                         dual0=None if dual is None
+                                         else dual[0])
+                    self._assert_equal(one, ref[0])
+                    init, dual = (got.P, got.Q, got.R), got.dual
+
+    @pytest.mark.parametrize("max_iter", [2.5, True, np.float64(3.0), "4"])
+    def test_max_iter_must_be_an_integer(self, max_iter):
+        dyn = _dyn(np.zeros((1, 1)), np.ones((1, 1)))
+        with pytest.raises(ValueError, match="max_iter"):
+            solve_pqr_step(dyn, np.zeros((1, 1)), np.zeros((1, 1)),
+                           np.zeros((1, 1)), rho=1.0, max_iter=max_iter,
+                           init=(np.eye(1), np.eye(1), np.eye(1)))
+
+    def test_max_iter_accepts_numpy_integers(self):
+        dyn = _dyn(np.zeros((1, 1)), np.ones((1, 1)))
+        step = solve_pqr_step(dyn, np.zeros((1, 1)), np.zeros((1, 1)),
+                              np.zeros((1, 1)), rho=1.0,
+                              max_iter=np.int64(3),
+                              init=(np.eye(1), np.eye(1), np.eye(1)))
+        assert step.iterations == 3 and type(step.iterations) is int

@@ -67,6 +67,17 @@ class TestTypes:
                                         Q=[[0.0, 0.0], [0.0, 0.0]])))
         assert linsys.load_system(path)[2][0, 0] == 0.5
 
+    def test_null_weights_take_their_defaults(self, tmp_path):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({
+            "A": [[1.0, 0.2], [0.0, 0.9]], "B": [[0.0], [1.0]], "W": None,
+            "Q": None, "R": None, "Sigma": None}))
+        dyn, Q, R, sigma = linsys.load_system(path)
+        assert np.array_equal(dyn.W, np.zeros((2, 2)))
+        assert np.array_equal(Q, np.eye(2))
+        assert np.array_equal(R, np.eye(1))
+        assert np.array_equal(sigma, np.eye(1))
+
     def test_demoset_lengths(self):
         with pytest.raises(ValueError):
             DemoSet(states=np.zeros((3, 2)), inputs=np.zeros((2, 1)))
