@@ -28,11 +28,15 @@ of one size) is run through the splitting loop in lockstep and polished
 as one stack, with one face least squares per member; its best point
 travels from the loop through the polish to the result as stacked arrays
 (objective, (P, Q), R), picked member by member with masks.  Each
-member's result is bit for bit that of solving it alone.  What depends
-only on the sizes (the svec layout and its gather indices, the padded
-svec basis the operator matrix is read off, the eigenvector pairs of the
-face bases) is built once per size, and the stacked system matrices once
-per tuple of systems.  The K step takes stacks too, as one batched solve
+splitting iteration projects all three cone blocks of every member with
+one ``eigh`` call, on a zero-padded stack of k x k matrices, k = max(n,
+m), each block in its slot's bottom-right corner, where the projection is
+bit for bit that of the block alone.  Each member's result is bit for bit
+that of solving it alone.  What depends only on the sizes (the svec
+layout and its gather indices, padded ones included, the padded svec
+basis the operator matrix is read off, the eigenvector pairs of the face
+bases) is built once per size, and the stacked system matrices once per
+tuple of systems.  The K step takes stacks too, as one batched solve
 of its normal equations.
 """
 
@@ -311,10 +315,18 @@ class _SvecLayout:
     ``cuts`` and ``flat`` hold the offsets of the blocks in svec order and
     in the flat layout.  ``pos`` is the svec position of every flat entry,
     ``up`` and ``lo`` are the flat positions of the upper and lower
-    triangle entries of every svec coordinate, ``uplo`` is both as one
-    (2, dim, 1) index (one gather of both triangles, as columns), and
-    ``scale`` is 1 on diagonal coordinates and sqrt 2 off them.  The arrays
-    are read-only.
+    triangle entries of every svec coordinate, and ``scale`` is 1 on
+    diagonal coordinates and sqrt 2 off them.
+
+    The padded layout gives every block a k x k slot, k the largest size,
+    with the block in the slot's bottom-right corner and zeros elsewhere:
+    the row-major entries of the slots, one after another, as one stack
+    of k x k matrices.  ``pad_pos`` is the svec position of every padded
+    entry, or ``cuts[-1]``, one past the last coordinate, on pad entries:
+    a gather from the svec point with one zero appended.  ``pad_uplo`` is
+    the padded positions of the upper and lower triangle entries of every
+    svec coordinate, as one (2, dim, 1) index (one gather of both
+    triangles, as columns).  The arrays are read-only.
     """
 
     def __init__(self, sizes):
@@ -328,13 +340,23 @@ class _SvecLayout:
                                   in zip(sizes, self.flat, iu)])
         self.lo = np.concatenate([f + j * k + i for k, f, (i, j)
                                   in zip(sizes, self.flat, iu)])
-        self.uplo = np.stack([self.up, self.lo])[..., None]
         self.pos = np.zeros(self.flat[-1], dtype=np.intp)
         self.pos[self.up] = self.pos[self.lo] = np.arange(self.cuts[-1])
+        # the padded layout: block b's entry (i, j) at (b, c + i, c + j) of
+        # a (blocks, k, k) stack, c = k - size
+        k = max(sizes)
+        corner = [b * k * k + (k - s) * (k + 1) for b, s in enumerate(sizes)]
+        self.pad_uplo = np.stack([
+            np.concatenate([c + i * k + j for c, (i, j) in zip(corner, iu)]),
+            np.concatenate([c + j * k + i for c, (i, j) in zip(corner, iu)])
+        ])[..., None]
+        self.pad_pos = np.full(len(sizes) * k * k, self.cuts[-1],
+                               dtype=np.intp)
+        self.pad_pos[self.pad_uplo[..., 0]] = np.arange(self.cuts[-1])
         self.basis = tuple(E[a:b].copy() for E, a, b in zip(
             self.split(np.eye(self.cuts[-1])), self.cuts, self.cuts[1:]))
-        for arr in (self.scale, self.up, self.lo, self.uplo, self.pos,
-                    *self.basis):
+        for arr in (self.scale, self.up, self.lo, self.pos, self.pad_uplo,
+                    self.pad_pos, *self.basis):
             arr.flags.writeable = False
 
     def join(self, Xs):
@@ -546,9 +568,19 @@ def _split(op, Mat, G, T1, T2, P0, Q0, R0, u0, max_iter):
     its matrices ``Mat`` and G = 2 Mat^T Mat) with offsets (T1[i], T2[i]),
     started from (P0[i], Q0[i], R0[i]) and the dual u0[i].  Every member
     runs ``max_iter`` iterations at its own fixed penalty; the stacked
-    steps (the x solve, the cone projections) work matrix by matrix and
-    column by column, on (S, dim, 1) columns z, u and x, and both cone
-    projections are written into one preallocated entry buffer.  The lower
+    steps (the x solve, the cone projection) work matrix by matrix and
+    column by column, on (S, dim, 1) columns z, u and x.  The three cone
+    blocks P, Q and R are projected together, by one ``eigh`` and one
+    ``matmul`` per iteration, on a zero-padded (S, 3, k, k) stack, k =
+    max(n, m), each block in the bottom-right corner of its slot (the
+    padded layout of :class:`_SvecLayout`); R's floor of 1 is a per-block
+    floor.  The projection of a block so padded is bit for bit that of the
+    block alone: LAPACK's tridiagonal reduction passes over the zero rows
+    with identity reflectors and the eigensolver splits at the zero
+    off-diagonal, so the pad adds only exact zeros.  (With the block
+    top-left, longer reflectors change its last bits.  A 1 x 1 block whose
+    entry lies outside LAPACK's unscaled range, about 1e+-146, can differ
+    in its last bit: LAPACK scales it when padded, not alone.)  The lower
     of each member's start and last iterate is then polished, the whole
     stack at once (:func:`_polish`).  So every member's result is bit for
     bit the result of running it alone.  Returns stacked arrays (f, PQ, R,
@@ -556,11 +588,13 @@ def _split(op, Mat, G, T1, T2, P0, Q0, R0, u0, max_iter):
     (PQ[:, 0], PQ[:, 1], R) and the residuals those of the last iteration.
     """
     n, m, p = op.n, op.m, Mat.shape[-1]
+    k = max(n, m)
     svec = _svec(n, n, m)
-    pos, uplo, n2 = svec.pos, svec.uplo, svec.flat[2]
+    pad_pos, pad_uplo = svec.pad_pos, svec.pad_uplo
     scale = svec.scale[:, None]
     # (a + b) * (0.5 scale) rounds as 0.5 (a + b) scale: halving is exact
     half_scale = 0.5 * scale
+    floor = np.array([0.0, 0.0, 1.0])[:, None]
     alpha = 1.6
     beta = 1.0 - alpha
     S = len(T1)
@@ -572,41 +606,36 @@ def _split(op, Mat, G, T1, T2, P0, Q0, R0, u0, max_iter):
     sigma = np.maximum(np.trace(G, axis1=1, axis2=2) / p, 1e-12)
     Minv = np.linalg.inv(G + sigma[:, None, None] * np.eye(p))
     sig = sigma[:, None, None]
-    # buffers and their block views, written in place every iteration:
-    # the entries of v's cone blocks; the row-major entries of the running
-    # (P, Q) and R, the cone projections before their final
-    # symmetrization; both triangles of those entries
-    flat = np.empty((S, svec.flat[-1], 1))
-    PQv, Rv = flat[:, :n2].reshape(S, 2, n, n), flat[:, n2:].reshape(S, m, m)
-    entries = np.empty((S, svec.flat[-1]))
-    PQ = entries[:, :n2].reshape(S, 2, n, n)
-    R = entries[:, n2:].reshape(S, m, m)
-    tri = np.empty((S,) + uplo.shape)
+    # buffers written in place every iteration: v / scale with one trailing
+    # zero row, the pad entries' source; the padded cone blocks of v; their
+    # projection; both triangles of the projection
+    vs = np.zeros((S, p + 1, 1))
+    blocks = np.empty((S, 3, k, k))
+    proj = np.empty((S, 3, k, k))
+    tri = np.empty((S,) + pad_uplo.shape)
     up, lo = tri[:, 0], tri[:, 1]
     for _ in range(max_iter):
         x = Minv @ (sig * (z - u) - q)
         xr = alpha * x + beta * z
-        v = xr + u
-        # both cone blocks of v as exactly symmetric matrices, so eigh
-        # needs no symmetrization
-        # (every index is in range: "clip" only spares take a buffer)
-        (v / scale).take(pos, axis=1, out=flat, mode="clip")
-        w, V = np.linalg.eigh(PQv)
-        np.matmul(V, np.maximum(w, 0.0)[..., None] * V.swapaxes(-1, -2),
-                  out=PQ)
-        w, V = np.linalg.eigh(Rv)
-        np.matmul(V, np.maximum(w, 1.0)[..., None] * V.swapaxes(-1, -2),
-                  out=R)
-        # svec of the symmetrized projections, read off both triangles
+        np.divide(xr + u, scale, out=vs[:, :p])
+        # the padded blocks as exactly symmetric matrices, so eigh needs no
+        # symmetrization (every index is in range: "clip" only spares take
+        # a buffer)
+        vs.take(pad_pos, axis=1, out=blocks.reshape(S, -1, 1), mode="clip")
+        w, V = np.linalg.eigh(blocks)
+        np.matmul(V, np.maximum(w, floor)[..., None] * V.swapaxes(-1, -2),
+                  out=proj)
+        # svec of the symmetrized projection, read off both triangles
         z_old = z
-        entries.take(uplo, axis=1, out=tri, mode="clip")
+        proj.reshape(S, -1).take(pad_uplo, axis=1, out=tri, mode="clip")
         z = (up + lo) * half_scale
         u += xr - z
     nz, rp, rd = _row_norms(np.array([z, x - z, z - z_old])[..., 0])
     rd = sigma * rd
     tol = _CONVERGED * (1.0 + nz)
     converged = (rp <= tol) & (rd <= tol)
-    PQ, R = _sym(PQ), _sym(R)
+    PQ = _sym(proj[:, :2, k - n:, k - n:])
+    R = _sym(proj[:, 2, k - m:, k - m:])
     f0 = op.objective(P0, Q0, R0, T1, T2)
     f = op.objective(PQ[:, 0], PQ[:, 1], R, T1, T2)
     # the lower of start and last iterate; the start on ties

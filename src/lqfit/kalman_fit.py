@@ -40,6 +40,7 @@ the gain callers use, ``K_certified`` or, when the re-solve failed, K.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +49,7 @@ from . import conic_ls, fitting, riccati
 from .conic_ls import LossSpec, RegularizerSpec
 from .linsys import DemoSet, LinearDynamics, _check_count, _row_norms
 
+logger = logging.getLogger("lqfit")
 
 # The splitting iterations of each sweep's (P, Q, R) step.
 _PQR_ITERS = 40
@@ -319,7 +321,9 @@ def _report(demos, loss, reg, dyn, outcomes):
     certificate = riccati.KalmanCertificate(P=P, Q=Q, R=R, residual=residual)
     try:
         K_certified = riccati.solve_lqr(dyn, (certificate.Q, certificate.R)).K
-    except (riccati.ConvergenceError, np.linalg.LinAlgError):
+    except (riccati.ConvergenceError, np.linalg.LinAlgError) as e:
+        logger.info("certified re-solve failed at certificate residual "
+                    "%.3e: %s", residual, e)
         K_certified = None
     return KalmanFitReport(K=final.K, K_certified=K_certified,
                            certificate=certificate, objective=objective,

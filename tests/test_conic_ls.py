@@ -358,6 +358,66 @@ class TestSvecLayout:
             # rounds it to within one unit in the last place
             np.testing.assert_array_max_ulp(Z, X, maxulp=1)
 
+    @pytest.mark.parametrize("sizes", [(1, 1, 1), (3, 3, 1), (1, 1, 4),
+                                       (2, 2, 3), (4, 4, 4), (5, 5, 2)])
+    def test_padded_layout(self, sizes):
+        svec = conic_ls._svec(*sizes)
+        k, dim = max(sizes), svec.cuts[-1]
+        slot, row, col = np.unravel_index(svec.pad_uplo[..., 0],
+                                          (len(sizes), k, k))
+        for b, (s, a, e) in enumerate(zip(sizes, svec.cuts, svec.cuts[1:])):
+            # coordinate j of block b at (i, l) of the block's own flat
+            # layout sits at (k - s + i, k - s + l) of slot b
+            i, l = np.divmod(svec.up[a:e] - svec.flat[b], s)
+            assert np.array_equal(slot[:, a:e], np.full((2, e - a), b))
+            assert np.array_equal(row, col[::-1])
+            assert np.array_equal(row[0, a:e], k - s + i)
+            assert np.array_equal(col[0, a:e], k - s + l)
+        reads = np.full(len(sizes) * k * k, dim)
+        reads[svec.pad_uplo[0, :, 0]] = reads[svec.pad_uplo[1, :, 0]] = (
+            np.arange(dim))
+        assert np.array_equal(svec.pad_pos, reads)
+        # a gather from the svec point with one zero appended is the
+        # zero-padded stack of its blocks
+        y = np.random.default_rng(25).standard_normal(dim)
+        padded = np.zeros((len(sizes), k, k))
+        for b, (s, X) in enumerate(zip(sizes, svec.split(y))):
+            padded[b, k - s:, k - s:] = X
+        assert np.array_equal(
+            (np.append(y / svec.scale, 0.0)[svec.pad_pos]).reshape(
+                padded.shape), padded)
+
+
+def _eig_project(X, floor):
+    """The cone projection as the splitting loop computes it."""
+    w, V = np.linalg.eigh(X)
+    return V @ (np.maximum(w, floor)[..., None] * V.swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("floor", [0.0, 1.0])
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+def test_zero_padded_projection_is_bit_for_bit(s, floor):
+    """The LAPACK property the warm step's one padded projection rests on:
+    a symmetric block in the bottom-right corner of a k x k zero matrix
+    projects, in that corner, bit for bit as the block alone."""
+    rng = np.random.default_rng(26 + s)
+    blocks = []
+    for scale in (1e-3, 1e-1, 1.0, 3e2, 1e5):
+        for rank in range(s + 1):
+            G = rng.standard_normal((s, rank))
+            blocks.append(scale * (G @ G.T))          # PSD, rank-deficient
+            blocks.append(scale * (G @ G.T) + scale * np.eye(s) * (
+                rng.uniform() - 0.5))                  # indefinite
+        X = rng.standard_normal((s, s))
+        blocks.append(scale * (X + X.T))
+    blocks = np.array(blocks)
+    alone = _eig_project(blocks, floor)
+    for k in range(s, 9):
+        padded = np.zeros((len(blocks), k, k))
+        padded[:, k - s:, k - s:] = blocks
+        got = _eig_project(padded, floor)[:, k - s:, k - s:]
+        assert np.array_equal(got, alone), k
+
 
 class TestPqrStep:
     def test_zero_objective_at_lqr_solution(self):
@@ -749,8 +809,10 @@ class TestWarmStepOracle:
                             ("dual", dual)):
             assert np.array_equal(pick(getattr(got, field)), want), field
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    # m > n at (1, 2), (1, 3), (1, 4), (2, 3), (2, 4) and (3, 4), where the
+    # padded projection pads P and Q as well
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_stacks_equal_reference_bit_for_bit(self, n, m):
         rng = np.random.default_rng(10 * n + m)
         p = n * (n + 1) + m * (m + 1) // 2

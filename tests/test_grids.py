@@ -5,6 +5,8 @@ import importlib.util
 import math
 from pathlib import Path
 
+import pytest
+
 from lqfit import bench
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "grids.py"
@@ -30,7 +32,7 @@ def test_two_cell_grid_and_compare(tmp_path, capsys):
     for N, line in zip((1, 3), report[2:]):
         ratio = cost[N, "kalman"] / cost[N, "optimal"]
         assert line == (f"  N={N}: kalman/optimal median {ratio:.6g}, "
-                        f"finite 1/1")
+                        f"mean {ratio:.6g}, finite 1/1")
 
     assert grids.main([str(b), *_ARGS]) == 0
     capsys.readouterr()
@@ -49,3 +51,31 @@ def test_two_cell_grid_and_compare(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "small_random.csv: 1 rows moved"
     assert math.isclose(float(out[-1].split(": ")[1]), 1e-9, rel_tol=1e-3)
+
+
+def test_mean_beside_median():
+    rows = [bench.ResultRow(experiment="e", N=1, seed=s, method=method,
+                            cost=cost, finite=math.isfinite(cost),
+                            spectral_radius=0.5)
+            for s, (opt, kal) in enumerate([(1.0, 2.0), (1.0, 3.0),
+                                            (2.0, 14.0), (1.0, math.inf)])
+            for method, cost in (("optimal", opt), ("kalman", kal))]
+    assert grids._ratios(rows) == [
+        "  N=1: kalman/optimal median 3, mean 4, finite 3/4"]
+
+
+@pytest.mark.parametrize("case", ["both empty", "one empty", "missing"])
+def test_compare_needs_two_output_directories(tmp_path, capsys, case):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    if case != "missing":
+        b.mkdir()
+    if case != "both empty":
+        (a / "small_random.csv").write_text("experiment,N,seed,method\n")
+    with pytest.raises(SystemExit) as exit_:
+        grids.main(["--compare", str(a), str(b)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    empty = b if case == "one empty" else a
+    assert (f"no directory {b}" if case == "missing"
+            else f"{empty} holds no grid outputs") in err

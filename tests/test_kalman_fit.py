@@ -1,3 +1,4 @@
+import logging
 import math
 from dataclasses import replace
 
@@ -235,6 +236,28 @@ class TestFitKalman:
         assert np.array_equal(failed.K, report.K)
         assert failed.K_reported is failed.K
         assert failed.to_dict()["K_reported"] == report.K.tolist()
+
+    def test_failed_resolve_is_logged(self, small_system, monkeypatch,
+                                      caplog):
+        dyn, cost, sigma, Kstar = small_system
+        demos = generate_demos(dyn, Kstar, sigma, 3, 0.0, 37)
+        cfg = AdmmConfig(n_iter=10)
+        with caplog.at_level(logging.INFO, logger="lqfit"):
+            fit_kalman(demos, QUAD, RIDGE, dyn, cfg)
+        assert "certified re-solve failed" not in caplog.text
+
+        def fail(*args, **kwargs):
+            raise ConvergenceError("injected", math.inf)
+        monkeypatch.setattr(riccati, "solve_lqr", fail)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="lqfit"):
+            failed = fit_kalman(demos, QUAD, RIDGE, dyn, cfg)
+        record, = [r for r in caplog.records
+                   if "certified re-solve failed" in r.getMessage()]
+        assert record.name == "lqfit" and record.levelno == logging.INFO
+        assert record.getMessage() == (
+            f"certified re-solve failed at certificate residual "
+            f"{failed.certificate.residual:.3e}: injected (residual inf)")
 
     def test_residual_matches_certificate(self, small_system):
         dyn, cost, sigma, Kstar = small_system

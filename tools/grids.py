@@ -8,16 +8,17 @@ The first form runs ``bench.run_experiment`` on each named grid (all of
 them when none is named) at expert horizon 2000 and writes
 ``OUT_DIR/<grid>.csv`` and ``OUT_DIR/<grid>_summary.json``; ``--seeds``
 and ``--N`` replace every named grid's seeds and demonstration counts.  It
-prints each grid's time and, per N, the median ratio of the kalman rows'
-cost to the optimal cost (finite rows only) and the fraction of finite
-kalman rows; times go to standard output only, never to the files.
+prints each grid's time and, per N, the median and mean ratio of the
+kalman rows' cost to the optimal cost (finite rows only) and the fraction
+of finite kalman rows; times go to standard output only, never to the files.
 ``--src`` imports lqfit from another source tree, such as a checkout of
 the parent commit, instead of this checkout's ``src/``.
 
 ``--compare`` reports "byte-identical" when both directories hold the same
 files with the same bytes and exits 0; otherwise it lists the files and
 CSV rows that differ, the largest relative move of a number in those
-rows, and exits 1.
+rows, and exits 1.  A directory that is missing or holds no ``.csv`` or
+``.json`` file is a usage error (exit 2): it compares equal to nothing.
 """
 
 import os
@@ -40,6 +41,7 @@ GRIDS = {
     "small_random": ("small_random", tuple(range(10)), (1, 3, 10)),
     "aircraft": ("aircraft", tuple(range(10)), (1, 3, 5)),
     "outliers": ("outliers", tuple(range(10)), (2, 5)),
+    "acceptance": ("small_random", tuple(range(20)), (1, 2, 3, 5, 10)),
     # the cells of the benchmark's two sweep workloads
     "bench-small-random": ("small_random", (0,), (1, 5)),
     "bench-aircraft": ("aircraft", (0, 1), (1,)),
@@ -72,16 +74,17 @@ def run_grids(out_dir, names, seeds=None, N_values=None, src=None):
 
 
 def _ratios(rows):
-    """Per N: the median kalman/optimal cost ratio over finite rows and
-    the fraction of finite kalman rows."""
+    """Per N: the median and mean kalman/optimal cost ratio over finite
+    rows and the fraction of finite kalman rows."""
     optimal = {(r.N, r.seed): r.cost for r in rows if r.method == "optimal"}
     out = []
     for N in sorted({r.N for r in rows}):
         kalman = [r for r in rows if r.method == "kalman" and r.N == N]
         ratios = [r.cost / optimal[N, r.seed] for r in kalman if r.finite]
-        median = statistics.median(ratios) if ratios else float("nan")
+        median, mean = ((statistics.median(ratios), statistics.fmean(ratios))
+                        if ratios else (math.nan, math.nan))
         out.append(f"  N={N}: kalman/optimal median {median:.6g}, "
-                   f"finite {len(ratios)}/{len(kalman)}")
+                   f"mean {mean:.6g}, finite {len(ratios)}/{len(kalman)}")
     return out
 
 
@@ -131,12 +134,17 @@ def _csv_moves(text_a, text_b):
     return moved, largest
 
 
+def _outputs(directory):
+    """The names of the grid outputs in ``directory``."""
+    return {p.name for p in Path(directory).iterdir()
+            if p.suffix in (".csv", ".json")}
+
+
 def compare(dir_a, dir_b):
     """(whether the two output directories are byte-identical, report
     lines)."""
     dir_a, dir_b = Path(dir_a), Path(dir_b)
-    names = sorted({p.name for d in (dir_a, dir_b) for p in d.iterdir()
-                    if p.suffix in (".csv", ".json")})
+    names = sorted(_outputs(dir_a) | _outputs(dir_b))
     lines, largest, same = [], 0.0, True
     for name in names:
         a, b = dir_a / name, dir_b / name
@@ -174,6 +182,12 @@ def main(argv=None):
     if args.compare:
         if args.out_dir:
             parser.error("--compare takes no output directory")
+        for directory in args.compare:
+            if not Path(directory).is_dir():
+                parser.error(f"--compare: no directory {directory}")
+            if not _outputs(directory):
+                parser.error(f"--compare: {directory} holds no grid outputs "
+                             f"(.csv or .json files)")
         same, lines = compare(*args.compare)
         print("\n".join(lines))
         return 0 if same else 1
