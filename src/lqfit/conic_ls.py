@@ -32,12 +32,11 @@ splitting iteration projects all three cone blocks of every member with
 one ``eigh`` call, on a zero-padded stack of k x k matrices, k = max(n,
 m), each block in its slot's bottom-right corner, where the projection is
 bit for bit that of the block alone.  Each member's result is bit for bit
-that of solving it alone.  What depends only on the sizes (the svec
-layout and its gather indices, padded ones included, the padded svec
-basis the operator matrix is read off, the eigenvector pairs of the face
-bases) is built once per size, and the stacked system matrices once per
-tuple of systems.  The K step takes stacks too, as one batched solve
-of its normal equations.
+that of solving it alone.  What depends only on the sizes is one svec
+layout per size, built once, with one table per job (the gathers, the
+operator basis, the face bases' eigenvector pairs), and the stacked
+system matrices are built once per tuple of systems.  The K step takes
+stacks too, as one batched solve of its normal equations.
 """
 
 from __future__ import annotations
@@ -306,57 +305,51 @@ class PqrStepResult:
 
 class _SvecLayout:
     """Orthonormal svec coordinates of a block of symmetric matrices, of
-    the sizes ``sizes``, one block after another.
+    the sizes ``sizes``, one block after another: the one place that knows
+    their order, with one table per job.
 
     ``join`` sends the matrices (or stacks of them, along leading axes) to
-    their svec point and ``split`` undoes it.  ``basis`` holds for each
-    block the matrices whose svec are its unit vectors, in svec order.
-    The flat layout [X1 | X2 | ...] lists the matrices' row-major entries;
-    ``cuts`` and ``flat`` hold the offsets of the blocks in svec order and
-    in the flat layout.  ``pos`` is the svec position of every flat entry,
-    ``up`` and ``lo`` are the flat positions of the upper and lower
-    triangle entries of every svec coordinate, and ``scale`` is 1 on
-    diagonal coordinates and sqrt 2 off them.
-
-    The padded layout gives every block a k x k slot, k the largest size,
-    with the block in the slot's bottom-right corner and zeros elsewhere:
-    the row-major entries of the slots, one after another, as one stack
-    of k x k matrices.  ``pad_pos`` is the svec position of every padded
-    entry, or ``cuts[-1]``, one past the last coordinate, on pad entries:
-    a gather from the svec point with one zero appended.  ``pad_uplo`` is
-    the padded positions of the upper and lower triangle entries of every
-    svec coordinate, as one (2, dim, 1) index (one gather of both
-    triangles, as columns).  The arrays are read-only.
+    their svec point: it gathers their row-major entries, one matrix after
+    another, at ``up`` (each coordinate's upper triangle entry) and scales
+    them by ``scale`` (1 on diagonal coordinates, sqrt 2 off them).
+    ``cuts`` holds the blocks' offsets in svec order.  ``split`` undoes
+    ``join`` through the padded layout: each block in the bottom-right
+    corner of a k x k slot, k the largest size, zeros elsewhere.
+    ``pad_pos`` is the svec position of every entry of that (blocks, k, k)
+    stack, or ``cuts[-1]`` on a pad entry: a gather from the svec point
+    with one zero appended.  ``pad_uplo`` holds the flat padded positions
+    of every coordinate's upper and lower triangle entries, as one (2,
+    dim, 1) index.  ``units`` is ``split`` of the identity, the operator
+    basis of :meth:`KalmanOperator.matrix`, and ``basis`` its diagonal
+    blocks: each block's matrices of its own unit vectors.  The arrays are
+    read-only.
     """
 
     def __init__(self, sizes):
         self.sizes = sizes
         iu = [np.triu_indices(k) for k in sizes]
         self.cuts = tuple(np.cumsum([0] + [len(i) for i, _ in iu]).tolist())
-        self.flat = tuple(np.cumsum([0] + [k * k for k in sizes]).tolist())
+        dim = self.cuts[-1]
+        flat = np.cumsum([0] + [k * k for k in sizes])
         self.scale = np.concatenate([np.where(i == j, 1.0, _SQRT2)
                                      for i, j in iu])
         self.up = np.concatenate([f + i * k + j for k, f, (i, j)
-                                  in zip(sizes, self.flat, iu)])
-        self.lo = np.concatenate([f + j * k + i for k, f, (i, j)
-                                  in zip(sizes, self.flat, iu)])
-        self.pos = np.zeros(self.flat[-1], dtype=np.intp)
-        self.pos[self.up] = self.pos[self.lo] = np.arange(self.cuts[-1])
-        # the padded layout: block b's entry (i, j) at (b, c + i, c + j) of
-        # a (blocks, k, k) stack, c = k - size
+                                  in zip(sizes, flat, iu)])
+        # block b's entry (i, j) at (b, k - size + i, k - size + j), padded
         k = max(sizes)
         corner = [b * k * k + (k - s) * (k + 1) for b, s in enumerate(sizes)]
         self.pad_uplo = np.stack([
             np.concatenate([c + i * k + j for c, (i, j) in zip(corner, iu)]),
             np.concatenate([c + j * k + i for c, (i, j) in zip(corner, iu)])
         ])[..., None]
-        self.pad_pos = np.full(len(sizes) * k * k, self.cuts[-1],
-                               dtype=np.intp)
-        self.pad_pos[self.pad_uplo[..., 0]] = np.arange(self.cuts[-1])
-        self.basis = tuple(E[a:b].copy() for E, a, b in zip(
-            self.split(np.eye(self.cuts[-1])), self.cuts, self.cuts[1:]))
-        for arr in (self.scale, self.up, self.lo, self.pos, self.pad_uplo,
-                    self.pad_pos, *self.basis):
+        pad_pos = np.full(len(sizes) * k * k, dim, dtype=np.intp)
+        pad_pos[self.pad_uplo[..., 0]] = np.arange(dim)
+        self.pad_pos = pad_pos.reshape(len(sizes), k, k)
+        self.units = self.split(np.eye(dim))
+        self.basis = tuple(E[a:b] for E, a, b in zip(self.units, self.cuts,
+                                                      self.cuts[1:]))
+        for arr in (self.scale, self.up, self.pad_uplo, self.pad_pos,
+                    *self.units):
             arr.flags.writeable = False
 
     def join(self, Xs):
@@ -366,10 +359,15 @@ class _SvecLayout:
         return entries.take(self.up, axis=-1) * self.scale
 
     def split(self, y):
-        """The blocks of the svec point ``y``: :meth:`join` undone."""
-        entries = np.take(y / self.scale, self.pos, axis=-1)
-        return [entries[..., a:b].reshape(y.shape[:-1] + (k, k)) for k, a, b
-                in zip(self.sizes, self.flat, self.flat[1:])]
+        """The blocks of the svec point ``y``: :meth:`join` undone.  The
+        blocks are views into one new zero-padded (..., blocks, k, k) array,
+        each its slot's bottom-right corner."""
+        ys = np.zeros(y.shape[:-1] + (self.cuts[-1] + 1,))
+        np.divide(y, self.scale, out=ys[..., :-1])
+        padded = ys.take(self.pad_pos, axis=-1)
+        k = padded.shape[-1]
+        return [padded[..., b, k - s:, k - s:]
+                for b, s in enumerate(self.sizes)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -442,7 +440,7 @@ class KalmanOperator:
         """(n*n + m*n) x (2 dim_n + dim_m): :meth:`columns` of the svec
         basis of (P, Q, R), so column j is apply of the j-th svec unit
         vector; one such matrix per member for a stack."""
-        return self._columns(*_padded_basis(self.n, self.m))
+        return self._columns(*_svec(self.n, self.n, self.m).units)
 
 
 def _padded(EP, EQ, ER):
@@ -461,40 +459,21 @@ def _padded(EP, EQ, ER):
     return Ps, Qs, Rs
 
 
-@functools.lru_cache(maxsize=None)
-def _padded_basis(n, m):
-    """:func:`_padded` of the svec basis of (P, Q, R) at size (n, m),
-    built once per size; read-only."""
-    blocks = _padded(*_svec(n, n, m).basis)
-    for arr in blocks:
-        arr.flags.writeable = False
-    return blocks
-
-
-@functools.lru_cache(maxsize=None)
-def _triu_pairs(k):
-    """The pairs i <= j of k eigenvectors in triu order, and the divisor of
-    each pair's face basis matrix (2 if i = j, else sqrt 2), built once per
-    size; read-only."""
-    i, j = np.triu_indices(k)
-    divisor = np.where(i == j, 2.0, _SQRT2)[:, None, None]
-    for arr in (i, j, divisor):
-        arr.flags.writeable = False
-    return i, j, divisor
-
-
 def _face_bases(w, V, floor):
     """The face bases of {X >= floor I} at a stack of matrices with
     eigenpairs (w, V), at full width: for every pair i <= j of eigenvectors,
     in triu order, the matrix (v_i v_j^T + v_j v_i^T) / (2 or sqrt 2); and
     whether it lies in the face active at the matrix, that is, whether both
     eigenvalues exceed floor by more than _POLISH_ACT_TOL (relative)."""
-    i, j, divisor = _triu_pairs(w.shape[-1])
+    svec = _svec(w.shape[-1])
+    i, j = np.divmod(svec.up, w.shape[-1])
     Vt = V.swapaxes(-1, -2)
     O = Vt[..., i, :, None] * Vt[..., j, None, :]
     on = (w - floor) > _POLISH_ACT_TOL * (1.0 + w.max(axis=-1, initial=0.0,
                                                       keepdims=True))
-    return (O + O.swapaxes(-1, -2)) / divisor, on[..., i] & on[..., j]
+    # the divisor is 1 + 1 = 2 on the diagonal and sqrt 2 off it, exactly
+    return ((O + O.swapaxes(-1, -2)) / (svec.scale + (i == j))[:, None, None],
+            on[..., i] & on[..., j])
 
 
 def _reaches(w, floor):
@@ -621,7 +600,7 @@ def _split(op, Mat, G, T1, T2, P0, Q0, R0, u0, max_iter):
         # the padded blocks as exactly symmetric matrices, so eigh needs no
         # symmetrization (every index is in range: "clip" only spares take
         # a buffer)
-        vs.take(pad_pos, axis=1, out=blocks.reshape(S, -1, 1), mode="clip")
+        vs.take(pad_pos, axis=1, out=blocks[..., None], mode="clip")
         w, V = np.linalg.eigh(blocks)
         np.matmul(V, np.maximum(w, floor)[..., None] * V.swapaxes(-1, -2),
                   out=proj)

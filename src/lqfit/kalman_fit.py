@@ -146,28 +146,25 @@ def identity_state(dyn: LinearDynamics) -> AdmmState:
                      R=np.eye(m), Y1=np.zeros((n, n)), Y2=np.zeros((m, n)))
 
 
-# The stacked fields of an AdmmState, one row per member.
+# The stacked fields of an AdmmState, one row per member; a fresh start's
+# pqr_dual is None, and a stack or a take of such states leaves it None.
 _FIELDS = ("K", "P", "Q", "R", "Y1", "Y2", "pqr_dual")
 
 
 def _stack(states) -> AdmmState:
     """One state holding the iterates of ``states`` (all at the same
     iteration) along a leading start axis."""
-    arrays = {f: np.stack([getattr(s, f) for s in states])
-              for f in ("K", "P", "Q", "R", "Y1", "Y2")}
-    dual = (None if states[0].pqr_dual is None
-            else np.stack([s.pqr_dual for s in states]))
-    return AdmmState(**arrays, iter=states[0].iter, pqr_dual=dual)
+    return AdmmState(iter=states[0].iter, **{
+        f: np.stack([getattr(s, f) for s in states]) for f in _FIELDS
+        if getattr(states[0], f) is not None})
 
 
 def _take(state: AdmmState, index) -> AdmmState:
     """The start(s) ``index`` of a stacked state: one start for an int, a
     smaller stack for a list."""
-    return AdmmState(K=state.K[index], P=state.P[index], Q=state.Q[index],
-                     R=state.R[index], Y1=state.Y1[index], Y2=state.Y2[index],
-                     iter=state.iter,
-                     pqr_dual=None if state.pqr_dual is None
-                     else state.pqr_dual[index])
+    return AdmmState(iter=state.iter, **{
+        f: getattr(state, f)[index] for f in _FIELDS
+        if getattr(state, f) is not None})
 
 
 def admm_iterate(state: AdmmState, demos: DemoSet | list[DemoSet],

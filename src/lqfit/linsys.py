@@ -207,12 +207,16 @@ class CostMatrices:
         return {"Q": self.Q.tolist(), "R": self.R.tolist()}
 
 
-def cost_pair(cost) -> tuple[np.ndarray, np.ndarray]:
-    """Accept CostMatrices or a plain (Q, R) pair of arrays."""
+def cost_pair(dyn: LinearDynamics, cost) -> tuple[np.ndarray, np.ndarray]:
+    """Accept CostMatrices or a plain (Q, R) pair of arrays for ``dyn``;
+    raises ValueError unless Q is n x n and R is m x m."""
     if isinstance(cost, CostMatrices):
-        return cost.Q, cost.R
-    Q, R = cost
-    return np.asarray(Q, dtype=float), np.asarray(R, dtype=float)
+        Q, R = cost.Q, cost.R
+    else:
+        Q, R = (np.asarray(M, dtype=float) for M in cost)
+    if Q.shape != (dyn.n, dyn.n) or R.shape != (dyn.m, dyn.m):
+        raise ValueError("cost matrix dimensions do not match the system")
+    return Q, R
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,9 +338,10 @@ def closed_loop_cost(dyn: LinearDynamics, cost, K: np.ndarray) -> float:
     """Infinite-horizon average cost of the gain K, or inf if unstable.
 
     Computed as trace(W P_cl) where P_cl solves the discrete Lyapunov
-    equation P_cl = Q + K^T R K + F^T P_cl F with F = A + B K.
+    equation P_cl = Q + K^T R K + F^T P_cl F with F = A + B K.  Raises
+    ValueError when Q or R does not match the system's size.
     """
-    Q, R = cost_pair(cost)
+    Q, R = cost_pair(dyn, cost)
     F = dyn.closed_loop(K)
     if spectral_radius(F) >= STABILITY_MARGIN:
         return math.inf
@@ -384,14 +389,15 @@ def rollout_cost_estimate(dyn: LinearDynamics, cost, K: np.ndarray,
     x_0 and the disturbances are written into it, the input noise's share
     B z_t is added block by block, and the prefix scan of
     :func:`_simulate_closed_loop` turns it into the states in place.
+    Raises ValueError when Q or R does not match the system's size, or
+    unless ``horizon`` is an integer (not a bool) of at least 1.
     """
-    Q, R = cost_pair(cost)
+    Q, R = cost_pair(dyn, cost)
     K = np.asarray(K, dtype=float)
     F = dyn.closed_loop(K)
     if spectral_radius(F) >= STABILITY_MARGIN:
         raise ValueError("closed loop is not stable: rollout cost diverges")
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
+    horizon = _check_count(horizon, "horizon", 1)
     rng = np.random.default_rng(rng_seed)
     Xstat = stationary_covariance(dyn, K, input_noise_cov)
     X = np.empty((dyn.n, horizon))
@@ -425,7 +431,8 @@ def generate_demos(dyn: LinearDynamics, expert: np.ndarray,
     States are drawn i.i.d. from the expert's stationary closed-loop
     distribution, inputs are u_i = K_expert x_i + z_i with z_i ~ N(0, Sigma),
     and then every scalar input entry is independently sign-flipped with
-    probability ``outlier_prob``.
+    probability ``outlier_prob``.  ``n_demos`` must be an integer (not a
+    bool) of at least 1.
 
     Draw order (fixed for reproducibility): state normals (n, N), input
     normals (m, N), then flip uniforms (N, m); the flip uniforms are drawn
@@ -435,8 +442,7 @@ def generate_demos(dyn: LinearDynamics, expert: np.ndarray,
     Sigma = np.asarray(input_noise_cov, dtype=float)
     if not 0.0 <= outlier_prob <= 1.0:
         raise ValueError("outlier_prob must be in [0, 1]")
-    if n_demos < 1:
-        raise ValueError("need at least one demonstration")
+    n_demos = _check_count(n_demos, "n_demos", 1)
     _check_psd(Sigma, "input_noise_cov")
     rng = np.random.default_rng(rng_seed)
     Lx = _psd_factor(stationary_covariance(dyn, expert))

@@ -188,7 +188,7 @@ class FeasibilityResult:
 
 def are_residual(dyn: LinearDynamics, cost, P: np.ndarray) -> float:
     """Frobenius norm of the Riccati fixed-point defect at P."""
-    Q, R = cost_pair(cost)
+    Q, R = cost_pair(dyn, cost)
     A, B = dyn.A, dyn.B
     BtP = B.T @ P
     defect = P - (Q + A.T @ P @ A
@@ -262,9 +262,7 @@ def solve_lqr(dyn: LinearDynamics, cost) -> LqrSolution:
     computed P does not satisfy the Riccati equation to
     1e-8 * (1 + ||P||_F).
     """
-    Q, R = cost_pair(cost)
-    if Q.shape != (dyn.n, dyn.n) or R.shape != (dyn.m, dyn.m):
-        raise ValueError("cost matrix dimensions do not match the system")
+    Q, R = cost_pair(dyn, cost)
     P, ok = _sda_iteration(dyn.A, dyn.B, Q, R)
     resid = are_residual(dyn, (Q, R), P) if np.all(np.isfinite(P)) else math.inf
     if not ok:

@@ -318,7 +318,7 @@ def rollout_reference(dyn, cost, K, horizon, rng_seed, input_noise_cov=None):
     order, and the same floating-point operations on every entry."""
     from lqfit.linsys import _psd_factor, cost_pair, stationary_covariance
 
-    Q, R = cost_pair(cost)
+    Q, R = cost_pair(dyn, cost)
     K = np.asarray(K, dtype=float)
     F = dyn.closed_loop(K)
     rng = np.random.default_rng(rng_seed)
@@ -381,14 +381,17 @@ def warm_step_reference(systems, K, Y1, Y2, rho, max_iter, init, dual0=None):
     loop and the face polish were before they moved to stacked arrays:
     (S, p) rows, the cone projections joined with ``concatenate``, the
     best point of each member an (objective, P, Q, R) tuple picked by
-    comparing floats, and the polish accepting member by member.
+    comparing floats, and the polish accepting member by member.  Its
+    svec layout (the flat gathers ``pos``, ``up`` and ``lo``, the scale
+    and the basis) is its own frozen copy, read off no table of the
+    library's layout.
 
     ``systems`` holds one LinearDynamics per member; K, Y1, Y2, the three
     matrices of ``init`` and ``dual0`` (or None) are stacks.  Returns one
     ((objective, P, Q, R), iterations, converged, primal residual, dual
     residual, dual) per member.
     """
-    from lqfit.conic_ls import KalmanOperator, _svec, project_psd
+    from lqfit.conic_ls import KalmanOperator, project_psd
     from lqfit.linsys import _row_norms
 
     def sym(M):
@@ -469,16 +472,29 @@ def warm_step_reference(systems, K, Y1, Y2, rho, max_iter, init, dual0=None):
     op = KalmanOperator(np.stack([d.A for d in systems]),
                         np.stack([d.B for d in systems]), K)
     n, m = op.n, op.m
-    svec = _svec(n, n, m)
-    Mat = columns(op, *svec.basis)
+    # the svec layout of (P, Q, R): the flat layout [P | Q | R] lists the
+    # row-major entries, up and lo are the flat positions of the upper and
+    # lower triangle entries of every coordinate, pos the coordinate of
+    # every flat entry
+    iu = [np.triu_indices(k) for k in (n, n, m)]
+    flat = np.cumsum([0, n * n, n * n, m * m])
+    scale = np.concatenate([np.where(i == j, 1.0, np.sqrt(2.0))
+                            for i, j in iu])
+    up = np.concatenate([f + i * k + j
+                         for k, f, (i, j) in zip((n, n, m), flat, iu)])
+    lo = np.concatenate([f + j * k + i
+                         for k, f, (i, j) in zip((n, n, m), flat, iu)])
+    pos = np.zeros(flat[-1], dtype=np.intp)
+    pos[up] = pos[lo] = np.arange(len(up))
+    n2 = flat[2]
+    Mat = columns(op, _svec_basis(n), _svec_basis(n), _svec_basis(m))
     G = 2.0 * (Mat.swapaxes(-1, -2) @ Mat)
-    pos, scale, up, lo, n2 = (svec.pos, svec.scale, svec.up, svec.lo,
-                              svec.flat[2])
     alpha = 1.6
     S, p = len(T1), Mat.shape[-1]
     u = np.zeros((S, p)) if dual0 is None else np.array(dual0, dtype=float)
     PQ, R = np.stack([P0, Q0], axis=1), R0
-    z = svec.join([P0, Q0, R0])
+    z = np.concatenate([M.reshape(S, -1) for M in (P0, Q0, R0)],
+                       axis=1).take(up, axis=1) * scale
     c = np.concatenate([T1.reshape(S, -1), T2.reshape(S, -1)], axis=1)
     q = 2.0 * (Mat.swapaxes(-1, -2) @ c[:, :, None])[:, :, 0]
     sigma = np.maximum(np.trace(G, axis1=1, axis2=2) / p, 1e-12)

@@ -337,7 +337,8 @@ class TestKalmanOperator:
 
 class TestSvecLayout:
     @pytest.mark.parametrize("lead", [(), (3,)])
-    @pytest.mark.parametrize("sizes", [(4,), (4, 2), (4, 4, 2)])
+    @pytest.mark.parametrize("sizes", [(4,), (4, 2), (4, 4, 2), (2, 2, 4),
+                                       (1, 3)])
     def test_join_matches_svec_and_split_undoes_it(self, sizes, lead):
         rng = np.random.default_rng(24)
         Xs = [rng.standard_normal(lead + (k, k)) for k in sizes]
@@ -365,27 +366,32 @@ class TestSvecLayout:
         k, dim = max(sizes), svec.cuts[-1]
         slot, row, col = np.unravel_index(svec.pad_uplo[..., 0],
                                           (len(sizes), k, k))
-        for b, (s, a, e) in enumerate(zip(sizes, svec.cuts, svec.cuts[1:])):
-            # coordinate j of block b at (i, l) of the block's own flat
-            # layout sits at (k - s + i, k - s + l) of slot b
-            i, l = np.divmod(svec.up[a:e] - svec.flat[b], s)
-            assert np.array_equal(slot[:, a:e], np.full((2, e - a), b))
-            assert np.array_equal(row, col[::-1])
-            assert np.array_equal(row[0, a:e], k - s + i)
-            assert np.array_equal(col[0, a:e], k - s + l)
-        reads = np.full(len(sizes) * k * k, dim)
-        reads[svec.pad_uplo[0, :, 0]] = reads[svec.pad_uplo[1, :, 0]] = (
-            np.arange(dim))
-        assert np.array_equal(svec.pad_pos, reads)
-        # a gather from the svec point with one zero appended is the
-        # zero-padded stack of its blocks
+        assert np.array_equal(row, col[::-1])
+        # an svec point and the zero-padded stack of its blocks, built
+        # entry by entry: coordinate j of block b is the block's j-th upper
+        # triangle entry (i, l) in row-major order, at (k - s + i, k - s + l)
+        # of slot b
         y = np.random.default_rng(25).standard_normal(dim)
         padded = np.zeros((len(sizes), k, k))
-        for b, (s, X) in enumerate(zip(sizes, svec.split(y))):
-            padded[b, k - s:, k - s:] = X
-        assert np.array_equal(
-            (np.append(y / svec.scale, 0.0)[svec.pad_pos]).reshape(
-                padded.shape), padded)
+        reads = np.full((len(sizes), k, k), dim)
+        for b, (s, a, e) in enumerate(zip(sizes, svec.cuts, svec.cuts[1:])):
+            i, l = np.triu_indices(s)
+            assert np.array_equal(slot[:, a:e], np.full((2, e - a), b))
+            assert np.array_equal(row[0, a:e], k - s + i)
+            assert np.array_equal(col[0, a:e], k - s + l)
+            for j, (r, t) in enumerate(zip(k - s + i, k - s + l), start=a):
+                reads[b, r, t] = reads[b, t, r] = j
+                padded[b, r, t] = padded[b, t, r] = (
+                    y[j] / (1.0 if r == t else np.sqrt(2.0)))
+        assert np.array_equal(svec.pad_pos, reads)
+        # a gather from the svec point with one zero appended is the padded
+        # stack, and split returns its corners, views into one array
+        assert np.array_equal(np.append(y / svec.scale, 0.0)[svec.pad_pos],
+                              padded)
+        blocks = svec.split(y)
+        for b, (s, X) in enumerate(zip(sizes, blocks)):
+            assert np.array_equal(X, padded[b, k - s:, k - s:])
+            assert X.base is blocks[0].base
 
 
 def _eig_project(X, floor):

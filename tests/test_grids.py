@@ -79,3 +79,33 @@ def test_compare_needs_two_output_directories(tmp_path, capsys, case):
     empty = b if case == "one empty" else a
     assert (f"no directory {b}" if case == "missing"
             else f"{empty} holds no grid outputs") in err
+
+
+def test_two_seed_checks_grid(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert grids.main([str(a), "checks", "--seeds", "0", "1"]) == 0
+    report = capsys.readouterr().out.splitlines()
+    assert report[1].startswith("checks: 2 systems in ")
+    kinds = grids.CHECK_KINDS + ("cold",)
+    assert [line.split(":")[0].strip() for line in report[2:]] == list(kinds)
+    lines = (a / "checks.csv").read_text().splitlines()
+    assert lines[0] == "seed,kind,n,m,answer,iterations,value,gap"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(r[0], r[1]) for r in rows] == [
+        (str(seed), kind) for seed in (0, 1) for kind in kinds]
+    for kind, line in zip(kinds, report[2:]):
+        answers = [r[4] for r in rows if r[1] == kind]
+        counts = dict(item.rsplit(" ", 1)
+                      for item in line.split(": ")[1].split(", "))
+        assert sum(map(int, counts.values())) == 2
+        assert all(int(counts[x]) == answers.count(x) for x in counts)
+    # the LQR gains are optimal and no gain is optimal on A = 0
+    assert [r[4] for r in rows if r[1] == "lqr"] == ["feasible"] * 2
+    assert [r[4] for r in rows if r[1] == "zero-dynamics"] == (
+        ["infeasible"] * 2)
+    assert all(float(r[7]) >= 0.0 for r in rows if r[1] == "cold")
+
+    assert grids.main([str(b), "checks", "--seeds", "0", "1"]) == 0
+    capsys.readouterr()
+    assert grids.main(["--compare", str(a), str(b)]) == 0
+    assert capsys.readouterr().out == "byte-identical (1 files)\n"

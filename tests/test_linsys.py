@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from lqfit import linsys
-from lqfit.bench import build_aircraft
+from lqfit.bench import build_aircraft, build_small_random
 from lqfit.linsys import (CostMatrices, DemoSet, LinearDynamics,
                           _simulate_closed_loop, closed_loop_cost,
                           generate_demos, rollout_cost_estimate,
                           solve_lyapunov_stein, spectral_radius,
                           stationary_covariance)
-from lqfit.riccati import solve_lqr
+from lqfit.riccati import are_residual, solve_lqr
 
 from _oracles import rollout_reference, stein_reference
 
@@ -368,3 +368,50 @@ class TestGenerateDemos:
         dyn = LinearDynamics(A=[[1.5]], B=[[1.0]], W=[[1.0]])
         with pytest.raises(ValueError):
             generate_demos(dyn, np.zeros((1, 1)), np.eye(1), 5, 0.0, 0)
+
+
+_COST_CALLS = {
+    "solve_lqr": lambda dyn, cost, sol: solve_lqr(dyn, cost),
+    "are_residual": lambda dyn, cost, sol: are_residual(dyn, cost, sol.P),
+    "closed_loop_cost": lambda dyn, cost, sol: closed_loop_cost(dyn, cost,
+                                                                sol.K),
+    "rollout_cost_estimate": lambda dyn, cost, sol: rollout_cost_estimate(
+        dyn, cost, sol.K, horizon=100, rng_seed=0),
+}
+
+
+@pytest.mark.parametrize("call", list(_COST_CALLS))
+@pytest.mark.parametrize("wrong", ["Q", "R"])
+def test_wrong_sized_cost_rejected(call, wrong):
+    # a 1 x 1 Q would broadcast as the all-ones 4 x 4 matrix
+    dyn, cost, _ = build_small_random(0)
+    sol = solve_lqr(dyn, cost)
+    Q, R = cost.Q, cost.R
+    pair = (np.eye(1), R) if wrong == "Q" else (Q, np.eye(1))
+    with pytest.raises(ValueError, match="cost matrix dimensions do not "
+                                         "match the system"):
+        _COST_CALLS[call](dyn, pair, sol)
+    # the right sizes, as arrays or as CostMatrices, are accepted
+    _COST_CALLS[call](dyn, (Q, R), sol)
+    _COST_CALLS[call](dyn, cost, sol)
+
+
+@pytest.mark.parametrize("bad", [2.5, True, 0, -1, "3"])
+def test_counts_must_be_integers(scalar_sys, scalar_cost, bad):
+    with pytest.raises(ValueError, match="n_demos must be an integer"):
+        generate_demos(scalar_sys, np.zeros((1, 1)), np.eye(1), bad, 0.0, 0)
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        rollout_cost_estimate(scalar_sys, scalar_cost, np.zeros((1, 1)),
+                              horizon=bad, rng_seed=0)
+
+
+def test_integer_counts_of_any_integer_type(scalar_sys, scalar_cost):
+    K = np.zeros((1, 1))
+    for count in (7, np.int64(7)):
+        assert np.array_equal(
+            generate_demos(scalar_sys, K, np.eye(1), count, 0.0, 3).states,
+            generate_demos(scalar_sys, K, np.eye(1), 7, 0.0, 3).states)
+        assert (rollout_cost_estimate(scalar_sys, scalar_cost, K,
+                                      horizon=count, rng_seed=3)
+                == rollout_cost_estimate(scalar_sys, scalar_cost, K,
+                                         horizon=7, rng_seed=3))

@@ -11,8 +11,23 @@ and ``--N`` replace every named grid's seeds and demonstration counts.  It
 prints each grid's time and, per N, the median and mean ratio of the
 kalman rows' cost to the optimal cost (finite rows only) and the fraction
 of finite kalman rows; times go to standard output only, never to the files.
+
 ``--src`` imports lqfit from another source tree, such as a checkout of
 the parent commit, instead of this checkout's ``src/``.
+
+The ``checks`` grid runs no experiment: it calls the optimality check and
+the cold (P, Q, R) step, the two solvers whose Newton steps go through
+the svec layout's ``split`` and ``join``, on one random system per seed
+(0-59), and writes ``OUT_DIR/checks.csv``.  ``default_rng(seed)`` draws n
+in 2-8 and m in 1-4, A standard normal rescaled to a spectral radius
+drawn from [0.5, 1.3], and B standard normal.  Four gains are checked:
+the LQR gain for Q = G G^T and R = I + H H^T (G and H standard normal),
+that gain moved by 1e-3 and by 1e-4 ||K||_F in a random direction, and a
+random gain on A = 0; a row holds the verdict, the Newton steps and the
+residual.  One cold ``solve_pqr_step`` at the 1e-3 gain, with Y1 and Y2
+0.2 times standard normal, adds a row with whether it converged, its
+Newton steps, its objective and its gap bound.  It prints the count of
+each answer per kind, ``undecided`` included; ``--N`` does not apply.
 
 ``--compare`` reports "byte-identical" when both directories hold the same
 files with the same bytes and exits 0; otherwise it lists the files and
@@ -45,7 +60,11 @@ GRIDS = {
     # the cells of the benchmark's two sweep workloads
     "bench-small-random": ("small_random", (0,), (1, 5)),
     "bench-aircraft": ("aircraft", (0, 1), (1,)),
+    # no experiment: optimality checks and cold (P, Q, R) steps
+    "checks": (None, tuple(range(60)), ()),
 }
+CHECK_KINDS = ("lqr", "move-1e-3", "move-1e-4", "zero-dynamics")
+VERDICTS = ("feasible", "infeasible", "undecided")
 
 
 def run_grids(out_dir, names, seeds=None, N_values=None, src=None):
@@ -61,16 +80,74 @@ def run_grids(out_dir, names, seeds=None, N_values=None, src=None):
     lines = [f"lqfit from {Path(bench.__file__).parent}"]
     for name in names:
         experiment, grid_seeds, grid_N = GRIDS[name]
+        start = time.perf_counter()
+        if experiment is None:
+            rows = _run_checks(out_dir / f"{name}.csv", seeds or grid_seeds)
+            seconds = time.perf_counter() - start
+            lines.append(f"{name}: {len(seeds or grid_seeds)} systems in "
+                         f"{seconds:.2f} s")
+            lines.extend(_answer_counts(rows))
+            continue
         config = bench.default_config(
             experiment, seeds=seeds or grid_seeds,
             N_values=N_values or grid_N, expert_eval_horizon=HORIZON)
-        start = time.perf_counter()
         rows, _ = bench.run_experiment(config, out_dir / f"{name}.csv")
         seconds = time.perf_counter() - start
         lines.append(f"{name}: {len(config.seeds) * len(config.N_values)} "
                      f"cells in {seconds:.2f} s")
         lines.extend(_ratios(rows))
     return lines
+
+
+def _run_checks(path, seeds):
+    """Write the checks grid's CSV for ``seeds`` to ``path``; returns its
+    rows as (kind, answer) pairs."""
+    import numpy as np
+    from lqfit import LinearDynamics, check_kalman_feasible, solve_lqr
+    from lqfit import solve_pqr_step, spectral_radius
+
+    lines = ["seed,kind,n,m,answer,iterations,value,gap"]
+    rows = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 9)), int(rng.integers(1, 5))
+        A = rng.standard_normal((n, n))
+        A *= rng.uniform(0.5, 1.3) / spectral_radius(A)
+        dyn = LinearDynamics(A=A, B=rng.standard_normal((n, m)),
+                             W=np.zeros((n, n)))
+        G, H = rng.standard_normal((n, n)), rng.standard_normal((m, m))
+        K = solve_lqr(dyn, (G @ G.T, np.eye(m) + H @ H.T)).K
+        D = rng.standard_normal((m, n))
+        D *= np.linalg.norm(K) / np.linalg.norm(D)
+        zero = LinearDynamics(A=np.zeros((n, n)), B=dyn.B, W=dyn.W)
+        gains = [(dyn, K), (dyn, K + 1e-3 * D), (dyn, K + 1e-4 * D),
+                 (zero, rng.standard_normal((m, n)))]
+        for kind, (system, gain) in zip(CHECK_KINDS, gains):
+            res = check_kalman_feasible(system, gain)
+            rows.append((kind, res.verdict))
+            lines.append(f"{seed},{kind},{n},{m},{res.verdict},"
+                         f"{res.iterations},{res.certificate.residual!r},")
+        step = solve_pqr_step(dyn, gains[1][1],
+                              0.2 * rng.standard_normal((n, n)),
+                              0.2 * rng.standard_normal((m, n)), rho=1.0)
+        answer = "converged" if step.converged else "not converged"
+        rows.append(("cold", answer))
+        lines.append(f"{seed},cold,{n},{m},{answer},{step.iterations},"
+                     f"{step.objective!r},{step.dual_residual!r}")
+    Path(path).write_text("\n".join(lines) + "\n")
+    return rows
+
+
+def _answer_counts(rows):
+    """Per kind, the count of each answer of the checks grid's rows."""
+    out = []
+    for kind in CHECK_KINDS + ("cold",):
+        answers = [a for k, a in rows if k == kind]
+        names = VERDICTS if kind != "cold" else ("converged",
+                                                 "not converged")
+        out.append(f"  {kind}: " + ", ".join(
+            f"{a} {answers.count(a)}" for a in names))
+    return out
 
 
 def _ratios(rows):
@@ -111,7 +188,8 @@ def _numbers(text):
 
 def _csv_moves(text_a, text_b):
     """(rows that differ, largest relative move) of two grid CSVs; rows
-    are matched by (experiment, N, seed, method)."""
+    are matched by their first four fields: (experiment, N, seed, method),
+    or (seed, kind, n, m) in the checks grid."""
     def rows(text):
         return {tuple(line.split(",")[:4]): line
                 for line in text.splitlines()[1:]}
