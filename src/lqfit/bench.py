@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -94,23 +94,17 @@ def default_config(experiment: str, **overrides) -> ExperimentConfig:
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    """Build a config from parsed JSON, starting from the experiment preset."""
-    d = dict(d)
-    experiment = d.pop("experiment", "small_random")
-    kwargs = {}
-    if "loss" in d:
-        kwargs["loss"] = LossSpec(**d.pop("loss"))
-    if "reg" in d:
-        kwargs["reg"] = RegularizerSpec(**d.pop("reg"))
-    if "admm" in d:
-        kwargs["admm"] = AdmmConfig(**d.pop("admm"))
-    for key in ("N_values", "seeds", "outlier_prob", "dynamics_path",
-                "expert_eval_horizon"):
-        if key in d:
-            kwargs[key] = d.pop(key)
-    if d:
-        raise ValueError(f"unknown config fields: {sorted(d)}")
-    return default_config(experiment, **kwargs)
+    """Build a config from parsed JSON, starting from the experiment preset;
+    its fields are ExperimentConfig's, and loss, reg and admm are objects."""
+    unknown = set(d) - {f.name for f in fields(ExperimentConfig)}
+    if unknown:
+        raise ValueError(f"unknown config fields: {sorted(unknown)}")
+    kwargs = dict(d)
+    for key, spec in (("loss", LossSpec), ("reg", RegularizerSpec),
+                      ("admm", AdmmConfig)):
+        if key in kwargs:
+            kwargs[key] = spec(**kwargs[key])
+    return default_config(kwargs.pop("experiment", "small_random"), **kwargs)
 
 
 def build_small_random(seed) -> tuple[LinearDynamics, CostMatrices, np.ndarray]:
@@ -162,8 +156,9 @@ def _build_system(config: ExperimentConfig, seed: int):
     elif config.experiment == "aircraft":
         dyn, cost, sigma = build_aircraft()
     else:
+        # not CostMatrices: R > 0 is enough, R >= I is the fitter's scaling
         dyn, Q, R, sigma = load_system(config.dynamics_path)
-        cost = CostMatrices(Q=Q, R=R)
+        cost = (Q, R)
     return dyn, cost, sigma
 
 

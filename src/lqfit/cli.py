@@ -19,11 +19,7 @@ import numpy as np
 from . import bench, fitting, kalman_fit, riccati
 from .conic_ls import LossSpec, RegularizerSpec
 from .kalman_fit import AdmmConfig
-from .linsys import DemoSet, load_system
-
-
-class _ConfigError(Exception):
-    pass
+from .linsys import DemoSet, load_system, read_input
 
 
 class _Parser(argparse.ArgumentParser):
@@ -31,38 +27,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load_json(path):
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        raise _ConfigError(f"cannot read {path}: {e}") from e
-
-
-def _load_object(path, what):
-    """The JSON object in ``path``; any other top-level value is an error."""
-    d = _load_json(path)
-    if not isinstance(d, dict):
-        raise _ConfigError(f"bad {what} file {path}: "
-                           "the top-level JSON value must be an object")
-    return d
-
-
-def _load_demos(path):
-    try:
-        return DemoSet.from_dict(_load_object(path, "demos"))
-    except (KeyError, TypeError, ValueError) as e:
-        raise _ConfigError(f"bad demos file {path}: {e}") from e
-
-
-def _load_gain(path):
-    d = _load_object(path, "gain")
+def _gain_from_dict(d):
     if "K" not in d:
-        raise _ConfigError(f"bad gain file {path}: no 'K' matrix")
-    try:
-        return np.array(d["K"], dtype=float)
-    except (TypeError, ValueError) as e:
-        raise _ConfigError(f"bad gain file {path}: {e}") from e
+        raise ValueError("no 'K' matrix")
+    return np.array(d["K"], dtype=float)
 
 
 def _loss_from_args(args) -> LossSpec:
@@ -88,7 +56,7 @@ def _cmd_lqr(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    demos = _load_demos(args.demos)
+    demos = read_input(args.demos, "demos", DemoSet.from_dict)
     report = fitting.policy_fit(demos, _loss_from_args(args),
                                 RegularizerSpec("ridge", args.lam))
     _emit({"K": report.K.tolist(), "objective": report.objective}, args.out)
@@ -97,7 +65,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_fit_kalman(args) -> int:
     dyn = load_system(args.system)[0]
-    demos = _load_demos(args.demos)
+    demos = read_input(args.demos, "demos", DemoSet.from_dict)
     config = AdmmConfig(rho=args.rho, n_iter=args.iters, eps=args.eps)
     report = kalman_fit.fit_kalman(demos, _loss_from_args(args),
                                    RegularizerSpec("ridge", args.lam),
@@ -108,18 +76,16 @@ def _cmd_fit_kalman(args) -> int:
 
 def _cmd_check_kalman(args) -> int:
     dyn = load_system(args.system)[0]
-    K = _load_gain(args.gain)
+    K = read_input(args.gain, "gain", _gain_from_dict)
     result = riccati.check_kalman_feasible(dyn, K, tol=args.tol)
     _emit(result.to_dict(), args.out)
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    d = _load_json(args.config) if args.config else {}
-    try:
-        config = bench.config_from_dict(d)
-    except (TypeError, ValueError) as e:
-        raise _ConfigError(f"bad experiment config: {e}") from e
+    config = (read_input(args.config, "experiment config",
+                         bench.config_from_dict)
+              if args.config else bench.ExperimentConfig())
     rows, _ = bench.run_experiment(config, args.out)
     print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     return 0
@@ -180,14 +146,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_ConfigError, OSError) as e:
-        print(f"lqfit: {e}", file=sys.stderr)
-        return 1
     except (riccati.ConvergenceError, RuntimeError, FloatingPointError,
             np.linalg.LinAlgError) as e:
         print(f"lqfit: solver failure: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
+    except (OSError, ValueError) as e:
         print(f"lqfit: {e}", file=sys.stderr)
         return 1
 

@@ -582,7 +582,8 @@ def _split(op, Mat, G, T1, T2, P0, Q0, R0, u0, max_iter):
     z = svec.join([P0, Q0, R0]).reshape(S, p, 1)
     c = np.concatenate([T1.reshape(S, -1), T2.reshape(S, -1)], axis=1)
     q = 2.0 * (Mat.swapaxes(-1, -2) @ c[:, :, None])
-    sigma = np.maximum(np.trace(G, axis1=1, axis2=2) / p, 1e-12)
+    # positive: G's diagonal is 2 at each Q coordinate (a unit M1 block)
+    sigma = np.trace(G, axis1=1, axis2=2) / p
     Minv = np.linalg.inv(G + sigma[:, None, None] * np.eye(p))
     sig = sigma[:, None, None]
     # buffers written in place every iteration: v / scale with one trailing

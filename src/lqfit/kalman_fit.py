@@ -263,7 +263,7 @@ def _run_lockstep(starts, members, loss, reg, config):
         new, errors = _sweep(batch, [members[i] for i in active], loss, reg,
                              config)
         ok = np.array([e is None for e in errors])
-        ok &= np.all(np.isfinite(new.K), axis=(1, 2))
+        # K is finite: admm_iterate raises on a non-finite K-step gain
         for f in ("P", "Q", "R"):
             ok &= np.all(np.isfinite(getattr(new, f)), axis=(1, 2))
         # ||K_{k+1} - K_k||_F of the finite starts, each bit-equal to

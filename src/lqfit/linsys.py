@@ -8,8 +8,9 @@ closed by a linear state-feedback policy u_t = K x_t.  The module provides
 the system container, the infinite-horizon average quadratic cost of a gain
 (computed through a discrete Lyapunov equation), a Monte-Carlo cost
 estimator used as a cross-check, and a generator of noisy "expert"
-demonstrations, optionally corrupted by sign-flip outliers.  Everything
-runs on numpy alone.
+demonstrations, optionally corrupted by sign-flip outliers; and
+``read_input``, the reader of every input file.  Everything runs on numpy
+alone.
 
 Conventions: gains are plain (m, n) numpy arrays acting as u = K x; the
 closed-loop matrix is A + B K.  An unstable closed loop has infinite
@@ -152,35 +153,49 @@ class LinearDynamics:
         return cls(A=A, B=np.array(d["B"], dtype=float), W=np.array(W, dtype=float))
 
 
+def read_input(path, kind: str, parse):
+    """``parse(d)`` of the JSON object ``d`` in ``path``: the one reader of
+    input files (systems, demonstrations, gains, experiment configs).
+
+    An OSError passes through unchanged.  Bad JSON, a top-level value that
+    is not an object, or a KeyError, TypeError or ValueError from ``parse``
+    raises ``ValueError("bad <kind> file <path>: ...")``.
+    """
+    try:
+        with open(path) as f:
+            d = json.load(f)
+        if not isinstance(d, dict):
+            raise ValueError("the top-level JSON value must be an object")
+        return parse(d)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"bad {kind} file {path}: {e}") from e
+
+
+def _system_from_dict(d: dict):
+    dyn = LinearDynamics.from_dict(d)
+    n, m = dyn.n, dyn.m
+    Q, R, sigma = (_as_matrix(np.eye(k) if d.get(name) is None else d[name],
+                              name)
+                   for name, k in (("Q", n), ("R", m), ("Sigma", m)))
+    for name, M, k in (("Q", Q, n), ("R", R, m), ("Sigma", sigma, m)):
+        if M.shape != (k, k):
+            raise ValueError(f"{name} must be {k}x{k}")
+        _check_psd(M, name)
+    if not _min_eig(R) > 0.0:
+        raise ValueError("R must be positive definite")
+    return dyn, Q, R, sigma
+
+
 def load_system(path):
     """Read a system file: a JSON object with A, B and optional W, Q, R, Sigma.
 
     Returns (dynamics, Q, R, Sigma).  W defaults to zero, Q and R to
     identities and Sigma, the expert's input-noise covariance, to the
-    identity; a weight given as ``null`` takes its default.  Raises OSError when the file cannot be read and ValueError
-    when its content is not such an object, holds a non-finite entry, or
-    Q is not n x n PSD, Sigma not m x m PSD or R not m x m positive definite.
+    identity; a weight given as ``null`` takes its default.  Raises as
+    :func:`read_input` does, with ValueError also for a non-finite entry,
+    or unless Q is n x n PSD, Sigma m x m PSD and R m x m positive definite.
     """
-    with open(path) as f:
-        text = f.read()
-    try:
-        d = json.loads(text)
-        if not isinstance(d, dict):
-            raise ValueError("the top-level JSON value must be an object")
-        dyn = LinearDynamics.from_dict(d)
-        n, m = dyn.n, dyn.m
-        Q, R, sigma = (_as_matrix(np.eye(k) if d.get(name) is None
-                                  else d[name], name)
-                       for name, k in (("Q", n), ("R", m), ("Sigma", m)))
-        for name, M, k in (("Q", Q, n), ("R", R, m), ("Sigma", sigma, m)):
-            if M.shape != (k, k):
-                raise ValueError(f"{name} must be {k}x{k}")
-            _check_psd(M, name)
-        if not _min_eig(R) > 0.0:
-            raise ValueError("R must be positive definite")
-    except (KeyError, TypeError, ValueError) as e:
-        raise ValueError(f"bad system file {path}: {e}") from e
-    return dyn, Q, R, sigma
+    return read_input(path, "system", _system_from_dict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,6 +232,17 @@ def cost_pair(dyn: LinearDynamics, cost) -> tuple[np.ndarray, np.ndarray]:
     if Q.shape != (dyn.n, dyn.n) or R.shape != (dyn.m, dyn.m):
         raise ValueError("cost matrix dimensions do not match the system")
     return Q, R
+
+
+def _noise_cov(dyn: LinearDynamics, Sigma) -> np.ndarray:
+    """The input-noise covariance Sigma as an array; raises ValueError,
+    naming ``input_noise_cov``, unless Sigma is m x m symmetric PSD."""
+    Sigma = np.asarray(Sigma, dtype=float)
+    if Sigma.shape != (dyn.m, dyn.m):
+        raise ValueError(f"input_noise_cov must be {dyn.m}x{dyn.m} to match "
+                         f"the system, got shape {Sigma.shape}")
+    _check_psd(Sigma, "input_noise_cov")
+    return Sigma
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,14 +349,15 @@ def stationary_covariance(dyn: LinearDynamics, K: np.ndarray,
     """Stationary state covariance X = F X F^T + W_eff of the closed loop.
 
     With input noise z ~ N(0, Sigma) on top of u = K x, the effective
-    disturbance covariance is W + B Sigma B^T.
+    disturbance covariance is W + B Sigma B^T.  Raises ValueError unless
+    Sigma is m x m symmetric PSD (:func:`_noise_cov`).
     """
     F = dyn.closed_loop(K)
     if spectral_radius(F) >= STABILITY_MARGIN:
         raise ValueError("closed loop is not stable: no stationary distribution")
     Weff = dyn.W
     if input_noise_cov is not None:
-        Weff = Weff + dyn.B @ np.asarray(input_noise_cov, float) @ dyn.B.T
+        Weff = Weff + dyn.B @ _noise_cov(dyn, input_noise_cov) @ dyn.B.T
     return solve_lyapunov_stein(F.T, Weff)
 
 
@@ -389,8 +416,9 @@ def rollout_cost_estimate(dyn: LinearDynamics, cost, K: np.ndarray,
     x_0 and the disturbances are written into it, the input noise's share
     B z_t is added block by block, and the prefix scan of
     :func:`_simulate_closed_loop` turns it into the states in place.
-    Raises ValueError when Q or R does not match the system's size, or
-    unless ``horizon`` is an integer (not a bool) of at least 1.
+    Raises ValueError when Q or R does not match the system's size, unless
+    ``horizon`` is an integer (not a bool) of at least 1, or unless Sigma
+    is m x m symmetric PSD (checked by :func:`stationary_covariance`).
     """
     Q, R = cost_pair(dyn, cost)
     K = np.asarray(K, dtype=float)
@@ -432,18 +460,17 @@ def generate_demos(dyn: LinearDynamics, expert: np.ndarray,
     distribution, inputs are u_i = K_expert x_i + z_i with z_i ~ N(0, Sigma),
     and then every scalar input entry is independently sign-flipped with
     probability ``outlier_prob``.  ``n_demos`` must be an integer (not a
-    bool) of at least 1.
+    bool) of at least 1, and Sigma m x m symmetric PSD.
 
     Draw order (fixed for reproducibility): state normals (n, N), input
     normals (m, N), then flip uniforms (N, m); the flip uniforms are drawn
     even when ``outlier_prob`` is zero.
     """
     expert = np.asarray(expert, dtype=float)
-    Sigma = np.asarray(input_noise_cov, dtype=float)
+    Sigma = _noise_cov(dyn, input_noise_cov)
     if not 0.0 <= outlier_prob <= 1.0:
         raise ValueError("outlier_prob must be in [0, 1]")
     n_demos = _check_count(n_demos, "n_demos", 1)
-    _check_psd(Sigma, "input_noise_cov")
     rng = np.random.default_rng(rng_seed)
     Lx = _psd_factor(stationary_covariance(dyn, expert))
     states = (Lx @ rng.standard_normal((dyn.n, n_demos))).T

@@ -187,8 +187,11 @@ class FeasibilityResult:
 
 
 def are_residual(dyn: LinearDynamics, cost, P: np.ndarray) -> float:
-    """Frobenius norm of the Riccati fixed-point defect at P."""
+    """Frobenius norm of the Riccati fixed-point defect at P; raises
+    ValueError unless Q and R match the system and P is n x n."""
     Q, R = cost_pair(dyn, cost)
+    if np.shape(P) != (dyn.n, dyn.n):
+        raise ValueError(f"P must be {dyn.n}x{dyn.n}, got shape {np.shape(P)}")
     A, B = dyn.A, dyn.B
     BtP = B.T @ P
     defect = P - (Q + A.T @ P @ A
@@ -318,7 +321,7 @@ class _ReducedCheck:
         Mat = _reduced_map(self.F, B, K)
         U, s, Vt = np.linalg.svd(Mat)
         rank = int(np.sum(s > max(Mat.shape) * np.finfo(float).eps
-                          * s.max(initial=0.0)))
+                          * s.max()))
         self.Z = Vt[rank:].T
         # pseudo-inverse of Mat^T on its range: the multiplier of a gap
         self.pinvT = (U[:, :rank] / s[:rank]) @ Vt[:rank]

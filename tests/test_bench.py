@@ -389,3 +389,20 @@ def test_custom_experiment(tmp_path):
     rows, summary = run_experiment(cfg)
     assert len(rows) == 4
     assert summary["experiment"] == "custom"
+
+
+def test_custom_experiment_takes_r_below_identity(tmp_path):
+    # R = 0.5 is positive definite: lqr takes it, and so must a custom
+    # experiment, whose cost is not held to the fitter's R >= I
+    dyn, _, _ = build_small_random(5)
+    Q, R = np.eye(4), 0.5 * np.eye(2)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(dict(dyn.to_dict(), Q=Q.tolist(),
+                                    R=R.tolist())))
+    cfg = ExperimentConfig(
+        experiment="custom", dynamics_path=str(path), N_values=(2,),
+        seeds=(0,), admm=AdmmConfig(n_iter=5), expert_eval_horizon=2000)
+    rows, _ = run_experiment(cfg)
+    assert [r.method for r in rows] == ["pf", "kalman", "expert", "optimal"]
+    K = solve_lqr(dyn, (Q, R)).K
+    assert rows[3].cost == closed_loop_cost(dyn, (Q, R), K)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,6 +177,15 @@ def test_custom_experiment_command(tmp_path, system_file):
     assert all(line.startswith("custom,2,0,") for line in lines[1:])
 
 
+_TWO_STATE = {"A": [[1.0, 0.2], [0.0, 0.9]], "B": [[0.0], [1.0]]}
+
+
+def _write_json(tmp_path, name, payload):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
 def test_non_object_system_file_is_config_error(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[[1.0]]")
@@ -183,14 +193,49 @@ def test_non_object_system_file_is_config_error(tmp_path, capsys):
     assert "bad system file" in capsys.readouterr().err
 
 
-def test_missing_file_is_config_error(tmp_path):
-    assert main(["lqr", "--system", str(tmp_path / "nope.json")]) == 1
+_KINDS = ("system", "demos", "gain", "experiment config")
 
 
-def test_bad_json_is_config_error(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    assert main(["lqr", "--system", str(path)]) == 1
+def _read_kind(tmp_path, capsys, kind, text):
+    """Exit code and stderr of the command that reads a ``kind`` file
+    holding ``text`` (no file when None), and that file's path; every
+    other file it reads is valid, and it prints no traceback."""
+    path = str(tmp_path / f"input-{kind.replace(' ', '-')}.json")
+    if text is not None:
+        Path(path).write_text(text)
+    spath = _write_json(tmp_path, "system.json", _TWO_STATE)
+    argv = {"system": ["lqr", "--system", path],
+            "demos": ["fit", "--demos", path],
+            "gain": ["check-kalman", "--system", spath, "--gain", path],
+            "experiment config": ["experiment", "--config", path, "--out",
+                                  str(tmp_path / "rows.csv")]}[kind]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err, path
+
+
+def test_missing_file_is_config_error(tmp_path, capsys):
+    # the OSError itself, for every kind of input file
+    for kind in _KINDS:
+        code, err, path = _read_kind(tmp_path, capsys, kind, None)
+        assert code == 1
+        assert err == f"lqfit: [Errno 2] No such file or directory: '{path}'\n"
+
+
+def test_bad_json_is_config_error(tmp_path, capsys):
+    for kind in _KINDS:
+        code, err, path = _read_kind(tmp_path, capsys, kind, "{not json")
+        assert code == 1
+        assert err.startswith(f"lqfit: bad {kind} file {path}: Expecting ")
+
+
+def test_non_object_file_is_config_error(tmp_path, capsys):
+    for kind in _KINDS:
+        code, err, path = _read_kind(tmp_path, capsys, kind, "[1, 2]")
+        assert code == 1
+        assert err == (f"lqfit: bad {kind} file {path}: the top-level JSON "
+                       "value must be an object\n")
 
 
 def test_bad_flag_exits_one(capsys):
@@ -227,21 +272,14 @@ def test_non_object_gain_file_is_config_error(tmp_path, system_file, capsys):
     assert "bad gain file" in capsys.readouterr().err
 
 
-def test_gain_file_requires_k(tmp_path, system_file):
+def test_gain_file_requires_k(tmp_path, system_file, capsys):
     spath, _, _ = system_file
     gain = tmp_path / "gain.json"
     gain.write_text(json.dumps({"M": [[1.0]]}))
     assert main(["check-kalman", "--system", str(spath),
                  "--gain", str(gain)]) == 1
-
-
-_TWO_STATE = {"A": [[1.0, 0.2], [0.0, 0.9]], "B": [[0.0], [1.0]]}
-
-
-def _write_json(tmp_path, name, payload):
-    path = tmp_path / name
-    path.write_text(json.dumps(payload))
-    return str(path)
+    assert (f"bad gain file {gain}: no 'K' matrix"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("field", ["A", "Q"])

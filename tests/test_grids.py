@@ -2,9 +2,11 @@
 ``--compare``."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lqfit import bench
@@ -29,10 +31,13 @@ def test_two_cell_grid_and_compare(tmp_path, capsys):
                 == (tmp_path / f"ref{suffix}").read_bytes())
     assert report[1].startswith("small_random: 2 cells in ")
     cost = {(r.N, r.method): r.cost for r in rows}
+    resid = {r.N: r.kalman_residual for r in rows if r.method == "kalman"}
     for N, line in zip((1, 3), report[2:]):
         ratio = cost[N, "kalman"] / cost[N, "optimal"]
+        q = f"{resid[N]:.3g}"
         assert line == (f"  N={N}: kalman/optimal median {ratio:.6g}, "
-                        f"mean {ratio:.6g}, finite 1/1")
+                        f"mean {ratio:.6g}, finite 1/1, "
+                        f"residual quartiles {q} {q} {q}")
 
     assert grids.main([str(b), *_ARGS]) == 0
     capsys.readouterr()
@@ -61,7 +66,8 @@ def test_mean_beside_median():
                                             (2.0, 14.0), (1.0, math.inf)])
             for method, cost in (("optimal", opt), ("kalman", kal))]
     assert grids._ratios(rows) == [
-        "  N=1: kalman/optimal median 3, mean 4, finite 3/4"]
+        "  N=1: kalman/optimal median 3, mean 4, finite 3/4, "
+        "residual quartiles nan nan nan"]
 
 
 @pytest.mark.parametrize("case", ["both empty", "one empty", "missing"])
@@ -109,3 +115,40 @@ def test_two_seed_checks_grid(tmp_path, capsys):
     capsys.readouterr()
     assert grids.main(["--compare", str(a), str(b)]) == 0
     assert capsys.readouterr().out == "byte-identical (1 files)\n"
+
+
+def test_two_seed_random_cost_grid(tmp_path, capsys):
+    out = tmp_path / "a"
+    assert grids.main([str(out), "random_cost", "--seeds", "0", "1",
+                       "--N", "1", "3"]) == 0
+    report = capsys.readouterr().out.splitlines()
+    assert report[1].startswith("random_cost: 4 cells in ")
+    rows = []
+    for seed in (0, 1):
+        # the written system: small_random's (A, B, W, Sigma), random (Q, R)
+        path = out / "random_cost" / f"seed_{seed}.json"
+        system = json.loads(path.read_text())
+        dyn, _, sigma = bench.build_small_random(seed)
+        rng = np.random.default_rng([1, seed])
+        G, H = rng.standard_normal((4, 4)), rng.standard_normal((2, 2))
+        assert system == dict(dyn.to_dict(), Q=(G @ G.T).tolist(),
+                              R=(np.eye(2) + H @ H.T).tolist(),
+                              Sigma=sigma.tolist())
+        config = bench.default_config(
+            "custom", dynamics_path=str(path), seeds=[seed], N_values=[1, 3],
+            expert_eval_horizon=2000)
+        rows += bench.run_experiment(config)[0]
+    bench.write_csv(rows, tmp_path / "ref.csv")
+    csv = (out / "random_cost.csv").read_text()
+    assert csv == (tmp_path / "ref.csv").read_text()
+    summary = json.loads((out / "random_cost_summary.json").read_text())
+    assert summary == json.loads(json.dumps(bench.summarize("custom", rows)))
+    # the printed quartiles are numpy's over the CSV's residual column
+    fields = [line.split(",") for line in csv.splitlines()[1:]]
+    for N, line in zip((1, 3), report[2:]):
+        resid = [float(f[7]) for f in fields
+                 if f[1] == str(N) and f[3] == "kalman" and f[7]]
+        assert len(resid) == 2
+        q = np.percentile(resid, [25, 50, 75])
+        assert line.endswith(f", residual quartiles {q[0]:.3g} {q[1]:.3g} "
+                             f"{q[2]:.3g}")

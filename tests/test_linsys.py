@@ -396,6 +396,39 @@ def test_wrong_sized_cost_rejected(call, wrong):
     _COST_CALLS[call](dyn, cost, sol)
 
 
+_NOISE_CALLS = {
+    "stationary_covariance": lambda dyn, cost, K, Sigma:
+        stationary_covariance(dyn, K, Sigma),
+    "rollout_cost_estimate": lambda dyn, cost, K, Sigma:
+        rollout_cost_estimate(dyn, cost, K, horizon=100, rng_seed=0,
+                              input_noise_cov=Sigma),
+    "generate_demos": lambda dyn, cost, K, Sigma:
+        generate_demos(dyn, K, Sigma, 3, 0.0, 0),
+}
+
+
+@pytest.mark.parametrize("call", list(_NOISE_CALLS))
+def test_wrong_input_noise_cov_rejected(call):
+    # m = 2: a 1 x 1 or 3 x 3 Sigma died in matmul, an indefinite one
+    # passed stationary_covariance and rollout_cost_estimate unchecked
+    dyn, cost, sigma = build_small_random(0)
+    K = solve_lqr(dyn, cost).K
+    for Sigma, message in (
+            (np.eye(1), r"input_noise_cov must be 2x2 .*shape \(1, 1\)"),
+            (np.eye(3), r"input_noise_cov must be 2x2 .*shape \(3, 3\)"),
+            (-np.eye(2), "input_noise_cov must be positive semidefinite")):
+        with pytest.raises(ValueError, match=message):
+            _NOISE_CALLS[call](dyn, cost, K, Sigma)
+    _NOISE_CALLS[call](dyn, cost, K, sigma)
+
+
+def test_are_residual_requires_n_by_n_p():
+    dyn, cost, _ = build_small_random(0)
+    with pytest.raises(ValueError, match=r"P must be 4x4, got shape \(1, 1\)"):
+        are_residual(dyn, cost, np.eye(1))
+    assert are_residual(dyn, cost, solve_lqr(dyn, cost).P) < 1e-8
+
+
 @pytest.mark.parametrize("bad", [2.5, True, 0, -1, "3"])
 def test_counts_must_be_integers(scalar_sys, scalar_cost, bad):
     with pytest.raises(ValueError, match="n_demos must be an integer"):

@@ -9,8 +9,20 @@ them when none is named) at expert horizon 2000 and writes
 ``OUT_DIR/<grid>.csv`` and ``OUT_DIR/<grid>_summary.json``; ``--seeds``
 and ``--N`` replace every named grid's seeds and demonstration counts.  It
 prints each grid's time and, per N, the median and mean ratio of the
-kalman rows' cost to the optimal cost (finite rows only) and the fraction
-of finite kalman rows; times go to standard output only, never to the files.
+kalman rows' cost to the optimal cost (finite rows only), the fraction
+of finite kalman rows and the quartiles (numpy's ``percentile``) of the
+kalman rows' ``kalman_residual``; these figures go to standard output
+only, never to the files.  The per-N time is not printed: a grid runs as
+one batch, so its N values share one time.
+
+The ``random_cost`` grid runs small_random's systems under a random true
+cost.  Per seed (0-9) it takes (A, B, W, Sigma) from
+``build_small_random(seed)`` and sets Q = G G^T and R = I + H H^T, with
+G (4 x 4) and H (2 x 2) standard normal from ``default_rng([1, seed])``;
+it writes that system to ``OUT_DIR/random_cost/seed_<seed>.json`` and
+runs it as a ``custom`` experiment of that one seed.  The rows of all
+seeds go to ``random_cost.csv`` and their summary to
+``random_cost_summary.json``.
 
 ``--src`` imports lqfit from another source tree, such as a checkout of
 the parent commit, instead of this checkout's ``src/``.
@@ -62,6 +74,8 @@ GRIDS = {
     "bench-aircraft": ("aircraft", (0, 1), (1,)),
     # no experiment: optimality checks and cold (P, Q, R) steps
     "checks": (None, tuple(range(60)), ()),
+    # small_random's systems under a random true cost, as custom systems
+    "random_cost": ("custom", tuple(range(10)), (1, 3, 10)),
 }
 CHECK_KINDS = ("lqr", "move-1e-3", "move-1e-4", "zero-dynamics")
 VERDICTS = ("feasible", "infeasible", "undecided")
@@ -80,23 +94,55 @@ def run_grids(out_dir, names, seeds=None, N_values=None, src=None):
     lines = [f"lqfit from {Path(bench.__file__).parent}"]
     for name in names:
         experiment, grid_seeds, grid_N = GRIDS[name]
+        grid_seeds, grid_N = seeds or grid_seeds, N_values or grid_N
         start = time.perf_counter()
         if experiment is None:
-            rows = _run_checks(out_dir / f"{name}.csv", seeds or grid_seeds)
+            rows = _run_checks(out_dir / f"{name}.csv", grid_seeds)
             seconds = time.perf_counter() - start
-            lines.append(f"{name}: {len(seeds or grid_seeds)} systems in "
+            lines.append(f"{name}: {len(grid_seeds)} systems in "
                          f"{seconds:.2f} s")
             lines.extend(_answer_counts(rows))
             continue
-        config = bench.default_config(
-            experiment, seeds=seeds or grid_seeds,
-            N_values=N_values or grid_N, expert_eval_horizon=HORIZON)
-        rows, _ = bench.run_experiment(config, out_dir / f"{name}.csv")
+        if experiment == "custom":
+            rows = _run_random_cost(out_dir, grid_seeds, grid_N)
+        else:
+            config = bench.default_config(experiment, seeds=grid_seeds,
+                                          N_values=grid_N,
+                                          expert_eval_horizon=HORIZON)
+            rows, _ = bench.run_experiment(config, out_dir / f"{name}.csv")
         seconds = time.perf_counter() - start
-        lines.append(f"{name}: {len(config.seeds) * len(config.N_values)} "
-                     f"cells in {seconds:.2f} s")
+        lines.append(f"{name}: {len(grid_seeds) * len(grid_N)} cells in "
+                     f"{seconds:.2f} s")
         lines.extend(_ratios(rows))
     return lines
+
+
+def _run_random_cost(out_dir, seeds, N_values):
+    """Run the random_cost grid into ``out_dir``; returns its rows."""
+    import json
+
+    import numpy as np
+    from lqfit import bench
+
+    systems = out_dir / "random_cost"
+    systems.mkdir(exist_ok=True)
+    rows = []
+    for seed in seeds:
+        dyn, _, sigma = bench.build_small_random(seed)
+        rng = np.random.default_rng([1, seed])
+        G, H = rng.standard_normal((4, 4)), rng.standard_normal((2, 2))
+        path = systems / f"seed_{seed}.json"
+        path.write_text(json.dumps(dict(
+            dyn.to_dict(), Q=(G @ G.T).tolist(),
+            R=(np.eye(2) + H @ H.T).tolist(), Sigma=sigma.tolist())))
+        config = bench.default_config(
+            "custom", dynamics_path=str(path), seeds=(seed,),
+            N_values=N_values, expert_eval_horizon=HORIZON)
+        rows += bench.run_experiment(config)[0]
+    bench.write_csv(rows, out_dir / "random_cost.csv")
+    bench.write_summary(bench.summarize("custom", rows),
+                        out_dir / "random_cost_summary.json")
+    return rows
 
 
 def _run_checks(path, seeds):
@@ -152,7 +198,10 @@ def _answer_counts(rows):
 
 def _ratios(rows):
     """Per N: the median and mean kalman/optimal cost ratio over finite
-    rows and the fraction of finite kalman rows."""
+    rows, the fraction of finite kalman rows and the quartiles of the
+    kalman rows' residuals (rows without one left out)."""
+    import numpy as np
+
     optimal = {(r.N, r.seed): r.cost for r in rows if r.method == "optimal"}
     out = []
     for N in sorted({r.N for r in rows}):
@@ -160,8 +209,14 @@ def _ratios(rows):
         ratios = [r.cost / optimal[N, r.seed] for r in kalman if r.finite]
         median, mean = ((statistics.median(ratios), statistics.fmean(ratios))
                         if ratios else (math.nan, math.nan))
+        resid = [r.kalman_residual for r in kalman
+                 if r.kalman_residual is not None]
+        quartiles = (np.percentile(resid, [25, 50, 75]) if resid
+                     else [math.nan] * 3)
         out.append(f"  N={N}: kalman/optimal median {median:.6g}, "
-                   f"mean {mean:.6g}, finite {len(ratios)}/{len(kalman)}")
+                   f"mean {mean:.6g}, finite {len(ratios)}/{len(kalman)}, "
+                   "residual quartiles "
+                   + " ".join(f"{q:.3g}" for q in quartiles))
     return out
 
 
