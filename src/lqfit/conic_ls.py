@@ -15,9 +15,11 @@ and the (P, Q, R) problem is
 
 a linear least squares over a product of semidefinite cones, taken in an
 orthonormal svec parameterization.  The map is written out once, in
-:meth:`KalmanOperator.apply`: its matrix in svec coordinates and the face
-columns of the polish are read off it, and every solver here and in
-:mod:`lqfit.riccati` reads one block svec layout.  A cold call (no warm
+:meth:`KalmanOperator.apply`, and applied to basis matrices in one place,
+:meth:`KalmanOperator.columns`: its matrix in svec coordinates (the
+columns of the svec basis) and the face columns of the polish are both
+read off that, and every solver here and in :mod:`lqfit.riccati` reads
+one block svec layout.  A cold call (no warm
 start) solves each gain by one barrier method, on the one central path
 that the reduced optimality check of :mod:`lqfit.riccati` runs too.  A
 warm call (ADMM's inexact inner step) runs a fixed number of
@@ -34,7 +36,7 @@ m), each block in its slot's bottom-right corner, where the projection is
 bit for bit that of the block alone.  Each member's result is bit for bit
 that of solving it alone.  What depends only on the sizes is one svec
 layout per size, built once, with one table per job (the gathers, the
-operator basis, the face bases' eigenvector pairs), and the stacked
+svec basis, the face bases' eigenvector pairs), and the stacked
 system matrices are built once per tuple of systems.  The K step takes
 stacks too, as one batched solve of its normal equations.
 """
@@ -319,9 +321,9 @@ class _SvecLayout:
     stack, or ``cuts[-1]`` on a pad entry: a gather from the svec point
     with one zero appended.  ``pad_uplo`` holds the flat padded positions
     of every coordinate's upper and lower triangle entries, as one (2,
-    dim, 1) index.  ``units`` is ``split`` of the identity, the operator
-    basis of :meth:`KalmanOperator.matrix`, and ``basis`` its diagonal
-    blocks: each block's matrices of its own unit vectors.  The arrays are
+    dim, 1) index.  ``basis`` holds the diagonal blocks of ``split`` of
+    the identity: each block's matrices of its own unit vectors, the
+    operator basis of :meth:`KalmanOperator.matrix`.  The arrays are
     read-only.
     """
 
@@ -345,11 +347,10 @@ class _SvecLayout:
         pad_pos = np.full(len(sizes) * k * k, dim, dtype=np.intp)
         pad_pos[self.pad_uplo[..., 0]] = np.arange(dim)
         self.pad_pos = pad_pos.reshape(len(sizes), k, k)
-        self.units = self.split(np.eye(dim))
-        self.basis = tuple(E[a:b] for E, a, b in zip(self.units, self.cuts,
-                                                      self.cuts[1:]))
+        self.basis = tuple(E[a:b] for E, a, b in zip(
+            self.split(np.eye(dim)), self.cuts, self.cuts[1:]))
         for arr in (self.scale, self.up, self.pad_uplo, self.pad_pos,
-                    *self.units):
+                    *self.basis):
             arr.flags.writeable = False
 
     def join(self, Xs):
@@ -426,11 +427,13 @@ class KalmanOperator:
         R) with the other two zero; the stacks run along the axis before
         the matrix axes.  For a stacked operator they may also carry its
         member axis in front (all three alike), one set of matrices per
-        member."""
-        return self._columns(*_padded(EP, EQ, ER))
-
-    def _columns(self, Ps, Qs, Rs):
-        """:meth:`columns` of the stacks (Ps, Qs, Rs), already padded."""
+        member.  The only code that applies the map to basis matrices."""
+        Es = (EP, EQ, ER)
+        cuts = np.cumsum([0] + [E.shape[-3] for E in Es])
+        Ps, Qs, Rs = (np.zeros(EP.shape[:-3] + (cuts[-1],) + E.shape[-2:])
+                      for E in Es)
+        for X, E, a, b in zip((Ps, Qs, Rs), Es, cuts, cuts[1:]):
+            X[..., a:b, :, :] = E
         # one operator per stack of matrices
         M1, M2 = self.take(np.s_[..., None, :, :]).apply(Ps, Qs, Rs)
         return np.concatenate([M.reshape(M.shape[:-2] + (-1,)).swapaxes(
@@ -440,23 +443,7 @@ class KalmanOperator:
         """(n*n + m*n) x (2 dim_n + dim_m): :meth:`columns` of the svec
         basis of (P, Q, R), so column j is apply of the j-th svec unit
         vector; one such matrix per member for a stack."""
-        return self._columns(*_svec(self.n, self.n, self.m).units)
-
-
-def _padded(EP, EQ, ER):
-    """The stacks EP, EQ and ER (along the axis before the matrix axes) as
-    one stack of (P, Q, R) triples, each matrix in its own block with the
-    other two zero: the inputs of :meth:`KalmanOperator.columns`."""
-    n, m = EP.shape[-1], ER.shape[-1]
-    kp, kq = EP.shape[-3], EQ.shape[-3]
-    k = kp + kq + ER.shape[-3]
-    lead = EP.shape[:-3]
-    Ps, Qs = np.zeros(lead + (k, n, n)), np.zeros(lead + (k, n, n))
-    Rs = np.zeros(lead + (k, m, m))
-    Ps[..., :kp, :, :] = EP
-    Qs[..., kp:kp + kq, :, :] = EQ
-    Rs[..., kp + kq:, :, :] = ER
-    return Ps, Qs, Rs
+        return self.columns(*_svec(self.n, self.n, self.m).basis)
 
 
 def _face_bases(w, V, floor):

@@ -123,16 +123,6 @@ class LinearDynamics:
     def m(self) -> int:
         return self.B.shape[1]
 
-    def controllability_matrix(self) -> np.ndarray:
-        """[B, AB, ..., A^{n-1} B], shape (n, n*m)."""
-        blocks = [self.B]
-        for _ in range(self.n - 1):
-            blocks.append(self.A @ blocks[-1])
-        return np.hstack(blocks)
-
-    def is_controllable(self) -> bool:
-        return np.linalg.matrix_rank(self.controllability_matrix()) == self.n
-
     def closed_loop(self, K: np.ndarray) -> np.ndarray:
         K = np.asarray(K, dtype=float)
         if K.shape != (self.m, self.n):

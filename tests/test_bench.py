@@ -1,11 +1,12 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_are
 
-from lqfit import conic_ls, riccati
+from lqfit import bench, conic_ls, riccati
 from lqfit.bench import (CSV_HEADER, ExperimentConfig, build_aircraft,
                          build_small_random, config_from_dict, default_config,
                          run_cell, run_experiment, write_csv)
@@ -52,7 +53,11 @@ class TestBuilders:
 
     def test_aircraft_controllable(self):
         dyn, _, _ = build_aircraft()
-        assert dyn.is_controllable()
+        # rank of [B, AB, A^2 B, A^3 B]
+        blocks = [dyn.B]
+        for _ in range(3):
+            blocks.append(dyn.A @ blocks[-1])
+        assert np.linalg.matrix_rank(np.hstack(blocks)) == 4
 
 
 class TestConfig:
@@ -389,6 +394,48 @@ def test_custom_experiment(tmp_path):
     rows, summary = run_experiment(cfg)
     assert len(rows) == 4
     assert summary["experiment"] == "custom"
+
+
+def test_seed_independent_system_set_up_once(tmp_path, monkeypatch):
+    # a custom system and the 747 do not depend on the seed: each is built
+    # and its expert solved once per sweep, while the certified re-solves
+    # of the fits stay one per cell
+    calls = {"load": 0, "aircraft": 0, "lqr": []}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def counting_lqr(*args, **kwargs):
+        # the calling module: bench solves the expert, kalman_fit re-solves
+        calls["lqr"].append(sys._getframe(1).f_globals["__name__"])
+        return solve_lqr(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "load_system",
+                        counting("load", bench.load_system))
+    monkeypatch.setattr(bench, "build_aircraft",
+                        counting("aircraft", bench.build_aircraft))
+    monkeypatch.setattr(riccati, "solve_lqr", counting_lqr)
+    dyn, _, _ = build_small_random(5)
+    Q, R = np.eye(4), np.eye(2)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(dict(dyn.to_dict(), Q=Q.tolist(),
+                                    R=R.tolist())))
+    rows, _ = run_experiment(ExperimentConfig(
+        experiment="custom", dynamics_path=str(path), N_values=(2,),
+        seeds=(0, 1, 2), admm=AdmmConfig(n_iter=3), expert_eval_horizon=200))
+    assert len(rows) == 12
+    assert calls["load"] == 1
+    assert sorted(calls["lqr"]) == ["lqfit.bench"] + 3 * ["lqfit.kalman_fit"]
+    # the expert rollout still draws per seed
+    costs = [r.cost for r in rows if r.method == "expert"]
+    assert len(set(costs)) == 3
+    run_experiment(ExperimentConfig(
+        experiment="aircraft", N_values=(1,), seeds=(0, 1),
+        admm=AdmmConfig(n_iter=2), expert_eval_horizon=200))
+    assert calls["aircraft"] == 1
 
 
 def test_custom_experiment_takes_r_below_identity(tmp_path):

@@ -70,6 +70,40 @@ def test_mean_beside_median():
         "residual quartiles nan nan nan"]
 
 
+def test_paired_compare_figures(tmp_path, capsys):
+    # N = 1: 9 cells fell by a factor e^-0.1, 1 rose by e^0.2; N = 2: one
+    # cell finite in neither run and one unmoved
+    def csv(kalman):
+        rows = [bench.ResultRow("e", N, seed, method, cost,
+                                math.isfinite(cost), 0.5)
+                for (N, seed), k in kalman.items()
+                for method, cost in (("kalman", k), ("optimal", 2.0))]
+        return "\n".join([bench.CSV_HEADER] + [r.to_csv() for r in rows])
+
+    before = {(1, s): 3.0 for s in range(10)}
+    before.update({(2, 0): math.inf, (2, 1): 4.0})
+    after = {(1, s): 3.0 * math.exp(-0.1) for s in range(9)}
+    after.update({(1, 9): 3.0 * math.exp(0.2), (2, 0): math.inf,
+                  (2, 1): 4.0})
+    assert grids._sign_test(9, 1) == 22 / 1024 == 0.021484375
+    assert grids._sign_test(0, 0) == 1.0
+    assert grids._sign_test(3, 3) == 1.0
+    assert grids._paired(csv(before), csv(after)) == [
+        "  N=1: kalman/optimal fell 9, rose 1, stayed 0, median log change "
+        "-0.1, sign test p 0.0214844",
+        "  N=2: kalman/optimal fell 0, rose 0, stayed 2, median log change "
+        "0, sign test p 1"]
+    # the figures follow the moved rows; the exit code stays 1
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    (a / "e.csv").write_text(csv(before) + "\n")
+    (b / "e.csv").write_text(csv(after) + "\n")
+    assert grids.main(["--compare", str(a), str(b)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "e.csv: 10 rows moved"
+    assert out[-3:-1] == grids._paired(csv(before), csv(after))
+
+
 @pytest.mark.parametrize("case", ["both empty", "one empty", "missing"])
 def test_compare_needs_two_output_directories(tmp_path, capsys, case):
     a, b = tmp_path / "a", tmp_path / "b"

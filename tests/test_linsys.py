@@ -97,13 +97,6 @@ class TestTypes:
         assert np.array_equal(again.B, dyn.B)
         assert np.array_equal(again.W, dyn.W)
 
-    def test_controllability(self):
-        dyn = LinearDynamics(A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]],
-                             W=np.zeros((2, 2)))
-        assert dyn.is_controllable()
-        dyn = LinearDynamics(A=np.eye(2), B=[[1.0], [0.0]], W=np.zeros((2, 2)))
-        assert not dyn.is_controllable()
-
 
 class TestSpectralRadius:
     def test_nilpotent(self):

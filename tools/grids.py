@@ -44,8 +44,14 @@ each answer per kind, ``undecided`` included; ``--N`` does not apply.
 ``--compare`` reports "byte-identical" when both directories hold the same
 files with the same bytes and exits 0; otherwise it lists the files and
 CSV rows that differ, the largest relative move of a number in those
-rows, and exits 1.  A directory that is missing or holds no ``.csv`` or
-``.json`` file is a usage error (exit 2): it compares equal to nothing.
+rows, and exits 1.  For each experiment CSV that differs it also pairs
+the cells (experiment, N, seed) of the two runs and prints, per N, how
+many cells' kalman/optimal cost ratio fell, rose or stayed, the median
+change of the log ratio over the cells finite on both sides, and the
+exact two-sided sign-test p-value of the falls against the rises (ties
+dropped; 1 when no cell moved).  A directory that is missing or holds no
+``.csv`` or ``.json`` file is a usage error (exit 2): it compares equal
+to nothing.
 """
 
 import os
@@ -267,6 +273,48 @@ def _csv_moves(text_a, text_b):
     return moved, largest
 
 
+def _kalman_ratios(text):
+    """{(experiment, N, seed): kalman/optimal cost ratio} of a grid CSV;
+    empty for the checks grid.  Cells whose optimal cost is not positive
+    are left out."""
+    cost = {}
+    for line in text.splitlines()[1:]:
+        fields = line.split(",")
+        if len(fields) > 4 and fields[3] in ("kalman", "optimal"):
+            cost[tuple(fields[:3]), fields[3]] = float(fields[4])
+    return {cell: c / cost[cell, "optimal"]
+            for (cell, method), c in cost.items()
+            if method == "kalman" and cost.get((cell, "optimal"), 0.0) > 0.0}
+
+
+def _sign_test(fell, rose):
+    """Exact two-sided sign-test p-value of ``fell`` against ``rose`` (ties
+    already dropped): 1 when nothing moved."""
+    n = fell + rose
+    tail = sum(math.comb(n, i) for i in range(min(fell, rose) + 1))
+    return min(1.0, 2 * tail / 2 ** n)
+
+
+def _paired(text_a, text_b):
+    """Per N, the paired figures of two grid CSVs' kalman/optimal ratios:
+    the cells that fell, rose or stayed, the median change of the log
+    ratio over cells finite on both sides, and the sign-test p-value."""
+    a, b = _kalman_ratios(text_a), _kalman_ratios(text_b)
+    cells = sorted(a.keys() & b.keys())
+    out = []
+    for N in sorted({int(c[1]) for c in cells}):
+        pairs = [(a[c], b[c]) for c in cells if int(c[1]) == N]
+        fell = sum(y < x for x, y in pairs)
+        rose = sum(y > x for x, y in pairs)
+        logs = [math.log(y) - math.log(x) for x, y in pairs
+                if 0.0 < x < math.inf and 0.0 < y < math.inf]
+        median = statistics.median(logs) if logs else math.nan
+        out.append(f"  N={N}: kalman/optimal fell {fell}, rose {rose}, "
+                   f"stayed {len(pairs) - fell - rose}, median log change "
+                   f"{median:.3g}, sign test p {_sign_test(fell, rose):.6g}")
+    return out
+
+
 def _outputs(directory):
     """The names of the grid outputs in ``directory``."""
     return {p.name for p in Path(directory).iterdir()
@@ -293,6 +341,7 @@ def compare(dir_a, dir_b):
             moved, move = _csv_moves(text_a, text_b)
             lines.append(f"{name}: {len(moved)} rows moved")
             lines.extend(moved)
+            lines.extend(_paired(text_a, text_b))
             largest = max(largest, move)
         else:
             # a summary's numbers are means of its CSV's rows
