@@ -110,12 +110,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 def build_small_random(seed) -> tuple[LinearDynamics, CostMatrices, np.ndarray]:
     """Random 4-state/2-input system with A rescaled to spectral radius one."""
     rng = np.random.default_rng(seed)
-    while True:
-        A = rng.standard_normal((4, 4))
-        rho = spectral_radius(A)
-        if rho >= 1e-12:
-            break
-    A = A / rho
+    A = rng.standard_normal((4, 4))
+    A = A / spectral_radius(A)
     B = rng.standard_normal((4, 2))
     dyn = LinearDynamics(A=A, B=B, W=0.25 * np.eye(4))
     return dyn, CostMatrices(Q=np.eye(4), R=np.eye(2)), 4.0 * np.eye(2)
@@ -172,15 +168,23 @@ def _cell_demos(config: ExperimentConfig, dyn, Kstar, sigma, seed: int,
                           rng_seed=_derived_seed(seed, N, 1))
 
 
+def _gain_row(config: ExperimentConfig, dyn, cost, seed: int, N: int,
+              method: str, K, **extra) -> ResultRow:
+    """The row of a fitted gain K: its cost under the true cost, its
+    spectral radius and whether it is finite; ``extra`` fills the row's
+    other fields."""
+    sr = spectral_radius(dyn.closed_loop(K))
+    return ResultRow(config.experiment, N, seed, method,
+                     closed_loop_cost(dyn, cost, K),
+                     finite=sr < STABILITY_MARGIN, spectral_radius=sr, **extra)
+
+
 def _pf_row(config: ExperimentConfig, dyn, cost, demos, seed: int,
             N: int) -> ResultRow:
     name = config.experiment
     try:
         pf = fitting.policy_fit(demos, config.loss, config.reg)
-        sr = spectral_radius(dyn.closed_loop(pf.K))
-        return ResultRow(name, N, seed, "pf",
-                         closed_loop_cost(dyn, cost, pf.K),
-                         finite=sr < STABILITY_MARGIN, spectral_radius=sr)
+        return _gain_row(config, dyn, cost, seed, N, "pf", pf.K)
     except Exception as e:  # recorded, not fatal
         print(f"warning: pf failed at seed={seed} N={N}: {e}", file=sys.stderr)
         return ResultRow(name, N, seed, "pf", math.inf, False, math.inf)
@@ -197,11 +201,8 @@ def _kalman_row(config: ExperimentConfig, dyn, cost, seed: int, N: int,
             print(f"warning: certified re-solve failed at seed={seed} N={N}; "
                   "evaluating the fitted gain", file=sys.stderr)
         try:
-            K_eval = fit.K_reported
-            sr = spectral_radius(dyn.closed_loop(K_eval))
-            return ResultRow(config.experiment, N, seed, "kalman",
-                             closed_loop_cost(dyn, cost, K_eval),
-                             finite=sr < STABILITY_MARGIN, spectral_radius=sr,
+            return _gain_row(config, dyn, cost, seed, N, "kalman",
+                             fit.K_reported,
                              kalman_residual=fit.certificate.residual), fit
         except Exception as e:  # recorded, not fatal
             fit = e

@@ -146,8 +146,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (riccati.ConvergenceError, RuntimeError, FloatingPointError,
-            np.linalg.LinAlgError) as e:
+    except (RuntimeError, FloatingPointError, np.linalg.LinAlgError) as e:
         print(f"lqfit: solver failure: {e}", file=sys.stderr)
         return 2
     except (OSError, ValueError) as e:

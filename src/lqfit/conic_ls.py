@@ -131,8 +131,7 @@ def huber_value(a: float, M: float):
 def _huber_weights(E: np.ndarray, M: float) -> np.ndarray:
     """Majorize-minimize weights: phi(e) <= (w/2) e^2 + const, w = min(1, M/|e|)."""
     a = np.abs(E)
-    with np.errstate(divide="ignore"):
-        return np.where(a <= M, 1.0, M / np.maximum(a, 1e-300))
+    return np.where(a <= M, 1.0, M / np.maximum(a, M))
 
 
 @dataclass(frozen=True, eq=False)
@@ -752,7 +751,9 @@ def solve_pqr_step(dyn: LinearDynamics | list[LinearDynamics], K, Y1, Y2,
     the i-th for the i-th gain.  A warm stack runs the splitting loop and
     the polish once for the whole stack, on stacked arrays.  Every field of
     the result gains a leading axis except ``iterations``, the most any
-    member took.  Each member's result is bit for bit that of its own call.
+    member took.  Each member's result is bit for bit that of its own call,
+    and a single gain's result is member 0 of its stack of one, with Python
+    scalars for ``objective``, ``converged`` and the residuals.
     """
     if not rho > 0:
         raise ValueError("rho must be positive")
@@ -796,11 +797,8 @@ def solve_pqr_step(dyn: LinearDynamics | list[LinearDynamics], K, Y1, Y2,
         P, Q = PQ[:, 0], PQ[:, 1]
         iterations = max_iter
     if single:
-        return PqrStepResult(P=P[0], Q=Q[0], R=R[0], objective=float(f[0]),
-                             iterations=iterations,
-                             converged=bool(converged[0]),
-                             primal_residual=float(rp[0]),
-                             dual_residual=float(rd[0]), dual=dual[0])
+        P, Q, R, dual = P[0], Q[0], R[0], dual[0]
+        f, converged, rp, rd = (x[0].item() for x in (f, converged, rp, rd))
     return PqrStepResult(P=P, Q=Q, R=R, objective=f, iterations=iterations,
                          converged=converged, primal_residual=rp,
                          dual_residual=rd, dual=dual)

@@ -115,14 +115,13 @@ class KalmanFitReport:
         return self.K if self.K_certified is None else self.K_certified
 
     def to_dict(self) -> dict:
+        """The report as JSON data: the two gains, then the certificate's
+        ``to_dict``, then the scalars and ``K_reported``."""
         return {
             "K": self.K.tolist(),
             "K_certified": None if self.K_certified is None
             else self.K_certified.tolist(),
-            "P": self.certificate.P.tolist(),
-            "Q": self.certificate.Q.tolist(),
-            "R": self.certificate.R.tolist(),
-            "residual": self.certificate.residual,
+            **self.certificate.to_dict(),
             "objective": self.objective,
             "converged": self.converged,
             "iterations": self.iterations,

@@ -572,6 +572,29 @@ class TestPqrStep:
         assert singles[0].iterations < singles[1].iterations
         self._assert_members_match(stacked, singles)
 
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_single_call_is_member_zero_with_python_scalars(self, warm):
+        # tools/grids.py writes these fields' repr, which a numpy scalar
+        # would change
+        rng = np.random.default_rng(16)
+        A, B = random_controllable(rng, n_max=3, m_max=2, rho_scale=0.8)
+        n, m = A.shape[0], B.shape[1]
+        dyn = _dyn(A, B)
+        K = 0.3 * rng.standard_normal((m, n))
+        Y1 = 0.2 * rng.standard_normal((n, n))
+        Y2 = 0.2 * rng.standard_normal((m, n))
+        init = (np.eye(n), np.eye(n), np.eye(m)) if warm else None
+        kw = dict(rho=1.0, max_iter=30)
+        single = solve_pqr_step(dyn, K, Y1, Y2, init=init, **kw)
+        stacked = solve_pqr_step(
+            dyn, K[None], Y1[None], Y2[None],
+            init=None if init is None else [M[None] for M in init], **kw)
+        for name in ("objective", "primal_residual", "dual_residual"):
+            assert type(getattr(single, name)) is float, name
+        assert type(single.converged) is bool
+        assert type(single.iterations) is int
+        self._assert_members_match(stacked, [single])
+
     def test_stack_over_systems_equals_calls_one_by_one(self):
         # one gain per system: each member builds its operator from its own
         # (A, B), bit for bit as in a call on that system alone

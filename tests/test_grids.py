@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lqfit import bench
+from lqfit import bench, closed_loop_cost, solve_lqr
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "grids.py"
 _spec = importlib.util.spec_from_file_location("grids", _PATH)
@@ -38,6 +38,12 @@ def test_two_cell_grid_and_compare(tmp_path, capsys):
         assert line == (f"  N={N}: kalman/optimal median {ratio:.6g}, "
                         f"mean {ratio:.6g}, finite 1/1, "
                         f"residual quartiles {q} {q} {q}")
+    # the true cost is (I, I), so the prior gain is the optimal gain
+    for N, line in zip((1, 3), report[4:]):
+        below = [int(cost[N, method] < cost[N, "optimal"])
+                 for method in ("kalman", "pf")]
+        assert line == (f"  N={N}: prior/optimal median 1, max 1; below the "
+                        f"prior: kalman {below[0]}/1, pf {below[1]}/1")
 
     assert grids.main([str(b), *_ARGS]) == 0
     capsys.readouterr()
@@ -151,32 +157,49 @@ def test_two_seed_checks_grid(tmp_path, capsys):
     assert capsys.readouterr().out == "byte-identical (1 files)\n"
 
 
-def test_two_seed_random_cost_grid(tmp_path, capsys):
+@pytest.mark.parametrize("grid, build", [
+    ("random_cost", bench.build_small_random),
+    ("random_cost_747", lambda seed: bench.build_aircraft())],
+    ids=["random_cost", "random_cost_747"])
+def test_two_seed_random_cost_grid(tmp_path, capsys, grid, build):
     out = tmp_path / "a"
-    assert grids.main([str(out), "random_cost", "--seeds", "0", "1",
+    assert grids.main([str(out), grid, "--seeds", "0", "1",
                        "--N", "1", "3"]) == 0
     report = capsys.readouterr().out.splitlines()
-    assert report[1].startswith("random_cost: 4 cells in ")
-    rows = []
+    assert report[1].startswith(f"{grid}: 4 cells in ")
+    rows, prior, prior_cost = [], {}, {}
     for seed in (0, 1):
-        # the written system: small_random's (A, B, W, Sigma), random (Q, R)
-        path = out / "random_cost" / f"seed_{seed}.json"
+        # the written system: the preset's (A, B, W, Sigma), random (Q, R)
+        path = out / grid / f"seed_{seed}.json"
         system = json.loads(path.read_text())
-        dyn, _, sigma = bench.build_small_random(seed)
+        dyn, _, sigma = build(seed)
         rng = np.random.default_rng([1, seed])
         G, H = rng.standard_normal((4, 4)), rng.standard_normal((2, 2))
-        assert system == dict(dyn.to_dict(), Q=(G @ G.T).tolist(),
-                              R=(np.eye(2) + H @ H.T).tolist(),
-                              Sigma=sigma.tolist())
+        cost = (G @ G.T, np.eye(2) + H @ H.T)
+        assert system == dict(dyn.to_dict(), Q=cost[0].tolist(),
+                              R=cost[1].tolist(), Sigma=sigma.tolist())
         config = bench.default_config(
             "custom", dynamics_path=str(path), seeds=[seed], N_values=[1, 3],
             expert_eval_horizon=2000)
         rows += bench.run_experiment(config)[0]
+        # the prior gain LQR(I, I) against the optimal gain
+        K_prior = solve_lqr(dyn, (np.eye(4), np.eye(2))).K
+        K_opt = solve_lqr(dyn, cost).K
+        prior_cost[seed] = closed_loop_cost(dyn, cost, K_prior)
+        prior[seed] = prior_cost[seed] / closed_loop_cost(dyn, cost, K_opt)
     bench.write_csv(rows, tmp_path / "ref.csv")
-    csv = (out / "random_cost.csv").read_text()
+    csv = (out / f"{grid}.csv").read_text()
     assert csv == (tmp_path / "ref.csv").read_text()
-    summary = json.loads((out / "random_cost_summary.json").read_text())
+    summary = json.loads((out / f"{grid}_summary.json").read_text())
     assert summary == json.loads(json.dumps(bench.summarize("custom", rows)))
+    for N, line in zip((1, 3), report[4:]):
+        below = [sum(r.finite and r.cost < prior_cost[r.seed] for r in rows
+                     if r.N == N and r.method == method)
+                 for method in ("kalman", "pf")]
+        assert line == (f"  N={N}: prior/optimal median "
+                        f"{np.median(list(prior.values())):.6g}, "
+                        f"max {max(prior.values()):.6g}; below the prior: "
+                        f"kalman {below[0]}/2, pf {below[1]}/2")
     # the printed quartiles are numpy's over the CSV's residual column
     fields = [line.split(",") for line in csv.splitlines()[1:]]
     for N, line in zip((1, 3), report[2:]):

@@ -215,9 +215,12 @@ class TestFitKalman:
         report = fit_kalman(demos, QUAD, RIDGE, dyn,
                             AdmmConfig(n_iter=10))
         payload = json.loads(json.dumps(report.to_dict()))
-        for key in ("K", "K_certified", "P", "Q", "R", "residual",
-                    "objective", "iterations", "converged", "init_index"):
-            assert key in payload
+        # the order ``lqfit fit-kalman`` prints them in
+        assert list(report.to_dict()) == [
+            "K", "K_certified", "P", "Q", "R", "residual", "objective",
+            "converged", "iterations", "init_index", "K_reported"]
+        assert payload == dict(payload, **json.loads(json.dumps(
+            report.certificate.to_dict())))
 
     def test_reported_gain_is_certified_unless_the_resolve_fails(
             self, small_system, monkeypatch):

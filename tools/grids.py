@@ -11,18 +11,26 @@ and ``--N`` replace every named grid's seeds and demonstration counts.  It
 prints each grid's time and, per N, the median and mean ratio of the
 kalman rows' cost to the optimal cost (finite rows only), the fraction
 of finite kalman rows and the quartiles (numpy's ``percentile``) of the
-kalman rows' ``kalman_residual``; these figures go to standard output
-only, never to the files.  The per-N time is not printed: a grid runs as
-one batch, so its N values share one time.
+kalman rows' ``kalman_residual``.  After those lines it prints, per N,
+the prior baseline: the median and largest ratio of the prior gain's
+cost to the optimal cost over the seeds, and how many finite kalman and
+pf rows cost less than their seed's prior gain.  The prior gain is
+``solve_lqr(dyn, (I, I)).K``, which reads no demonstration; on the
+presets the true cost is (I, I), so there it reads 1.  These figures go
+to standard output only, never to the files.  The per-N time is not
+printed: a grid runs as one batch, so its N values share one time.
 
-The ``random_cost`` grid runs small_random's systems under a random true
-cost.  Per seed (0-9) it takes (A, B, W, Sigma) from
-``build_small_random(seed)`` and sets Q = G G^T and R = I + H H^T, with
-G (4 x 4) and H (2 x 2) standard normal from ``default_rng([1, seed])``;
-it writes that system to ``OUT_DIR/random_cost/seed_<seed>.json`` and
-runs it as a ``custom`` experiment of that one seed.  The rows of all
-seeds go to ``random_cost.csv`` and their summary to
-``random_cost_summary.json``.
+The ``random_cost`` and ``random_cost_747`` grids run a preset's systems
+under a random true cost: small_random's and the 747's (``aircraft``).
+Per seed (0-9) they take (A, B, W, Sigma) from the preset and set
+Q = G G^T and R = I + H H^T, with G (4 x 4) and H (2 x 2) standard normal
+from ``default_rng([1, seed])``; they write that system to
+``OUT_DIR/<grid>/seed_<seed>.json`` and run it as a ``custom``
+experiment of that one seed.  The rows of all seeds go to
+``<grid>.csv`` and their summary to ``<grid>_summary.json``.  The
+large-N grid of both systems is
+
+    python3 tools/grids.py OUT_DIR random_cost random_cost_747 --N 100 1000
 
 ``--src`` imports lqfit from another source tree, such as a checkout of
 the parent commit, instead of this checkout's ``src/``.
@@ -80,9 +88,12 @@ GRIDS = {
     "bench-aircraft": ("aircraft", (0, 1), (1,)),
     # no experiment: optimality checks and cold (P, Q, R) steps
     "checks": (None, tuple(range(60)), ()),
-    # small_random's systems under a random true cost, as custom systems
+    # a preset's systems under a random true cost, as custom systems
     "random_cost": ("custom", tuple(range(10)), (1, 3, 10)),
+    "random_cost_747": ("custom", tuple(range(10)), (1, 3, 10)),
 }
+# the preset whose (A, B, W, Sigma) each random-cost grid reads
+RANDOM_COST = {"random_cost": "small_random", "random_cost_747": "aircraft"}
 CHECK_KINDS = ("lqr", "move-1e-3", "move-1e-4", "zero-dynamics")
 VERDICTS = ("feasible", "infeasible", "undecided")
 
@@ -110,7 +121,7 @@ def run_grids(out_dir, names, seeds=None, N_values=None, src=None):
             lines.extend(_answer_counts(rows))
             continue
         if experiment == "custom":
-            rows = _run_random_cost(out_dir, grid_seeds, grid_N)
+            rows = _run_random_cost(out_dir, name, grid_seeds, grid_N)
         else:
             config = bench.default_config(experiment, seeds=grid_seeds,
                                           N_values=grid_N,
@@ -120,34 +131,88 @@ def run_grids(out_dir, names, seeds=None, N_values=None, src=None):
         lines.append(f"{name}: {len(grid_seeds) * len(grid_N)} cells in "
                      f"{seconds:.2f} s")
         lines.extend(_ratios(rows))
+        lines.extend(_prior(rows, {seed: _prior_cost(name, seed)
+                                   for seed in grid_seeds}))
     return lines
 
 
-def _run_random_cost(out_dir, seeds, N_values):
-    """Run the random_cost grid into ``out_dir``; returns its rows."""
-    import json
-
-    import numpy as np
+def _system(preset, seed):
+    """(dyn, true cost, Sigma) of a preset experiment's system at
+    ``seed``."""
     from lqfit import bench
 
-    systems = out_dir / "random_cost"
+    if preset == "aircraft":
+        return bench.build_aircraft()
+    return bench.build_small_random(seed)
+
+
+def _random_cost_system(name, seed):
+    """(dyn, (Q, R), Sigma) of the random-cost grid ``name`` at ``seed``:
+    its preset's system under Q = G G^T, R = I + H H^T."""
+    import numpy as np
+
+    dyn, _, sigma = _system(RANDOM_COST[name], seed)
+    rng = np.random.default_rng([1, seed])
+    G = rng.standard_normal((dyn.n, dyn.n))
+    H = rng.standard_normal((dyn.m, dyn.m))
+    return dyn, (G @ G.T, np.eye(dyn.m) + H @ H.T), sigma
+
+
+def _prior_cost(name, seed):
+    """The true cost in grid ``name`` at ``seed`` of the prior gain
+    LQR(I, I), which reads no demonstration."""
+    import numpy as np
+    from lqfit import closed_loop_cost, solve_lqr
+
+    dyn, cost, _ = (_random_cost_system(name, seed) if name in RANDOM_COST
+                    else _system(GRIDS[name][0], seed))
+    K = solve_lqr(dyn, (np.eye(dyn.n), np.eye(dyn.m))).K
+    return closed_loop_cost(dyn, cost, K)
+
+
+def _prior(rows, prior_cost):
+    """Per N: the median and largest prior/optimal cost ratio over the
+    seeds, and how many finite kalman and pf rows cost less than their
+    seed's prior gain (``prior_cost``, by seed)."""
+    optimal = {(r.N, r.seed): r.cost for r in rows if r.method == "optimal"}
+    out = []
+    for N in sorted({r.N for r in rows}):
+        ratios = [prior_cost[seed] / cost
+                  for (n, seed), cost in optimal.items() if n == N]
+        below = []
+        for method in ("kalman", "pf"):
+            cells = [r for r in rows if r.method == method and r.N == N]
+            beat = sum(r.finite and r.cost < prior_cost[r.seed]
+                       for r in cells)
+            below.append(f"{method} {beat}/{len(cells)}")
+        out.append(f"  N={N}: prior/optimal median "
+                   f"{statistics.median(ratios):.6g}, max {max(ratios):.6g}"
+                   f"; below the prior: {', '.join(below)}")
+    return out
+
+
+def _run_random_cost(out_dir, name, seeds, N_values):
+    """Run the random-cost grid ``name`` into ``out_dir``; returns its
+    rows."""
+    import json
+
+    from lqfit import bench
+
+    systems = out_dir / name
     systems.mkdir(exist_ok=True)
     rows = []
     for seed in seeds:
-        dyn, _, sigma = bench.build_small_random(seed)
-        rng = np.random.default_rng([1, seed])
-        G, H = rng.standard_normal((4, 4)), rng.standard_normal((2, 2))
+        dyn, (Q, R), sigma = _random_cost_system(name, seed)
         path = systems / f"seed_{seed}.json"
         path.write_text(json.dumps(dict(
-            dyn.to_dict(), Q=(G @ G.T).tolist(),
-            R=(np.eye(2) + H @ H.T).tolist(), Sigma=sigma.tolist())))
+            dyn.to_dict(), Q=Q.tolist(), R=R.tolist(), Sigma=sigma.tolist())))
         config = bench.default_config(
             "custom", dynamics_path=str(path), seeds=(seed,),
             N_values=N_values, expert_eval_horizon=HORIZON)
         rows += bench.run_experiment(config)[0]
-    bench.write_csv(rows, out_dir / "random_cost.csv")
+    bench.write_csv(rows, out_dir / f"{name}.csv")
     bench.write_summary(bench.summarize("custom", rows),
-                        out_dir / "random_cost_summary.json")
+                        out_dir / f"{name}_summary.json")
     return rows
 
 
