@@ -31,8 +31,9 @@ from . import fitting, kalman_fit, riccati
 from .conic_ls import LossSpec, RegularizerSpec, project_psd
 from .kalman_fit import AdmmConfig
 from .linsys import (STABILITY_MARGIN, CostMatrices, LinearDynamics,
-                     _check_count, closed_loop_cost, generate_demos,
-                     load_system, rollout_cost_estimate, spectral_radius)
+                     _check_count, _check_real, closed_loop_cost,
+                     generate_demos, load_system, rollout_cost_estimate,
+                     spectral_radius)
 
 EXPERIMENTS = ("small_random", "aircraft", "outliers", "custom")
 METHODS = ("pf", "kalman", "expert", "optimal")
@@ -64,6 +65,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be nonempty")
             object.__setattr__(self, name, values)
         _check_count(self.expert_eval_horizon, "expert_eval_horizon", 1)
+        _check_real(self.outlier_prob, "outlier_prob", 0.0, most=1.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -50,8 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linsys import (STABILITY_MARGIN, DemoSet, LinearDynamics, _check_count,
-                     _min_eig, _row_norms, _sym, solve_lyapunov_stein,
-                     spectral_radius)
+                     _check_real, _min_eig, _row_norms, _sym,
+                     solve_lyapunov_stein, spectral_radius)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -89,8 +89,7 @@ class LossSpec:
         if self.kind not in ("quadratic", "huber"):
             raise ValueError(f"unknown loss kind {self.kind!r}")
         if self.kind == "huber":
-            if self.huber_m is None or not self.huber_m > 0:
-                raise ValueError("huber loss requires huber_m > 0")
+            _check_real(self.huber_m, "huber_m", 0.0, strict=True)
 
 
 @dataclass(frozen=True)
@@ -103,8 +102,7 @@ class RegularizerSpec:
     def __post_init__(self):
         if self.kind != "ridge":
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
-        if not self.weight >= 0:
-            raise ValueError("ridge weight must be nonnegative")
+        _check_real(self.weight, "ridge weight", 0.0)
 
 
 def project_psd(S: np.ndarray, floor: float = 0.0) -> np.ndarray:
@@ -121,8 +119,7 @@ def project_psd(S: np.ndarray, floor: float = 0.0) -> np.ndarray:
 
 def huber_value(a: float, M: float):
     """Huber penalty: a^2/2 for |a| <= M, else M|a| - M^2/2."""
-    if not M > 0:
-        raise ValueError("huber parameter M must be positive")
+    _check_real(M, "huber parameter M", 0.0, strict=True)
     a = np.abs(np.asarray(a, dtype=float))
     out = np.where(a <= M, 0.5 * a * a, M * a - 0.5 * M * M)
     return float(out) if out.ndim == 0 else out
@@ -214,7 +211,7 @@ def solve_k_step(demos: DemoSet | list[DemoSet], loss: LossSpec,
     Exact linear solve for the quadratic loss; IRLS around the same solve
     for the Huber loss.  rho = 0 drops the penalty entirely (plain policy
     fitting) and needs neither the system nor (P, Q, R, Y1, Y2).  Raises
-    ValueError unless rho >= 0 (NaN included), and SingularFitError when
+    ValueError unless rho is a finite real >= 0, and SingularFitError when
     lam = 0, rho = 0 and the demonstration states are rank deficient.
 
     P, Q, R, Y1 and Y2 may also carry a leading member axis, with
@@ -227,8 +224,7 @@ def solve_k_step(demos: DemoSet | list[DemoSet], loss: LossSpec,
     (the members' demonstration counts differ) and stops each member on
     its own test.  Each member's gain is bit for bit that of its own call.
     """
-    if not rho >= 0:
-        raise ValueError("rho must be nonnegative")
+    _check_real(rho, "rho", 0.0)
     lead = P is not None and np.ndim(P) == 3
     count = len(P) if lead else 1
     terms = [d.cached(demo_terms) for d in per_member(demos, count)]
@@ -755,8 +751,7 @@ def solve_pqr_step(dyn: LinearDynamics | list[LinearDynamics], K, Y1, Y2,
     and a single gain's result is member 0 of its stack of one, with Python
     scalars for ``objective``, ``converged`` and the residuals.
     """
-    if not rho > 0:
-        raise ValueError("rho must be positive")
+    _check_real(rho, "rho", 0.0, strict=True)
     max_iter = _check_count(max_iter, "max_iter", 1)
     K = np.asarray(K, dtype=float)
     single = K.ndim == 2

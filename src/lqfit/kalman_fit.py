@@ -47,7 +47,8 @@ import numpy as np
 
 from . import conic_ls, fitting, riccati
 from .conic_ls import LossSpec, RegularizerSpec
-from .linsys import DemoSet, LinearDynamics, _check_count, _row_norms
+from .linsys import (DemoSet, LinearDynamics, _check_count, _check_real,
+                     _row_norms)
 
 logger = logging.getLogger("lqfit")
 
@@ -70,11 +71,9 @@ class AdmmConfig:
     eps: float = 1e-6
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
+        _check_real(self.rho, "rho", 0.0, strict=True)
         _check_count(self.n_iter, "n_iter", 1)
-        if not self.eps >= 0:
-            raise ValueError("eps must be nonnegative")
+        _check_real(self.eps, "eps", 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,17 +308,15 @@ def _report(demos, loss, reg, dyn, outcomes):
     if not results:
         return RuntimeError("all runs diverged: " + "; ".join(failures))
     objective, idx, final, converged = min(results, key=lambda r: (r[0], r[1]))
-    P = conic_ls.project_psd(final.P, 0.0)
-    Q = conic_ls.project_psd(final.Q, 0.0)
-    R = conic_ls.project_psd(final.R, 1.0)
-    op = conic_ls.KalmanOperator(dyn.A, dyn.B, final.K)
-    residual = float(np.sqrt(op.objective(P, Q, R)))
-    certificate = riccati.KalmanCertificate(P=P, Q=Q, R=R, residual=residual)
+    certificate = riccati.KalmanCertificate.at(
+        conic_ls.KalmanOperator(dyn.A, dyn.B, final.K),
+        conic_ls.project_psd(final.P, 0.0), conic_ls.project_psd(final.Q, 0.0),
+        conic_ls.project_psd(final.R, 1.0))
     try:
         K_certified = riccati.solve_lqr(dyn, (certificate.Q, certificate.R)).K
     except (riccati.ConvergenceError, np.linalg.LinAlgError) as e:
         logger.info("certified re-solve failed at certificate residual "
-                    "%.3e: %s", residual, e)
+                    "%.3e: %s", certificate.residual, e)
         K_certified = None
     return KalmanFitReport(K=final.K, K_certified=K_certified,
                            certificate=certificate, objective=objective,

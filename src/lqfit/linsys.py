@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,20 @@ def _check_count(value, name: str, least: int) -> int:
     if not (np.issubdtype(type(value), np.integer) and value >= least):
         raise ValueError(f"{name} must be an integer >= {least}: {value!r}")
     return int(value)
+
+
+def _check_real(value, name: str, least: float, strict: bool = False,
+                most: float = math.inf) -> float:
+    """``value`` as a float, if it is a finite real number (not a bool)
+    >= ``least`` (> ``least`` when ``strict``) and <= ``most``."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value <= most
+            and (value > least if strict else value >= least)):
+        raise ValueError(f"{name} must be a finite real number "
+                         f"{'>' if strict else '>='} {least}"
+                         f"{f' and <= {most}' if most < math.inf else ''}: "
+                         f"{value!r}")
+    return float(value)
 
 
 def _min_eig(M: np.ndarray) -> float:
@@ -207,9 +222,6 @@ class CostMatrices:
         _check_symmetric(self.R, "R")
         if _min_eig(self.R) < 1.0 - 1e-8:
             raise ValueError("R must satisfy R >= I (rescale the cost pair)")
-
-    def to_dict(self) -> dict:
-        return {"Q": self.Q.tolist(), "R": self.R.tolist()}
 
 
 def cost_pair(dyn: LinearDynamics, cost) -> tuple[np.ndarray, np.ndarray]:
@@ -449,8 +461,8 @@ def generate_demos(dyn: LinearDynamics, expert: np.ndarray,
     States are drawn i.i.d. from the expert's stationary closed-loop
     distribution, inputs are u_i = K_expert x_i + z_i with z_i ~ N(0, Sigma),
     and then every scalar input entry is independently sign-flipped with
-    probability ``outlier_prob``.  ``n_demos`` must be an integer (not a
-    bool) of at least 1, and Sigma m x m symmetric PSD.
+    probability ``outlier_prob`` (a real in [0, 1]).  ``n_demos`` must be
+    an integer (not a bool) >= 1, and Sigma m x m symmetric PSD.
 
     Draw order (fixed for reproducibility): state normals (n, N), input
     normals (m, N), then flip uniforms (N, m); the flip uniforms are drawn
@@ -458,8 +470,7 @@ def generate_demos(dyn: LinearDynamics, expert: np.ndarray,
     """
     expert = np.asarray(expert, dtype=float)
     Sigma = _noise_cov(dyn, input_noise_cov)
-    if not 0.0 <= outlier_prob <= 1.0:
-        raise ValueError("outlier_prob must be in [0, 1]")
+    outlier_prob = _check_real(outlier_prob, "outlier_prob", 0.0, most=1.0)
     n_demos = _check_count(n_demos, "n_demos", 1)
     rng = np.random.default_rng(rng_seed)
     Lx = _psd_factor(stationary_covariance(dyn, expert))

@@ -52,8 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conic_ls
-from .linsys import (STABILITY_MARGIN, LinearDynamics, _min_eig, _sym,
-                     cost_pair, solve_lyapunov_stein, spectral_radius)
+from .linsys import (STABILITY_MARGIN, LinearDynamics, _check_real, _min_eig,
+                     _sym, cost_pair, solve_lyapunov_stein, spectral_radius)
 
 logger = logging.getLogger("lqfit")
 
@@ -90,7 +90,7 @@ class KalmanCertificate:
     """Cone-feasible (P, Q, R) witnessing LQR-optimality of some gain.
 
     ``residual`` is the Frobenius norm of the stacked constraint matrix at
-    the gain the certificate was computed for.
+    the gain the certificate was computed for; :meth:`at` computes it.
     """
 
     P: np.ndarray
@@ -107,6 +107,16 @@ class KalmanCertificate:
                                (self.R, "R", 1.0)):
             if _min_eig(M) < floor - 1e-8 * (1.0 + np.linalg.norm(M)):
                 raise ValueError(f"certificate {name} violates its cone constraint")
+
+    @classmethod
+    def at(cls, op, P, Q, R, tol=None):
+        """The certificate (P, Q, R) of the gain of ``op`` (a
+        :class:`lqfit.conic_ls.KalmanOperator`) with its residual; None,
+        before any cone test, when that residual exceeds ``tol``."""
+        residual = math.sqrt(op.objective(P, Q, R))
+        if tol is not None and residual > tol:
+            return None
+        return cls(P=P, Q=Q, R=R, residual=residual)
 
     def to_dict(self) -> dict:
         return {"P": self.P.tolist(), "Q": self.Q.tolist(),
@@ -280,7 +290,7 @@ def solve_lqr(dyn: LinearDynamics, cost) -> LqrSolution:
 def kalman_residual(dyn: LinearDynamics, K, cert: KalmanCertificate) -> float:
     """||M||_F of the stacked constraints at (K, cert.P, cert.Q, cert.R)."""
     op = conic_ls.KalmanOperator(dyn.A, dyn.B, K)
-    return math.sqrt(op.objective(cert.P, cert.Q, cert.R))
+    return KalmanCertificate.at(op, cert.P, cert.Q, cert.R).residual
 
 
 def _unstable_mode_witness(K, lam, V):
@@ -337,10 +347,7 @@ class _ReducedCheck:
         Q = conic_ls.project_psd(Q / wr.min())
         R = conic_ls.project_psd(R / wr.min(), 1.0)
         P = solve_lyapunov_stein(self.F, Q + self.K.T @ R @ self.K)
-        residual = math.sqrt(self.op.objective(P, Q, R))
-        if residual > self.tol:
-            return None
-        return KalmanCertificate(P=P, Q=Q, R=R, residual=residual)
+        return KalmanCertificate.at(self.op, P, Q, R, self.tol)
 
     def farkas(self, gap):
         """An infeasibility witness from a point orthogonal to the null
@@ -397,8 +404,8 @@ class _ReducedCheck:
 
 
 def _split_certificate(A, B, K, V, tol):
-    """Route 3, modes V in ker K: (certificate within tol or None, Newton
-    steps).  P and Q vanish on the modes with |lambda| > 1, so a
+    """Route 3, modes V in ker K: :func:`_check`'s triple, with no
+    witness.  P and Q vanish on the modes with |lambda| > 1, so a
     certificate of (T'AT, T'B, KT), T a basis of V's complement, embeds as
     (T P T', T Q T', R), or (0, 0, I).  The smaller system is checked
     whole, so a Jordan chain in ker K is split off one mode per level."""
@@ -408,28 +415,13 @@ def _split_certificate(A, B, K, V, tol):
     P = Q = np.zeros((k, k))
     R, steps = np.eye(B.shape[1]), 0
     if k:
-        res = _check(T.T @ A @ T, T.T @ B, K @ T, tol)
-        steps = res.iterations
-        if not res.feasible:
-            return None, steps
-        P, Q, R = res.certificate.P, res.certificate.Q, res.certificate.R
-    P, Q = T @ P @ T.T, T @ Q @ T.T
-    residual = math.sqrt(conic_ls.KalmanOperator(A, B, K).objective(P, Q, R))
-    if residual > tol:
-        return None, steps
-    return KalmanCertificate(P=P, Q=Q, R=R, residual=residual), steps
-
-
-def _unproven(K, tol, iterations, witness):
-    """An infeasible answer, or an undecided one without a witness; its
-    cone point (0, 0, I) leaves residual ||K||_F, the least when A = 0."""
-    m, n = K.shape
-    zero = np.zeros((n, n))
-    cold = KalmanCertificate(P=zero, Q=zero, R=np.eye(m),
-                             residual=float(np.linalg.norm(K)))
-    verdict = "undecided" if witness is None else "infeasible"
-    return FeasibilityResult(certificate=cold, tol=tol, iterations=iterations,
-                             verdict=verdict, witness=witness)
+        cert, _, steps = _check(T.T @ A @ T, T.T @ B, K @ T, tol)
+        if cert is None:
+            return None, None, steps
+        P, Q, R = cert.P, cert.Q, cert.R
+    cert = KalmanCertificate.at(conic_ls.KalmanOperator(A, B, K),
+                                T @ P @ T.T, T @ Q @ T.T, R, tol)
+    return cert, None, steps
 
 
 def check_kalman_feasible(dyn: LinearDynamics, K,
@@ -454,8 +446,8 @@ def check_kalman_feasible(dyn: LinearDynamics, K,
        complement of those modes, re-checked on the whole system, answers
        ``feasible``; anything else is ``undecided``.
 
-    Raises ValueError on a non-finite K and on a ``tol`` that is not
-    finite and >= 0 (NaN would switch off every residual test).  ``tol``
+    Raises ValueError on a non-finite K and on a ``tol`` that is not a
+    finite real >= 0 (NaN would switch off every residual test).  ``tol``
     defaults to 1e-6 * (1 + ||K||_F).  Answers without a certificate carry
     the cone point (0, 0, I) with its residual ||K||_F as ``certificate``.
     ``iterations`` counts the barrier's Newton steps: 0 on route 1 and
@@ -470,26 +462,27 @@ def check_kalman_feasible(dyn: LinearDynamics, K,
         raise ValueError("the gain must be finite")
     if K.shape != (dyn.m, dyn.n):
         raise ValueError(f"gain must be {dyn.m}x{dyn.n}, got shape {K.shape}")
-    if tol is None:
-        tol = 1e-6 * (1.0 + np.linalg.norm(K, "fro"))
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
-    return _check(dyn.A, dyn.B, K, tol)
+    tol = _check_real(1e-6 * (1.0 + np.linalg.norm(K, "fro")) if tol is None
+                      else tol, "tol", 0.0)
+    cert, witness, steps = _check(dyn.A, dyn.B, K, tol)
+    verdict = ("feasible" if cert is not None
+               else "undecided" if witness is None else "infeasible")
+    if cert is None:  # the cone point (0, 0, I), the least residual at A = 0
+        zero = np.zeros((dyn.n, dyn.n))
+        cert = KalmanCertificate(P=zero, Q=zero, R=np.eye(dyn.m),
+                                 residual=float(np.linalg.norm(K)))
+    return FeasibilityResult(certificate=cert, tol=tol, iterations=steps,
+                             verdict=verdict, witness=witness)
 
 
 def _check(A, B, K, tol):
-    """:func:`check_kalman_feasible` on the pair (A, B)."""
+    """:func:`check_kalman_feasible` on the pair (A, B), as every route's
+    (certificate within tol or None, witness or None, Newton steps)."""
     lam, V = np.linalg.eig(A + B @ K)
     witness = _unstable_mode_witness(K, lam, V)
     if witness is not None:
-        return _unproven(K, tol, 0, witness)
+        return None, witness, 0
     out = np.abs(lam) >= STABILITY_MARGIN
     if out.any():
-        cert, steps = _split_certificate(A, B, K, V[:, out], tol)
-    else:
-        cert, witness, steps = _ReducedCheck(A, B, K, tol).decide()
-    if cert is None:
-        return _unproven(K, tol, steps, witness)
-    return FeasibilityResult(certificate=cert, tol=tol, iterations=steps,
-                             verdict="feasible")
+        return _split_certificate(A, B, K, V[:, out], tol)
+    return _ReducedCheck(A, B, K, tol).decide()

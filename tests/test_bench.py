@@ -101,6 +101,7 @@ class TestConfig:
         ("N_values", (2.7,)), ("N_values", (0,)), ("N_values", (True,)),
         ("seeds", (1.0,)), ("seeds", (-1,)),
         ("expert_eval_horizon", 2000.5), ("expert_eval_horizon", 0),
+        ("outlier_prob", 5.0), ("outlier_prob", True),
     ])
     def test_counts_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=field):

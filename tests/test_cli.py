@@ -375,6 +375,9 @@ def test_mismatched_demos_are_config_errors(tmp_path, capsys):
     (["fit-kalman", "--rho", "nan"], "rho"),
     (["fit-kalman", "--eps", "nan"], "eps"),
     (["fit-kalman", "--loss", "huber", "--huber-m", "nan"], "huber_m"),
+    (["fit-kalman", "--rho", "inf"], "rho"),
+    (["fit", "--lam", "inf"], "ridge weight"),
+    (["fit", "--loss", "huber", "--huber-m", "inf"], "huber_m"),
 ])
 def test_nan_parameter_exits_one(tmp_path, system_file, demos_file, capsys,
                                  flags, name):
@@ -382,8 +385,9 @@ def test_nan_parameter_exits_one(tmp_path, system_file, demos_file, capsys,
     dpath, _, K = demos_file
     gain = tmp_path / "gain.json"
     gain.write_text(json.dumps({"K": K.tolist()}))
-    extra = (["--gain", str(gain)] if flags[0] == "check-kalman"
-             else ["--demos", str(dpath), "--iters", "2"])
-    assert main([flags[0], "--system", str(spath), *extra,
-                 *flags[1:]]) == 1
+    extra = {"check-kalman": ["--system", str(spath), "--gain", str(gain)],
+             "fit-kalman": ["--system", str(spath), "--demos", str(dpath),
+                            "--iters", "2"],
+             "fit": ["--demos", str(dpath)]}[flags[0]]
+    assert main([flags[0], *extra, *flags[1:]]) == 1
     assert name in capsys.readouterr().err

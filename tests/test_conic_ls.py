@@ -7,6 +7,7 @@ from lqfit import build_aircraft, build_small_random, conic_ls
 from lqfit.conic_ls import (KalmanOperator, LossSpec, RegularizerSpec,
                             SingularFitError, huber_value, project_psd,
                             solve_k_step, solve_pqr_step)
+from lqfit.bench import ExperimentConfig
 from lqfit.kalman_fit import AdmmConfig, fit_kalman_batch
 from lqfit.linsys import DemoSet, LinearDynamics, generate_demos
 from lqfit.riccati import check_kalman_feasible, solve_lqr
@@ -99,6 +100,7 @@ class TestHuber:
 
 
 _NAN = float("nan")
+_INF = float("inf")
 _GUARD_DYN = LinearDynamics(A=0.5 * np.eye(2), B=np.eye(2)[:, :1],
                             W=np.zeros((2, 2)))
 _GUARD_K = np.array([[-0.2, 0.0]])
@@ -123,12 +125,34 @@ _GUARD_DEMOS = DemoSet(states=np.eye(2), inputs=np.ones((2, 1)))
     ("tol", lambda: check_kalman_feasible(_GUARD_DYN, _GUARD_K, tol=-1e-6)),
     ("tol", lambda: check_kalman_feasible(_GUARD_DYN, _GUARD_K,
                                           tol=float("inf"))),
+    ("rho", lambda: AdmmConfig(rho=_INF)),
+    ("rho", lambda: AdmmConfig(rho=True)),
+    ("eps", lambda: AdmmConfig(eps=_INF)),
+    ("eps", lambda: AdmmConfig(eps=True)),
+    ("ridge weight", lambda: RegularizerSpec("ridge", _INF)),
+    ("ridge weight", lambda: RegularizerSpec("ridge", True)),
+    ("huber_m", lambda: LossSpec("huber", huber_m=_INF)),
+    ("huber_m", lambda: LossSpec("huber", huber_m=True)),
+    ("huber parameter M", lambda: huber_value(1.0, _INF)),
+    ("rho", lambda: solve_pqr_step(_GUARD_DYN, _GUARD_K, *_GUARD_ZEROS,
+                                   rho=_INF)),
+    ("rho", lambda: solve_k_step(_GUARD_DEMOS, QUAD, NO_REG, _INF,
+                                 *_GUARD_INIT, *_GUARD_ZEROS, _GUARD_DYN)),
+    ("tol", lambda: check_kalman_feasible(_GUARD_DYN, _GUARD_K, tol=True)),
+    ("outlier_prob", lambda: generate_demos(_GUARD_DYN, _GUARD_K, np.eye(1),
+                                            2, 1.5, 0)),
+    ("outlier_prob", lambda: generate_demos(_GUARD_DYN, _GUARD_K, np.eye(1),
+                                            2, True, 0)),
 ], ids=["admm-rho", "admm-eps", "ridge", "huber-spec", "huber-value",
         "pqr-cold", "pqr-warm", "k-step", "tol-nan", "tol-negative",
-        "tol-inf"])
+        "tol-inf", "admm-rho-inf", "admm-rho-bool", "admm-eps-inf",
+        "admm-eps-bool", "ridge-inf", "ridge-bool", "huber-spec-inf",
+        "huber-spec-bool", "huber-value-inf", "pqr-inf", "k-step-inf",
+        "tol-bool", "outlier-prob-above-one", "outlier-prob-bool"])
 def test_rejects_nan_and_out_of_range_parameters(name, call):
-    """NaN fails every `x <= 0`-style test, so each guard must reject it
-    (and tol must be finite and nonnegative), naming the parameter."""
+    """NaN fails every `x <= 0`-style test, so each guard must reject it;
+    infinities and bools are rejected too (every real parameter must be a
+    finite real number in its range), naming the parameter."""
     with pytest.raises(ValueError, match=name):
         call()
 
@@ -138,6 +162,10 @@ def test_parameter_guards_keep_their_boundary_values():
     RegularizerSpec("ridge", 0.0)
     assert solve_k_step(_GUARD_DEMOS, QUAD, NO_REG, 0.0).shape == (1, 2)
     assert check_kalman_feasible(_GUARD_DYN, _GUARD_K, tol=0.0).tol == 0.0
+    for p in (0, 1.0):
+        demos = generate_demos(_GUARD_DYN, _GUARD_K, np.eye(1), 2, p, 0)
+        assert demos.inputs.shape == (2, 1)
+    assert ExperimentConfig(outlier_prob=1.0).outlier_prob == 1.0
 
 
 def _kstep_plain(demos, loss, reg):

@@ -149,6 +149,8 @@ def test_two_seed_checks_grid(tmp_path, capsys):
     assert [r[4] for r in rows if r[1] == "lqr"] == ["feasible"] * 2
     assert [r[4] for r in rows if r[1] == "zero-dynamics"] == (
         ["infeasible"] * 2)
+    # K = 0 is optimal for Q = 0, R = I, on route 3 where A is unstable
+    assert [r[4] for r in rows if r[1] == "zero-gain"] == ["feasible"] * 2
     assert all(float(r[7]) >= 0.0 for r in rows if r[1] == "cold")
 
     assert grids.main([str(b), "checks", "--seeds", "0", "1"]) == 0

@@ -40,11 +40,13 @@ the cold (P, Q, R) step, the two solvers whose Newton steps go through
 the svec layout's ``split`` and ``join``, on one random system per seed
 (0-59), and writes ``OUT_DIR/checks.csv``.  ``default_rng(seed)`` draws n
 in 2-8 and m in 1-4, A standard normal rescaled to a spectral radius
-drawn from [0.5, 1.3], and B standard normal.  Four gains are checked:
+drawn from [0.5, 1.3], and B standard normal.  Five gains are checked:
 the LQR gain for Q = G G^T and R = I + H H^T (G and H standard normal),
-that gain moved by 1e-3 and by 1e-4 ||K||_F in a random direction, and a
-random gain on A = 0; a row holds the verdict, the Newton steps and the
-residual.  One cold ``solve_pqr_step`` at the 1e-3 gain, with Y1 and Y2
+that gain moved by 1e-3 and by 1e-4 ||K||_F in a random direction, a
+random gain on A = 0, and K = 0, which draws nothing and, where A has a
+mode outside the unit circle, takes the check's route 3 (the unstable
+modes in ker K split off); a row holds the verdict, the Newton steps and
+the residual.  One cold ``solve_pqr_step`` at the 1e-3 gain, with Y1 and Y2
 0.2 times standard normal, adds a row with whether it converged, its
 Newton steps, its objective and its gap bound.  It prints the count of
 each answer per kind, ``undecided`` included; ``--N`` does not apply.
@@ -94,7 +96,7 @@ GRIDS = {
 }
 # the preset whose (A, B, W, Sigma) each random-cost grid reads
 RANDOM_COST = {"random_cost": "small_random", "random_cost_747": "aircraft"}
-CHECK_KINDS = ("lqr", "move-1e-3", "move-1e-4", "zero-dynamics")
+CHECK_KINDS = ("lqr", "move-1e-3", "move-1e-4", "zero-dynamics", "zero-gain")
 VERDICTS = ("feasible", "infeasible", "undecided")
 
 
@@ -238,7 +240,7 @@ def _run_checks(path, seeds):
         D *= np.linalg.norm(K) / np.linalg.norm(D)
         zero = LinearDynamics(A=np.zeros((n, n)), B=dyn.B, W=dyn.W)
         gains = [(dyn, K), (dyn, K + 1e-3 * D), (dyn, K + 1e-4 * D),
-                 (zero, rng.standard_normal((m, n)))]
+                 (zero, rng.standard_normal((m, n))), (dyn, np.zeros((m, n)))]
         for kind, (system, gain) in zip(CHECK_KINDS, gains):
             res = check_kalman_feasible(system, gain)
             rows.append((kind, res.verdict))
