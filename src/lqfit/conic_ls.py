@@ -33,12 +33,16 @@ travels from the loop through the polish to the result as stacked arrays
 splitting iteration projects all three cone blocks of every member with
 one ``eigh`` call, on a zero-padded stack of k x k matrices, k = max(n,
 m), each block in its slot's bottom-right corner, where the projection is
-bit for bit that of the block alone.  Each member's result is bit for bit
-that of solving it alone.  What depends only on the sizes is one svec
-layout per size, built once, with one table per job (the gathers, the
-svec basis, the face bases' eigenvector pairs), and the stacked
-system matrices are built once per tuple of systems.  The K step takes
-stacks too, as one batched solve of its normal equations.
+bit for bit that of the block alone.  A warm call's eigendecompositions
+call numpy's LAPACK gufuncs directly, under one error state entered once
+per call; numpy.linalg's wrappers would only check and convert these
+float64 stacks, so the same LAPACK routine runs on the same bytes.  Each
+member's result is bit for bit that of solving it alone.  What depends
+only on the sizes is one svec layout per size, built once, with one
+table per job (the gathers, the svec basis, the face bases' eigenvector
+pairs), and the stacked system matrices are built once per tuple of
+systems.  The K step takes stacks too, as one batched solve of its normal
+equations.
 """
 
 from __future__ import annotations
@@ -49,9 +53,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linsys import (STABILITY_MARGIN, DemoSet, LinearDynamics, _check_count,
-                     _check_real, _min_eig, _row_norms, _sym,
-                     solve_lyapunov_stein, spectral_radius)
+from .linsys import (_LAPACK, STABILITY_MARGIN, DemoSet, LinearDynamics,
+                     _check_count, _check_real, _lapack_errors, _min_eig,
+                     _row_norms, _sym, solve_lyapunov_stein, spectral_radius)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -110,9 +114,24 @@ def project_psd(S: np.ndarray, floor: float = 0.0) -> np.ndarray:
 
     The input is symmetrized first; floor=0 is the PSD projection, floor=1
     projects onto {R : R >= I}.  A stack of matrices (leading axes) is
-    projected matrix by matrix.
+    projected matrix by matrix.  Raises ValueError unless S is a finite
+    square matrix or stack of them and floor a finite real.
     """
-    w, V = np.linalg.eigh(_sym(np.asarray(S, dtype=float)))
+    S = np.asarray(S, dtype=float)
+    if S.ndim < 2 or S.shape[-1] != S.shape[-2]:
+        raise ValueError(f"S must be a square matrix or a stack of them, "
+                         f"got shape {S.shape}")
+    if not np.all(np.isfinite(S)):
+        raise ValueError("S must be finite")
+    floor = _check_real(floor, "floor", -math.inf)
+    with _lapack_errors():
+        return _project(S, floor)
+
+
+def _project(S, floor):
+    """:func:`project_psd` of a float64 stack, by a raw LAPACK call: the
+    caller enters ``_lapack_errors()``."""
+    w, V = _LAPACK.eigh_lo(_sym(S), signature="d->dd")
     Vt = V.swapaxes(-1, -2)
     return _sym(V @ (np.maximum(w, floor)[..., None] * Vt))
 
@@ -479,12 +498,16 @@ def _polish(op, T1, T2, f, PQ, R):
     stack; the face least squares is one ``lstsq`` per member on its own
     face columns.  So each member's result is bit for bit that of
     polishing it alone.  Returns new arrays (f, PQ, R), each member the
-    lower of its point and its polished point (its point on ties).
+    lower of its point and its polished point (its point on ties).  Its
+    eigendecompositions are raw LAPACK calls: the caller enters
+    ``_lapack_errors()``.
     """
     n, m = op.n, op.m
     S = len(f)
-    E_pq, on_pq = _face_bases(*np.linalg.eigh(_sym(PQ)), 0.0)
-    E_r, on_r = _face_bases(*np.linalg.eigh(_sym(R)), 1.0)
+    E_pq, on_pq = _face_bases(*_LAPACK.eigh_lo(_sym(PQ), signature="d->dd"),
+                              0.0)
+    E_r, on_r = _face_bases(*_LAPACK.eigh_lo(_sym(R), signature="d->dd"),
+                            1.0)
     dn = E_pq.shape[2]
     cols = op.columns(E_pq[:, 0], E_pq[:, 1], E_r)
     theta = np.concatenate([
@@ -508,12 +531,12 @@ def _polish(op, T1, T2, f, PQ, R):
     Rn = np.add.reduce(np.concatenate(
         [np.broadcast_to(np.eye(m), (S, 1, m, m)),
          theta[:, 2 * dn:, None, None] * E_r], axis=1), axis=1)
-    ok = (_reaches(np.linalg.eigvalsh(PQn), 0.0).all(axis=-1)
-          & _reaches(np.linalg.eigvalsh(Rn), 1.0))
+    ok = (_reaches(_LAPACK.eigvalsh_lo(PQn, signature="d->d"), 0.0).all(
+        axis=-1) & _reaches(_LAPACK.eigvalsh_lo(Rn, signature="d->d"), 1.0))
     f, PQ, R = f.copy(), PQ.copy(), R.copy()
     if ok.any():
         done = np.flatnonzero(ok)
-        PQn, Rn = project_psd(PQn[ok]), project_psd(Rn[ok], 1.0)
+        PQn, Rn = _project(PQn[ok], 0.0), _project(Rn[ok], 1.0)
         fn = op.take(done).objective(PQn[:, 0], PQn[:, 1], Rn, T1[done],
                                      T2[done])
         lower = fn < f[done]
@@ -544,69 +567,79 @@ def _split(op, Mat, G, T1, T2, P0, Q0, R0, u0, max_iter):
     in its last bit: LAPACK scales it when padded, not alone.)  The lower
     of each member's start and last iterate is then polished, the whole
     stack at once (:func:`_polish`).  So every member's result is bit for
-    bit the result of running it alone.  Returns stacked arrays (f, PQ, R,
-    converged, primal residual, dual residual, dual), f the objective at
-    (PQ[:, 0], PQ[:, 1], R) and the residuals those of the last iteration.
+    bit the result of running it alone.  The whole body, the polish
+    included, runs under one ``_lapack_errors()`` (the error state that
+    ``np.linalg.eigh`` enters on every call) and calls the LAPACK gufuncs
+    directly: on these float64 stacks, exactly symmetric in the loop, the
+    public wrappers only check and convert, so the same routine runs on
+    the same bytes.  Any invalid operation in the body, not only a LAPACK
+    failure, raises LinAlgError.  Returns stacked arrays
+    (f, PQ, R, converged, primal residual, dual residual, dual), f the
+    objective at (PQ[:, 0], PQ[:, 1], R) and the residuals those of the
+    last iteration.
     """
-    n, m, p = op.n, op.m, Mat.shape[-1]
-    k = max(n, m)
-    svec = _svec(n, n, m)
-    pad_pos, pad_uplo = svec.pad_pos, svec.pad_uplo
-    scale = svec.scale[:, None]
-    # (a + b) * (0.5 scale) rounds as 0.5 (a + b) scale: halving is exact
-    half_scale = 0.5 * scale
-    floor = np.array([0.0, 0.0, 1.0])[:, None]
-    alpha = 1.6
-    beta = 1.0 - alpha
-    S = len(T1)
-    u = (np.zeros((S, p, 1)) if u0 is None
-         else np.array(u0, dtype=float).reshape(S, p, 1))
-    z = svec.join([P0, Q0, R0]).reshape(S, p, 1)
-    c = np.concatenate([T1.reshape(S, -1), T2.reshape(S, -1)], axis=1)
-    q = 2.0 * (Mat.swapaxes(-1, -2) @ c[:, :, None])
-    # positive: G's diagonal is 2 at each Q coordinate (a unit M1 block)
-    sigma = np.trace(G, axis1=1, axis2=2) / p
-    Minv = np.linalg.inv(G + sigma[:, None, None] * np.eye(p))
-    sig = sigma[:, None, None]
-    # buffers written in place every iteration: v / scale with one trailing
-    # zero row, the pad entries' source; the padded cone blocks of v; their
-    # projection; both triangles of the projection
-    vs = np.zeros((S, p + 1, 1))
-    blocks = np.empty((S, 3, k, k))
-    proj = np.empty((S, 3, k, k))
-    tri = np.empty((S,) + pad_uplo.shape)
-    up, lo = tri[:, 0], tri[:, 1]
-    for _ in range(max_iter):
-        x = Minv @ (sig * (z - u) - q)
-        xr = alpha * x + beta * z
-        np.divide(xr + u, scale, out=vs[:, :p])
-        # the padded blocks as exactly symmetric matrices, so eigh needs no
-        # symmetrization (every index is in range: "clip" only spares take
-        # a buffer)
-        vs.take(pad_pos, axis=1, out=blocks[..., None], mode="clip")
-        w, V = np.linalg.eigh(blocks)
-        np.matmul(V, np.maximum(w, floor)[..., None] * V.swapaxes(-1, -2),
-                  out=proj)
-        # svec of the symmetrized projection, read off both triangles
-        z_old = z
-        proj.reshape(S, -1).take(pad_uplo, axis=1, out=tri, mode="clip")
-        z = (up + lo) * half_scale
-        u += xr - z
-    nz, rp, rd = _row_norms(np.array([z, x - z, z - z_old])[..., 0])
-    rd = sigma * rd
-    tol = _CONVERGED * (1.0 + nz)
-    converged = (rp <= tol) & (rd <= tol)
-    PQ = _sym(proj[:, :2, k - n:, k - n:])
-    R = _sym(proj[:, 2, k - m:, k - m:])
-    f0 = op.objective(P0, Q0, R0, T1, T2)
-    f = op.objective(PQ[:, 0], PQ[:, 1], R, T1, T2)
-    # the lower of start and last iterate; the start on ties
-    last = f < f0
-    f, PQ, R = _polish(op, T1, T2, np.where(last, f, f0),
-                       np.where(last[:, None, None, None], PQ,
-                                np.stack([P0, Q0], axis=1)),
-                       np.where(last[:, None, None], R, R0))
-    return f, PQ, R, converged, rp, rd, u[:, :, 0]
+    with _lapack_errors():
+        n, m, p = op.n, op.m, Mat.shape[-1]
+        k = max(n, m)
+        svec = _svec(n, n, m)
+        pad_pos, pad_uplo = svec.pad_pos, svec.pad_uplo
+        scale = svec.scale[:, None]
+        # (a + b) * (0.5 scale) rounds as 0.5 (a + b) scale: halving is
+        # exact
+        half_scale = 0.5 * scale
+        floor = np.array([0.0, 0.0, 1.0])[:, None]
+        alpha = 1.6
+        beta = 1.0 - alpha
+        S = len(T1)
+        u = (np.zeros((S, p, 1)) if u0 is None
+             else np.array(u0, dtype=float).reshape(S, p, 1))
+        z = svec.join([P0, Q0, R0]).reshape(S, p, 1)
+        c = np.concatenate([T1.reshape(S, -1), T2.reshape(S, -1)], axis=1)
+        q = 2.0 * (Mat.swapaxes(-1, -2) @ c[:, :, None])
+        # positive: G's diagonal is 2 at each Q coordinate (a unit M1
+        # block)
+        sigma = np.trace(G, axis1=1, axis2=2) / p
+        Minv = np.linalg.inv(G + sigma[:, None, None] * np.eye(p))
+        sig = sigma[:, None, None]
+        # buffers written in place every iteration: v / scale with one
+        # trailing zero row, the pad entries' source; the padded cone
+        # blocks of v; their projection; both triangles of the projection
+        vs = np.zeros((S, p + 1, 1))
+        blocks = np.empty((S, 3, k, k))
+        proj = np.empty((S, 3, k, k))
+        tri = np.empty((S,) + pad_uplo.shape)
+        up, lo = tri[:, 0], tri[:, 1]
+        for _ in range(max_iter):
+            x = Minv @ (sig * (z - u) - q)
+            xr = alpha * x + beta * z
+            np.divide(xr + u, scale, out=vs[:, :p])
+            # the padded blocks as exactly symmetric matrices, so eigh needs
+            # no symmetrization (every index is in range: "clip" only spares
+            # take a buffer)
+            vs.take(pad_pos, axis=1, out=blocks[..., None], mode="clip")
+            w, V = _LAPACK.eigh_lo(blocks, signature="d->dd")
+            np.matmul(V, np.maximum(w, floor)[..., None]
+                      * V.swapaxes(-1, -2), out=proj)
+            # svec of the symmetrized projection, read off both triangles
+            z_old = z
+            proj.reshape(S, -1).take(pad_uplo, axis=1, out=tri, mode="clip")
+            z = (up + lo) * half_scale
+            u += xr - z
+        nz, rp, rd = _row_norms(np.array([z, x - z, z - z_old])[..., 0])
+        rd = sigma * rd
+        tol = _CONVERGED * (1.0 + nz)
+        converged = (rp <= tol) & (rd <= tol)
+        PQ = _sym(proj[:, :2, k - n:, k - n:])
+        R = _sym(proj[:, 2, k - m:, k - m:])
+        f0 = op.objective(P0, Q0, R0, T1, T2)
+        f = op.objective(PQ[:, 0], PQ[:, 1], R, T1, T2)
+        # the lower of start and last iterate; the start on ties
+        last = f < f0
+        f, PQ, R = _polish(op, T1, T2, np.where(last, f, f0),
+                           np.where(last[:, None, None, None], PQ,
+                                    np.stack([P0, Q0], axis=1)),
+                           np.where(last[:, None, None], R, R0))
+        return f, PQ, R, converged, rp, rd, u[:, :, 0]
 
 
 def _central_path(svec, C, z, t, w, grad, hess=lambda t: 0.0, a=None):

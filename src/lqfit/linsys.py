@@ -33,6 +33,10 @@ STABILITY_MARGIN = 1.0 - 1e-9
 _LYAP_TOL = 1e-12
 _LYAP_MAX_ITER = 200
 
+# numpy's LAPACK gufuncs, for hot loops whose inputs are already float64
+# stacks: numpy.linalg's wrappers around them only check and convert.
+_LAPACK = np.linalg._umath_linalg
+
 # Columns per block of the in-place rollout: the scratch space of one
 # scan step, n x _SCAN_BLOCK doubles.
 _SCAN_BLOCK = 4096
@@ -84,6 +88,19 @@ def _check_real(value, name: str, least: float, strict: bool = False,
                          f"{f' and <= {most}' if most < math.inf else ''}: "
                          f"{value!r}")
     return float(value)
+
+
+def _raise_nonconvergence(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _lapack_errors() -> np.errstate:
+    """The error state that ``np.linalg.eigh`` and ``eigvalsh`` enter
+    around their gufunc, for calls to :data:`_LAPACK`: a LAPACK failure
+    sets the invalid flag, which raises LinAlgError; overflow, division
+    and underflow pass silently."""
+    return np.errstate(call=_raise_nonconvergence, invalid="call",
+                       over="ignore", divide="ignore", under="ignore")
 
 
 def _min_eig(M: np.ndarray) -> float:

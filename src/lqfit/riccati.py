@@ -293,12 +293,28 @@ def kalman_residual(dyn: LinearDynamics, K, cert: KalmanCertificate) -> float:
     return KalmanCertificate.at(op, cert.P, cert.Q, cert.R).residual
 
 
+def _pow2_scale(K):
+    """The power of two s with s <= max |K| < 2 s (1 for K = 0).  A norm
+    of K / s, times s, squares nothing that overflows, and it is bit for
+    bit the norm of K wherever that neither overflows nor underflows."""
+    top = float(np.abs(K).max(initial=0.0))
+    return math.ldexp(1.0, math.frexp(top)[1] - 1) if top > 0.0 else 1.0
+
+
+def _frobenius(K):
+    """||K||_F of a finite K, as s ||K / s||_F, s = :func:`_pow2_scale`."""
+    s = _pow2_scale(K)
+    return s * float(np.linalg.norm(K / s))
+
+
 def _unstable_mode_witness(K, lam, V):
     """Route 1: the eigenpair with |lambda| >= 1 and the largest |K v|, or
     None when every such mode lies in ker K (up to roundoff)."""
-    gains = np.where(np.abs(lam) >= 1.0, np.linalg.norm(K @ V, axis=0), 0.0)
+    s = _pow2_scale(K)
+    gains = np.where(np.abs(lam) >= 1.0,
+                     np.linalg.norm((K / s) @ V, axis=0), 0.0)
     i = int(np.argmax(gains))
-    if gains[i] <= _WITNESS_SLACK * (1.0 + np.linalg.norm(K, 2)):
+    if s * float(gains[i]) <= _WITNESS_SLACK * (1.0 + np.linalg.norm(K, 2)):
         return None
     # eig returns unit eigenvectors
     return UnstableModeWitness(eigenvalue=complex(lam[i]), vector=V[:, i])
@@ -462,15 +478,15 @@ def check_kalman_feasible(dyn: LinearDynamics, K,
         raise ValueError("the gain must be finite")
     if K.shape != (dyn.m, dyn.n):
         raise ValueError(f"gain must be {dyn.m}x{dyn.n}, got shape {K.shape}")
-    tol = _check_real(1e-6 * (1.0 + np.linalg.norm(K, "fro")) if tol is None
-                      else tol, "tol", 0.0)
+    norm = _frobenius(K)
+    tol = _check_real(1e-6 * (1.0 + norm) if tol is None else tol, "tol", 0.0)
     cert, witness, steps = _check(dyn.A, dyn.B, K, tol)
     verdict = ("feasible" if cert is not None
                else "undecided" if witness is None else "infeasible")
     if cert is None:  # the cone point (0, 0, I), the least residual at A = 0
         zero = np.zeros((dyn.n, dyn.n))
         cert = KalmanCertificate(P=zero, Q=zero, R=np.eye(dyn.m),
-                                 residual=float(np.linalg.norm(K)))
+                                 residual=norm)
     return FeasibilityResult(certificate=cert, tol=tol, iterations=steps,
                              verdict=verdict, witness=witness)
 

@@ -524,3 +524,17 @@ def warm_step_reference(systems, K, Y1, Y2, rho, max_iter, init, dual0=None):
         for i in range(S)])
     return [(b, max_iter, *out, ui) for b, *out, ui in zip(
         best, converged.tolist(), rp.tolist(), rd.tolist(), u)]
+
+
+def two_step_reference(dyn, demos, loss, reg):
+    """The two-step inverse-LQR gain (fit, then the cost that best
+    explains the fit), from public functions only: the plain policy fit
+    K_pf, a cold (P, Q, R) step at K_pf with zero offsets (the
+    least-residual cone point there), and the LQR gain of the Q and R that
+    step returns."""
+    from lqfit import policy_fit, solve_lqr, solve_pqr_step
+
+    K_pf = policy_fit(demos, loss, reg).K
+    step = solve_pqr_step(dyn, K_pf, np.zeros((dyn.n, dyn.n)),
+                          np.zeros(K_pf.shape), 1.0)
+    return solve_lqr(dyn, (step.Q, step.R)).K

@@ -69,6 +69,24 @@ class TestProjectPsd:
                                    rtol=1e-14, atol=1e-14)
 
 
+    @pytest.mark.parametrize("args", [
+        (np.full((2, 2), np.nan),), (np.diag([np.inf, 1.0]),),
+        (np.full((2, 4, 4), np.nan),), (np.diag([1.0, -np.inf]), 1.0)])
+    def test_non_finite_matrix_rejected(self, args):
+        with pytest.raises(ValueError, match="S must be finite"):
+            project_psd(*args)
+
+    @pytest.mark.parametrize("floor", [np.nan, np.inf, True, "1"])
+    def test_non_finite_floor_rejected(self, floor):
+        with pytest.raises(ValueError, match="floor must be a finite real"):
+            project_psd(np.eye(2), floor)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="S must be a square matrix"):
+            project_psd(np.ones(shape))
+
+
 class TestHuber:
     def test_quadratic_branch(self):
         assert huber_value(0.2, 0.5) == pytest.approx(0.02)
@@ -846,6 +864,76 @@ class TestPolish:
         assert got[0][2] == f[2]
         assert np.array_equal(got[1][2], PQ[2])
         assert np.array_equal(got[2][2], R[2])
+
+
+class TestRawLapackPath:
+    """The warm step calls LAPACK's gufuncs under one error state per
+    call, never numpy.linalg's eigh or eigvalsh."""
+
+    @staticmethod
+    def _problem(bad=None):
+        """The arguments of a warm call on a two-member small_random
+        stack; ``bad`` ("P0" or "Y1") makes member 1's NaN or infinite."""
+        dyn, cost, _ = build_small_random(0)
+        n, m = dyn.n, dyn.m
+        K = np.stack([solve_lqr(dyn, cost).K, np.zeros((m, n))])
+        Y1 = np.zeros((2, n, n))
+        init = (np.stack([np.eye(n)] * 2), np.stack([np.eye(n)] * 2),
+                np.stack([np.eye(m)] * 2))
+        if bad == "P0":
+            init[0][1] = np.nan
+        elif bad == "Y1":
+            Y1[1] = np.inf
+        return dyn, K, Y1, np.zeros((2, m, n)), init
+
+    @staticmethod
+    def _warm_call(dyn, K, Y1, Y2, init):
+        return solve_pqr_step(dyn, K, Y1, Y2, rho=1.0, max_iter=30,
+                              init=init)
+
+    def test_warm_call_never_calls_np_linalg_eigh(self, monkeypatch):
+        problem = self._problem()
+        expected = self._warm_call(*problem)
+        projections = [0]
+        project = conic_ls._project
+
+        def counted(S, floor):
+            projections[0] += 1
+            return project(S, floor)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the warm step called numpy.linalg")
+
+        monkeypatch.setattr(conic_ls, "_project", counted)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        got = self._warm_call(*problem)
+        assert projections[0] > 0  # the polish accepted a member
+        for field in ("P", "Q", "R", "objective", "dual"):
+            assert np.array_equal(getattr(got, field),
+                                  getattr(expected, field)), field
+
+    @pytest.mark.parametrize("bad", [None, "P0", "Y1"])
+    def test_error_state_is_restored(self, bad):
+        problem = self._problem(bad)
+
+        def errcall(err, flag):
+            pass
+
+        with np.errstate(all="warn", under="raise", call=errcall):
+            before = np.geterr(), np.geterrcall()
+            try:
+                self._warm_call(*problem)
+            except np.linalg.LinAlgError:
+                assert bad is not None
+            assert (np.geterr(), np.geterrcall()) == before
+
+    @pytest.mark.parametrize("bad", ["P0", "Y1"])
+    def test_non_finite_input_raises_non_convergence(self, bad):
+        problem = self._problem(bad)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="^Eigenvalues did not converge$"):
+            self._warm_call(*problem)
 
 
 class TestWarmStepOracle:

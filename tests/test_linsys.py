@@ -189,6 +189,47 @@ def test_stein_two_dimensional_call_returns_a_matrix():
     assert np.linalg.norm(P - C[0] - F.T @ P @ F) <= 1e-9 * np.linalg.norm(P)
 
 
+def _symmetric_stacks(rng):
+    """Random symmetric stacks of sizes 1 to 6, then the zero-padded
+    (S, 3, k, k) layout of the warm step: blocks of sizes (n, n, m) in the
+    bottom-right corners of k x k slots."""
+    for k in range(1, 7):
+        X = rng.standard_normal((5, k, k)) * 10.0 ** rng.integers(-3, 4)
+        yield X + X.swapaxes(-1, -2)
+    for n, m in ((1, 1), (2, 1), (1, 3), (4, 2), (3, 4), (6, 3)):
+        k = max(n, m)
+        padded = np.zeros((4, 3, k, k))
+        for b, s in enumerate((n, n, m)):
+            X = rng.standard_normal((4, s, s))
+            padded[:, b, k - s:, k - s:] = X + X.swapaxes(-1, -2)
+        yield padded
+
+
+def test_lapack_gufuncs_equal_np_linalg_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for S in _symmetric_stacks(rng):
+        w, V = np.linalg.eigh(S)
+        with linsys._lapack_errors():
+            w_raw, V_raw = linsys._LAPACK.eigh_lo(S, signature="d->dd")
+            v_raw = linsys._LAPACK.eigvalsh_lo(S, signature="d->d")
+        assert np.array_equal(w_raw, w) and np.array_equal(V_raw, V)
+        assert np.array_equal(v_raw, np.linalg.eigvalsh(S))
+
+
+def test_lapack_errors_raise_as_np_linalg_and_restore_the_state():
+    bad = np.full((2, 3, 3), np.nan)
+    with pytest.raises(np.linalg.LinAlgError) as public:
+        np.linalg.eigh(bad)
+    before = np.geterr(), np.geterrcall()
+    for call, sig in ((linsys._LAPACK.eigh_lo, "d->dd"),
+                      (linsys._LAPACK.eigvalsh_lo, "d->d")):
+        with pytest.raises(np.linalg.LinAlgError) as raw:
+            with linsys._lapack_errors():
+                call(bad, signature=sig)
+        assert str(raw.value) == str(public.value)
+        assert (np.geterr(), np.geterrcall()) == before
+
+
 @pytest.mark.parametrize("scale", [0.0, 1e-300, 1e-160, 1.0, 1e150, 1e200])
 def test_row_norms_equal_np_linalg_norm_bit_for_bit(scale):
     rng = np.random.default_rng(3)

@@ -1,6 +1,7 @@
 import logging
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -9,13 +10,17 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_are, solve_discrete_lyapunov
 
 from lqfit.bench import build_aircraft, build_small_random
-from lqfit.conic_ls import KalmanOperator, solve_pqr_step
-from lqfit.linsys import LinearDynamics, solve_lyapunov_stein, spectral_radius
+from lqfit.conic_ls import (KalmanOperator, LossSpec, RegularizerSpec,
+                            solve_pqr_step)
+from lqfit.linsys import (LinearDynamics, generate_demos, solve_lyapunov_stein,
+                          spectral_radius)
 from lqfit.riccati import (ConvergenceError, FarkasWitness, KalmanCertificate,
-                           UnstableModeWitness, _reduced_map, are_residual,
-                           check_kalman_feasible, kalman_residual, solve_lqr)
+                           UnstableModeWitness, _frobenius, _reduced_map,
+                           are_residual, check_kalman_feasible,
+                           kalman_residual, solve_lqr)
 
-from _oracles import random_controllable, reduced_map_reference
+from _oracles import (random_controllable, reduced_map_reference,
+                      two_step_reference)
 
 
 def _dyn(A, B):
@@ -210,6 +215,42 @@ class TestFeasibility:
         recomputed = kalman_residual(dyn, K, res.certificate)
         assert recomputed == pytest.approx(res.certificate.residual,
                                            abs=1e-10)
+
+    @pytest.mark.parametrize("tol", [None, 1.0])
+    def test_gain_whose_norm_overflows(self, tol):
+        # ||K||_F = sqrt(8) 1e200: its square overflows, the default tol
+        # and the fallback residual must not
+        dyn = build_small_random(0)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = check_kalman_feasible(dyn, 1e200 * np.ones((2, 4)), tol)
+        assert res.verdict == "infeasible"
+        assert isinstance(res.witness, UnstableModeWitness)
+        assert res.iterations == 0
+        assert res.certificate.residual == pytest.approx(math.sqrt(8) * 1e200,
+                                                         rel=1e-15)
+        assert res.tol == (1e-6 * (1.0 + res.certificate.residual)
+                           if tol is None else 1.0)
+
+    def test_frobenius_norm_is_np_linalg_norm_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        for scale in (0.0, 1e-100, 1e-3, 1.0, 3e5, 1e100):
+            for shape in ((1, 1), (1, 4), (2, 4), (3, 6)):
+                K = scale * rng.standard_normal(shape)
+                assert _frobenius(K) == np.linalg.norm(K)
+                assert _frobenius(K) == np.linalg.norm(K, "fro")
+
+
+@pytest.mark.parametrize("N", [1, 3, 10])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("system", ["small_random", "747"])
+def test_two_step_reference_gain_is_feasible(system, seed, N):
+    dyn, cost, sigma = (build_small_random(seed) if system == "small_random"
+                        else build_aircraft())
+    demos = generate_demos(dyn, solve_lqr(dyn, cost).K, sigma, N, 0.0,
+                           rng_seed=[seed, N])
+    K = two_step_reference(dyn, demos, LossSpec(), RegularizerSpec())
+    assert check_kalman_feasible(dyn, K).verdict == "feasible"
 
 
 def _dare_gain(dyn, Q, R):
