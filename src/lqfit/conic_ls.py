@@ -35,10 +35,12 @@ one ``eigh`` call, on a zero-padded stack of k x k matrices, k = max(n,
 m), each block in its slot's bottom-right corner, where the projection is
 bit for bit that of the block alone.  A warm call's eigendecompositions
 call numpy's LAPACK gufuncs directly, under one error state entered once
-per call; numpy.linalg's wrappers would only check and convert these
-float64 stacks, so the same LAPACK routine runs on the same bytes.  Each
-member's result is bit for bit that of solving it alone.  What depends
-only on the sizes is one svec layout per size, built once, with one
+per call, and so do the barrier's Newton steps (block inverses, the KKT
+solve, the domain test), under one error state per step; numpy.linalg's
+wrappers would only check and convert these float64 arrays, so the same
+LAPACK routine runs on the same bytes.  Each member's result is bit for
+bit that of solving it alone.  What depends only on the sizes is one
+svec layout per size, built once, with one
 table per job (the gathers, the svec basis, the face bases' eigenvector
 pairs), and the stacked system matrices are built once per tuple of
 systems.  The K step takes stacks too, as one batched solve of its normal
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linsys import (_LAPACK, STABILITY_MARGIN, DemoSet, LinearDynamics,
-                     _check_count, _check_real, _lapack_errors, _min_eig,
+                     _check_count, _check_real, _lapack_errors, _lowest,
                      _row_norms, _sym, solve_lyapunov_stein, spectral_radius)
 
 _SQRT2 = math.sqrt(2.0)
@@ -652,7 +654,11 @@ def _central_path(svec, C, z, t, w, grad, hess=lambda t: 0.0, a=None):
     Newton steps are damped by 1 / (1 + decrement) while it exceeds 0.25.
     A centering ends at decrement _CENTERED, at a step out of the domain
     or after _CENTER_MAX steps; the path ends, after yielding the point
-    reached, at a singular block or Newton system.
+    reached, at a singular block or Newton system, or at any invalid
+    operation in a step.  Each step calls LAPACK's gufuncs directly (the
+    block inverses, the KKT solve, the domain test's eigenvalues) under one
+    ``_lapack_errors()``, entered and left within the step: an error state
+    held across a ``yield`` would leak into the caller's code.
     """
     D, steps, p = svec.split(C.T), 0, len(z)
     a = np.zeros((0, p)) if a is None else a
@@ -662,18 +668,21 @@ def _central_path(svec, C, z, t, w, grad, hess=lambda t: 0.0, a=None):
         try:
             for _ in range(_CENTER_MAX):
                 steps += 1
-                inv = [np.linalg.inv(X) for X in svec.split(C @ z)]
-                kkt[:p, :p] = svec.join([Xi @ Dk @ Xi for Xi, Dk
-                                         in zip(inv, D)]) @ C + hess(t)
-                rhs[:p] = C.T @ svec.join(inv) - w - grad(z, t)
-                dz = np.linalg.solve(kkt, rhs)[:p]
-                decrement = math.sqrt(max(rhs[:p] @ dz, 0.0))
-                if not decrement > _CENTERED:
-                    break
-                # inside the domain by self-concordance, up to roundoff
-                step = z + dz / (1.0 + decrement if decrement > 0.25 else 1.0)
-                if not min(map(_min_eig, svec.split(C @ step))) > 0.0:
-                    break
+                with _lapack_errors():
+                    inv = [_LAPACK.inv(X, signature="d->d")
+                           for X in svec.split(C @ z)]
+                    kkt[:p, :p] = svec.join([Xi @ Dk @ Xi for Xi, Dk
+                                             in zip(inv, D)]) @ C + hess(t)
+                    rhs[:p] = C.T @ svec.join(inv) - w - grad(z, t)
+                    dz = _LAPACK.solve1(kkt, rhs, signature="dd->d")[:p]
+                    decrement = math.sqrt(max(rhs[:p] @ dz, 0.0))
+                    if not decrement > _CENTERED:
+                        break
+                    # inside the domain by self-concordance, up to roundoff
+                    step = z + dz / (1.0 + decrement if decrement > 0.25
+                                     else 1.0)
+                    if not min(map(_lowest, svec.split(C @ step))) > 0.0:
+                        break
                 z = step
         except np.linalg.LinAlgError:
             yield z, t, steps
@@ -712,7 +721,8 @@ def _barrier(op, Mat, G, T1, T2):
         r = Mat @ y + c
         return r @ r
 
-    w = svec.join([np.linalg.inv(X) for X in start])
+    with _lapack_errors():
+        w = svec.join([_LAPACK.inv(X, signature="d->d") for X in start])
     y, nu = svec.join(start), 2 * n + m
     path = _central_path(svec, np.eye(len(y)), y, nu / (1.0 + f(y)), w,
                          lambda y, t: 2.0 * t * ((Mat @ y + c) @ Mat),
@@ -772,7 +782,9 @@ def solve_pqr_step(dyn: LinearDynamics | list[LinearDynamics], K, Y1, Y2,
     worse than the start.  ``converged`` and the residuals are read off
     the last iteration.  ``max_iter`` must be an integer (not a bool) of
     at least 1, and ``iterations`` is an int; a cold call does not use
-    ``max_iter`` otherwise.
+    ``max_iter`` otherwise.  K, Y1, Y2, ``init`` and ``dual0`` must be
+    finite: the call raises ValueError, before any work, on a non-finite
+    entry or a wrong shape.
 
     K may also be a stack of gains, shape (S, m, n), with Y1, Y2, the
     matrices of ``init`` and ``dual0`` stacked alike, and ``dyn`` either
@@ -797,31 +809,37 @@ def solve_pqr_step(dyn: LinearDynamics | list[LinearDynamics], K, Y1, Y2,
         raise ValueError("the systems of a stack must share one size")
 
     def stacked(name, M, shape):
-        """M as a stack, once its shape is K's stack axis then ``shape``."""
+        """M as a stack, once its shape is K's stack axis then ``shape``
+        and its entries are finite."""
         M = np.asarray(M, dtype=float)
         if M.shape != K.shape[:-2] + shape:
             raise ValueError(f"{name} must have shape {K.shape[:-2] + shape}"
                              f", got {M.shape}")
+        if not np.isfinite(M).all():
+            raise ValueError(f"{name} must be finite")
         return M[None] if single else M
 
     Ks = stacked("K", K, (m, n))
     T1 = stacked("Y1", Y1, (n, n)) / rho
     T2 = stacked("Y2", Y2, (m, n)) / rho
+    if init is not None:
+        P0, Q0, R0 = init
+        start = (stacked("init P0", P0, (n, n)),
+                 stacked("init Q0", Q0, (n, n)),
+                 stacked("init R0", R0, (m, m)))
+    u0 = (None if dual0 is None
+          else stacked("dual0", dual0, (_svec(n, n, m).cuts[-1],)))
     op = KalmanOperator(*_stacked_systems(systems, len(Ks)), Ks)
     Mat = op.matrix()
     G = 2.0 * (Mat.swapaxes(-1, -2) @ Mat)
-    u0 = None if dual0 is None else stacked("dual0", dual0, Mat.shape[-1:])
     if init is None:
         f, P, Q, R, steps, converged, rp, rd, dual = map(np.array, zip(*(
             _barrier(op.take(i), Mat[i], G[i], T1[i], T2[i])
             for i in range(len(Ks)))))
         iterations = int(steps.max())
     else:
-        P0, Q0, R0 = init
-        f, PQ, R, converged, rp, rd, dual = _split(
-            op, Mat, G, T1, T2, stacked("init P0", P0, (n, n)),
-            stacked("init Q0", Q0, (n, n)), stacked("init R0", R0, (m, m)),
-            u0, max_iter)
+        f, PQ, R, converged, rp, rd, dual = _split(op, Mat, G, T1, T2, *start,
+                                                   u0, max_iter)
         P, Q = PQ[:, 0], PQ[:, 1]
         iterations = max_iter
     if single:

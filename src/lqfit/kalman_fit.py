@@ -175,15 +175,15 @@ def admm_iterate(state: AdmmState, demos: DemoSet | list[DemoSet],
     splitting dual, and runs 40 splitting iterations and one face polish;
     it never returns worse than the incoming iterate.  The constraint
     matrix M in the dual update is evaluated at the freshly updated
-    iterates.  Subsolver failures, and a non-finite K-step gain (which
-    would reach LAPACK in the (P, Q, R) step), are re-raised as
-    RuntimeError with the iteration number attached.  ``state`` may also
-    be a stack of members (a leading axis on every matrix, see
-    ``fit_kalman_batch``), with ``demos`` and ``dyn`` each either shared
-    or a list holding one entry per member; the systems must share one
-    size.  The K step, the (P, Q, R) step and the dual update each run
-    once for the whole stack, and each member's new iterate is bit for bit
-    the one a sweep of that member alone gives.
+    iterates.  Subsolver failures, a non-finite K-step gain and a
+    non-finite splitting dual (which the (P, Q, R) step rejects) are
+    re-raised as RuntimeError with the iteration number attached.
+    ``state`` may also be a stack of members (a leading axis on every
+    matrix, see ``fit_kalman_batch``), with ``demos`` and ``dyn`` each
+    either shared or a list holding one entry per member; the systems must
+    share one size.  The K step, the (P, Q, R) step and the dual update
+    each run once for the whole stack, and each member's new iterate is
+    bit for bit the one a sweep of that member alone gives.
     """
     lead = state.K.ndim == 3
     batch = state if lead else _stack([state])
@@ -193,6 +193,13 @@ def admm_iterate(state: AdmmState, demos: DemoSet | list[DemoSet],
         if not np.isfinite(K).all():
             raise FloatingPointError("the K step returned a non-finite "
                                      "gain")
+        # a non-finite P, Q, R, Y1 or Y2 makes the gain non-finite; the
+        # splitting dual is the one input of the (P, Q, R) step that the
+        # K step does not read
+        if (batch.pqr_dual is not None
+                and not np.isfinite(batch.pqr_dual).all()):
+            raise FloatingPointError("the (P, Q, R) step's dual is not "
+                                     "finite")
         step = conic_ls.solve_pqr_step(dyn, K, batch.Y1, batch.Y2, rho,
                                        max_iter=_PQR_ITERS,
                                        init=(batch.P, batch.Q, batch.R),

@@ -90,21 +90,46 @@ def _check_real(value, name: str, least: float, strict: bool = False,
     return float(value)
 
 
-def _raise_nonconvergence(err, flag):
-    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+# numpy.linalg's message for a failure of each LAPACK gufunc it wraps
+_LAPACK_FAILURES = {"inv": "Singular matrix", "solve1": "Singular matrix",
+                    "svd_f": "SVD did not converge",
+                    "eigh_lo": "Eigenvalues did not converge",
+                    "eigvalsh_lo": "Eigenvalues did not converge"}
 
 
-def _lapack_errors() -> np.errstate:
-    """The error state that ``np.linalg.eigh`` and ``eigvalsh`` enter
-    around their gufunc, for calls to :data:`_LAPACK`: a LAPACK failure
-    sets the invalid flag, which raises LinAlgError; overflow, division
-    and underflow pass silently."""
-    return np.errstate(call=_raise_nonconvergence, invalid="call",
-                       over="ignore", divide="ignore", under="ignore")
+class _lapack_errors(np.errstate):
+    """The error state numpy.linalg's wrappers enter around their gufunc,
+    for a block of calls to :data:`_LAPACK`: overflow, division and
+    underflow pass silently, and an invalid operation raises LinAlgError.
+    A LAPACK failure sets the invalid flag, and the error then carries
+    numpy.linalg's message for the routine that failed ("Singular matrix"
+    for ``inv``); any other invalid operation in the block raises
+    LinAlgError with numpy's own message."""
+
+    __slots__ = ()
+
+    def __init__(self):
+        super().__init__(invalid="raise", over="ignore", divide="ignore",
+                         under="ignore")
+
+    def __exit__(self, kind, error, traceback):
+        super().__exit__(kind, error, traceback)
+        if kind is FloatingPointError:
+            # numpy says "invalid value encountered in <gufunc>"
+            routine = str(error).rpartition(" ")[2]
+            raise np.linalg.LinAlgError(
+                _LAPACK_FAILURES.get(routine, str(error))) from None
+
+
+def _lowest(M: np.ndarray) -> float:
+    """The least eigenvalue of sym(M), by a raw LAPACK call: the caller
+    enters ``_lapack_errors()``."""
+    return float(_LAPACK.eigvalsh_lo(_sym(M), signature="d->d").min())
 
 
 def _min_eig(M: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(_sym(M)).min())
+    with _lapack_errors():
+        return _lowest(M)
 
 
 def _psd_factor(M: np.ndarray) -> np.ndarray:

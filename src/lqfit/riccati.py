@@ -31,7 +31,13 @@ solution bit for bit that of its own call.  A barrier method in that
 reduced space, on the central path of :mod:`lqfit.conic_ls` that the cold
 (P, Q, R) solve runs too, ends in a certificate or in a Farkas witness,
 each verified up to a stated roundoff slack, or else in "undecided",
-which proves nothing.  Unstable modes in ker K are split off first.
+which proves nothing.  Unstable modes in ker K are split off first.  The
+check's own LAPACK work (the reduced map's SVD, the certificate and
+witness tests' eigenvalues and projections, the inverses that build a
+Farkas candidate, the cone tests of a certificate) calls numpy's gufuncs
+directly, each group under one error state, as the barrier's Newton steps
+do: on these float64 arrays numpy.linalg's wrappers would only check and
+convert, so the same LAPACK routine runs on the same bytes.
 
 The Riccati solver is a structure-preserving doubling iteration
 (quadratically convergent, no external solver).  On badly scaled systems
@@ -52,8 +58,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conic_ls
-from .linsys import (STABILITY_MARGIN, LinearDynamics, _check_real, _min_eig,
-                     _sym, cost_pair, solve_lyapunov_stein, spectral_radius)
+from .linsys import (_LAPACK, STABILITY_MARGIN, LinearDynamics, _check_real,
+                     _lapack_errors, _lowest, _sym, cost_pair,
+                     solve_lyapunov_stein, spectral_radius)
 
 logger = logging.getLogger("lqfit")
 
@@ -103,10 +110,12 @@ class KalmanCertificate:
             M = np.array(getattr(self, name), dtype=float)
             M.flags.writeable = False
             object.__setattr__(self, name, M)
-        for M, name, floor in ((self.P, "P", 0.0), (self.Q, "Q", 0.0),
-                               (self.R, "R", 1.0)):
-            if _min_eig(M) < floor - 1e-8 * (1.0 + np.linalg.norm(M)):
-                raise ValueError(f"certificate {name} violates its cone constraint")
+        with _lapack_errors():
+            for M, name, floor in ((self.P, "P", 0.0), (self.Q, "Q", 0.0),
+                                   (self.R, "R", 1.0)):
+                if _lowest(M) < floor - 1e-8 * (1.0 + np.linalg.norm(M)):
+                    raise ValueError(f"certificate {name} violates its cone "
+                                     f"constraint")
 
     @classmethod
     def at(cls, op, P, Q, R, tol=None):
@@ -309,10 +318,14 @@ def _frobenius(K):
 
 def _unstable_mode_witness(K, lam, V):
     """Route 1: the eigenpair with |lambda| >= 1 and the largest |K v|, or
-    None when every such mode lies in ker K (up to roundoff)."""
+    None when every such mode lies in ker K (up to roundoff).  A loop with
+    no such mode returns None before any norm: every |K v| counts as 0
+    there, which the witness test never passes."""
+    out = np.abs(lam) >= 1.0
+    if not out.any():
+        return None
     s = _pow2_scale(K)
-    gains = np.where(np.abs(lam) >= 1.0,
-                     np.linalg.norm((K / s) @ V, axis=0), 0.0)
+    gains = np.where(out, np.linalg.norm((K / s) @ V, axis=0), 0.0)
     i = int(np.argmax(gains))
     if s * float(gains[i]) <= _WITNESS_SLACK * (1.0 + np.linalg.norm(K, 2)):
         return None
@@ -345,7 +358,8 @@ class _ReducedCheck:
         self.B, self.K, self.F, self.tol = B, K, self.op.F, tol
         self.svec = conic_ls._svec(*B.shape)
         Mat = _reduced_map(self.F, B, K)
-        U, s, Vt = np.linalg.svd(Mat)
+        with _lapack_errors():
+            U, s, Vt = _LAPACK.svd_f(Mat, signature="d->ddd")
         rank = int(np.sum(s > max(Mat.shape) * np.finfo(float).eps
                           * s.max()))
         self.Z = Vt[rank:].T
@@ -356,12 +370,14 @@ class _ReducedCheck:
         """A certificate from a null-space point with Q >= 0 and R > 0
         (up to roundoff): scaled into R >= I, projected onto the cones,
         with P = Lyap(F, Q + K'RK); None if its residual misses tol."""
-        wq, wr = np.linalg.eigvalsh(Q), np.linalg.eigvalsh(R)
-        slack = _WITNESS_SLACK * (abs(wq).max() + abs(wr).max())
-        if wr.min() <= slack or wq.min() < -slack:
-            return None
-        Q = conic_ls.project_psd(Q / wr.min())
-        R = conic_ls.project_psd(R / wr.min(), 1.0)
+        with _lapack_errors():
+            wq, wr = (_LAPACK.eigvalsh_lo(X, signature="d->d")
+                      for X in (Q, R))
+            slack = _WITNESS_SLACK * (abs(wq).max() + abs(wr).max())
+            if wr.min() <= slack or wq.min() < -slack:
+                return None
+            Q = conic_ls._project(Q / wr.min(), 0.0)
+            R = conic_ls._project(R / wr.min(), 1.0)
         P = solve_lyapunov_stein(self.F, Q + self.K.T @ R @ self.K)
         return KalmanCertificate.at(self.op, P, Q, R, self.tol)
 
@@ -374,9 +390,10 @@ class _ReducedCheck:
         Wq = solve_lyapunov_stein(self.F.T, _sym(self.B @ Y @ self.F.T))
         Wr = _sym(Y @ self.K.T) + self.K @ Wq @ self.K.T
         scale = math.hypot(np.linalg.norm(Wq), np.linalg.norm(Wr))
-        if not (_min_eig(Wq) >= -_WITNESS_SLACK * scale
-                and _min_eig(Wr) >= -_WITNESS_SLACK * scale
-                and np.trace(Wr) >= _WITNESS_TRACE * scale):
+        with _lapack_errors():
+            cones = (_lowest(Wq) >= -_WITNESS_SLACK * scale
+                     and _lowest(Wr) >= -_WITNESS_SLACK * scale)
+        if not (cones and np.trace(Wr) >= _WITNESS_TRACE * scale):
             return None
         return FarkasWitness(Y=Y, Wq=Wq, Wr=Wr)
 
@@ -410,7 +427,9 @@ class _ReducedCheck:
                 svec, C, z, 1.0, 0.0, lambda z, t: -t * e_s,
                 a=np.append(a, 0.0)[None]):
             cert = self.certify(*svec.split(Z @ z[:-1]))
-            W = svec.join(map(np.linalg.inv, svec.split(C @ z))) / t
+            with _lapack_errors():
+                W = svec.join([_LAPACK.inv(X, signature="d->d")
+                               for X in svec.split(C @ z)]) / t
             witness = (None if cert is not None
                        else self.farkas(W - (z[-1] + order / t) * x0))
             if (cert is not None or witness is not None

@@ -719,6 +719,32 @@ class TestPqrStep:
                            np.zeros((1, 1)), rho=1.0, max_iter=max_iter,
                            init=init)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad, warm", [
+        *[(name, warm) for name in ("K", "Y1", "Y2", "dual0")
+          for warm in (False, True)],
+        ("init P0", True), ("init Q0", True), ("init R0", True)])
+    def test_rejects_non_finite_arguments(self, bad, warm, value,
+                                          monkeypatch):
+        # before any work: the call never builds the stacked systems
+        dyn, cost, _ = build_small_random(0)
+        n, m = dyn.n, dyn.m
+        args = {"K": solve_lqr(dyn, cost).K, "Y1": np.zeros((n, n)),
+                "Y2": np.zeros((m, n)), "init P0": np.eye(n),
+                "init Q0": np.eye(n), "init R0": np.eye(m),
+                "dual0": np.zeros(n * (n + 1) + m * (m + 1) // 2)}
+        args[bad].flat[-1] = value
+
+        def forbidden(*a, **kw):
+            raise AssertionError("the call did work on a non-finite input")
+
+        monkeypatch.setattr(conic_ls, "_stacked_systems", forbidden)
+        init = ((args["init P0"], args["init Q0"], args["init R0"]) if warm
+                else None)
+        with pytest.raises(ValueError, match=f"^{bad} must be finite$"):
+            solve_pqr_step(dyn, args["K"], args["Y1"], args["Y2"], rho=1.0,
+                           max_iter=5, init=init, dual0=args["dual0"])
+
     @pytest.mark.parametrize("gains, bad, warm", [
         ("single", "Y1", False), ("single", "Y1", True),
         ("stack", "Y1", False), ("stack", "Y1", True),
@@ -871,9 +897,10 @@ class TestRawLapackPath:
     call, never numpy.linalg's eigh or eigvalsh."""
 
     @staticmethod
-    def _problem(bad=None):
+    def _problem(bad=None, value=np.nan):
         """The arguments of a warm call on a two-member small_random
-        stack; ``bad`` ("P0" or "Y1") makes member 1's NaN or infinite."""
+        stack; ``bad`` ("P0" or "Y1") sets member 1's entries to
+        ``value``."""
         dyn, cost, _ = build_small_random(0)
         n, m = dyn.n, dyn.m
         K = np.stack([solve_lqr(dyn, cost).K, np.zeros((m, n))])
@@ -881,9 +908,9 @@ class TestRawLapackPath:
         init = (np.stack([np.eye(n)] * 2), np.stack([np.eye(n)] * 2),
                 np.stack([np.eye(m)] * 2))
         if bad == "P0":
-            init[0][1] = np.nan
+            init[0][1] = value
         elif bad == "Y1":
-            Y1[1] = np.inf
+            Y1[1] = value
         return dyn, K, Y1, np.zeros((2, m, n)), init
 
     @staticmethod
@@ -915,7 +942,9 @@ class TestRawLapackPath:
 
     @pytest.mark.parametrize("bad", [None, "P0", "Y1"])
     def test_error_state_is_restored(self, bad):
-        problem = self._problem(bad)
+        # finite entries so large that the splitting loop overflows and
+        # then fails inside its error state
+        problem = self._problem(bad, 1e308)
 
         def errcall(err, flag):
             pass
@@ -929,10 +958,12 @@ class TestRawLapackPath:
             assert (np.geterr(), np.geterrcall()) == before
 
     @pytest.mark.parametrize("bad", ["P0", "Y1"])
-    def test_non_finite_input_raises_non_convergence(self, bad):
+    def test_non_finite_input_raises_value_error(self, bad, monkeypatch):
+        # rejected before the splitting loop, which never sees it
         problem = self._problem(bad)
-        with pytest.raises(np.linalg.LinAlgError,
-                           match="^Eigenvalues did not converge$"):
+        monkeypatch.setattr(conic_ls, "_LAPACK", None)
+        name = "init P0" if bad == "P0" else "Y1"
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             self._warm_call(*problem)
 
 

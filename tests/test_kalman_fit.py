@@ -68,6 +68,28 @@ class TestAdmmIterate:
         assert np.linalg.eigvalsh(new.R).min() >= 1.0 - 1e-8
         assert new.Y1.shape == (4, 4) and new.Y2.shape == (2, 4)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["pqr_dual", "Y1", "Y2", "P", "R"])
+    def test_non_finite_iterate_fails_the_subsolver(self, small_system,
+                                                    field, value):
+        # never a ValueError from the (P, Q, R) step: the sweep reports a
+        # subsolver failure, which _sweep confines to its problem; every
+        # field but the splitting dual makes the K-step gain non-finite
+        dyn, cost, sigma, Kstar = small_system
+        demos = generate_demos(dyn, Kstar, sigma, 3, 0.0, 17)
+        state = admm_iterate(zero_state(dyn), demos, QUAD, RIDGE, dyn,
+                             rho=1.0)
+        bad = getattr(state, field).copy()
+        bad.flat[0] = value
+        reason = ("the \\(P, Q, R\\) step's dual is not finite"
+                  if field == "pqr_dual"
+                  else "the K step returned a non-finite gain")
+        # the K step's arithmetic on it warns before the gain is tested
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match=(
+                f"^subsolver failed at iteration 2: {reason}$")):
+            admm_iterate(replace(state, **{field: bad}), demos, QUAD, RIDGE,
+                         dyn, rho=1.0)
+
     def test_k_step_ignores_incoming_gain(self, small_system):
         # fit_kalman has no restarts in K because of this; a proximal K
         # term would break it, and then the starts need revisiting

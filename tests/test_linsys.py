@@ -205,29 +205,63 @@ def _symmetric_stacks(rng):
         yield padded
 
 
+def _square_stacks(rng):
+    """Random square stacks of sizes 1 to 6: C-ordered, transposed, and
+    as corner views of a larger stack, like the blocks the barrier's
+    Newton steps read."""
+    for k in range(1, 7):
+        X = (rng.standard_normal((3, k + 1, k + 1))
+             * 10.0 ** rng.integers(-3, 4))
+        yield X[:, :k, :k].copy()
+        yield X[:, :k, :k].swapaxes(-1, -2)
+        yield X[:, 1:, 1:]
+
+
 def test_lapack_gufuncs_equal_np_linalg_bit_for_bit():
     rng = np.random.default_rng(29)
+    lapack = linsys._LAPACK
     for S in _symmetric_stacks(rng):
         w, V = np.linalg.eigh(S)
         with linsys._lapack_errors():
-            w_raw, V_raw = linsys._LAPACK.eigh_lo(S, signature="d->dd")
-            v_raw = linsys._LAPACK.eigvalsh_lo(S, signature="d->d")
+            w_raw, V_raw = lapack.eigh_lo(S, signature="d->dd")
+            v_raw = lapack.eigvalsh_lo(S, signature="d->d")
         assert np.array_equal(w_raw, w) and np.array_equal(V_raw, V)
         assert np.array_equal(v_raw, np.linalg.eigvalsh(S))
+    for S in _square_stacks(rng):
+        b = rng.standard_normal(S.shape[-1])
+        with linsys._lapack_errors():
+            inv = lapack.inv(S, signature="d->d")
+            svd = lapack.svd_f(S, signature="d->ddd")
+            x = [lapack.solve1(M, b, signature="dd->d") for M in S]
+        assert np.array_equal(inv, np.linalg.inv(S))
+        assert all(np.array_equal(raw, public)
+                   for raw, public in zip(svd, np.linalg.svd(S)))
+        assert np.array_equal(x, [np.linalg.solve(M, b) for M in S])
 
 
 def test_lapack_errors_raise_as_np_linalg_and_restore_the_state():
-    bad = np.full((2, 3, 3), np.nan)
-    with pytest.raises(np.linalg.LinAlgError) as public:
-        np.linalg.eigh(bad)
+    nan, zero = np.full((2, 3, 3), np.nan), np.zeros((2, 3, 3))
+    lapack = linsys._LAPACK
+    cases = [(lapack.eigh_lo, (nan,), "d->dd", np.linalg.eigh),
+             (lapack.eigvalsh_lo, (nan,), "d->d", np.linalg.eigvalsh),
+             (lapack.svd_f, (nan,), "d->ddd", np.linalg.svd),
+             (lapack.inv, (zero,), "d->d", np.linalg.inv),
+             (lapack.solve1, (zero[0], np.ones(3)), "dd->d", np.linalg.solve)]
     before = np.geterr(), np.geterrcall()
-    for call, sig in ((linsys._LAPACK.eigh_lo, "d->dd"),
-                      (linsys._LAPACK.eigvalsh_lo, "d->d")):
+    for call, args, sig, public_call in cases:
+        with pytest.raises(np.linalg.LinAlgError) as public:
+            public_call(*args)
         with pytest.raises(np.linalg.LinAlgError) as raw:
             with linsys._lapack_errors():
-                call(bad, signature=sig)
-        assert str(raw.value) == str(public.value)
+                call(*args, signature=sig)
+        assert str(raw.value) == str(public.value), call.__name__
         assert (np.geterr(), np.geterrcall()) == before
+    # an invalid operation outside LAPACK raises too, with numpy's message
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="^invalid value encountered in subtract$"):
+        with linsys._lapack_errors():
+            np.full(2, np.inf) - np.inf
+    assert (np.geterr(), np.geterrcall()) == before
 
 
 @pytest.mark.parametrize("scale", [0.0, 1e-300, 1e-160, 1.0, 1e150, 1e200])

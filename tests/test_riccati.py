@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_are, solve_discrete_lyapunov
 
+from lqfit import conic_ls, linsys, riccati
 from lqfit.bench import build_aircraft, build_small_random
 from lqfit.conic_ls import (KalmanOperator, LossSpec, RegularizerSpec,
                             solve_pqr_step)
@@ -16,6 +17,7 @@ from lqfit.linsys import (LinearDynamics, generate_demos, solve_lyapunov_stein,
                           spectral_radius)
 from lqfit.riccati import (ConvergenceError, FarkasWitness, KalmanCertificate,
                            UnstableModeWitness, _frobenius, _reduced_map,
+                           _unstable_mode_witness,
                            are_residual, check_kalman_feasible,
                            kalman_residual, solve_lqr)
 
@@ -394,10 +396,17 @@ class TestFeasibilityRoutes:
         res = check_kalman_feasible(dyn, K)
         assert res.verdict == "infeasible" and res.iterations == 29
 
-        def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("Singular matrix")
+        class SingularSolve:
+            """The LAPACK gufuncs, with every Newton system singular."""
 
-        monkeypatch.setattr(np.linalg, "solve", singular)
+            def __getattr__(self, name):
+                return getattr(linsys._LAPACK, name)
+
+            @staticmethod
+            def solve1(*args, **kwargs):
+                raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(conic_ls, "_LAPACK", SingularSolve())
         res = check_kalman_feasible(dyn, K)
         assert res.verdict == "undecided" and res.witness is None
         assert res.iterations == 1
@@ -425,3 +434,100 @@ class TestFeasibilityRoutes:
         assert res.feasible and res.iterations == 0
         assert kalman_residual(_dyn(A, B), K, res.certificate) <= res.tol
         assert np.allclose(res.certificate.P[0], 0.0)
+
+
+class _PublicLinalg:
+    """numpy.linalg's public function for each LAPACK gufunc that the
+    optimality check and the cold (P, Q, R) step call directly, with a
+    count of the calls."""
+
+    _ROUTINES = {"eigh_lo": ("d->dd", lambda a: tuple(np.linalg.eigh(a))),
+                 "eigvalsh_lo": ("d->d", np.linalg.eigvalsh),
+                 "inv": ("d->d", np.linalg.inv),
+                 "solve1": ("dd->d", np.linalg.solve),
+                 "svd_f": ("d->ddd", lambda a: tuple(np.linalg.svd(a)))}
+
+    def __init__(self):
+        self.calls = dict.fromkeys(self._ROUTINES, 0)
+
+    def __getattr__(self, name):
+        expected, public = self._ROUTINES[name]
+
+        def call(*args, signature):
+            assert signature == expected, name
+            self.calls[name] += 1
+            return public(*args)
+
+        return call
+
+
+def _raw_path_gains():
+    """(system, gain, Newton steps) of every route: a unit-weight and
+    three random-weight LQR gains of small_random systems, the latter's
+    panel that of the check-optimality benchmark, with 0, 21 and 37 steps;
+    a stable gain on A = 0 (a Farkas witness); a gain with an unstable
+    mode outside ker K; a 747 gain; and K = 0 with an unstable mode, whose
+    check on the stable modes takes 68 steps (route 3)."""
+    unit = build_small_random(7)[0]
+    cases = [(unit, _dare_gain(unit, np.eye(4), np.eye(2)), 0)]
+    panel = np.random.default_rng(0)
+    for steps in (0, 21, 37):
+        dyn = build_small_random(int(panel.integers(2**31)))[0]
+        G, H = panel.standard_normal((4, 4)), panel.standard_normal((2, 2))
+        cases.append((dyn, _dare_gain(dyn, G @ G.T, np.eye(2) + H @ H.T),
+                      steps))
+    rng = np.random.default_rng(12)
+    B, K = rng.standard_normal((4, 2)), rng.standard_normal((2, 4))
+    cases.append((_dyn(np.zeros((4, 4)), B),
+                  0.5 * K / spectral_radius(B @ K), 0))
+    A, B = rng.standard_normal((4, 4)), rng.standard_normal((4, 2))
+    cases.append((_dyn(A, B), 3.0 * rng.standard_normal((2, 4)), 0))
+    aircraft = build_aircraft()[0]
+    cases.append((aircraft, _dare_gain(aircraft, np.diag([1.0, 1.0, 10.0,
+                                                          10.0]),
+                                       np.eye(2)), 0))
+    cases.append((_dyn(np.diag([2.0, 0.5, 0.3]), rng.standard_normal((3, 1))),
+                  np.zeros((1, 3)), 68))
+    return cases
+
+
+class TestRawLapackPath:
+    """The check and the cold (P, Q, R) step call LAPACK's gufuncs
+    directly; with numpy.linalg's public functions in their place, every
+    answer stays the same, bit for bit."""
+
+    def test_public_functions_give_the_same_answers(self, monkeypatch):
+        cases = _raw_path_gains()
+        direct = [check_kalman_feasible(dyn, K) for dyn, K, _ in cases]
+        assert [r.iterations for r in direct] == [s for *_, s in cases]
+        dyn, K, _ = cases[2]
+        rng = np.random.default_rng(3)
+        Y1, Y2 = (0.2 * rng.standard_normal(s) for s in ((4, 4), (2, 4)))
+        fields = ("P", "Q", "R", "objective", "iterations", "converged",
+                  "dual_residual")
+        cold = solve_pqr_step(dyn, K + 1e-3, Y1, Y2, rho=1.0)
+        public = _PublicLinalg()
+        for module in (conic_ls, riccati, linsys):
+            monkeypatch.setattr(module, "_LAPACK", public)
+        for (dyn_i, K_i, _), res in zip(cases, direct):
+            again = check_kalman_feasible(dyn_i, K_i)
+            assert repr(again.to_dict()) == repr(res.to_dict())
+            assert again.iterations == res.iterations
+        again = solve_pqr_step(dyn, K + 1e-3, Y1, Y2, rho=1.0)
+        for f in fields:
+            assert (np.asarray(getattr(again, f)).tobytes()
+                    == np.asarray(getattr(cold, f)).tobytes()), f
+        assert all(public.calls.values()), public.calls
+
+    def test_stable_loop_computes_no_norm(self, monkeypatch):
+        # no mode on or outside the unit circle: no gain, no witness
+        dyn = build_small_random(7)[0]
+        K = _dare_gain(dyn, np.eye(4), np.eye(2))
+        lam, V = np.linalg.eig(dyn.closed_loop(K))
+        assert np.abs(lam).max() < 1.0
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linalg.norm on a stable loop")
+
+        monkeypatch.setattr(np.linalg, "norm", forbidden)
+        assert _unstable_mode_witness(K, lam, V) is None
