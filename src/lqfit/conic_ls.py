@@ -782,9 +782,9 @@ def solve_pqr_step(dyn: LinearDynamics | list[LinearDynamics], K, Y1, Y2,
     worse than the start.  ``converged`` and the residuals are read off
     the last iteration.  ``max_iter`` must be an integer (not a bool) of
     at least 1, and ``iterations`` is an int; a cold call does not use
-    ``max_iter`` otherwise.  K, Y1, Y2, ``init`` and ``dual0`` must be
-    finite: the call raises ValueError, before any work, on a non-finite
-    entry or a wrong shape.
+    ``max_iter`` otherwise.  K, Y1, Y2, Y1 / rho, Y2 / rho, ``init`` and
+    ``dual0`` must be finite: the call raises ValueError, before any work,
+    on a non-finite entry or a wrong shape.
 
     K may also be a stack of gains, shape (S, m, n), with Y1, Y2, the
     matrices of ``init`` and ``dual0`` stacked alike, and ``dyn`` either
@@ -820,8 +820,12 @@ def solve_pqr_step(dyn: LinearDynamics | list[LinearDynamics], K, Y1, Y2,
         return M[None] if single else M
 
     Ks = stacked("K", K, (m, n))
-    T1 = stacked("Y1", Y1, (n, n)) / rho
-    T2 = stacked("Y2", Y2, (m, n)) / rho
+    with np.errstate(over="ignore"):
+        T1 = stacked("Y1", Y1, (n, n)) / rho
+        T2 = stacked("Y2", Y2, (m, n)) / rho
+    for name, T in (("Y1 / rho", T1), ("Y2 / rho", T2)):
+        if not np.isfinite(T).all():
+            raise ValueError(f"{name} must be finite")
     if init is not None:
         P0, Q0, R0 = init
         start = (stacked("init P0", P0, (n, n)),

@@ -26,10 +26,11 @@ one dual update for every start of every problem still running, so the
 per-call overhead of the small solves is paid once per sweep instead of
 once per start.  The K step's terms that depend on the demonstrations
 alone are computed once per problem.  A start that stops or diverges
-leaves the batch, and so does every start of a problem whose subsolver
-fails.  The results are unchanged: every start's iterates are bit for
-bit those of running it alone, and ``fit_kalman`` is the batch of one
-problem.
+leaves the batch.  A sweep whose subsolver fails halves the batch by
+problem, and each half goes on alone from that sweep, until the failing
+problem is a batch of its own and fails with all its starts.  The
+results are unchanged: every start's iterates are bit for bit those of
+running it alone, and ``fit_kalman`` is the batch of one problem.
 
 Besides the raw final iterate K, each report carries ``K_certified``: the
 gain re-synthesized by solving the Riccati equation with the recovered
@@ -216,59 +217,45 @@ def admm_iterate(state: AdmmState, demos: DemoSet | list[DemoSet],
     return new if lead else _take(new, 0)
 
 
-def _sweep(batch, members, loss, reg, config):
-    """One stacked ``admm_iterate`` over ``batch``, whose members are the
-    (demos, dyn, problem) triples ``members``.  Returns the new stacked
-    state and, per member, None or the RuntimeError its problem's sweep
-    raised (that member's rows of the state are then to be ignored): a
-    raising sweep is repeated problem by problem, so that one problem's
-    failure leaves every other problem's iterates as they are."""
-    try:
-        new = admm_iterate(batch, [d for d, _, _ in members], loss, reg,
-                           [s for _, s, _ in members], config.rho)
-        return new, [None] * len(members)
-    except RuntimeError as e:
-        problems = sorted({p for _, _, p in members})
-        if len(problems) == 1:
-            return batch, [e] * len(members)
-        errors = [None] * len(members)
-        arrays = {}
-        for p in problems:
-            idx = [j for j, member in enumerate(members) if member[2] == p]
-            sub, errs = _sweep(_take(batch, idx), [members[j] for j in idx],
-                               loss, reg, config)
-            for j, err in zip(idx, errs):
-                errors[j] = err
-            if errs[0] is None:
-                for f in _FIELDS:
-                    a = getattr(sub, f)
-                    arrays.setdefault(f, np.zeros((len(members),)
-                                                  + a.shape[1:]))[idx] = a
-        if not arrays:
-            return batch, errors
-        return AdmmState(**arrays, iter=batch.iter + 1), errors
-
-
-def _run_lockstep(starts, members, loss, reg, config):
-    """Advance all starts together, one stacked ``admm_iterate`` per sweep.
+def _run_lockstep(batch, members, loss, reg, config):
+    """Advance the stacked starts ``batch`` together, one stacked
+    ``admm_iterate`` per sweep.
 
     Start i belongs to the (demos, dyn, problem) triple ``members[i]``.  A
     start stops at the cap or once ||K_{k+1} - K_k||_F < eps, and leaves
-    the batch; so does a start whose iterate turns non-finite, and every
-    start of a problem whose sweep raised.  The batch stays one stacked
-    state: the tests run on the whole stack, and the starts that go on are
-    taken from it once per sweep.  Returns, per start, (final state,
-    converged), the FloatingPointError raised for it, or the RuntimeError
-    its problem's sweep raised.
+    the batch; so does a start whose iterate turns non-finite.  The tests
+    run on the whole stack, and the starts that go on are taken from it
+    once per sweep.  A raising sweep ends a batch of one problem, with
+    that RuntimeError for each start.  A batch of several problems is
+    halved instead: its first half of the problems (rounded down) and the
+    rest each go on alone from that sweep's input.  Returns, per start,
+    (final state, converged), the FloatingPointError raised for it, or the
+    RuntimeError its problem's sweep raised.
     """
-    outcome = [None] * len(starts)
-    active = np.arange(len(starts))
-    batch = _stack(starts)
-    for _ in range(config.n_iter):
-        new, errors = _sweep(batch, [members[i] for i in active], loss, reg,
-                             config)
-        ok = np.array([e is None for e in errors])
+    outcome = [None] * len(members)
+    active = np.arange(len(members))
+    while True:
+        live = [members[i] for i in active]
+        try:
+            new = admm_iterate(batch, [d for d, _, _ in live], loss, reg,
+                               [s for _, s, _ in live], config.rho)
+        except RuntimeError as e:
+            problems = sorted({p for _, _, p in live})
+            if len(problems) == 1:
+                for i in active.tolist():
+                    outcome[i] = e
+                return outcome
+            first = np.array([p < problems[len(problems) // 2]
+                              for _, _, p in live])
+            for half in (first, ~first):
+                idx = np.flatnonzero(half)
+                for i, out in zip(active[idx].tolist(), _run_lockstep(
+                        _take(batch, idx), [live[j] for j in idx], loss, reg,
+                        config)):
+                    outcome[i] = out
+            return outcome
         # K is finite: admm_iterate raises on a non-finite K-step gain
+        ok = np.ones(len(active), dtype=bool)
         for f in ("P", "Q", "R"):
             ok &= np.all(np.isfinite(getattr(new, f)), axis=(1, 2))
         # ||K_{k+1} - K_k||_F of the finite starts, each bit-equal to
@@ -276,25 +263,19 @@ def _run_lockstep(starts, members, loss, reg, config):
         step = np.full(len(active), np.inf)
         dK = new.K[ok] - batch.K[ok]
         step[ok] = _row_norms(dK.reshape(len(dK), new.K[0].size))
-        keep = ok & ~(step < config.eps)
-        for j in np.flatnonzero(~keep).tolist():
-            if errors[j] is not None:
-                outcome[active[j]] = errors[j]
-            elif not ok[j]:
-                outcome[active[j]] = FloatingPointError(
-                    f"non-finite iterate at iteration {new.iter}")
-            else:
-                outcome[active[j]] = (_take(new, j), True)
-        if keep.all():
-            batch = new
-            continue
-        active = active[keep]
-        if not len(active):
-            break
-        batch = _take(new, keep)
-    for j, idx in enumerate(active.tolist()):
-        outcome[idx] = (_take(batch, j), False)
-    return outcome
+        converged = step < config.eps
+        keep = ok & ~converged
+        last = new.iter == config.n_iter
+        for j in np.flatnonzero(~keep | last).tolist():
+            outcome[active[j]] = ((_take(new, j), bool(converged[j])) if ok[j]
+                                  else FloatingPointError(
+                                      f"non-finite iterate at iteration "
+                                      f"{new.iter}"))
+        if last or not keep.any():
+            return outcome
+        if not keep.all():
+            active, new = active[keep], _take(new, keep)
+        batch = new
 
 
 def _report(demos, loss, reg, dyn, outcomes):
@@ -340,9 +321,12 @@ def fit_kalman_batch(problems, loss: LossSpec, reg: RegularizerSpec,
     fit.  Both starts of every problem advance together, one stacked
     ``admm_iterate`` per sweep.  Returns, in order, each problem's
     ``KalmanFitReport``, or the RuntimeError that ``fit_kalman`` raises on
-    that problem alone; a failed problem leaves the batch with both its
-    starts.  Every report is bit for bit the one ``fit_kalman`` gives for
-    its problem alone.
+    that problem alone.  A sweep that raises splits the batch into its
+    first half of the problems (rounded down) and the rest, and each half
+    goes on alone from that sweep, halved again if it raises, so a failing
+    problem ends with both its starts and no other problem is touched.
+    Every report is bit for bit the one ``fit_kalman`` gives for its
+    problem alone.
     """
     problems = list(problems)
     if not problems:
@@ -360,7 +344,7 @@ def fit_kalman_batch(problems, loss: LossSpec, reg: RegularizerSpec,
         for start in (zero_state(dyn), identity_state(dyn)):
             starts.append(start)
             members.append((demos, dyn, p))
-    outcome = _run_lockstep(starts, members, loss, reg, config)
+    outcome = _run_lockstep(_stack(starts), members, loss, reg, config)
     return [_report(demos, loss, reg, dyn, outcome[2 * p:2 * p + 2])
             for p, (demos, dyn) in enumerate(problems)]
 

@@ -97,7 +97,9 @@ class KalmanCertificate:
     """Cone-feasible (P, Q, R) witnessing LQR-optimality of some gain.
 
     ``residual`` is the Frobenius norm of the stacked constraint matrix at
-    the gain the certificate was computed for; :meth:`at` computes it.
+    the gain the certificate was computed for; :meth:`at` computes it.  P,
+    Q and R must be finite (ValueError otherwise); the residual may be
+    infinite, as when it overflows for finite matrices.
     """
 
     P: np.ndarray
@@ -108,6 +110,8 @@ class KalmanCertificate:
     def __post_init__(self):
         for name in ("P", "Q", "R"):
             M = np.array(getattr(self, name), dtype=float)
+            if not np.isfinite(M).all():
+                raise ValueError(f"certificate {name} must be finite")
             M.flags.writeable = False
             object.__setattr__(self, name, M)
         with _lapack_errors():

@@ -295,8 +295,8 @@ class TestFailureIsolation:
     def test_stacked_pqr_failure_fails_only_its_cells(self, clean_grid,
                                                       monkeypatch, capsys):
         # a raising (P, Q, R) step on a stack holding seed 1's system, as a
-        # stacked eigh or inv raises for all members: the sweep is repeated
-        # cell by cell, and only seed 1's cells fail
+        # stacked eigh or inv raises for all members: the batch is halved
+        # until each of seed 1's cells runs alone, and only those fail
         A1 = build_small_random(1)[0].A
         monkeypatch.setattr(conic_ls, "solve_pqr_step", _failing_after(
             conic_ls.solve_pqr_step, 3,

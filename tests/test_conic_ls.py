@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -744,6 +746,29 @@ class TestPqrStep:
         with pytest.raises(ValueError, match=f"^{bad} must be finite$"):
             solve_pqr_step(dyn, args["K"], args["Y1"], args["Y2"], rho=1.0,
                            max_iter=5, init=init, dual0=args["dual0"])
+
+    @pytest.mark.parametrize("bad", ["Y1", "Y2"])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_rejects_overflowing_scaled_offsets(self, bad, warm, monkeypatch):
+        # finite Y over a tiny rho overflows: the cold barrier would end
+        # at objective inf and the warm loop in a LinAlgError; the call
+        # rejects it before any work, without a RuntimeWarning
+        dyn, cost, _ = build_small_random(0)
+        n, m = dyn.n, dyn.m
+        Y = {"Y1": np.zeros((n, n)), "Y2": np.zeros((m, n))}
+        Y[bad] = 1e300 * np.ones_like(Y[bad])
+
+        def forbidden(*a, **kw):
+            raise AssertionError("the call did work on an overflowing input")
+
+        monkeypatch.setattr(conic_ls, "_stacked_systems", forbidden)
+        init = (np.eye(n), np.eye(n), np.eye(m)) if warm else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=f"^{bad} / rho must be finite$"):
+                solve_pqr_step(dyn, solve_lqr(dyn, cost).K, Y["Y1"],
+                               Y["Y2"], rho=1e-10, max_iter=5, init=init)
 
     @pytest.mark.parametrize("gains, bad, warm", [
         ("single", "Y1", False), ("single", "Y1", True),

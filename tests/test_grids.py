@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lqfit import bench, closed_loop_cost, solve_lqr
+from lqfit import bench, closed_loop_cost, conic_ls, solve_lqr
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "grids.py"
 _spec = importlib.util.spec_from_file_location("grids", _PATH)
@@ -36,7 +36,7 @@ def test_two_cell_grid_and_compare(tmp_path, capsys):
         ratio = cost[N, "kalman"] / cost[N, "optimal"]
         q = f"{resid[N]:.3g}"
         assert line == (f"  N={N}: kalman/optimal median {ratio:.6g}, "
-                        f"mean {ratio:.6g}, finite 1/1, "
+                        f"mean {ratio:.6g}, finite 1/1, failed 0, "
                         f"residual quartiles {q} {q} {q}")
     # the true cost is (I, I), so the prior gain is the optimal gain
     for N, line in zip((1, 3), report[4:]):
@@ -72,8 +72,40 @@ def test_mean_beside_median():
                                             (2.0, 14.0), (1.0, math.inf)])
             for method, cost in (("optimal", opt), ("kalman", kal))]
     assert grids._ratios(rows) == [
-        "  N=1: kalman/optimal median 3, mean 4, finite 3/4, "
+        "  N=1: kalman/optimal median 3, mean 4, finite 3/4, failed 0, "
         "residual quartiles nan nan nan"]
+
+
+def test_failed_fit_counted(tmp_path, capsys, monkeypatch):
+    # cell (0, 3)'s K step raises from its problem's third sweep on: its
+    # kalman row is the failed one, and the N = 1 cell is untouched
+    config = bench.default_config("small_random", seeds=[0], N_values=[1, 3],
+                                  expert_eval_horizon=2000)
+    dyn, cost, sigma = bench.build_small_random(0)
+    target = bench._cell_demos(config, dyn, solve_lqr(dyn, cost).K, sigma,
+                               0, 3)
+    solve_k_step, calls = conic_ls.solve_k_step, [0]
+
+    def failing(demos, *args, **kwargs):
+        if isinstance(demos, list) and any(
+                np.array_equal(d.states, target.states) for d in demos):
+            calls[0] += 1
+            if calls[0] >= 3:
+                raise conic_ls.SingularFitError("injected")
+        return solve_k_step(demos, *args, **kwargs)
+
+    monkeypatch.setattr(conic_ls, "solve_k_step", failing)
+    assert grids.main([str(tmp_path), *_ARGS]) == 0
+    captured = capsys.readouterr()
+    assert ("warning: kalman fit failed at seed=0 N=3: subsolver failed at "
+            "iteration 3: injected") in captured.err
+    rows = (tmp_path / "small_random.csv").read_text().splitlines()
+    kalman = [line.split(",") for line in rows if ",kalman," in line]
+    assert [(f[1], f[6]) for f in kalman if f[6] == "inf"] == [("3", "inf")]
+    report = captured.out.splitlines()
+    assert ", finite 1/1, failed 0, " in report[2]
+    assert report[3].startswith("  N=3: kalman/optimal median nan, mean nan, "
+                                "finite 0/1, failed 1, residual quartiles ")
 
 
 def test_paired_compare_figures(tmp_path, capsys):

@@ -73,8 +73,9 @@ class TestAdmmIterate:
     def test_non_finite_iterate_fails_the_subsolver(self, small_system,
                                                     field, value):
         # never a ValueError from the (P, Q, R) step: the sweep reports a
-        # subsolver failure, which _sweep confines to its problem; every
-        # field but the splitting dual makes the K-step gain non-finite
+        # subsolver failure, which _run_lockstep confines to its problem;
+        # every field but the splitting dual makes the K-step gain
+        # non-finite
         dyn, cost, sigma, Kstar = small_system
         demos = generate_demos(dyn, Kstar, sigma, 3, 0.0, 17)
         state = admm_iterate(zero_state(dyn), demos, QUAD, RIDGE, dyn,
@@ -89,6 +90,19 @@ class TestAdmmIterate:
                 f"^subsolver failed at iteration 2: {reason}$")):
             admm_iterate(replace(state, **{field: bad}), demos, QUAD, RIDGE,
                          dyn, rho=1.0)
+
+    def test_overflowing_scaled_dual_fails_the_k_step(self):
+        # Y1 / rho overflows, which the (P, Q, R) step rejects with a
+        # ValueError; the K step reads Y / rho first and fails the sweep
+        from lqfit.bench import build_small_random
+        dyn, cost, sigma = build_small_random(0)
+        demos = generate_demos(dyn, solve_lqr(dyn, cost).K, sigma, 3, 0.0,
+                               17)
+        state = replace(identity_state(dyn), Y1=1e300 * np.ones((4, 4)))
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match=(
+                "^subsolver failed at iteration 1: the K step returned a "
+                "non-finite gain$")):
+            admm_iterate(state, demos, QUAD, RIDGE, dyn, rho=1e-10)
 
     def test_k_step_ignores_incoming_gain(self, small_system):
         # fit_kalman has no restarts in K because of this; a proximal K
@@ -322,6 +336,35 @@ class TestFitKalmanBatch:
         assert len(reports) == len(problems)
         for batched, single in zip(reports, alone):
             assert repr(batched.to_dict()) == repr(single.to_dict())
+
+    def test_failure_in_the_first_sweep(self, monkeypatch):
+        # problem 1's (P, Q, R) step raises on every call: the first sweep
+        # of the fresh batch (no splitting dual yet) raises, and the batch
+        # is halved twice, into problem 0 and then problems 1 and 2
+        from lqfit.bench import build_small_random
+        cfg = AdmmConfig(n_iter=30, eps=3e-3)
+        problems = []
+        for seed in (0, 1, 2):
+            dyn, cost, sigma = build_small_random(seed)
+            problems.append((generate_demos(
+                dyn, solve_lqr(dyn, cost).K, sigma, 2, 0.0,
+                np.random.SeedSequence((seed, 2, 1))), dyn))
+        alone = [fit_kalman(demos, QUAD, RIDGE, dyn, cfg)
+                 for demos, dyn in problems]
+        A1 = problems[1][1].A
+        solve_pqr_step = conic_ls.solve_pqr_step
+
+        def failing(dyn, *args, **kwargs):
+            if any(np.array_equal(d.A, A1) for d in dyn):
+                raise np.linalg.LinAlgError("injected")
+            return solve_pqr_step(dyn, *args, **kwargs)
+
+        monkeypatch.setattr(conic_ls, "solve_pqr_step", failing)
+        reports = fit_kalman_batch(problems, QUAD, RIDGE, cfg)
+        assert isinstance(reports[1], RuntimeError)
+        assert str(reports[1]) == "subsolver failed at iteration 1: injected"
+        for p in (0, 2):
+            assert repr(reports[p].to_dict()) == repr(alone[p].to_dict())
 
     def test_mixed_sizes_rejected(self):
         demos, dyn = self._problems()[0]

@@ -178,6 +178,27 @@ class TestKalmanResidual:
             KalmanCertificate(P=np.eye(2), Q=np.zeros((2, 2)),
                               R=0.5 * np.eye(1), residual=0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("block", ["P", "Q", "R"])
+    def test_certificate_rejects_non_finite_matrices(self, block, value):
+        # NaN and inf would pass the cone tests: the smallest eigenvalue
+        # is NaN, or the slack scaled by the norm is infinite
+        blocks = {"P": np.eye(2), "Q": np.zeros((2, 2)), "R": np.eye(1)}
+        blocks[block] = blocks[block].copy()
+        blocks[block].flat[0] = value
+        with pytest.raises(ValueError,
+                           match=f"^certificate {block} must be finite$"):
+            KalmanCertificate(**blocks, residual=0.0)
+
+    def test_certificate_allows_an_infinite_residual(self):
+        # finite matrices whose residual overflows
+        op = KalmanOperator(np.eye(2), np.ones((2, 1)),
+                            np.array([[1e200, 0.0]]))
+        with np.errstate(over="ignore"):
+            cert = KalmanCertificate.at(op, np.eye(2), np.zeros((2, 2)),
+                                        np.eye(1))
+        assert cert.residual == math.inf
+
 
 class TestFeasibility:
     def test_zero_gain_always_feasible(self):

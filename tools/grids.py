@@ -10,11 +10,13 @@ them when none is named) at expert horizon 2000 and writes
 and ``--N`` replace every named grid's seeds and demonstration counts.  It
 prints each grid's time and, per N, the median and mean ratio of the
 kalman rows' cost to the optimal cost (finite rows only), the fraction
-of finite kalman rows and the quartiles (numpy's ``percentile``) of the
-kalman rows' ``kalman_residual``.  After those lines it prints, per N,
-the prior baseline: the median and largest ratio of the prior gain's
-cost to the optimal cost over the seeds, and how many finite kalman and
-pf rows cost less than their seed's prior gain.  The prior gain is
+of finite kalman rows, the number of kalman rows whose fit failed (the
+rows with an infinite ``spectral_radius``) and the quartiles (numpy's
+``percentile``) of the kalman rows' ``kalman_residual``.  After those
+lines it prints, per N, the prior baseline: the median and largest
+ratio of the prior gain's cost to the optimal cost over the seeds, and
+how many finite kalman and pf rows cost less than their seed's prior
+gain.  The prior gain is
 ``solve_lqr(dyn, (I, I)).K``, which reads no demonstration; on the
 presets the true cost is (I, I), so there it reads 1.  These figures go
 to standard output only, never to the files.  The per-N time is not
@@ -271,8 +273,10 @@ def _answer_counts(rows):
 
 def _ratios(rows):
     """Per N: the median and mean kalman/optimal cost ratio over finite
-    rows, the fraction of finite kalman rows and the quartiles of the
-    kalman rows' residuals (rows without one left out)."""
+    rows, the fraction of finite kalman rows, the number whose fit failed
+    (``bench`` writes an infinite spectral radius for those) and the
+    quartiles of the kalman rows' residuals (rows without one left
+    out)."""
     import numpy as np
 
     optimal = {(r.N, r.seed): r.cost for r in rows if r.method == "optimal"}
@@ -286,9 +290,10 @@ def _ratios(rows):
                  if r.kalman_residual is not None]
         quartiles = (np.percentile(resid, [25, 50, 75]) if resid
                      else [math.nan] * 3)
+        failed = sum(r.spectral_radius == math.inf for r in kalman)
         out.append(f"  N={N}: kalman/optimal median {median:.6g}, "
                    f"mean {mean:.6g}, finite {len(ratios)}/{len(kalman)}, "
-                   "residual quartiles "
+                   f"failed {failed}, residual quartiles "
                    + " ".join(f"{q:.3g}" for q in quartiles))
     return out
 
