@@ -232,8 +232,9 @@ def solve_k_step(demos: DemoSet | list[DemoSet], loss: LossSpec,
     Exact linear solve for the quadratic loss; IRLS around the same solve
     for the Huber loss.  rho = 0 drops the penalty entirely (plain policy
     fitting) and needs neither the system nor (P, Q, R, Y1, Y2).  Raises
-    ValueError unless rho is a finite real >= 0, and SingularFitError when
-    lam = 0, rho = 0 and the demonstration states are rank deficient.
+    ValueError unless rho is a finite real >= 0, or when rho > 0 and the
+    system or one of P, Q, R, Y1 and Y2 is missing, and SingularFitError
+    when lam = 0, rho = 0 and the demonstration states are rank deficient.
 
     P, Q, R, Y1 and Y2 may also carry a leading member axis, with
     ``demos`` and ``dyn`` each either shared or a list holding one entry
@@ -254,6 +255,9 @@ def solve_k_step(demos: DemoSet | list[DemoSet], loss: LossSpec,
     if rho > 0:
         if dyn is None:
             raise ValueError("rho > 0 needs the system")
+        for name, M in zip(("P", "Q", "R", "Y1", "Y2"), (P, Q, R, Y1, Y2)):
+            if M is None:
+                raise ValueError(f"rho > 0 needs {name}")
         A, B = _stacked_systems(dyn, count)
         Ps, Qs, Rs, Y1s, Y2s = (np.asarray(M, dtype=float).reshape(
             (count,) + np.shape(M)[-2:]) for M in (P, Q, R, Y1, Y2))

@@ -23,9 +23,12 @@ class FitReport:
 
 def fit_objective(demos: DemoSet, K: np.ndarray, loss: LossSpec,
                   reg: RegularizerSpec) -> float:
-    """L(K) + r(K) for the given demonstrations."""
+    """L(K) + r(K) for the given demonstrations, summed over the pairs in
+    their canonical order (``DemoTerms``), so the same under any
+    permutation of the pairs."""
     K = np.asarray(K, dtype=float)
-    E = demos.states @ K.T - demos.inputs
+    terms = demos.cached(conic_ls.demo_terms)
+    E = terms.X @ K.T - terms.U
     if loss.kind == "quadratic":
         L = float(np.sum(E * E))
     else:

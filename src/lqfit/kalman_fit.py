@@ -25,12 +25,13 @@ experiment sweep, and each sweep runs one K step, one (P, Q, R) step and
 one dual update for every start of every problem still running, so the
 per-call overhead of the small solves is paid once per sweep instead of
 once per start.  The K step's terms that depend on the demonstrations
-alone are computed once per problem.  A start that stops or diverges
-leaves the batch.  A sweep whose subsolver fails halves the batch by
-problem, and each half goes on alone from that sweep, until the failing
-problem is a batch of its own and fails with all its starts.  The
-results are unchanged: every start's iterates are bit for bit those of
-running it alone, and ``fit_kalman`` is the batch of one problem.
+alone are computed once per problem.  A start that stops leaves the
+batch.  A sweep whose subsolver fails, or whose (P, Q, R) step returns a
+non-finite point, halves the batch by problem, and each half goes on
+alone from that sweep, until the failing problem is a batch of its own
+and fails with all its starts.  The results are unchanged: every start's
+iterates are bit for bit those of running it alone, and ``fit_kalman``
+is the batch of one problem.
 
 Besides the raw final iterate K, each report carries ``K_certified``: the
 gain re-synthesized by solving the Riccati equation with the recovered
@@ -176,9 +177,10 @@ def admm_iterate(state: AdmmState, demos: DemoSet | list[DemoSet],
     splitting dual, and runs 40 splitting iterations and one face polish;
     it never returns worse than the incoming iterate.  The constraint
     matrix M in the dual update is evaluated at the freshly updated
-    iterates.  Subsolver failures, a non-finite K-step gain and a
-    non-finite splitting dual (which the (P, Q, R) step rejects) are
-    re-raised as RuntimeError with the iteration number attached.
+    iterates.  Subsolver failures, a non-finite K-step gain, a non-finite
+    splitting dual (which the (P, Q, R) step rejects) and a non-finite
+    (P, Q, R) point are re-raised as RuntimeError with the iteration
+    number attached.
     ``state`` may also be a stack of members (a leading axis on every
     matrix, see ``fit_kalman_batch``), with ``demos`` and ``dyn`` each
     either shared or a list holding one entry per member; the systems must
@@ -205,6 +207,9 @@ def admm_iterate(state: AdmmState, demos: DemoSet | list[DemoSet],
                                        max_iter=_PQR_ITERS,
                                        init=(batch.P, batch.Q, batch.R),
                                        dual0=batch.pqr_dual)
+        if not all(np.isfinite(M).all() for M in (step.P, step.Q, step.R)):
+            raise FloatingPointError("the (P, Q, R) step returned a "
+                                     "non-finite point")
     except (conic_ls.SingularFitError, np.linalg.LinAlgError,
             FloatingPointError) as e:
         raise RuntimeError(
@@ -223,14 +228,13 @@ def _run_lockstep(batch, members, loss, reg, config):
 
     Start i belongs to the (demos, dyn, problem) triple ``members[i]``.  A
     start stops at the cap or once ||K_{k+1} - K_k||_F < eps, and leaves
-    the batch; so does a start whose iterate turns non-finite.  The tests
-    run on the whole stack, and the starts that go on are taken from it
-    once per sweep.  A raising sweep ends a batch of one problem, with
-    that RuntimeError for each start.  A batch of several problems is
-    halved instead: its first half of the problems (rounded down) and the
-    rest each go on alone from that sweep's input.  Returns, per start,
-    (final state, converged), the FloatingPointError raised for it, or the
-    RuntimeError its problem's sweep raised.
+    the batch.  The test runs on the whole stack, and the starts that go
+    on are taken from it once per sweep.  A raising sweep ends a batch of
+    one problem, with that RuntimeError for each start.  A batch of
+    several problems is halved instead: its first half of the problems
+    (rounded down) and the rest each go on alone from that sweep's input.
+    Returns, per start, (final state, converged) or the RuntimeError its
+    problem's sweep raised.
     """
     outcome = [None] * len(members)
     active = np.arange(len(members))
@@ -254,48 +258,31 @@ def _run_lockstep(batch, members, loss, reg, config):
                         config)):
                     outcome[i] = out
             return outcome
-        # K is finite: admm_iterate raises on a non-finite K-step gain
-        ok = np.ones(len(active), dtype=bool)
-        for f in ("P", "Q", "R"):
-            ok &= np.all(np.isfinite(getattr(new, f)), axis=(1, 2))
-        # ||K_{k+1} - K_k||_F of the finite starts, each bit-equal to
+        # ||K_{k+1} - K_k||_F of every start, each bit-equal to
         # np.linalg.norm of its difference
-        step = np.full(len(active), np.inf)
-        dK = new.K[ok] - batch.K[ok]
-        step[ok] = _row_norms(dK.reshape(len(dK), new.K[0].size))
-        converged = step < config.eps
-        keep = ok & ~converged
+        dK = new.K - batch.K
+        converged = _row_norms(dK.reshape(len(dK), -1)) < config.eps
         last = new.iter == config.n_iter
-        for j in np.flatnonzero(~keep | last).tolist():
-            outcome[active[j]] = ((_take(new, j), bool(converged[j])) if ok[j]
-                                  else FloatingPointError(
-                                      f"non-finite iterate at iteration "
-                                      f"{new.iter}"))
-        if last or not keep.any():
+        for j in np.flatnonzero(converged | last).tolist():
+            outcome[active[j]] = (_take(new, j), bool(converged[j]))
+        if last or converged.all():
             return outcome
-        if not keep.all():
-            active, new = active[keep], _take(new, keep)
+        if converged.any():
+            active, new = active[~converged], _take(new, ~converged)
         batch = new
 
 
 def _report(demos, loss, reg, dyn, outcomes):
     """The report of one problem from the outcomes of its starts, or the
-    RuntimeError the problem failed with."""
+    RuntimeError one of its starts' sweeps raised."""
     error = next((o for o in outcomes if isinstance(o, RuntimeError)), None)
     if error is not None:
         return error
-    results = []
-    failures = []
-    for idx, out in enumerate(outcomes):
-        if isinstance(out, FloatingPointError):
-            failures.append(f"init {idx}: {out}")
-            continue
-        final, converged = out
-        objective = fitting.fit_objective(demos, final.K, loss, reg)
-        results.append((objective, idx, final, converged))
-    if not results:
-        return RuntimeError("all runs diverged: " + "; ".join(failures))
-    objective, idx, final, converged = min(results, key=lambda r: (r[0], r[1]))
+    # min keeps the first of equal objectives: the lower init index
+    objective, idx, final, converged = min(
+        ((fitting.fit_objective(demos, final.K, loss, reg), idx, final,
+          converged) for idx, (final, converged) in enumerate(outcomes)),
+        key=lambda r: r[0])
     certificate = riccati.KalmanCertificate.at(
         conic_ls.KalmanOperator(dyn.A, dyn.B, final.K),
         conic_ls.project_psd(final.P, 0.0), conic_ls.project_psd(final.Q, 0.0),
@@ -361,8 +348,8 @@ def fit_kalman(demos: DemoSet, loss: LossSpec, reg: RegularizerSpec,
     starts in K alone would add nothing: the K step does not read the
     incoming K, so such a start holds the identity start's iterate after
     one sweep.  Ties in the objective break toward the lower init index.
-    Raises RuntimeError if a subsolver failed or both runs produced
-    non-finite iterates.  This is ``fit_kalman_batch`` on one problem.
+    Raises RuntimeError if a subsolver failed or a (P, Q, R) step returned
+    a non-finite point.  This is ``fit_kalman_batch`` on one problem.
     """
     result, = fit_kalman_batch([(demos, dyn)], loss, reg, config)
     if isinstance(result, RuntimeError):

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -222,6 +223,22 @@ class TestKStep:
         K = solve_k_step(demos, QUAD, NO_REG, 1e6, sol.P, np.eye(n),
                          np.eye(m), np.zeros((n, n)), np.zeros((m, n)), dyn)
         assert np.linalg.norm(K - sol.K) <= 1e-3
+
+    @pytest.mark.parametrize("given, first", [
+        (("Q", "R", "Y1", "Y2"), "P"), (("P", "R", "Y1", "Y2"), "Q"),
+        (("P", "Q", "Y1", "Y2"), "R"), (("P", "Q", "R", "Y2"), "Y1"),
+        (("P", "Q", "R", "Y1"), "Y2"), (("P",), "Q"), ((), "P")])
+    def test_penalty_needs_every_matrix(self, given, first):
+        # np.asarray(None, dtype=float) is NaN: without the check a missing
+        # matrix gives a NaN gain, or a matmul error when all are missing
+        dyn, cost, sigma = build_small_random(0)
+        demos = generate_demos(dyn, solve_lqr(dyn, cost).K, sigma, 3, 0.0, 0)
+        n, m = dyn.n, dyn.m
+        args = {"P": np.eye(n), "Q": np.eye(n), "R": np.eye(m),
+                "Y1": np.zeros((n, n)), "Y2": np.zeros((m, n))}
+        with pytest.raises(ValueError, match=f"^rho > 0 needs {first}$"):
+            solve_k_step(demos, QUAD, NO_REG, 1.0, dyn=dyn,
+                         **{name: args[name] for name in given})
 
     def test_singular_raises(self):
         demos = DemoSet(states=[[1.0, 0.0]], inputs=[[1.0]])  # rank 1 < n
@@ -704,6 +721,37 @@ class TestPqrStep:
                                           max_iter=budget, init=start)
                     assert step.iterations == budget
                     assert step.objective <= f0
+
+    def test_warm_call_is_finite_or_raises(self):
+        # on finite input the warm step returns a finite point and dual or
+        # raises LinAlgError, never warning, so the ADMM sweep's test on a
+        # non-finite (P, Q, R) point fails no fit that would have finished.
+        # Gains, offsets and starts span 1 to 1e300; 46 of the 96 calls
+        # return and 50 raise.
+        rng = np.random.default_rng(0)
+        outcomes = []
+        for dyn, cost, _ in (build_small_random(0), build_aircraft()):
+            n, m = dyn.n, dyn.m
+            K0 = solve_lqr(dyn, cost).K
+            G1 = rng.standard_normal((n, n))
+            G2 = rng.standard_normal((m, n))
+            for k, s, t in itertools.product((1.0, 1e50, 1e100, 1e150),
+                                             (1.0, 1e100, 1e200, 1e300),
+                                             (1.0, 1e150, 1e300)):
+                init = (t * np.eye(n), t * np.eye(n), t * np.eye(m))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        step = solve_pqr_step(dyn, k * K0, s * G1, s * G2,
+                                              rho=1.0, max_iter=40,
+                                              init=init)
+                    except np.linalg.LinAlgError:
+                        outcomes.append("raised")
+                        continue
+                assert all(np.isfinite(M).all() for M in
+                           (step.P, step.Q, step.R, step.dual))
+                outcomes.append("finite")
+        assert set(outcomes) == {"finite", "raised"}
 
     def test_rejects_nonpositive_rho(self):
         dyn = _dyn(np.zeros((1, 1)), np.ones((1, 1)))

@@ -44,14 +44,12 @@ def test_permutation_bit_identical():
     X = rng.standard_normal((9, 4))
     U = rng.standard_normal((9, 2))
     perm = rng.permutation(9)
-    K1 = policy_fit(DemoSet(X, U)).K
-    K2 = policy_fit(DemoSet(X[perm], U[perm])).K
-    assert np.array_equal(K1, K2)
-    # Huber path too
-    loss = LossSpec("huber", huber_m=0.5)
-    K1 = policy_fit(DemoSet(X, U), loss=loss).K
-    K2 = policy_fit(DemoSet(X[perm], U[perm]), loss=loss).K
-    assert np.array_equal(K1, K2)
+    # the Huber path too; the objectives are summed in one order
+    for loss in (LossSpec("quadratic"), LossSpec("huber", huber_m=0.5)):
+        fit1 = policy_fit(DemoSet(X, U), loss=loss)
+        fit2 = policy_fit(DemoSet(X[perm], U[perm]), loss=loss)
+        assert np.array_equal(fit1.K, fit2.K)
+        assert fit1.objective == fit2.objective
 
 
 def test_doubled_demos_doubled_weight_same_gain():

@@ -337,10 +337,15 @@ class TestFitKalmanBatch:
         for batched, single in zip(reports, alone):
             assert repr(batched.to_dict()) == repr(single.to_dict())
 
-    def test_failure_in_the_first_sweep(self, monkeypatch):
-        # problem 1's (P, Q, R) step raises on every call: the first sweep
-        # of the fresh batch (no splitting dual yet) raises, and the batch
-        # is halved twice, into problem 0 and then problems 1 and 2
+    @pytest.mark.parametrize("fault, message", [
+        ("raise", "injected"),
+        ("nan", "the (P, Q, R) step returned a non-finite point")],
+        ids=["raise", "nan"])
+    def test_failure_in_the_first_sweep(self, monkeypatch, fault, message):
+        # problem 1's (P, Q, R) step raises, or returns NaN in P, on every
+        # call: the first sweep of the fresh batch (no splitting dual yet)
+        # raises, and the batch is halved twice, into problem 0 and then
+        # problems 1 and 2
         from lqfit.bench import build_small_random
         cfg = AdmmConfig(n_iter=30, eps=3e-3)
         problems = []
@@ -355,14 +360,20 @@ class TestFitKalmanBatch:
         solve_pqr_step = conic_ls.solve_pqr_step
 
         def failing(dyn, *args, **kwargs):
-            if any(np.array_equal(d.A, A1) for d in dyn):
+            hit = [np.array_equal(d.A, A1) for d in dyn]
+            if any(hit) and fault == "raise":
                 raise np.linalg.LinAlgError("injected")
-            return solve_pqr_step(dyn, *args, **kwargs)
+            step = solve_pqr_step(dyn, *args, **kwargs)
+            if any(hit):
+                P = step.P.copy()
+                P[hit] = np.nan
+                step = replace(step, P=P)
+            return step
 
         monkeypatch.setattr(conic_ls, "solve_pqr_step", failing)
         reports = fit_kalman_batch(problems, QUAD, RIDGE, cfg)
         assert isinstance(reports[1], RuntimeError)
-        assert str(reports[1]) == "subsolver failed at iteration 1: injected"
+        assert str(reports[1]) == f"subsolver failed at iteration 1: {message}"
         for p in (0, 2):
             assert repr(reports[p].to_dict()) == repr(alone[p].to_dict())
 
@@ -425,8 +436,27 @@ class TestWholeBatchFails:
         demos = generate_demos(dyn, Kstar, sigma, 3, 0.0, 23)
         self._failing_call(monkeypatch, "solve_pqr_step", 2, lambda step:
                            replace(step, P=np.full_like(step.P, np.nan)))
-        with pytest.raises(RuntimeError, match="all runs diverged: init 0: "
-                           "non-finite iterate at iteration 2"):
+        with pytest.raises(RuntimeError, match="subsolver failed at "
+                           "iteration 2: the \\(P, Q, R\\) step returned a "
+                           "non-finite point"):
+            fit_kalman(demos, QUAD, RIDGE, dyn)
+
+    def test_one_start_non_finite_fails_its_problem(self, monkeypatch,
+                                                    small_system):
+        # the other start is finite, but a non-finite (P, Q, R) point is a
+        # subsolver failure, which fails the problem as a raised one does
+        dyn, cost, sigma, Kstar = small_system
+        demos = generate_demos(dyn, Kstar, sigma, 3, 0.0, 23)
+
+        def nan_in_member_0(step):
+            P = step.P.copy()
+            P[0] = np.nan
+            return replace(step, P=P)
+
+        self._failing_call(monkeypatch, "solve_pqr_step", 2, nan_in_member_0)
+        with pytest.raises(RuntimeError, match="^subsolver failed at "
+                           "iteration 2: the \\(P, Q, R\\) step returned "
+                           "a non-finite point$"):
             fit_kalman(demos, QUAD, RIDGE, dyn)
 
     def test_overflowing_demonstrations(self, capfd):
