@@ -27,17 +27,21 @@ optimal?"; Boyd et al. 1994, *LMIs in System and Control Theory*,
 section 10.6).  The map's columns need one Stein equation per svec basis
 matrix of Q, n(n + 1)/2 in all; they are solved as one stack that shares
 one doubling loop (:func:`lqfit.linsys.solve_lyapunov_stein`), each
-solution bit for bit that of its own call.  A barrier method in that
+solution bit for bit that of its own call.  These basis solutions are the
+check's only Stein solve: a certificate's P is read off them, and a
+Farkas witness's blocks are the image of its multiplier under the map's
+transpose.  A barrier method in that
 reduced space, on the central path of :mod:`lqfit.conic_ls` that the cold
 (P, Q, R) solve runs too, ends in a certificate or in a Farkas witness,
 each verified up to a stated roundoff slack, or else in "undecided",
 which proves nothing.  Unstable modes in ker K are split off first.  The
-check's own LAPACK work (the reduced map's SVD, the certificate and
-witness tests' eigenvalues and projections, the inverses that build a
-Farkas candidate, the cone tests of a certificate) calls numpy's gufuncs
-directly, each group under one error state, as the barrier's Newton steps
-do: on these float64 arrays numpy.linalg's wrappers would only check and
-convert, so the same LAPACK routine runs on the same bytes.
+check's own LAPACK work (the reduced map's SVD and the one that splits
+off unstable modes, the certificate and witness tests' eigenvalues and
+projections, the inverses that build a Farkas candidate, the cone tests
+of a certificate) calls numpy's gufuncs directly, each group under one
+error state, as the barrier's Newton steps do: on these float64 arrays
+numpy.linalg's wrappers would only check and convert, so the same LAPACK
+routine runs on the same bytes.
 
 The Riccati solver is a structure-preserving doubling iteration
 (quadratically convergent, no external solver).  On badly scaled systems
@@ -160,9 +164,11 @@ class FarkasWitness:
     """Multiplier Y (m x n) whose image under the adjoint of the reduced
     map lies in the dual cone of {Q >= 0, R >= I}.
 
-    With X = F X F^T + sym(B Y F^T), the blocks are Wq = X and
-    Wr = sym(Y K^T) + K X K^T, and every (Q, R) satisfies
-    <Y, R K + B^T P(Q, R) F> = <Wq, Q> + <Wr, R>.  A certificate makes the
+    Every symmetric (Q, R) satisfies
+    <Y, R K + B^T P(Q, R) F> = <Wq, Q> + <Wr, R>, so the blocks are
+    computed as svec(Wq, Wr) = Mat^T vec(Y), Mat the reduced map's matrix;
+    up to roundoff they are Wq = X with X = F X F^T + sym(B Y F^T) and
+    Wr = sym(Y K^T) + K X K^T.  A certificate makes the
     left side zero, while Wq >= 0, Wr >= 0 with tr Wr > 0 make the right
     side at least tr Wr > 0 on Q >= 0, R >= I.  The check accepts
     eigenvalues of Wq and Wr down to -eps * ||(Wq, Wr)|| (eps =
@@ -340,16 +346,19 @@ def _unstable_mode_witness(K, lam, V):
 def _reduced_map(F, B, K):
     """(Q, R) -> R K + B^T P(Q, R) F with P(Q, R) = Lyap(F, Q + K^T R K), as
     an (m n) x (dim_n + dim_m) matrix from orthonormal svec coordinates of
-    (Q, R) to the row-major ravel of the m x n result.  The n(n + 1)/2
-    Stein equations of the Q basis are solved as one stack, sharing one
-    doubling loop; each solution is bit for bit that of its own call."""
+    (Q, R) to the row-major ravel of the m x n result, and P of every svec
+    basis matrix of (Q, R), a (dim_n + dim_m, n, n) stack.  The
+    n(n + 1)/2 Stein equations of the Q basis are solved as one stack,
+    sharing one doubling loop; each solution is bit for bit that of its
+    own call.  These are the check's only Stein solves: P(Q, R) of any
+    point is svec(Q, R) against the stack."""
     En, Em = conic_ls._svec(*B.shape).basis
     PE = solve_lyapunov_stein(F, En)
     # P is linear in Q + K'RK, so the R columns reuse the Q solves
     PR = np.tensordot(conic_ls._svec(len(F)).join([K.T @ Em @ K]), PE,
                       axes=1)
     cols = np.concatenate([B.T @ PE @ F, Em @ K + B.T @ PR @ F])
-    return cols.reshape(len(cols), -1).T
+    return cols.reshape(len(cols), -1).T, np.concatenate([PE, PR])
 
 
 class _ReducedCheck:
@@ -359,9 +368,10 @@ class _ReducedCheck:
 
     def __init__(self, A, B, K, tol):
         self.op = conic_ls.KalmanOperator(A, B, K)
-        self.B, self.K, self.F, self.tol = B, K, self.op.F, tol
+        self.K, self.tol = K, tol
         self.svec = conic_ls._svec(*B.shape)
-        Mat = _reduced_map(self.F, B, K)
+        Mat, self.P_basis = _reduced_map(self.op.F, B, K)
+        self.adjoint = Mat.T
         with _lapack_errors():
             U, s, Vt = _LAPACK.svd_f(Mat, signature="d->ddd")
         rank = int(np.sum(s > max(Mat.shape) * np.finfo(float).eps
@@ -373,7 +383,8 @@ class _ReducedCheck:
     def certify(self, Q, R):
         """A certificate from a null-space point with Q >= 0 and R > 0
         (up to roundoff): scaled into R >= I, projected onto the cones,
-        with P = Lyap(F, Q + K'RK); None if its residual misses tol."""
+        with P = Lyap(F, Q + K'RK) read off the basis solutions; None if
+        its residual misses tol."""
         with _lapack_errors():
             wq, wr = (_LAPACK.eigvalsh_lo(X, signature="d->d")
                       for X in (Q, R))
@@ -382,17 +393,16 @@ class _ReducedCheck:
                 return None
             Q = conic_ls._project(Q / wr.min(), 0.0)
             R = conic_ls._project(R / wr.min(), 1.0)
-        P = solve_lyapunov_stein(self.F, Q + self.K.T @ R @ self.K)
+        P = _sym(np.tensordot(self.svec.join([Q, R]), self.P_basis, axes=1))
         return KalmanCertificate.at(self.op, P, Q, R, self.tol)
 
     def farkas(self, gap):
         """An infeasibility witness from a point orthogonal to the null
         space: its multiplier Y, pulled back through the adjoint of the
-        map, if that lands blockwise PSD with tr Wr > 0."""
-        m, n = self.K.shape
-        Y = (self.pinvT @ gap).reshape(m, n)
-        Wq = solve_lyapunov_stein(self.F.T, _sym(self.B @ Y @ self.F.T))
-        Wr = _sym(Y @ self.K.T) + self.K @ Wq @ self.K.T
+        map as svec(Wq, Wr) = Mat^T vec(Y), if that lands blockwise PSD
+        with tr Wr > 0."""
+        Y = (self.pinvT @ gap).reshape(self.K.shape)
+        Wq, Wr = self.svec.split(self.adjoint @ Y.ravel())
         scale = math.hypot(np.linalg.norm(Wq), np.linalg.norm(Wr))
         with _lapack_errors():
             cones = (_lowest(Wq) >= -_WITNESS_SLACK * scale
@@ -448,7 +458,9 @@ def _split_certificate(A, B, K, V, tol):
     certificate of (T'AT, T'B, KT), T a basis of V's complement, embeds as
     (T P T', T Q T', R), or (0, 0, I).  The smaller system is checked
     whole, so a Jordan chain in ker K is split off one mode per level."""
-    U, s, _ = np.linalg.svd(np.hstack([V.real, V.imag]))
+    with _lapack_errors():
+        U, s, _ = _LAPACK.svd_f(np.hstack([V.real, V.imag]),
+                                signature="d->ddd")
     T = U[:, int(np.sum(s > len(U) * np.finfo(float).eps * s.max())):]
     k = T.shape[1]
     P = Q = np.zeros((k, k))
@@ -476,10 +488,10 @@ def check_kalman_feasible(dyn: LinearDynamics, K,
        -K^T M(Q, R) with M(Q, R) = R K + B^T P(Q, R) F.  So K is optimal
        exactly when the null space of the linear map M meets
        {Q >= 0, R >= I}.  A barrier method there ends in a certificate (a
-       null-space point scaled into R >= I, P recomputed from the Lyapunov
-       equation, residual at most ``tol``), in a :class:`FarkasWitness`,
-       or ``undecided``: neither once its gap bound is below 1e-13 or its
-       Newton system is singular.
+       null-space point scaled into R >= I, P = Lyap(F, Q + K^T R K) read
+       off M's basis solutions, residual at most ``tol``), in a
+       :class:`FarkasWitness`, or ``undecided``: neither once its gap
+       bound is below 1e-13 or its Newton system is singular.
     3. Otherwise every mode with |lambda| >= STABILITY_MARGIN lies in
        ker K (K = 0, say).  A certificate of the system restricted to the
        complement of those modes, re-checked on the whole system, answers

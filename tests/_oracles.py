@@ -366,14 +366,15 @@ def stein_reference(F, C, tol=1e-12, max_iter=200):
 
 def reduced_map_reference(F, B, K):
     """``riccati._reduced_map`` with one Stein solve per svec basis matrix
-    of Q, each by :func:`stein_reference`, and the same assembly."""
+    of Q, each by :func:`stein_reference`, and the same assembly: the map
+    and the stack of P of every basis matrix of (Q, R)."""
     from lqfit.conic_ls import _svec
 
     En, Em = _svec(*B.shape).basis
     PE = np.stack([stein_reference(F, E) for E in En])
     PR = np.tensordot(_svec(len(F)).join([K.T @ Em @ K]), PE, axes=1)
     cols = np.concatenate([B.T @ PE @ F, Em @ K + B.T @ PR @ F])
-    return cols.reshape(len(cols), -1).T
+    return cols.reshape(len(cols), -1).T, np.concatenate([PE, PR])
 
 
 def warm_step_reference(systems, K, Y1, Y2, rho, max_iter, init, dual0=None):

@@ -191,6 +191,42 @@ def test_two_seed_checks_grid(tmp_path, capsys):
     assert capsys.readouterr().out == "byte-identical (1 files)\n"
 
 
+def test_checks_grid_answers_on_all_seeds(tmp_path, capsys):
+    # every answer of the 60-seed checks grid, and its Newton steps
+    assert grids.main([str(tmp_path), "checks"]) == 0
+    report = capsys.readouterr().out.splitlines()
+    assert report[2:7] == [
+        "  lqr: feasible 60, infeasible 0, undecided 0",
+        "  move-1e-3: feasible 59, infeasible 1, undecided 0",
+        "  move-1e-4: feasible 60, infeasible 0, undecided 0",
+        "  zero-dynamics: feasible 0, infeasible 60, undecided 0",
+        "  zero-gain: feasible 60, infeasible 0, undecided 0"]
+    rows = [line.split(",") for line in
+            (tmp_path / "checks.csv").read_text().splitlines()[1:]]
+    assert sum(int(r[5]) for r in rows if r[1] != "cold") == 7065
+
+
+def test_compare_counts_changed_answers(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert grids.main([str(a), "checks", "--seeds", "0", "1"]) == 0
+    capsys.readouterr()
+    # one flipped answer; another row's residual and Newton steps moved
+    lines = (a / "checks.csv").read_text().splitlines()
+    flipped, moved = lines[1].split(","), lines[2].split(",")
+    assert flipped[4] == "feasible"
+    flipped[4] = "infeasible"
+    moved[5], moved[6] = str(int(moved[5]) + 1), repr(float(moved[6]) * 2.0)
+    lines[1], lines[2] = ",".join(flipped), ",".join(moved)
+    b.mkdir()
+    (b / "checks.csv").write_text("\n".join(lines) + "\n")
+    assert grids.main(["--compare", str(a), str(b)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["checks.csv: 2 rows moved",
+                       "  answers changed 1, Newton steps changed 1"]
+    # an experiment CSV gets no such line
+    assert grids._check_changes(bench.CSV_HEADER, bench.CSV_HEADER) == []
+
+
 @pytest.mark.parametrize("grid, build", [
     ("random_cost", bench.build_small_random),
     ("random_cost_747", lambda seed: bench.build_aircraft())],

@@ -293,7 +293,8 @@ def _random_weight_lqr(n, m, seed):
 @pytest.mark.parametrize("case", ["747", "n1", "n4", "n8", "n12"])
 def test_reduced_map_equals_one_stein_solve_per_basis_matrix(case):
     """The stacked Stein solves of the reduced map against one solve per
-    basis matrix, by the norm-based reference loop, bit for bit."""
+    basis matrix, by the norm-based reference loop, bit for bit: the map
+    and P of every basis matrix of (Q, R)."""
     if case == "747":
         dyn, cost, _ = build_aircraft()
         K = solve_lqr(dyn, cost).K
@@ -302,8 +303,106 @@ def test_reduced_map_equals_one_stein_solve_per_basis_matrix(case):
         dyn, K = _random_weight_lqr(n, max(1, n // 3), seed=n)
     F = dyn.closed_loop(K)
     assert spectral_radius(F) < 1.0
-    assert np.array_equal(_reduced_map(F, dyn.B, K),
-                          reduced_map_reference(F, dyn.B, K))
+    Mat, P_basis = _reduced_map(F, dyn.B, K)
+    ref_Mat, ref_P = reduced_map_reference(F, dyn.B, K)
+    assert np.array_equal(Mat, ref_Mat)
+    assert np.array_equal(P_basis, ref_P)
+    dim_n = dyn.n * (dyn.n + 1) // 2
+    assert P_basis.shape == (dim_n + dyn.m * (dyn.m + 1) // 2, dyn.n, dyn.n)
+
+
+def _identity_gains(case):
+    """Stable gains of one system of ``case`` for the identity tests: an
+    LQR gain (feasible), that gain moved by 0.1 of its norm (0.01 on the
+    747, whose loop a larger move can make unstable), and a random gain on
+    A = 0 (a Farkas witness), each with its system."""
+    if case == "small_random":
+        dyn, cost, _ = build_small_random(0)
+        K = solve_lqr(dyn, cost).K
+    elif case == "747":
+        dyn, cost, _ = build_aircraft()
+        K = solve_lqr(dyn, cost).K
+    else:
+        n = int(case[1:])
+        dyn, K = _random_weight_lqr(n, max(1, n // 3), seed=n)
+    rng = np.random.default_rng(len(case))
+    D = rng.standard_normal(K.shape)
+    zero = _dyn(np.zeros((dyn.n, dyn.n)), dyn.B)
+    G = rng.standard_normal(K.shape)
+    move = 0.01 if case == "747" else 0.1
+    return [(dyn, K), (dyn, K + move * D * np.linalg.norm(K)
+                       / np.linalg.norm(D)),
+            (zero, 0.5 * G / spectral_radius(dyn.B @ G))]
+
+
+@pytest.mark.parametrize("case", ["small_random", "747", "n2", "n3", "n4",
+                                  "n5", "n6", "n7", "n8"])
+def test_check_reads_p_and_witness_off_the_basis_solutions(case):
+    """certify's P is Lyap(F, Q + K'RK) and a Farkas witness's blocks,
+    Mat^T vec(Y), are X = F X F' + sym(B Y F') and
+    Wr = sym(Y K') + K X K', each to 1e-10 of its scale: on the check's
+    answers and on random points of every stable gain."""
+    rng = np.random.default_rng(len(case) + 1)
+    verdicts = []
+    for dyn, K in _identity_gains(case):
+        (n, m), F = dyn.B.shape, dyn.closed_loop(K)
+        assert spectral_radius(F) < 1.0
+
+        def assert_p(cert):
+            P = solve_lyapunov_stein(F, cert.Q + K.T @ cert.R @ K)
+            assert (np.abs(cert.P - P).max()
+                    <= 1e-10 * np.linalg.norm(P)), case
+
+        def assert_blocks(Y, Wq, Wr):
+            X = solve_lyapunov_stein(F.T, 0.5 * (dyn.B @ Y @ F.T
+                                                 + F @ Y.T @ dyn.B.T))
+            YK = Y @ K.T
+            W = 0.5 * (YK + YK.T) + K @ X @ K.T
+            scale = math.hypot(np.linalg.norm(X), np.linalg.norm(W))
+            assert np.abs(Wq - X).max() <= 1e-10 * scale, case
+            assert np.abs(Wr - W).max() <= 1e-10 * scale, case
+
+        res = check_kalman_feasible(dyn, K)
+        verdicts.append(res.verdict)
+        if res.feasible:
+            assert_p(res.certificate)
+        if isinstance(res.witness, FarkasWitness):
+            assert_blocks(res.witness.Y, res.witness.Wq, res.witness.Wr)
+        check = riccati._ReducedCheck(dyn.A, dyn.B, K, math.inf)
+        for _ in range(3):
+            G, H = rng.standard_normal((n, n)), rng.standard_normal((m, m))
+            assert_p(check.certify(G @ G.T, np.eye(m) + H @ H.T))
+            Y = rng.standard_normal((m, n))
+            assert_blocks(Y, *check.svec.split(check.adjoint @ Y.ravel()))
+    assert verdicts[0] == "feasible" and verdicts[2] == "infeasible"
+
+
+def test_one_stein_solve_per_reduced_check(monkeypatch):
+    """Every reduced check, from 0 to 68 Newton steps, makes one Stein
+    solve: its basis solutions; route 3 makes it for its restricted
+    system and route 1 none."""
+    calls = {"stein": 0, "checks": 0}
+    stein = linsys.solve_lyapunov_stein
+
+    def counted(*args, **kwargs):
+        calls["stein"] += 1
+        return stein(*args, **kwargs)
+
+    class Counted(riccati._ReducedCheck):
+        def __init__(self, *args, **kwargs):
+            calls["checks"] += 1
+            super().__init__(*args, **kwargs)
+
+    for module in (riccati, conic_ls, linsys):
+        monkeypatch.setattr(module, "solve_lyapunov_stein", counted)
+    monkeypatch.setattr(riccati, "_ReducedCheck", Counted)
+    per_case = []
+    for dyn, K, steps in _raw_path_gains():
+        calls.update(stein=0, checks=0)
+        assert check_kalman_feasible(dyn, K).iterations == steps
+        per_case.append((calls["checks"], calls["stein"]))
+    # the sixth case has an unstable mode outside ker K (route 1)
+    assert per_case == [(1, 1)] * 5 + [(0, 0)] + [(1, 1)] * 2
 
 
 class TestFeasibilityRoutes:

@@ -56,7 +56,9 @@ each answer per kind, ``undecided`` included; ``--N`` does not apply.
 ``--compare`` reports "byte-identical" when both directories hold the same
 files with the same bytes and exits 0; otherwise it lists the files and
 CSV rows that differ, the largest relative move of a number in those
-rows, and exits 1.  For each experiment CSV that differs it also pairs
+rows, and exits 1.  On a checks CSV that differs, the line after its
+count of moved rows counts the rows whose answer and whose Newton steps
+changed.  For each experiment CSV that differs it also pairs
 the cells (experiment, N, seed) of the two runs and prints, per N, how
 many cells' kalman/optimal cost ratio fell, rose or stayed, the median
 change of the log ratio over the cells finite on both sides, and the
@@ -319,15 +321,17 @@ def _numbers(text):
     return out
 
 
-def _csv_moves(text_a, text_b):
-    """(rows that differ, largest relative move) of two grid CSVs; rows
-    are matched by their first four fields: (experiment, N, seed, method),
-    or (seed, kind, n, m) in the checks grid."""
-    def rows(text):
-        return {tuple(line.split(",")[:4]): line
-                for line in text.splitlines()[1:]}
+def _rows(text):
+    """The rows of a grid CSV by their first four fields: (experiment, N,
+    seed, method), or (seed, kind, n, m) in the checks grid."""
+    return {tuple(line.split(",")[:4]): line
+            for line in text.splitlines()[1:]}
 
-    a, b = rows(text_a), rows(text_b)
+
+def _csv_moves(text_a, text_b):
+    """(rows that differ, largest relative move) of two grid CSVs, their
+    rows matched by :func:`_rows`."""
+    a, b = _rows(text_a), _rows(text_b)
     moved, largest = [], 0.0
     for key in sorted(a.keys() | b.keys()):
         if a.get(key) == b.get(key):
@@ -343,6 +347,20 @@ def _csv_moves(text_a, text_b):
             elif x != y:
                 largest = math.inf
     return moved, largest
+
+
+def _check_changes(text_a, text_b):
+    """The line counting the rows of two checks-grid CSVs, matched by
+    :func:`_rows`, whose answer or Newton steps differ; no line for an
+    experiment CSV."""
+    if not text_a.startswith("seed,kind,"):
+        return []
+    a, b = _rows(text_a), _rows(text_b)
+    pairs = [(a[key].split(",")[4:6], b[key].split(",")[4:6])
+             for key in a.keys() & b.keys()]
+    answers = sum(x[0] != y[0] for x, y in pairs)
+    steps = sum(x[1] != y[1] for x, y in pairs)
+    return [f"  answers changed {answers}, Newton steps changed {steps}"]
 
 
 def _kalman_ratios(text):
@@ -412,6 +430,7 @@ def compare(dir_a, dir_b):
         if name.endswith(".csv"):
             moved, move = _csv_moves(text_a, text_b)
             lines.append(f"{name}: {len(moved)} rows moved")
+            lines.extend(_check_changes(text_a, text_b))
             lines.extend(moved)
             lines.extend(_paired(text_a, text_b))
             largest = max(largest, move)
