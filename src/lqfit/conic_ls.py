@@ -16,35 +16,34 @@ and the (P, Q, R) problem is
 a linear least squares over a product of semidefinite cones, taken in an
 orthonormal svec parameterization.  The map is written out once, in
 :meth:`KalmanOperator.apply`, and applied to basis matrices in one place,
-:meth:`KalmanOperator.columns`: its matrix in svec coordinates (the
-columns of the svec basis) and the face columns of the polish are both
-read off that, and every solver here and in :mod:`lqfit.riccati` reads
-one block svec layout.  A cold call (no warm
-start) solves each gain by one barrier method, on the one central path
-that the reduced optimality check of :mod:`lqfit.riccati` runs too.  A
-warm call (ADMM's inexact inner step) runs a fixed number of
-operator-splitting iterations (ADMM on the variable/copy pair), keeps the
-lower of its start and its last iterate and "polishes" that once, by an
-exact least squares on the active face of the cones.  A warm stack (gains
-of one size) is run through the splitting loop in lockstep and polished
-as one stack, with one face least squares per member; its best point
-travels from the loop through the polish to the result as stacked arrays
-(objective, (P, Q), R), picked member by member with masks.  Each
-splitting iteration projects all three cone blocks of every member with
-one ``eigh`` call, on a zero-padded stack of k x k matrices, k = max(n,
-m), each block in its slot's bottom-right corner, where the projection is
-bit for bit that of the block alone.  A warm call's eigendecompositions
-call numpy's LAPACK gufuncs directly, under one error state entered once
-per call, and so do the barrier's Newton steps (block inverses, the KKT
-solve, the domain test), under one error state per step; numpy.linalg's
-wrappers would only check and convert these float64 arrays, so the same
-LAPACK routine runs on the same bytes.  Each member's result is bit for
-bit that of solving it alone.  What depends only on the sizes is one
-svec layout per size, built once, with one
+:meth:`KalmanOperator.columns`: its matrix in svec coordinates (the columns
+of the svec basis) and the face columns of the polish are both read off
+that, and every solver here and in :mod:`lqfit.riccati` reads one block svec
+layout.  A cold call (no warm start) solves each gain by one barrier method,
+on the one central path that the reduced optimality check of
+:mod:`lqfit.riccati` runs too.  A warm call (ADMM's inexact inner step) runs
+a fixed number of operator-splitting iterations (ADMM on the variable/copy
+pair), keeps the lower of its start and its last iterate and "polishes" that
+once, by an exact least squares on the active face of the cones.  A warm
+stack (gains of one size) is run through the splitting loop in lockstep and
+polished as one stack, with one face least squares per member.  The loop and
+the polish share one padded stack and one floor array (0, 0, 1): the three
+cone blocks of every member sit in an (S, 3, k, k) stack, k = max(n, m),
+each in its slot's bottom-right corner with the rest of the slot's diagonal
+at its floor, where an eigendecomposition is bit for bit the block's own.
+Each splitting iteration projects it with one ``eigh`` call; the loop hands
+its best point, picked member by member with masks, to the polish as that
+stack, and the polish makes one eigendecomposition, one cone test and one
+projection of it.  A warm call's eigendecompositions call numpy's LAPACK
+gufuncs directly, under one error state entered once per call, and so do the
+barrier's Newton steps (block inverses, the KKT solve, the domain test),
+under one error state per step; numpy.linalg's wrappers would only check and
+convert these float64 arrays, so the same LAPACK routine runs on the same
+bytes.  Each member's result is bit for bit that of solving it alone.  What
+depends only on the sizes is one svec layout per size, built once, with one
 table per job (the gathers, the svec basis, the face bases' eigenvector
-pairs), and the stacked system matrices are built once per tuple of
-systems.  The K step takes stacks too, as one batched solve of its normal
-equations.
+pairs), and the stacked system matrices are built once per tuple of systems.
+The K step takes stacks too, as one batched solve of its normal equations.
 """
 
 from __future__ import annotations
@@ -336,7 +335,8 @@ class _SvecLayout:
     them by ``scale`` (1 on diagonal coordinates, sqrt 2 off them).
     ``cuts`` holds the blocks' offsets in svec order.  ``split`` undoes
     ``join`` through the padded layout: each block in the bottom-right
-    corner of a k x k slot, k the largest size, zeros elsewhere.
+    corner of a k x k slot, k the largest size, zeros elsewhere; ``blocks``
+    reads the blocks off any stack in that layout, as views.
     ``pad_pos`` is the svec position of every entry of that (blocks, k, k)
     stack, or ``cuts[-1]`` on a pad entry: a gather from the svec point
     with one zero appended.  ``pad_uplo`` holds the flat padded positions
@@ -380,12 +380,15 @@ class _SvecLayout:
         return entries.take(self.up, axis=-1) * self.scale
 
     def split(self, y):
-        """The blocks of the svec point ``y``: :meth:`join` undone.  The
-        blocks are views into one new zero-padded (..., blocks, k, k) array,
-        each its slot's bottom-right corner."""
+        """The blocks of the svec point ``y``: :meth:`join` undone, as the
+        :meth:`blocks` of one new zero-padded (..., blocks, k, k) array."""
         ys = np.zeros(y.shape[:-1] + (self.cuts[-1] + 1,))
         np.divide(y, self.scale, out=ys[..., :-1])
-        padded = ys.take(self.pad_pos, axis=-1)
+        return self.blocks(ys.take(self.pad_pos, axis=-1))
+
+    def blocks(self, padded):
+        """The blocks of a padded (..., blocks, k, k) stack, as views: each
+        its slot's bottom-right corner."""
         k = padded.shape[-1]
         return [padded[..., b, k - s:, k - s:]
                 for b, s in enumerate(self.sizes)]
@@ -485,70 +488,66 @@ def _face_bases(w, V, floor):
 
 def _reaches(w, floor):
     """Whether the eigenvalues w (last axis) all reach floor, up to 1e-9
-    relative."""
-    return w.min(axis=-1) >= floor - 1e-9 * (1.0 + np.abs(w).max(axis=-1))
+    relative; floor broadcasts against w."""
+    return (w >= floor - 1e-9 * (1.0 + np.abs(w).max(axis=-1, keepdims=True))
+            ).all(axis=-1)
 
 
-def _polish(op, T1, T2, f, PQ, R):
+def _polish(op, T1, T2, f, X, floor):
     """Exact least squares on the active face of the cones, for a stack.
 
     Member i is the problem of ``op.take(i)`` (a stacked operator) with
-    offsets (T1[i], T2[i]) at the point (PQ[i, 0], PQ[i, 1], R[i]) of
-    objective f[i]; f, PQ (P and Q stacked on axis 1) and R are stacked
-    arrays.  Its face is read off the eigenstructure of that (P, Q, R) at
-    _POLISH_ACT_TOL; the nearest correction within the face is applied and
-    accepted only if cone-feasible and lower.  The eigendecompositions, the
-    face bases (at full width, pairs off the face held at theta = 0), their
-    operator columns, the coordinates theta and the offsets are built once
-    for the whole stack, and the cone tests and projections act on the
-    stack; the face least squares is one ``lstsq`` per member on its own
-    face columns.  So each member's result is bit for bit that of
-    polishing it alone.  Returns new arrays (f, PQ, R), each member the
-    lower of its point and its polished point (its point on ties).  Its
-    eigendecompositions are raw LAPACK calls: the caller enters
-    ``_lapack_errors()``.
+    offsets (T1[i], T2[i]) at the point X[i] of objective f[i].  X is the
+    splitting loop's padded (S, 3, k, k) stack of (P, Q, R), the rest of
+    each slot's diagonal at ``floor``, the loop's (3, 1) per-block floors.
+    The pad's eigenvalues sit at the floor, off the face, so each slot's
+    face, reconstruction floor I + sum theta E, cone test and projection
+    are its block's.  The face, read off the eigenstructure at
+    _POLISH_ACT_TOL, gives the nearest correction within it, accepted only
+    if cone-feasible and lower.  One eigendecomposition, one face-basis
+    build (at full width, pairs off the face held at theta = 0) with its
+    operator columns, one reconstruction, one cone test and one projection
+    serve every block of the stack.  Each block's theta is a sum over its
+    own corner, as the block alone sums it, and the face least squares is
+    one ``lstsq`` per member on its own face columns, so each member's
+    result is bit for bit that of polishing it alone.  Returns new arrays
+    (f, X), each member the lower of its point and its polished point (its
+    point on ties).  Its eigendecompositions are raw LAPACK calls: the
+    caller enters ``_lapack_errors()``.
     """
-    n, m = op.n, op.m
-    S = len(f)
-    E_pq, on_pq = _face_bases(*_LAPACK.eigh_lo(_sym(PQ), signature="d->dd"),
-                              0.0)
-    E_r, on_r = _face_bases(*_LAPACK.eigh_lo(_sym(R), signature="d->dd"),
-                            1.0)
-    dn = E_pq.shape[2]
-    cols = op.columns(E_pq[:, 0], E_pq[:, 1], E_r)
-    theta = np.concatenate([
-        np.sum(E_pq * PQ[:, :, None], axis=(-2, -1)).reshape(S, -1),
-        np.sum(E_r * (R - np.eye(m))[:, None], axis=(-2, -1))], axis=1)
+    S, k = X.shape[0], X.shape[-1]
+    svec = _svec(op.n, op.n, op.m)
+    E, on = _face_bases(*_LAPACK.eigh_lo(_sym(X), signature="d->dd"), floor)
+    # one stack of face matrices per block, each in its corner
+    Es = svec.blocks(E.swapaxes(1, 2))
+    cols = op.columns(*Es)
+    base = floor[..., None] * np.eye(k)
+    theta = np.concatenate([np.sum(Eb * Db, axis=(-2, -1)) for Eb, Db
+                            in zip(Es, svec.blocks((X - base)[:, None]))],
+                           axis=1)
     c = np.concatenate([T1.reshape(S, -1), (op.K + T2).reshape(S, -1)],
                        axis=1)
-    faces = np.concatenate([on_pq.reshape(S, 2 * dn), on_r], axis=1)
-    for t, on, cols_i, c_i in zip(theta, faces, cols, c):
+    for t, on_i, cols_i, c_i in zip(theta, on.reshape(S, -1), cols, c):
         # in C order: the rounding of Mt @ t depends on the memory layout
-        Mt = cols_i[:, on].copy()
-        dth, *_ = np.linalg.lstsq(Mt, -(Mt @ t[on] + c_i), rcond=None)
-        t[on] += dth
-        t[~on] = 0.0
-    # start + sum_k theta_k E_k, added in order: numpy reduces an outer
-    # axis term by term (a 1 x 1 block has one term).  The sums are exactly
-    # symmetric, as every E_k is.
-    PQn = np.add.reduce(np.concatenate(
-        [np.zeros((S, 2, 1, n, n)),
-         theta[:, :2 * dn].reshape(S, 2, dn, 1, 1) * E_pq], axis=2), axis=2)
-    Rn = np.add.reduce(np.concatenate(
-        [np.broadcast_to(np.eye(m), (S, 1, m, m)),
-         theta[:, 2 * dn:, None, None] * E_r], axis=1), axis=1)
-    ok = (_reaches(_LAPACK.eigvalsh_lo(PQn, signature="d->d"), 0.0).all(
-        axis=-1) & _reaches(_LAPACK.eigvalsh_lo(Rn, signature="d->d"), 1.0))
-    f, PQ, R = f.copy(), PQ.copy(), R.copy()
+        Mt = cols_i[:, on_i].copy()
+        dth, *_ = np.linalg.lstsq(Mt, -(Mt @ t[on_i] + c_i), rcond=None)
+        t[on_i] += dth
+        t[~on_i] = 0.0
+    # floor I + sum_k theta_k E_k, added in order: numpy reduces an outer
+    # axis term by term.  The sums are exactly symmetric, as every E_k is.
+    Xn = np.add.reduce(np.concatenate(
+        [np.broadcast_to(base[:, None], (S, 3, 1, k, k)),
+         theta.reshape(S, 3, -1, 1, 1) * E], axis=2), axis=2)
+    ok = _reaches(_LAPACK.eigvalsh_lo(Xn, signature="d->d"), floor).all(
+        axis=-1)
+    f, X = f.copy(), X.copy()
     if ok.any():
         done = np.flatnonzero(ok)
-        PQn, Rn = _project(PQn[ok], 0.0), _project(Rn[ok], 1.0)
-        fn = op.take(done).objective(PQn[:, 0], PQn[:, 1], Rn, T1[done],
-                                     T2[done])
+        Xn = _project(Xn[ok], floor)
+        fn = op.take(done).objective(*svec.blocks(Xn), T1[done], T2[done])
         lower = fn < f[done]
-        f[done[lower]], PQ[done[lower]], R[done[lower]] = (
-            fn[lower], PQn[lower], Rn[lower])
-    return f, PQ, R
+        f[done[lower]], X[done[lower]] = fn[lower], Xn[lower]
+    return f, X
 
 
 def _split(op, Mat, G, T1, T2, P0, Q0, R0, u0, max_iter):
@@ -563,25 +562,27 @@ def _split(op, Mat, G, T1, T2, P0, Q0, R0, u0, max_iter):
     blocks P, Q and R are projected together, by one ``eigh`` and one
     ``matmul`` per iteration, on a zero-padded (S, 3, k, k) stack, k =
     max(n, m), each block in the bottom-right corner of its slot (the
-    padded layout of :class:`_SvecLayout`); R's floor of 1 is a per-block
-    floor.  The projection of a block so padded is bit for bit that of the
-    block alone: LAPACK's tridiagonal reduction passes over the zero rows
-    with identity reflectors and the eigensolver splits at the zero
-    off-diagonal, so the pad adds only exact zeros.  (With the block
+    padded layout of :class:`_SvecLayout`) and one floor per block, (0, 0,
+    1).  The projection of a block so padded is bit for bit that of the
+    block alone: LAPACK's tridiagonal reduction passes over the pad's rows,
+    zero off the diagonal, with identity reflectors and the eigensolver
+    splits there, so the pad adds only exact zeros.  (With the block
     top-left, longer reflectors change its last bits.  A 1 x 1 block whose
     entry lies outside LAPACK's unscaled range, about 1e+-146, can differ
-    in its last bit: LAPACK scales it when padded, not alone.)  The lower
-    of each member's start and last iterate is then polished, the whole
-    stack at once (:func:`_polish`).  So every member's result is bit for
-    bit the result of running it alone.  The whole body, the polish
+    in its last bit, in the loop and in the polish: LAPACK scales it when
+    padded, not alone.)  The projection leaves each pad diagonal at its
+    block's floor; the start is padded alike, and the lower of each
+    member's start and last iterate is polished as one padded stack with
+    the same floors (:func:`_polish`).  So every member's result is bit
+    for bit the result of running it alone.  The whole body, the polish
     included, runs under one ``_lapack_errors()`` (the error state that
     ``np.linalg.eigh`` enters on every call) and calls the LAPACK gufuncs
     directly: on these float64 stacks, exactly symmetric in the loop, the
     public wrappers only check and convert, so the same routine runs on
     the same bytes.  Any invalid operation in the body, not only a LAPACK
-    failure, raises LinAlgError.  Returns stacked arrays
-    (f, PQ, R, converged, primal residual, dual residual, dual), f the
-    objective at (PQ[:, 0], PQ[:, 1], R) and the residuals those of the
+    failure, raises LinAlgError.  Returns stacked arrays (f, P, Q, R,
+    converged, primal residual, dual residual, dual): the blocks of the
+    polished stack, f the objective there, and the residuals those of the
     last iteration.
     """
     with _lapack_errors():
@@ -635,17 +636,16 @@ def _split(op, Mat, G, T1, T2, P0, Q0, R0, u0, max_iter):
         rd = sigma * rd
         tol = _CONVERGED * (1.0 + nz)
         converged = (rp <= tol) & (rd <= tol)
-        PQ = _sym(proj[:, :2, k - n:, k - n:])
-        R = _sym(proj[:, 2, k - m:, k - m:])
+        X = _sym(proj)
         f0 = op.objective(P0, Q0, R0, T1, T2)
-        f = op.objective(PQ[:, 0], PQ[:, 1], R, T1, T2)
-        # the lower of start and last iterate; the start on ties
-        last = f < f0
-        f, PQ, R = _polish(op, T1, T2, np.where(last, f, f0),
-                           np.where(last[:, None, None, None], PQ,
-                                    np.stack([P0, Q0], axis=1)),
-                           np.where(last[:, None, None], R, R0))
-        return f, PQ, R, converged, rp, rd, u[:, :, 0]
+        f = op.objective(*svec.blocks(X), T1, T2)
+        # the lower of start and last iterate, the start on ties, written
+        # into the last iterate's corners (its pad is at the floors)
+        start = ~(f < f0)
+        for B, M in zip(svec.blocks(X), (P0, Q0, R0)):
+            B[start] = M[start]
+        f, X = _polish(op, T1, T2, np.where(start, f0, f), X, floor)
+        return (f, *svec.blocks(X), converged, rp, rd, u[:, :, 0])
 
 
 def _central_path(svec, C, z, t, w, grad, hess=lambda t: 0.0, a=None):
@@ -846,9 +846,8 @@ def solve_pqr_step(dyn: LinearDynamics | list[LinearDynamics], K, Y1, Y2,
             for i in range(len(Ks)))))
         iterations = int(steps.max())
     else:
-        f, PQ, R, converged, rp, rd, dual = _split(op, Mat, G, T1, T2, *start,
-                                                   u0, max_iter)
-        P, Q = PQ[:, 0], PQ[:, 1]
+        f, P, Q, R, converged, rp, rd, dual = _split(op, Mat, G, T1, T2,
+                                                     *start, u0, max_iter)
         iterations = max_iter
     if single:
         P, Q, R, dual = P[0], Q[0], R[0], dual[0]

@@ -844,23 +844,44 @@ class TestPqrStep:
 
 
 class TestPolish:
-    """The face polish of a stack against the one-member reference, array
-    for array."""
+    """The face polish of a padded stack against the one-member reference,
+    array for array."""
+
+    _FLOOR = np.array([0.0, 0.0, 1.0])[:, None]
+
+    @classmethod
+    def _padded(cls, P, Q, R):
+        """The stacks P, Q and R as the splitting loop hands them to the
+        polish: each block in its slot's bottom-right corner, the rest of
+        the slot's diagonal at the block's floor."""
+        k = max(P.shape[-1], R.shape[-1])
+        X = np.broadcast_to(cls._FLOOR[..., None] * np.eye(k),
+                            (len(P), 3, k, k)).copy()
+        for b, M in enumerate((P, Q, R)):
+            s = M.shape[-1]
+            X[:, b, k - s:, k - s:] = M
+        return X
 
     @staticmethod
-    def _assert_matches_reference(op, T1, T2, f, PQ, R, count):
+    def _blocks(op, X):
+        return conic_ls._svec(op.n, op.n, op.m).blocks(X)
+
+    @classmethod
+    def _assert_matches_reference(cls, op, T1, T2, f, X, floor, count):
         """The stack's result, and the face least squares (``lstsq``
         calls, counted in ``count``) of the stack and of the reference."""
         start = count[0]
-        got = conic_ls._polish(op, T1, T2, f, PQ, R)
+        got = conic_ls._polish(op, T1, T2, f, X, floor)
         stack = count[0] - start
         assert all(len(x) == len(f) for x in got)
+        # the pad is left at the floor
+        assert np.array_equal(got[1], cls._padded(*cls._blocks(op, got[1])))
+        P, Q, R = cls._blocks(op, X)
         for i, (t1, t2) in enumerate(zip(T1, T2)):
             ref = polish_reference(op.take(i), t1, t2,
-                                   (f[i], PQ[i, 0], PQ[i, 1], R[i]))
+                                   (f[i], P[i], Q[i], R[i]))
             assert got[0][i] == ref[0]
-            for x, y in zip((got[1][i, 0], got[1][i, 1], got[2][i]),
-                            ref[1:]):
+            for x, y in zip(cls._blocks(op, got[1][i]), ref[1:]):
                 assert np.array_equal(x, y)
         return got, stack, count[0] - start - stack
 
@@ -888,10 +909,10 @@ class TestPolish:
         calls = []
         polish = conic_ls._polish
 
-        def record(op, T1, T2, f, PQ, R):
-            calls.append((op, T1.copy(), T2.copy(), f.copy(), PQ.copy(),
-                          R.copy()))
-            return polish(op, T1, T2, f, PQ, R)
+        def record(op, T1, T2, f, X, floor):
+            calls.append((op, T1.copy(), T2.copy(), f.copy(), X.copy(),
+                          floor.copy()))
+            return polish(op, T1, T2, f, X, floor)
 
         monkeypatch.setattr(conic_ls, "_polish", record)
         for (dyn, cost, sigma), Ns in ((build_small_random(0), (1, 5)),
@@ -903,19 +924,29 @@ class TestPolish:
         monkeypatch.setattr(conic_ls, "_polish", polish)
         assert len(calls) == 6
         assert all(len(f) == 4 for _, _, _, f, _, _ in calls)
+        assert all(np.array_equal(floor, self._FLOOR)
+                   for *_, floor in calls)
         count = self._counting_lstsq(monkeypatch)
         solves = np.sum([self._assert_matches_reference(*call, count)[1:]
                          for call in calls], axis=0)
         # the stack and the reference each solve once per member
         assert solves.tolist() == [6 * 4, 6 * 4]
-        assert all(len({self._signature(*PQ[i], R[i]) for i in range(4)}) > 1
-                   for _, _, _, _, PQ, R in calls)
+        for op, _, _, _, X, _ in calls:
+            blocks = self._blocks(op, X)
+            assert len({self._signature(*(M[i] for M in blocks))
+                        for i in range(4)}) > 1
 
     def test_edge_faces_match_reference(self, monkeypatch):
+        count = self._counting_lstsq(monkeypatch)
+        # (3, 2) pads R, (2, 3) pads P and Q
+        for n, m in ((3, 2), (2, 3)):
+            self._assert_edge_faces(count, n, m)
+
+    def _assert_edge_faces(self, count, n, m):
         rng = np.random.default_rng(0)
-        A = rng.standard_normal((3, 3))
+        A = rng.standard_normal((n, n))
         A *= 0.9 / np.abs(np.linalg.eigvals(A)).max()
-        B = rng.standard_normal((3, 2))
+        B = rng.standard_normal((n, m))
 
         def low_rank(size, rank):
             G = rng.standard_normal((size, rank))
@@ -931,38 +962,35 @@ class TestPolish:
         # K = 0 (zero R-block columns); Q = 0 (an empty Q face); a member
         # whose offsets put the face's least squares point outside the
         # cones, so that its correction is rejected
-        gains = [np.zeros((2, 3)), 0.3 * rng.standard_normal((2, 3)),
-                 0.3 * rng.standard_normal((2, 3))]
+        gains = [np.zeros((m, n)), 0.3 * rng.standard_normal((m, n)),
+                 0.3 * rng.standard_normal((m, n))]
         targets = [
-            (low_rank(3, 2), low_rank(3, 1), np.eye(2) + low_rank(2, 1)),
-            (low_rank(3, 3), np.zeros((3, 3)), np.eye(2) + low_rank(2, 2)),
-            (low_rank(3, 1), low_rank(3, 2), np.eye(2))]
+            (low_rank(n, 2), low_rank(n, 1), np.eye(m) + low_rank(m, 1)),
+            (low_rank(n, n), np.zeros((n, n)), np.eye(m) + low_rank(m, m)),
+            (low_rank(n, 1), low_rank(n, 2), np.eye(m))]
         stacked = KalmanOperator(np.stack([A] * 3), np.stack([B] * 3),
                                  np.stack(gains))
         ops = [stacked.take(i) for i in range(3)]
         T1, T2 = [], []
         for op, target in zip(ops, targets):
             M1, M2 = op.apply(*target)
-            T1.append(1e-3 * rng.standard_normal((3, 3)) - M1)
-            T2.append(1e-3 * rng.standard_normal((2, 3)) - M2)
-        T1[2], T2[2] = rng.standard_normal((3, 3)), rng.standard_normal((2, 3))
+            T1.append(1e-3 * rng.standard_normal((n, n)) - M1)
+            T2.append(1e-3 * rng.standard_normal((m, n)) - M2)
+        T1[2], T2[2] = rng.standard_normal((n, n)), rng.standard_normal((m, n))
         T1, T2 = np.array(T1), np.array(T2)
         points = [[nudged(M, floor) for M, floor
                    in zip(target, (0.0, 0.0, 1.0))] for target in targets]
         f = np.array([op.objective(*X, t1, t2)
                       for op, X, t1, t2 in zip(ops, points, T1, T2)])
-        PQ = np.array([X[:2] for X in points])
-        R = np.array([X[2] for X in points])
-        assert len({self._signature(*X) for X in points}) == 3
-        count = self._counting_lstsq(monkeypatch)
+        X = self._padded(*map(np.array, zip(*points)))
+        assert len({self._signature(*Y) for Y in points}) == 3
         got, stack, reference = self._assert_matches_reference(
-            stacked, T1, T2, f, PQ, R, count)
+            stacked, T1, T2, f, X, self._FLOOR, count)
         # one solve per member, in the stack and in the reference
         assert (stack, reference) == (3, 3)
         assert got[0][0] < f[0] and got[0][1] < f[1]
         assert got[0][2] == f[2]
-        assert np.array_equal(got[1][2], PQ[2])
-        assert np.array_equal(got[2][2], R[2])
+        assert np.array_equal(got[1][2], X[2])
 
 
 class TestRawLapackPath:
@@ -1012,6 +1040,46 @@ class TestRawLapackPath:
         for field in ("P", "Q", "R", "objective", "dual"):
             assert np.array_equal(getattr(got, field),
                                   getattr(expected, field)), field
+
+    # small_random (n = 4, m = 2) pads R; n = 1, m = 2 pads P and Q
+    @pytest.mark.parametrize("system", ["small_random", "one-state"])
+    def test_one_decomposition_per_iteration_and_polish(self, monkeypatch,
+                                                        system):
+        if system == "small_random":
+            problem = self._problem()
+        else:
+            dyn = _dyn(np.array([[0.9]]), np.array([[1.0, 0.5]]))
+            K = np.stack([solve_lqr(dyn, (np.eye(1), np.eye(2))).K,
+                          np.zeros((2, 1))])
+            problem = (dyn, K, np.zeros((2, 1, 1)), np.zeros((2, 2, 1)),
+                       (np.stack([np.eye(1)] * 2), np.stack([np.eye(1)] * 2),
+                        np.stack([np.eye(2)] * 2)))
+        dyn = problem[0]
+        k = max(dyn.n, dyn.m)
+        calls = []
+        lapack = conic_ls._LAPACK
+
+        class Counting:
+            def __getattr__(self, name):
+                routine = getattr(lapack, name)
+
+                def counted(a, *args, **kwargs):
+                    calls.append((name, a.shape))
+                    return routine(a, *args, **kwargs)
+
+                return counted
+
+        monkeypatch.setattr(conic_ls, "_LAPACK", Counting())
+        solve_pqr_step(dyn, *problem[1:4], rho=1.0, max_iter=40,
+                       init=problem[4])
+        eighs = [shape for name, shape in calls if name == "eigh_lo"]
+        # the 40 iterations and the polish on (2, 3, k, k), plus at most
+        # the projection of the members the polish accepts
+        assert eighs[:41] == [(2, 3, k, k)] * 41
+        assert len(eighs) <= 42
+        assert all(shape[1:] == (3, k, k) for shape in eighs[41:])
+        assert [c for c in calls if c[0] != "eigh_lo"] == [
+            ("eigvalsh_lo", (2, 3, k, k))]
 
     @pytest.mark.parametrize("bad", [None, "P0", "Y1"])
     def test_error_state_is_restored(self, bad):

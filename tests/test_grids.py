@@ -221,10 +221,33 @@ def test_compare_counts_changed_answers(tmp_path, capsys):
     (b / "checks.csv").write_text("\n".join(lines) + "\n")
     assert grids.main(["--compare", str(a), str(b)]) == 1
     out = capsys.readouterr().out.splitlines()
+    move = float(moved[6]) / 2.0
     assert out[:2] == ["checks.csv: 2 rows moved",
-                       "  answers changed 1, Newton steps changed 1"]
+                       "  answers changed 1, Newton steps changed 1, "
+                       f"largest absolute value move {move:.3g}"]
     # an experiment CSV gets no such line
     assert grids._check_changes(bench.CSV_HEADER, bench.CSV_HEADER) == []
+
+
+def test_compare_reports_absolute_residual_moves(tmp_path, capsys):
+    # seed 11's move-1e-3 residual moved from 1.666e-14 to 4.07e-15, a
+    # relative move of 0.756 at roundoff level
+    rows = ["seed,kind,n,m,answer,iterations,value,gap",
+            "11,lqr,2,1,feasible,0,4.782987168225453e-15,",
+            "11,move-1e-3,2,1,feasible,0,1.666e-14,"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d in (a, b):
+        d.mkdir()
+    (a / "checks.csv").write_text("\n".join(rows) + "\n")
+    rows[2] = rows[2].replace("1.666e-14", "4.070144838902081e-15")
+    (b / "checks.csv").write_text("\n".join(rows) + "\n")
+    assert grids.main(["--compare", str(a), str(b)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["checks.csv: 1 rows moved",
+                       "  answers changed 0, Newton steps changed 0, "
+                       "largest absolute value move 1.26e-14"]
+    # the checks rows stay out of the relative figure
+    assert out[-1] == "largest relative move: 0"
 
 
 @pytest.mark.parametrize("grid, build", [

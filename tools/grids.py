@@ -56,9 +56,12 @@ each answer per kind, ``undecided`` included; ``--N`` does not apply.
 ``--compare`` reports "byte-identical" when both directories hold the same
 files with the same bytes and exits 0; otherwise it lists the files and
 CSV rows that differ, the largest relative move of a number in those
-rows, and exits 1.  On a checks CSV that differs, the line after its
-count of moved rows counts the rows whose answer and whose Newton steps
-changed.  For each experiment CSV that differs it also pairs
+rows of the experiment CSVs, and exits 1.  On a checks CSV that differs,
+the line after its count of moved rows counts the rows whose answer and
+whose Newton steps changed and gives the largest absolute move of the
+``value`` column: its residuals lie at roundoff level, where a relative
+move says nothing, so they stay out of the relative figure.  For each
+experiment CSV that differs it also pairs
 the cells (experiment, N, seed) of the two runs and prints, per N, how
 many cells' kalman/optimal cost ratio fell, rose or stayed, the median
 change of the log ratio over the cells finite on both sides, and the
@@ -300,14 +303,14 @@ def _ratios(rows):
     return out
 
 
-def _move(a, b):
-    """Relative move from number a to number b (inf where only one is
-    finite, 0 where both are equal or both NaN)."""
+def _move(a, b, relative=True):
+    """Relative (or absolute) move from number a to number b (inf where
+    only one is finite, 0 where both are equal or both NaN)."""
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
     if not (math.isfinite(a) and math.isfinite(b)):
         return math.inf
-    return abs(a - b) / max(abs(a), abs(b))
+    return abs(a - b) / (max(abs(a), abs(b)) if relative else 1.0)
 
 
 def _numbers(text):
@@ -349,18 +352,27 @@ def _csv_moves(text_a, text_b):
     return moved, largest
 
 
+def _is_checks(text):
+    """Whether a grid CSV is the checks grid's."""
+    return text.startswith("seed,kind,")
+
+
 def _check_changes(text_a, text_b):
     """The line counting the rows of two checks-grid CSVs, matched by
-    :func:`_rows`, whose answer or Newton steps differ; no line for an
-    experiment CSV."""
-    if not text_a.startswith("seed,kind,"):
+    :func:`_rows`, whose answer or Newton steps differ, with the largest
+    absolute move of their ``value`` column; no line for an experiment
+    CSV."""
+    if not _is_checks(text_a):
         return []
     a, b = _rows(text_a), _rows(text_b)
-    pairs = [(a[key].split(",")[4:6], b[key].split(",")[4:6])
+    pairs = [(a[key].split(",")[4:7], b[key].split(",")[4:7])
              for key in a.keys() & b.keys()]
     answers = sum(x[0] != y[0] for x, y in pairs)
     steps = sum(x[1] != y[1] for x, y in pairs)
-    return [f"  answers changed {answers}, Newton steps changed {steps}"]
+    value = max((_move(float(x[2]), float(y[2]), relative=False)
+                 for x, y in pairs), default=0.0)
+    return [f"  answers changed {answers}, Newton steps changed {steps}, "
+            f"largest absolute value move {value:.3g}"]
 
 
 def _kalman_ratios(text):
@@ -433,7 +445,9 @@ def compare(dir_a, dir_b):
             lines.extend(_check_changes(text_a, text_b))
             lines.extend(moved)
             lines.extend(_paired(text_a, text_b))
-            largest = max(largest, move)
+            # a checks residual at roundoff level moves by a large share
+            if not _is_checks(text_a):
+                largest = max(largest, move)
         else:
             # a summary's numbers are means of its CSV's rows
             lines.append(f"{name}: differs")
