@@ -63,9 +63,6 @@ _SQRT2 = math.sqrt(2.0)
 # Relative eigenvalue gap above the cone floor that counts as off the
 # boundary in the face polish.
 _POLISH_ACT_TOL = 1e-5
-# A warm call reports convergence when both splitting residuals of its last
-# iteration are at most _CONVERGED (1 + ||z||).
-_CONVERGED = 1e-11
 # The two barrier methods (cold calls, the reduced check) share one central
 # path; its centerings end at Newton decrement _CENTERED or after
 # _CENTER_MAX steps.  A cold call stops at gap bound _BARRIER_GAP (1 + f),
@@ -303,14 +300,16 @@ def _huber_irls(K, terms, M, H0, pen_rhs, n, m):
 class PqrStepResult:
     """Cone-feasible (P, Q, R) with solver diagnostics.
 
-    ``objective`` is the subproblem value at (P, Q, R).  After a warm call
-    ``iterations`` is the splitting budget ``max_iter``, the primal/dual
-    residuals are those of the last splitting iteration, ``converged``
-    means both were small, and ``dual`` is opaque warm-start state for the
-    next call.  After a cold call ``iterations`` counts Newton steps,
-    ``converged`` means the gap test held, ``dual_residual`` is the final
-    gap bound, ``primal_residual`` is 0 and ``dual`` is zeros.  For a
-    stack every field but ``iterations`` has a leading member axis.
+    ``objective`` is the subproblem value at (P, Q, R).  ``iterations`` is
+    the splitting budget ``max_iter`` after a warm call and the number of
+    Newton steps after a cold one.  ``gap`` is the barrier's gap estimate
+    (nu + <W, y>) / t at its last centering, an estimate and not a proven
+    bound, and ``converged`` means that the gap test ``gap`` < 1e-12 (1 +
+    f) held there, f the objective at that point.  A warm call runs no gap
+    test: it reports ``converged`` False and ``gap`` inf.  ``dual`` is
+    opaque warm-start state for the next call: the splitting dual after a
+    warm call, zeros after a cold one.  For a stack every field but
+    ``iterations`` has a leading member axis.
     """
 
     P: np.ndarray
@@ -319,8 +318,7 @@ class PqrStepResult:
     objective: float
     iterations: int
     converged: bool
-    primal_residual: float
-    dual_residual: float
+    gap: float
     dual: np.ndarray
 
 
@@ -581,9 +579,8 @@ def _split(op, Mat, G, T1, T2, P0, Q0, R0, u0, max_iter):
     public wrappers only check and convert, so the same routine runs on
     the same bytes.  Any invalid operation in the body, not only a LAPACK
     failure, raises LinAlgError.  Returns stacked arrays (f, P, Q, R,
-    converged, primal residual, dual residual, dual): the blocks of the
-    polished stack, f the objective there, and the residuals those of the
-    last iteration.
+    dual): the blocks of the polished stack, f the objective there, and
+    the dual of the last iteration.
     """
     with _lapack_errors():
         n, m, p = op.n, op.m, Mat.shape[-1]
@@ -605,9 +602,8 @@ def _split(op, Mat, G, T1, T2, P0, Q0, R0, u0, max_iter):
         q = 2.0 * (Mat.swapaxes(-1, -2) @ c[:, :, None])
         # positive: G's diagonal is 2 at each Q coordinate (a unit M1
         # block)
-        sigma = np.trace(G, axis1=1, axis2=2) / p
-        Minv = np.linalg.inv(G + sigma[:, None, None] * np.eye(p))
-        sig = sigma[:, None, None]
+        sig = (np.trace(G, axis1=1, axis2=2) / p)[:, None, None]
+        Minv = np.linalg.inv(G + sig * np.eye(p))
         # buffers written in place every iteration: v / scale with one
         # trailing zero row, the pad entries' source; the padded cone
         # blocks of v; their projection; both triangles of the projection
@@ -628,14 +624,9 @@ def _split(op, Mat, G, T1, T2, P0, Q0, R0, u0, max_iter):
             np.matmul(V, np.maximum(w, floor)[..., None]
                       * V.swapaxes(-1, -2), out=proj)
             # svec of the symmetrized projection, read off both triangles
-            z_old = z
             proj.reshape(S, -1).take(pad_uplo, axis=1, out=tri, mode="clip")
             z = (up + lo) * half_scale
             u += xr - z
-        nz, rp, rd = _row_norms(np.array([z, x - z, z - z_old])[..., 0])
-        rd = sigma * rd
-        tol = _CONVERGED * (1.0 + nz)
-        converged = (rp <= tol) & (rd <= tol)
         X = _sym(proj)
         f0 = op.objective(P0, Q0, R0, T1, T2)
         f = op.objective(*svec.blocks(X), T1, T2)
@@ -645,7 +636,7 @@ def _split(op, Mat, G, T1, T2, P0, Q0, R0, u0, max_iter):
         for B, M in zip(svec.blocks(X), (P0, Q0, R0)):
             B[start] = M[start]
         f, X = _polish(op, T1, T2, np.where(start, f0, f), X, floor)
-        return (f, *svec.blocks(X), converged, rp, rd, u[:, :, 0])
+        return (f, *svec.blocks(X), u[:, :, 0])
 
 
 def _central_path(svec, C, z, t, w, grad, hess=lambda t: 0.0, a=None):
@@ -710,8 +701,7 @@ def _barrier(op, Mat, G, T1, T2):
     (nu + <W, y>) / t, a bound at a center while <W, y*> <= 2 <W, y> at
     the optimum y*, is below _BARRIER_GAP (1 + f), after _BARRIER_ROUNDS
     centerings, or where the path ends.  Returns (objective, P, Q, R,
-    Newton steps, whether the gap test held, 0.0, the gap bound, a zero
-    dual).
+    Newton steps, whether the gap test held, the gap estimate).
     """
     n, m = op.n, op.m
     svec = _svec(n, n, m)
@@ -738,8 +728,7 @@ def _barrier(op, Mat, G, T1, T2):
             break
     P, Q, D = svec.split(y)
     R = D + np.eye(m)
-    return (op.objective(P, Q, R, T1, T2), P, Q, R, steps, converged, 0.0,
-            gap, np.zeros(len(y)))
+    return op.objective(P, Q, R, T1, T2), P, Q, R, steps, converged, gap
 
 
 def _stacked_systems(dyn, count: int):
@@ -783,8 +772,8 @@ def solve_pqr_step(dyn: LinearDynamics | list[LinearDynamics], K, Y1, Y2,
     for unit weights), else from (I, I, 2I).  A warm call runs exactly
     ``max_iter`` splitting iterations from ``init``, then returns the
     lower of its start and its last iterate, polished on its face: never
-    worse than the start.  ``converged`` and the residuals are read off
-    the last iteration.  ``max_iter`` must be an integer (not a bool) of
+    worse than the start; it runs no gap test, so it reports ``converged``
+    False and ``gap`` inf.  ``max_iter`` must be an integer (not a bool) of
     at least 1, and ``iterations`` is an int; a cold call does not use
     ``max_iter`` otherwise.  K, Y1, Y2, Y1 / rho, Y2 / rho, ``init`` and
     ``dual0`` must be finite: the call raises ValueError, before any work,
@@ -798,7 +787,7 @@ def solve_pqr_step(dyn: LinearDynamics | list[LinearDynamics], K, Y1, Y2,
     the result gains a leading axis except ``iterations``, the most any
     member took.  Each member's result is bit for bit that of its own call,
     and a single gain's result is member 0 of its stack of one, with Python
-    scalars for ``objective``, ``converged`` and the residuals.
+    scalars for ``objective``, ``converged`` and ``gap``.
     """
     _check_real(rho, "rho", 0.0, strict=True)
     max_iter = _check_count(max_iter, "max_iter", 1)
@@ -835,23 +824,23 @@ def solve_pqr_step(dyn: LinearDynamics | list[LinearDynamics], K, Y1, Y2,
         start = (stacked("init P0", P0, (n, n)),
                  stacked("init Q0", Q0, (n, n)),
                  stacked("init R0", R0, (m, m)))
-    u0 = (None if dual0 is None
-          else stacked("dual0", dual0, (_svec(n, n, m).cuts[-1],)))
+    p = _svec(n, n, m).cuts[-1]
+    u0 = None if dual0 is None else stacked("dual0", dual0, (p,))
     op = KalmanOperator(*_stacked_systems(systems, len(Ks)), Ks)
     Mat = op.matrix()
     G = 2.0 * (Mat.swapaxes(-1, -2) @ Mat)
     if init is None:
-        f, P, Q, R, steps, converged, rp, rd, dual = map(np.array, zip(*(
+        f, P, Q, R, steps, converged, gap = map(np.array, zip(*(
             _barrier(op.take(i), Mat[i], G[i], T1[i], T2[i])
             for i in range(len(Ks)))))
         iterations = int(steps.max())
+        dual = np.zeros((len(Ks), p))
     else:
-        f, P, Q, R, converged, rp, rd, dual = _split(op, Mat, G, T1, T2,
-                                                     *start, u0, max_iter)
+        f, P, Q, R, dual = _split(op, Mat, G, T1, T2, *start, u0, max_iter)
         iterations = max_iter
+        converged, gap = np.zeros(len(Ks), bool), np.full(len(Ks), math.inf)
     if single:
         P, Q, R, dual = P[0], Q[0], R[0], dual[0]
-        f, converged, rp, rd = (x[0].item() for x in (f, converged, rp, rd))
+        f, converged, gap = (x[0].item() for x in (f, converged, gap))
     return PqrStepResult(P=P, Q=Q, R=R, objective=f, iterations=iterations,
-                         converged=converged, primal_residual=rp,
-                         dual_residual=rd, dual=dual)
+                         converged=converged, gap=gap, dual=dual)

@@ -25,8 +25,11 @@ def fit_objective(demos: DemoSet, K: np.ndarray, loss: LossSpec,
                   reg: RegularizerSpec) -> float:
     """L(K) + r(K) for the given demonstrations, summed over the pairs in
     their canonical order (``DemoTerms``), so the same under any
-    permutation of the pairs."""
+    permutation of the pairs.  Raises ValueError unless K is m x n."""
     K = np.asarray(K, dtype=float)
+    m, n = demos.inputs.shape[1], demos.states.shape[1]
+    if K.shape != (m, n):
+        raise ValueError(f"gain must be {m}x{n}, got shape {K.shape}")
     terms = demos.cached(conic_ls.demo_terms)
     E = terms.X @ K.T - terms.U
     if loss.kind == "quadratic":

@@ -46,6 +46,9 @@ def _as_matrix(M, name: str) -> np.ndarray:
     M = np.array(M, dtype=float)
     if M.ndim != 2:
         raise ValueError(f"{name} must be a 2-d matrix, got shape {M.shape}")
+    if M.shape[1] == 0:
+        raise ValueError(f"{name} must have at least one column, got shape "
+                         f"{M.shape}")
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{name} must be finite")
     M.flags.writeable = False

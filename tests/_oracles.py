@@ -389,11 +389,9 @@ def warm_step_reference(systems, K, Y1, Y2, rho, max_iter, init, dual0=None):
 
     ``systems`` holds one LinearDynamics per member; K, Y1, Y2, the three
     matrices of ``init`` and ``dual0`` (or None) are stacks.  Returns one
-    ((objective, P, Q, R), iterations, converged, primal residual, dual
-    residual, dual) per member.
+    ((objective, P, Q, R), iterations, dual) per member.
     """
     from lqfit.conic_ls import KalmanOperator, project_psd
-    from lqfit.linsys import _row_norms
 
     def sym(M):
         return 0.5 * (M + M.swapaxes(-1, -2))
@@ -510,21 +508,15 @@ def warm_step_reference(systems, K, Y1, Y2, rho, max_iter, init, dual0=None):
         w, V = np.linalg.eigh(Mv[:, n2:].reshape(-1, m, m))
         R = V @ (np.maximum(w, 1.0)[..., None] * V.swapaxes(-1, -2))
         M = np.concatenate([PQ.reshape(S, -1), R.reshape(S, -1)], axis=1)
-        z_old = z
         z = 0.5 * (M.take(up, axis=1) + M.take(lo, axis=1)) * scale
         u += xr - z
-    nz, rp, rd = _row_norms(np.array([z, x - z, z - z_old]))
-    rd = sigma * rd
-    tol = 1e-11 * (1.0 + nz)
-    converged = (rp <= tol) & (rd <= tol)
     PQ, R = sym(PQ), sym(R)
     f0 = op.objective(P0, Q0, R0, T1, T2).tolist()
     f = op.objective(PQ[:, 0], PQ[:, 1], R, T1, T2).tolist()
     best = polish(op, T1, T2, [
         lower((f0[i], P0[i], Q0[i], R0[i]), (f[i], PQ[i, 0], PQ[i, 1], R[i]))
         for i in range(S)])
-    return [(b, max_iter, *out, ui) for b, *out, ui in zip(
-        best, converged.tolist(), rp.tolist(), rd.tolist(), u)]
+    return [(b, max_iter, ui) for b, ui in zip(best, u)]
 
 
 def two_step_reference(dyn, demos, loss, reg):

@@ -355,6 +355,23 @@ def test_null_weights_take_their_defaults(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["K"] == K
 
 
+@pytest.mark.parametrize("kind, payload, message", [
+    ("system", dict(_TWO_STATE, B=[[], []]),
+     "B must have at least one column, got shape (2, 0)"),
+    ("demos", {"states": [[], []], "inputs": [[1.0], [0.2]]},
+     "states must have at least one column, got shape (2, 0)"),
+])
+def test_no_states_or_inputs_is_config_error(tmp_path, capsys, kind, payload,
+                                             message):
+    path = _write_json(tmp_path, f"{kind}.json", payload)
+    argv = (["lqr", "--system", path] if kind == "system"
+            else ["fit", "--demos", path])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"bad {kind} file {path}: {message}" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_mismatched_demos_are_config_errors(tmp_path, capsys):
     spath = _write_json(tmp_path, "system.json", _TWO_STATE)
     for states, inputs, shape in (([[1.0, 0.0, 0.0]] * 2, [[1.0]] * 2,

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -7,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lqfit import build_aircraft, build_small_random, conic_ls
-from lqfit.conic_ls import (KalmanOperator, LossSpec, RegularizerSpec,
-                            SingularFitError, huber_value, project_psd,
-                            solve_k_step, solve_pqr_step)
+from lqfit.conic_ls import (KalmanOperator, LossSpec, PqrStepResult,
+                            RegularizerSpec, SingularFitError, huber_value,
+                            project_psd, solve_k_step, solve_pqr_step)
 from lqfit.bench import ExperimentConfig
 from lqfit.kalman_fit import AdmmConfig, fit_kalman_batch
 from lqfit.linsys import DemoSet, LinearDynamics, generate_demos
@@ -591,8 +593,7 @@ class TestPqrStep:
                                       getattr(single, name)), (i, name)
             assert stacked.objective[i] == single.objective
             assert stacked.converged[i] == single.converged
-            assert stacked.primal_residual[i] == single.primal_residual
-            assert stacked.dual_residual[i] == single.dual_residual
+            assert stacked.gap[i] == single.gap
 
     def test_stack_equals_calls_one_by_one(self):
         rng = np.random.default_rng(14)
@@ -654,7 +655,7 @@ class TestPqrStep:
         stacked = solve_pqr_step(
             dyn, K[None], Y1[None], Y2[None],
             init=None if init is None else [M[None] for M in init], **kw)
-        for name in ("objective", "primal_residual", "dual_residual"):
+        for name in ("objective", "gap"):
             assert type(getattr(single, name)) is float, name
         assert type(single.converged) is bool
         assert type(single.iterations) is int
@@ -696,6 +697,42 @@ class TestPqrStep:
             *_, f_ref, _, reached = pqr_barrier(
                 A, B, k, np.zeros((3, 3)), np.zeros((2, 3)), rho=1.0)
             assert reached and abs(f - f_ref) <= 1e-9
+
+    def test_warm_call_runs_no_gap_test(self, monkeypatch):
+        # converged and gap report the cold barrier's gap test alone, even
+        # where a warm call starts at the cold optimum and runs 2000
+        # iterations
+        assert [f.name for f in dataclasses.fields(PqrStepResult)] == [
+            "P", "Q", "R", "objective", "iterations", "converged", "gap",
+            "dual"]
+        rng = np.random.default_rng(18)
+        A, B = random_controllable(rng, n_max=3, m_max=2, rho_scale=0.8)
+        n, m = A.shape[0], B.shape[1]
+        dyn = _dyn(A, B)
+        K = 0.3 * rng.standard_normal((3, m, n))
+        Y1 = 0.2 * rng.standard_normal((3, n, n))
+        Y2 = 0.2 * rng.standard_normal((3, m, n))
+        cold = solve_pqr_step(dyn, K, Y1, Y2, rho=1.0)
+        assert cold.converged.all()
+        # one centering: the gap test fails, and converged says so
+        monkeypatch.setattr(conic_ls, "_BARRIER_ROUNDS", 1)
+        short = solve_pqr_step(dyn, K, Y1, Y2, rho=1.0)
+        assert not short.converged.any()
+        for step in (cold, short):
+            assert np.isfinite(step.gap).all()
+            assert np.array_equal(
+                step.converged, step.gap < 1e-12 * (1.0 + step.objective))
+        init = (cold.P, cold.Q, cold.R)
+        for max_iter in (1, 40, 2000):
+            warm = solve_pqr_step(dyn, K, Y1, Y2, rho=1.0, max_iter=max_iter,
+                                  init=init, dual0=cold.dual)
+            assert warm.converged.dtype == bool
+            assert warm.converged.shape == (3,) and not warm.converged.any()
+            assert warm.gap.shape == (3,) and (warm.gap == math.inf).all()
+            one = solve_pqr_step(dyn, K[0], Y1[0], Y2[0], rho=1.0,
+                                 max_iter=max_iter,
+                                 init=[M[0] for M in init])
+            assert one.converged is False and one.gap == math.inf
 
     def test_warm_call_never_worse_than_start(self):
         # starts at the optimum (where the splitting moves away from it),
@@ -1116,13 +1153,13 @@ class TestWarmStepOracle:
     def _assert_equal(got, ref, i=None):
         """Result ``got`` (member i of a stack, or a single call) equals
         the reference's member tuple ``ref`` bit for bit."""
-        (f, P, Q, R), iterations, converged, rp, rd, dual = ref
+        (f, P, Q, R), iterations, dual = ref
         pick = (lambda x: x) if i is None else (lambda x: x[i])
         assert got.iterations == iterations
         assert type(got.iterations) is int
+        # a warm call runs no gap test
         for field, want in (("objective", f), ("P", P), ("Q", Q), ("R", R),
-                            ("converged", converged),
-                            ("primal_residual", rp), ("dual_residual", rd),
+                            ("converged", False), ("gap", math.inf),
                             ("dual", dual)):
             assert np.array_equal(pick(getattr(got, field)), want), field
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,15 @@ def test_objective_recomputable():
         report = policy_fit(demos, loss=loss)
         assert report.objective == pytest.approx(
             fit_objective(demos, report.K, loss, report.reg), abs=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2,), (2, 1), (1, 2, 1)])
+def test_fit_objective_rejects_a_gain_of_the_wrong_shape(shape):
+    # an (N, 2) residual would broadcast against the (N, 1) inputs
+    demos = _demos_from_gain(np.ones((1, 2)), 5, seed=5)
+    with pytest.raises(ValueError, match=re.escape(
+            f"gain must be 1x2, got shape {shape}")):
+        fit_objective(demos, np.zeros(shape), LossSpec(), RegularizerSpec())
 
 
 def test_permutation_bit_identical():

@@ -84,6 +84,26 @@ class TestTypes:
         with pytest.raises(ValueError):
             DemoSet(states=np.zeros((0, 2)), inputs=np.zeros((0, 1)))
 
+    @pytest.mark.parametrize("A, B, message", [
+        (np.zeros((0, 0)), np.zeros((0, 1)),
+         r"^A must have at least one column, got shape \(0, 0\)$"),
+        (np.eye(2), np.zeros((2, 0)),
+         r"^B must have at least one column, got shape \(2, 0\)$"),
+    ])
+    def test_system_without_states_or_inputs_rejected(self, A, B, message):
+        with pytest.raises(ValueError, match=message):
+            LinearDynamics(A=A, B=B, W=np.zeros(A.shape))
+
+    @pytest.mark.parametrize("states, inputs, name", [
+        (np.zeros((3, 0)), np.zeros((3, 1)), "states"),
+        (np.zeros((3, 2)), np.zeros((3, 0)), "inputs"),
+    ])
+    def test_demoset_without_columns_rejected(self, states, inputs, name):
+        with pytest.raises(ValueError, match=(
+                rf"^{name} must have at least one column, got shape "
+                rf"\(3, 0\)$")):
+            DemoSet(states=states, inputs=inputs)
+
     def test_demoset_roundtrip(self):
         demos = DemoSet(states=[[1.0, 2.0]], inputs=[[3.0]])
         again = DemoSet.from_dict(demos.to_dict())

@@ -624,7 +624,7 @@ class TestRawLapackPath:
         rng = np.random.default_rng(3)
         Y1, Y2 = (0.2 * rng.standard_normal(s) for s in ((4, 4), (2, 4)))
         fields = ("P", "Q", "R", "objective", "iterations", "converged",
-                  "dual_residual")
+                  "gap")
         cold = solve_pqr_step(dyn, K + 1e-3, Y1, Y2, rho=1.0)
         public = _PublicLinalg()
         for module in (conic_ls, riccati, linsys):

@@ -48,10 +48,12 @@ that gain moved by 1e-3 and by 1e-4 ||K||_F in a random direction, a
 random gain on A = 0, and K = 0, which draws nothing and, where A has a
 mode outside the unit circle, takes the check's route 3 (the unstable
 modes in ker K split off); a row holds the verdict, the Newton steps and
-the residual.  One cold ``solve_pqr_step`` at the 1e-3 gain, with Y1 and Y2
-0.2 times standard normal, adds a row with whether it converged, its
-Newton steps, its objective and its gap bound.  It prints the count of
-each answer per kind, ``undecided`` included; ``--N`` does not apply.
+the residual.  One cold ``solve_pqr_step`` at the 1e-3 gain, with Y1 and
+Y2 0.2 times standard normal, adds a row with whether its gap test held
+(``converged``), its Newton steps, its objective and its ``gap`` (the
+barrier's gap estimate at its last centering, not a proven bound).  It
+prints the count of each answer per kind, ``undecided`` included; ``--N``
+does not apply.
 
 ``--compare`` reports "byte-identical" when both directories hold the same
 files with the same bytes and exits 0; otherwise it lists the files and
@@ -259,7 +261,7 @@ def _run_checks(path, seeds):
         answer = "converged" if step.converged else "not converged"
         rows.append(("cold", answer))
         lines.append(f"{seed},cold,{n},{m},{answer},{step.iterations},"
-                     f"{step.objective!r},{step.dual_residual!r}")
+                     f"{step.objective!r},{step.gap!r}")
     Path(path).write_text("\n".join(lines) + "\n")
     return rows
 
